@@ -293,6 +293,17 @@ def _default_max_states() -> int:
         return DEFAULT_MAX_STATES
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the search bounds: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pvguard",
@@ -308,9 +319,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument(
             "--max-states",
-            type=int,
+            type=_positive_int,
             default=_default_max_states(),
-            help="search bound (also via PVGUARD_MAX_STATES)",
+            help=f"search bound (default {DEFAULT_MAX_STATES:,}; also via "
+            "PVGUARD_MAX_STATES)",
         )
 
     p = sub.add_parser("check", help="parse and validate a source file")
@@ -336,7 +348,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", help="execution classes up to square swaps")
     common(p)
     p.add_argument("program", nargs="?", help="program name (default: the only one)")
-    p.add_argument("--limit", type=int, help="class pair bound (default: max-states)")
+    p.add_argument(
+        "--limit", type=_positive_int, help="class pair bound (default: max-states)"
+    )
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("lcp", help="find local choice points of a program")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -28,7 +28,6 @@ from .core import (
 from .geometry import (
     DEFAULT_MAX_STATES,
     LatticePath,
-    edge_admissible,
     guard_grid,
     state_admissible,
     successors,
@@ -191,12 +190,6 @@ def potential_deadlocks(program: Program) -> list[State]:
 
     assign(0, [0] * len(kappa), 0)
     return sorted(found)
-
-
-def deadlock_candidates(program: Program) -> list[State]:
-    """The candidate sieve for the deadlock search: identical to
-    :func:`potential_deadlocks`; actual deadlocks are the reachable ones."""
-    return potential_deadlocks(program)
 
 
 def is_potential_deadlock(program: Program, state: State) -> bool:

@@ -11,7 +11,6 @@ over-subscribing a single resource.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -47,35 +46,6 @@ class ForbiddenRectangle:
     @property
     def leg_coords(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.legs)
-
-
-@dataclass(frozen=True)
-class ExtendedRectangle:
-    """A forbidden rectangle widened for scheduling: the kept leg stays an
-    open interval while every other leg is extended down to position 0."""
-
-    resource: str
-    kept: tuple[int, tuple[int, int]]
-    lowered: tuple[tuple[int, int], ...]  # (coord, upper bound b), interval [0, b)
-
-    def contains_state(self, state: State) -> bool:
-        c, (a, b) = self.kept
-        if not a < state[c] < b:
-            return False
-        return all(state[k] < b2 for k, b2 in self.lowered)
-
-    def meets_edge(self, state: State, coord: int) -> bool:
-        c, (a, b) = self.kept
-        if c == coord:
-            if not a <= state[c] < b:
-                return False
-        elif not a < state[c] < b:
-            return False
-        for k, b2 in self.lowered:
-            # [0, b2) meets the closed unit segment iff its start is below b2
-            if not state[k] < b2:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -226,56 +196,6 @@ def guard_grid(program: Program, max_states: int) -> None:
     size = program.grid_states()
     if size > max_states:
         raise SearchLimitExceeded(max_states)
-
-
-def reachable(
-    program: Program, target: State, max_states: int = DEFAULT_MAX_STATES
-) -> Optional[LatticePath]:
-    """Breadth-first search from ⊥; returns a witness path to ``target`` or
-    None.  Deterministic: the queue is FIFO and successors are expanded in
-    ascending coordinate order, so ties resolve toward low coordinates."""
-    program.check_state(target)
-    guard_grid(program, max_states)
-    start = program.bottom
-    if target == start:
-        return LatticePath((start,))
-    parents: dict[State, tuple[State, int]] = {start: (start, -1)}
-    queue: deque[State] = deque((start,))
-    while queue:
-        state = queue.popleft()
-        for coord, nxt in successors(program, state):
-            if nxt in parents:
-                continue
-            parents[nxt] = (state, coord)
-            if nxt == target:
-                chain = [nxt]
-                cur = nxt
-                while cur != start:
-                    cur = parents[cur][0]
-                    chain.append(cur)
-                return LatticePath(tuple(reversed(chain)))
-            if len(parents) > max_states:
-                raise SearchLimitExceeded(max_states, "visited states")
-            queue.append(nxt)
-    return None
-
-
-def reachable_states(
-    program: Program, max_states: int = DEFAULT_MAX_STATES
-) -> set[State]:
-    """The full forward closure of ⊥ (plain search, no symmetry folding)."""
-    guard_grid(program, max_states)
-    seen = {program.bottom}
-    queue: deque[State] = deque((program.bottom,))
-    while queue:
-        state = queue.popleft()
-        for _, nxt in successors(program, state):
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > max_states:
-                    raise SearchLimitExceeded(max_states, "visited states")
-                queue.append(nxt)
-    return seen
 
 
 def enumerate_dipaths(

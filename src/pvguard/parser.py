@@ -38,9 +38,6 @@ class SourceModel:
     threads: dict[str, Thread] = field(default_factory=dict)
     programs: dict[str, Program] = field(default_factory=dict)
 
-    def program_threads(self, name: str) -> Program:
-        return self.programs[name]
-
 
 def _strip_comment(line: str) -> str:
     cut = line.find("#")

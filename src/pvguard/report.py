@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .core import BOTTOM_LABEL, TOP_LABEL, Program, State, Thread
 from .deadlock import DeadlockReport, FamilyVerdict, WitnessPlan
-from .geometry import LatticePath, forbidden_rectangles, state_admissible
+from .geometry import LatticePath, state_admissible
 from .serializability import ChoicePoint, ClassReport
 
 TOOL = "pvguard"

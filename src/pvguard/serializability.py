@@ -6,14 +6,13 @@ an admissible square.  A program is serializable when every execution is
 equivalent to a serial one (threads run to completion one after another).
 
 Three decision routes are implemented:
-  - capacity-1 pairs: schedule enumeration over the forbidden rectangles;
+  - capacity-1 pairs: the class count of two copies;
   - all capacities >= 2: absence of local choice points at the cut-off size;
   - the potential-deadlock certificate two sizes above the capacity sum.
 """
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -34,11 +33,7 @@ from .deadlock import (
 )
 from .geometry import (
     DEFAULT_MAX_STATES,
-    ExtendedRectangle,
-    ForbiddenRectangle,
     LatticePath,
-    enumerate_dipaths,
-    forbidden_rectangles,
     guard_grid,
     path_from_steps,
     square_admissible,
@@ -102,160 +97,6 @@ def serial_path(program: Program, order: Sequence[int]) -> LatticePath:
 
 def serial_orders(program: Program) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(program.n))
-
-
-# ---------------------------------------------------------------------------
-# schedules (capacity-1 machinery)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """One choice of passing order per forbidden rectangle.
-
-    For each rectangle, the chosen leg is the coordinate meant to cross the
-    contended span last; the other legs' spans are extended down to 0.  A
-    path obeys the schedule when it avoids every extended rectangle.
-    """
-
-    choices: tuple[tuple[ForbiddenRectangle, int], ...]
-
-    def __post_init__(self):
-        for rect, coord in self.choices:
-            if coord not in rect.leg_coords:
-                raise ValueError(f"coordinate {coord} is not a leg of {rect}")
-
-    def extensions(self) -> tuple[ExtendedRectangle, ...]:
-        return tuple(extended_rectangle(r, c) for r, c in self.choices)
-
-    def kept_coords(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.choices)
-
-
-def extended_rectangle(rect: ForbiddenRectangle, s: int) -> ExtendedRectangle:
-    """Extend every leg of the rectangle down to 0 except the chosen one."""
-    if s not in rect.leg_coords:
-        raise ValueError(f"coordinate {s} is not a leg of {rect}")
-    kept = None
-    lowered = []
-    for coord, (a, b) in rect.legs:
-        if coord == s:
-            kept = (coord, (a, b))
-        else:
-            lowered.append((coord, b))
-    assert kept is not None
-    return ExtendedRectangle(rect.resource, kept, tuple(lowered))
-
-
-def schedules(program: Program) -> list[Schedule]:
-    """All schedules of the program, in deterministic order."""
-    rects = forbidden_rectangles(program)
-    out = []
-    for combo in itertools.product(*[r.leg_coords for r in rects]):
-        out.append(Schedule(tuple(zip(rects, combo))))
-    return out
-
-
-def path_obeys(path: LatticePath, schedule: Schedule) -> bool:
-    """True iff no state or traversed edge of the path meets an extended
-    rectangle of the schedule."""
-    exts = schedule.extensions()
-    for ext in exts:
-        if any(ext.contains_state(s) for s in path.states):
-            return False
-        for state, coord in zip(path.states, path.steps()):
-            if ext.meets_edge(state, coord):
-                return False
-    return True
-
-
-def path_schedule(program: Program, path: LatticePath) -> Optional[Schedule]:
-    """The schedule a complete path induces: per rectangle, the leg whose
-    contended span is crossed last.  Returns None when the path does not
-    actually obey the induced schedule (never for capacity-1 programs)."""
-    choices = []
-    for rect in forbidden_rectangles(program):
-        legs = dict(rect.legs)
-        last = None
-        for state, coord in zip(path.states, path.steps()):
-            if coord in legs:
-                a, b = legs[coord]
-                if a <= state[coord] < b:
-                    last = coord
-        if last is None:
-            return None
-        choices.append((rect, last))
-    sch = Schedule(tuple(choices))
-    return sch if path_obeys(path, sch) else None
-
-
-def schedule_feasible(
-    program: Program, schedule: Schedule, max_states: int = DEFAULT_MAX_STATES
-) -> Optional[LatticePath]:
-    """A complete execution obeying the schedule, or None.
-
-    Breadth-first search over admissible states restricted to edges and
-    states avoiding every extended rectangle; the returned path is the
-    lexicographically first by step sequence among shortest discoveries.
-    """
-    guard_grid(program, max_states)
-    exts = schedule.extensions()
-    start = program.bottom
-    if any(e.contains_state(start) for e in exts):
-        return None
-    top = program.top
-    parents: dict[State, tuple[State, int]] = {start: (start, -1)}
-    queue: deque[State] = deque((start,))
-    while queue:
-        state = queue.popleft()
-        if state == top:
-            chain = []
-            cur = state
-            while cur != start:
-                prev, coord = parents[cur]
-                chain.append(cur)
-                cur = prev
-            chain.append(start)
-            chain.reverse()
-            return LatticePath(tuple(chain))
-        for coord, nxt in successors(program, state):
-            if nxt in parents:
-                continue
-            if any(e.meets_edge(state, coord) for e in exts):
-                continue
-            if any(e.contains_state(nxt) for e in exts):
-                continue
-            parents[nxt] = (state, coord)
-            if len(parents) > max_states:
-                raise SearchLimitExceeded(max_states, "visited states")
-            queue.append(nxt)
-    return None
-
-
-def kappa1_pair_serializable(
-    thread: Thread, caps: CapacityMap, max_states: int = DEFAULT_MAX_STATES
-) -> bool:
-    """Two copies of a capacity-1 thread are serializable iff no mixed
-    schedule is feasible.
-
-    The two uniform schedules (one thread crosses last everywhere) are
-    always realized by the serial executions; any further feasible schedule
-    is a whole class of executions not equivalent to a serial one.
-    """
-    used = thread.resources_used
-    if not used:
-        raise ValueError("thread uses no resources; the pair test needs contention")
-    for r in used:
-        if caps[r] != 1:
-            raise ValueError(f"pair test requires capacity 1, got κ({r})={caps[r]}")
-    program = Program.power(thread, 2, caps)
-    rects = forbidden_rectangles(program)
-    for combo in itertools.product(*[r.leg_coords for r in rects]):
-        if len(set(combo)) <= 1:
-            continue  # uniform schedule, realized by a serial execution
-        sch = Schedule(tuple(zip(rects, combo)))
-        if schedule_feasible(program, sch, max_states) is not None:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -400,48 +241,6 @@ def dihomotopy_classes(
     )
 
 
-def dihomotopy_classes_by_enumeration(
-    program: Program, limit: int = 2 * 10**5
-) -> ClassReport:
-    """Reference implementation: enumerate every complete execution and
-    union across single admissible square swaps.  Only for small instances;
-    the level-wise engine must agree with it wherever both run."""
-    seqs: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    for path in enumerate_dipaths(program, limit):
-        seq = path.steps()
-        index[seq] = len(seqs)
-        seqs.append(seq)
-    uf = _Unions()
-    for k, seq in enumerate(seqs):
-        uf.add(k, seq)
-    for k, seq in enumerate(seqs):
-        state = list(program.bottom)
-        for t in range(len(seq) - 1):
-            i, j = seq[t], seq[t + 1]
-            if i != j and square_admissible(program, tuple(state), i, j):
-                swapped = seq[:t] + (j, i) + seq[t + 2 :]
-                uf.union(k, index[swapped])
-            state[seq[t]] += 1
-    roots = sorted({uf.find(k) for k in range(len(seqs))}, key=lambda r: uf.least[r])
-    representatives = tuple(
-        path_from_steps(program, program.bottom, uf.least[r]) for r in roots
-    )
-    serial_roots = set()
-    for k, seq in enumerate(seqs):
-        runs = [(c, len(tuple(g))) for c, g in itertools.groupby(seq)]
-        if len(runs) == program.n and all(
-            ln == program.tops[c] for c, ln in runs
-        ):
-            serial_roots.add(uf.find(k))
-    return ClassReport(
-        class_count=len(roots),
-        representatives=representatives,
-        serial_classes_covered=len(serial_roots),
-        serializable=len(roots) == len(serial_roots),
-    )
-
-
 def connectivity_serializable(
     program: Program, limit: int = DEFAULT_MAX_STATES
 ) -> bool:
@@ -455,6 +254,30 @@ def connectivity_serializable(
                     f"connectivity criterion needs κ >= 2, got κ({r})=1"
                 )
     return dihomotopy_classes(program, limit).class_count == 1
+
+
+def kappa1_pair_serializable(
+    thread: Thread, caps: CapacityMap, max_states: int = DEFAULT_MAX_STATES
+) -> bool:
+    """Two copies of a capacity-1 thread are serializable iff every execution
+    class of the pair contains a serial execution.
+
+    This is the paper's two-copy test.  At capacity 1 a schedule picks, for
+    each forbidden rectangle, the copy that passes it last; every execution
+    obeys exactly one schedule, and two executions are swap-equivalent iff
+    they obey the same one, so classes map one-to-one to feasible schedules.
+    The serial executions realise exactly the two uniform schedules (one copy
+    last everywhere), so the pair is serializable iff no mixed schedule is
+    feasible, which is what the class count decides.  ``max_states`` bounds
+    the class DP as in :func:`dihomotopy_classes`.
+    """
+    used = thread.resources_used
+    if not used:
+        raise ValueError("thread uses no resources; the pair test needs contention")
+    for r in used:
+        if caps[r] != 1:
+            raise ValueError(f"pair test requires capacity 1, got κ({r})={caps[r]}")
+    return dihomotopy_classes(Program.power(thread, 2, caps), max_states).serializable
 
 
 # ---------------------------------------------------------------------------
@@ -565,31 +388,6 @@ def local_choice_points(
         flag = index.is_reachable(st) if index is not None else None
         out.append(ChoicePoint(st, res, contenders, flag))
     return out
-
-
-def lcp_definition_check(program: Program, state: State) -> bool:
-    """Direct branching test at one admissible state: at least two threads
-    can step, and the graph on steppable threads with edges given by
-    admissible squares is disconnected."""
-    program.check_state(state)
-    if not state_admissible(program, state):
-        raise ValueError(f"state {state} is not admissible")
-    steppable = [c for c, _ in successors(program, state)]
-    if len(steppable) < 2:
-        return False
-    adj = {c: set() for c in steppable}
-    for i, j in itertools.combinations(steppable, 2):
-        if square_admissible(program, state, i, j):
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {steppable[0]}
-    stack = [steppable[0]]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) != len(steppable)
 
 
 def lcp_cutoff(caps: CapacityMap) -> int:
@@ -710,8 +508,8 @@ def family_serializability_verdict(
 ) -> FamilyVerdict:
     """Is every parallel composition of copies of ``thread`` serializable?
 
-    Routing by the capacities of the used resources: all 1 — the two-copy
-    schedule test decides (yes and no are both conclusive); all >= 2 — a
+    Routing by the capacities of the used resources: all 1 — the class
+    count of two copies decides (yes and no are both conclusive); all >= 2 — a
     choice-point-free cut-off instance certifies yes, otherwise the
     obstruction is reported but is not conclusive for no; mixed — no
     extrapolation from small instances is sound, so the verdict is left

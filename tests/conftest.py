@@ -7,18 +7,29 @@ agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
+from dataclasses import dataclass
+from typing import Optional
 
 from pvguard import (
     CapacityMap,
+    ClassReport,
+    ForbiddenRectangle,
+    LatticePath,
     Program,
     ReachabilityIndex,
     State,
     Thread,
-    reachable_states,
+    enumerate_dipaths,
+    forbidden_rectangles,
+    path_from_steps,
+    square_admissible,
     state_admissible,
     successors,
 )
+from pvguard.geometry import guard_grid
 
 
 def make_caps(**caps: int) -> CapacityMap:
@@ -103,8 +114,6 @@ def naive_potential_deadlocks(program: Program) -> set[State]:
     coordinate is unfinished. Admissibility and reachability are NOT
     required; unrequested resources may even be over capacity.
     """
-    import itertools
-
     out = set()
     for state in itertools.product(*(range(t + 1) for t in program.tops)):
         if state == program.top:
@@ -153,3 +162,242 @@ def naive_count_dipaths(program: Program) -> int:
     if not state_admissible(program, program.bottom):
         return 0
     return count(program.bottom)
+
+
+# ---------------------------------------------------------------------------
+# plain searches
+
+
+def reachable(
+    program: Program, target: State, max_states: int = 10**7
+) -> Optional[LatticePath]:
+    """Breadth-first search from bottom; a witness path to ``target`` or None.
+
+    Successors are expanded in ascending coordinate order from a FIFO queue,
+    so ties resolve toward low coordinates.
+    """
+    program.check_state(target)
+    guard_grid(program, max_states)
+    start = program.bottom
+    parents: dict[State, Optional[State]] = {start: None}
+    queue: deque[State] = deque((start,))
+    while queue:
+        state = queue.popleft()
+        if state == target:
+            chain = [state]
+            while parents[chain[-1]] is not None:
+                chain.append(parents[chain[-1]])
+            return LatticePath(tuple(reversed(chain)))
+        for _, nxt in successors(program, state):
+            if nxt not in parents:
+                parents[nxt] = state
+                queue.append(nxt)
+    return None
+
+
+def reachable_states(program: Program, max_states: int = 10**7) -> set[State]:
+    """The full forward closure of bottom, with no symmetry folding."""
+    guard_grid(program, max_states)
+    seen = {program.bottom}
+    queue: deque[State] = deque((program.bottom,))
+    while queue:
+        for _, nxt in successors(program, queue.popleft()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# schedules: the capacity-1 pair test by enumeration
+
+
+@dataclass(frozen=True)
+class ExtendedRectangle:
+    """A forbidden rectangle widened for scheduling: the kept leg stays an
+    open interval while every other leg is extended down to position 0."""
+
+    resource: str
+    kept: tuple[int, tuple[int, int]]
+    lowered: tuple[tuple[int, int], ...]  # (coord, upper bound b), interval [0, b)
+
+    def contains_state(self, state: State) -> bool:
+        c, (a, b) = self.kept
+        return a < state[c] < b and all(state[k] < b2 for k, b2 in self.lowered)
+
+    def meets_edge(self, state: State, coord: int) -> bool:
+        c, (a, b) = self.kept
+        kept_ok = a <= state[c] < b if c == coord else a < state[c] < b
+        # [0, b2) meets the closed unit segment iff its start is below b2
+        return kept_ok and all(state[k] < b2 for k, b2 in self.lowered)
+
+
+def extended_rectangle(rect: ForbiddenRectangle, s: int) -> ExtendedRectangle:
+    """Extend every leg of the rectangle down to 0 except the chosen one."""
+    if s not in rect.leg_coords:
+        raise ValueError(f"coordinate {s} is not a leg of {rect}")
+    kept = next(leg for leg in rect.legs if leg[0] == s)
+    lowered = tuple((c, b) for c, (_, b) in rect.legs if c != s)
+    return ExtendedRectangle(rect.resource, kept, lowered)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """One choice of passing order per forbidden rectangle.
+
+    For each rectangle, the chosen leg is the coordinate meant to cross the
+    contended span last; the other legs' spans are extended down to 0.  A
+    path obeys the schedule when it avoids every extended rectangle.
+    """
+
+    choices: tuple[tuple[ForbiddenRectangle, int], ...]
+
+    def extensions(self) -> tuple[ExtendedRectangle, ...]:
+        return tuple(extended_rectangle(r, c) for r, c in self.choices)
+
+
+def schedules(program: Program) -> list[Schedule]:
+    """All schedules of the program, in deterministic order."""
+    rects = forbidden_rectangles(program)
+    return [
+        Schedule(tuple(zip(rects, combo)))
+        for combo in itertools.product(*[r.leg_coords for r in rects])
+    ]
+
+
+def path_obeys(path: LatticePath, schedule: Schedule) -> bool:
+    """True iff no state or traversed edge of the path meets an extended
+    rectangle of the schedule."""
+    for ext in schedule.extensions():
+        if any(ext.contains_state(s) for s in path.states):
+            return False
+        if any(ext.meets_edge(s, c) for s, c in zip(path.states, path.steps())):
+            return False
+    return True
+
+
+def path_schedule(program: Program, path: LatticePath) -> Optional[Schedule]:
+    """The schedule a complete path induces: per rectangle, the leg whose
+    contended span is crossed last.  None when the path does not obey the
+    induced schedule (never for capacity-1 programs)."""
+    choices = []
+    for rect in forbidden_rectangles(program):
+        legs = dict(rect.legs)
+        last = None
+        for state, coord in zip(path.states, path.steps()):
+            if coord in legs and legs[coord][0] <= state[coord] < legs[coord][1]:
+                last = coord
+        if last is None:
+            return None
+        choices.append((rect, last))
+    sch = Schedule(tuple(choices))
+    return sch if path_obeys(path, sch) else None
+
+
+def schedule_feasible(
+    program: Program, schedule: Schedule, max_states: int = 10**7
+) -> Optional[LatticePath]:
+    """A complete execution obeying the schedule, or None: breadth-first
+    search over admissible states and edges that avoid every extended
+    rectangle."""
+    guard_grid(program, max_states)
+    exts = schedule.extensions()
+    start = program.bottom
+    if any(e.contains_state(start) for e in exts):
+        return None
+    parents: dict[State, Optional[State]] = {start: None}
+    queue: deque[State] = deque((start,))
+    while queue:
+        state = queue.popleft()
+        if state == program.top:
+            chain = [state]
+            while parents[chain[-1]] is not None:
+                chain.append(parents[chain[-1]])
+            return LatticePath(tuple(reversed(chain)))
+        for coord, nxt in successors(program, state):
+            if nxt in parents or any(
+                e.meets_edge(state, coord) or e.contains_state(nxt) for e in exts
+            ):
+                continue
+            parents[nxt] = state
+            queue.append(nxt)
+    return None
+
+
+def schedule_pair_serializable(thread: Thread, caps: CapacityMap) -> bool:
+    """The capacity-1 two-copy test by schedule enumeration: serializable iff
+    no mixed schedule (two copies each passing some rectangle last) is
+    feasible.  Exponential in the number of forbidden rectangles."""
+    program = Program.power(thread, 2, caps)
+    return not any(
+        len({c for _, c in s.choices}) > 1 and schedule_feasible(program, s)
+        for s in schedules(program)
+    )
+
+
+# ---------------------------------------------------------------------------
+# execution classes and choice points by definition
+
+
+def dihomotopy_classes_by_enumeration(
+    program: Program, limit: int = 2 * 10**5
+) -> ClassReport:
+    """Enumerate every complete execution and union across single admissible
+    square swaps.  Only for small instances."""
+    seqs = [path.steps() for path in enumerate_dipaths(program, limit)]
+    index = {seq: k for k, seq in enumerate(seqs)}
+    parent = list(range(len(seqs)))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for k, seq in enumerate(seqs):
+        state = list(program.bottom)
+        for t in range(len(seq) - 1):
+            i, j = seq[t], seq[t + 1]
+            if i != j and square_admissible(program, tuple(state), i, j):
+                swapped = seq[:t] + (j, i) + seq[t + 2 :]
+                parent[find(k)] = find(index[swapped])
+            state[seq[t]] += 1
+    # seqs are in lexicographic order, so a class's first member is its least
+    least: dict[int, tuple[int, ...]] = {}
+    for k, seq in enumerate(seqs):
+        least.setdefault(find(k), seq)
+    serial_roots = set()
+    for k, seq in enumerate(seqs):
+        runs = [(c, len(tuple(g))) for c, g in itertools.groupby(seq)]
+        if len(runs) == program.n and all(ln == program.tops[c] for c, ln in runs):
+            serial_roots.add(find(k))
+    reps = sorted(least.values())
+    return ClassReport(
+        class_count=len(reps),
+        representatives=tuple(path_from_steps(program, program.bottom, r) for r in reps),
+        serial_classes_covered=len(serial_roots),
+        serializable=len(reps) == len(serial_roots),
+    )
+
+
+def lcp_definition_check(program: Program, state: State) -> bool:
+    """Direct branching test at one admissible state: at least two threads
+    can step, and the graph on steppable threads with edges given by
+    admissible squares is disconnected."""
+    if not state_admissible(program, state):
+        raise ValueError(f"state {state} is not admissible")
+    steppable = [c for c, _ in successors(program, state)]
+    if len(steppable) < 2:
+        return False
+    adj: dict[int, set[int]] = {c: set() for c in steppable}
+    for i, j in itertools.combinations(steppable, 2):
+        if square_admissible(program, state, i, j):
+            adj[i].add(j)
+            adj[j].add(i)
+    seen = {steppable[0]}
+    stack = [steppable[0]]
+    while stack:
+        for nb in adj[stack.pop()] - seen:
+            seen.add(nb)
+            stack.append(nb)
+    return len(seen) != len(steppable)

@@ -24,7 +24,6 @@ from pvguard import (
     is_local_choice_point,
     is_potential_deadlock,
     kappa1_pair_serializable,
-    lcp_definition_check,
     lcp_to_potential_deadlock,
     local_choice_points,
     sharpserializable_witness,
@@ -33,6 +32,7 @@ from pvguard import (
 from pvguard.cli import main
 
 from conftest import (
+    lcp_definition_check,
     make_caps,
     naive_deadlock_states,
     quotient_deadlock_empty,

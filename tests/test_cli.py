@@ -311,6 +311,33 @@ def test_max_states_flag_overflow(capsys, ex3):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("deadlocks", "--max-states", "-5"),
+        ("lcp", "--max-states", "0"),
+        ("classes", "--limit", "0"),
+        ("classes", "--limit", "-1"),
+    ],
+)
+def test_bounds_below_one_are_usage_errors(capsys, ex3, argv):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as e:
+        main([command, ex3, *flags])
+    assert e.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_family_unit_capacities_bound_is_inconclusive(capsys, ex3):
+    code, doc, _ = run_json(
+        capsys, "family", ex3, "serializability", "--thread", "T1",
+        "--max-states", "1",
+    )
+    assert code == 4
+    assert doc["result"]["verdict"] == "inconclusive"
+    assert doc["result"]["rule"] == "search-limit"
+
+
 def test_max_states_env(capsys, ex3, monkeypatch):
     monkeypatch.setenv("PVGUARD_MAX_STATES", "3")
     code, out, err = run(capsys, "deadlocks", ex3)

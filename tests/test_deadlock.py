@@ -17,7 +17,6 @@ from pvguard import (
     pad_top,
     potential_deadlocks,
     program_deadlock_verdict,
-    reachable_states,
     scatter_state,
     single_access,
     state_admissible,
@@ -30,6 +29,7 @@ from conftest import (
     naive_potential_deadlocks,
     random_program,
     random_thread,
+    reachable_states,
 )
 
 T1 = Thread.from_text("Pa Pb Vb Va")

@@ -8,21 +8,26 @@ from pvguard import (
     ForbiddenRectangle,
     LatticePath,
     Program,
+    ReachabilityIndex,
     SearchLimitExceeded,
     Thread,
     edge_admissible,
     enumerate_dipaths,
-    extended_rectangle,
     forbidden_rectangles,
     path_from_steps,
-    reachable,
-    reachable_states,
     square_admissible,
     state_admissible,
     successors,
 )
 
-from conftest import make_caps, naive_count_dipaths, random_program
+from conftest import (
+    extended_rectangle,
+    make_caps,
+    naive_count_dipaths,
+    random_program,
+    reachable,
+    reachable_states,
+)
 
 T1 = Thread.from_text("Pa Pb Vb Va")
 T2 = Thread.from_text("Pb Pa Va Vb")
@@ -231,6 +236,6 @@ def test_extended_rectangle_shape():
 def test_search_limit_guard():
     big = Program.power(Thread.from_text("Pa Va " * 6), 4, make_caps(a=1))
     with pytest.raises(SearchLimitExceeded) as e:
-        reachable_states(big, max_states=100)
+        ReachabilityIndex(big, max_states=100)
     assert e.value.limit == 100
     assert "configured bound" in str(e.value)

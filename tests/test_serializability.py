@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvguard import (
     CapacityMap,
@@ -11,7 +13,6 @@ from pvguard import (
     Thread,
     connectivity_serializable,
     dihomotopy_classes,
-    dihomotopy_classes_by_enumeration,
     enumerate_dipaths,
     family_serializability_verdict,
     is_local_choice_point,
@@ -19,15 +20,9 @@ from pvguard import (
     is_serial,
     kappa1_pair_serializable,
     lcp_cutoff,
-    lcp_definition_check,
     lcp_to_potential_deadlock,
     local_choice_points,
-    path_obeys,
-    path_schedule,
     potential_deadlock_certificate,
-    reachable,
-    schedule_feasible,
-    schedules,
     serial_order,
     serial_orders,
     serial_path,
@@ -35,7 +30,19 @@ from pvguard import (
     state_admissible,
 )
 
-from conftest import make_caps, random_thread
+from conftest import (
+    dihomotopy_classes_by_enumeration,
+    lcp_definition_check,
+    make_caps,
+    naive_count_dipaths,
+    path_obeys,
+    path_schedule,
+    random_thread,
+    reachable,
+    schedule_feasible,
+    schedule_pair_serializable,
+    schedules,
+)
 
 T1 = Thread.from_text("Pa Pb Vb Va")
 T2 = Thread.from_text("Pb Pa Va Vb")
@@ -217,8 +224,6 @@ def test_class_representatives_are_lex_least():
 
 
 def test_classes_match_enumeration_oracle():
-    from conftest import naive_count_dipaths
-
     rng = random.Random(33)
     compared = 0
     while compared < 25:
@@ -310,9 +315,30 @@ def test_pair_test_matches_pair_classes():
     for _ in range(30):
         t = random_thread(rng, ["a", "b"], 3)
         caps = K11.restrict(t.resources_used)
-        ok = kappa1_pair_serializable(t, caps)
-        cr = dihomotopy_classes(Program.power(t, 2, caps))
-        assert ok == cr.serializable
+        assert kappa1_pair_serializable(t, caps) == schedule_pair_serializable(t, caps)
+
+
+@st.composite
+def unit_capacity_threads(draw):
+    resources = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_thread(rng, resources, draw(st.integers(1, 3)))
+
+
+@given(unit_capacity_threads())
+@settings(max_examples=100, deadline=None)
+def test_pair_test_matches_schedule_oracle(t):
+    caps = KABC.restrict(t.resources_used)
+    assert kappa1_pair_serializable(t, caps) == schedule_pair_serializable(t, caps)
+
+
+def test_pair_test_respects_the_bound():
+    caps = make_caps(a=1)
+    grid = Program.power(PV, 2, caps).grid_states()
+    assert grid == 16
+    with pytest.raises(SearchLimitExceeded):
+        kappa1_pair_serializable(PV, caps, max_states=grid - 1)
+    assert kappa1_pair_serializable(PV, caps, max_states=grid)
 
 
 # -- local choice points ------------------------------------------------------
@@ -499,6 +525,11 @@ def test_family_mixed_capacities_inconclusive():
 def test_family_search_limit():
     v = family_serializability_verdict(WIT, K22, max_states=10)
     assert (v.verdict, v.rule) == ("inconclusive", "search-limit")
+
+
+def test_family_unit_capacities_search_limit():
+    v = family_serializability_verdict(PV, make_caps(a=1), max_states=1)
+    assert (v.verdict, v.rule, v.cutoff) == ("inconclusive", "search-limit", 2)
 
 
 # -- certificates ---------------------------------------------------------------
