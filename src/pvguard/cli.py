@@ -184,10 +184,10 @@ def _cmd_family(args) -> int:
     if verdict.manifests_at_n is not None:
         text.append(f"  manifests at n={verdict.manifests_at_n}")
     for w in verdict.witnesses:
-        prog = Program((thread,) * len(w), model.caps)
+        prog = Program.power(thread, len(w), model.caps)
         text.append(f"  witness {report.state_text(prog, w)}")
     for cp in verdict.choice_points:
-        prog = Program((thread,) * len(cp.state), model.caps)
+        prog = Program.power(thread, len(cp.state), model.caps)
         text.append(
             f"  choice point {report.state_text(prog, cp.state)} "
             f"on {cp.resource}, contenders {[c + 1 for c in cp.contenders]}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     CapacityMap,
@@ -136,60 +136,88 @@ class ReachabilityIndex:
         return LatticePath(tuple(mapped))
 
 
+def _acquire_states(
+    program: Program,
+    leaf: Callable[[Sequence[int], list[int], list[Optional[int]]], object],
+) -> list[tuple[State, object]]:
+    """The candidate sweep shared by potential deadlocks and local choice
+    points: every state other than ⊤ whose coordinates each stand at an
+    acquire or at ⊤.
+
+    The sweep keeps the point-use totals and, per coordinate, the requested
+    resource index (None at ⊤).  A requested resource never sheds holders as
+    later coordinates are placed, so a branch is pruned once its request is
+    over capacity.  Returns the sorted (state, hit) pairs for which
+    ``leaf(kappa, totals, requests)`` is truthy.
+    """
+    n = program.n
+    kappa = program.kappa
+    res_index = program._res_index
+    point = program._point_idx
+    options = [
+        [(p, res_index[t.actions[p - 1].resource]) for p in t.acquire_positions]
+        + [(t.top, None)]
+        for t in program.threads
+    ]
+    totals = [0] * len(kappa)
+    requests: list[Optional[int]] = [None] * n
+    state = [0] * n
+    found: list[tuple[State, object]] = []
+
+    def visit(i: int, requested: int) -> None:
+        if i == n:
+            if requested:  # ⊤ itself is never a candidate
+                hit = leaf(kappa, totals, requests)
+                if hit:
+                    found.append((tuple(state), hit))
+            return
+        for pos, req in options[i]:
+            add = point[i][pos]
+            for r in add:
+                totals[r] += 1
+            if req is None or totals[req] <= kappa[req]:
+                state[i] = pos
+                requests[i] = req
+                visit(i + 1, requested + (req is not None))
+            for r in add:
+                totals[r] -= 1
+
+    visit(0, 0)
+    found.sort()
+    return found
+
+
+def _requests(program: Program, state: State) -> Optional[list[Optional[int]]]:
+    """Requested resource index per coordinate (None at ⊤), or None if some
+    unfinished thread is not at an acquire."""
+    out: list[Optional[int]] = []
+    for t, pos in zip(program.threads, state):
+        if pos == t.top:
+            out.append(None)
+            continue
+        act = t.action_at(pos)
+        if act is None or act.kind != "P":
+            return None
+        out.append(program._res_index[act.resource])
+    return out
+
+
+def _requests_full(
+    kappa: Sequence[int], totals: list[int], requests: list[Optional[int]]
+) -> bool:
+    """Every requested resource is at full point-use capacity."""
+    return all(r is None or totals[r] == kappa[r] for r in requests)
+
+
 def potential_deadlocks(program: Program) -> list[State]:
     """States (other than ⊤) where every unfinished thread stands at an
     acquire whose resource is at full point-use capacity.
 
     Reachability and admissibility are not required: a potential deadlock may
-    lie inside the forbidden region.  Results are sorted.
+    lie inside the forbidden region.  Candidates come from the shared
+    acquire-state sweep (``_acquire_states``).  Results are sorted.
     """
-    n = program.n
-    kappa = program.kappa
-    res_index = program._res_index
-    options: list[list[Optional[int]]] = []
-    for t in program.threads:
-        opts: list[Optional[int]] = list(t.acquire_positions)
-        opts.append(None)  # None stands for ⊤
-        options.append(opts)
-    requests: list[list[Optional[int]]] = [
-        [res_index[t.actions[p - 1].resource] if p is not None else None for p in opts]
-        for t, opts in zip(program.threads, options)
-    ]
-    point = program._point_idx
-    tops = program.tops
-
-    found: list[State] = []
-    state: list[int] = [0] * n
-
-    def assign(i: int, totals: list[int], requested: int) -> None:
-        if i == n:
-            if requested == 0:
-                return  # ⊤ itself is not a deadlock
-            for t_idx in range(n):
-                pos = state[t_idx]
-                if pos != tops[t_idx]:
-                    r = res_index[program.threads[t_idx].actions[pos - 1].resource]
-                    if totals[r] != kappa[r]:
-                        return
-            found.append(tuple(state))
-            return
-        for opt, req in zip(options[i], requests[i]):
-            pos = tops[i] if opt is None else opt
-            state[i] = pos
-            add = point[i][pos]
-            for r in add:
-                totals[r] += 1
-            # a requested resource can never shed holders later; prune once
-            # any request is already over capacity
-            ok = req is None or totals[req] <= kappa[req]
-            if ok:
-                assign(i + 1, totals, requested + (0 if opt is None else 1))
-            for r in add:
-                totals[r] -= 1
-        state[i] = 0
-
-    assign(0, [0] * len(kappa), 0)
-    return sorted(found)
+    return [state for state, _ in _acquire_states(program, _requests_full)]
 
 
 def is_potential_deadlock(program: Program, state: State) -> bool:
@@ -197,17 +225,10 @@ def is_potential_deadlock(program: Program, state: State) -> bool:
     program.check_state(state)
     if state == program.top:
         return False
-    totals = program.use_totals(state)
-    for i, pos in enumerate(state):
-        if pos == program.tops[i]:
-            continue
-        act = program.threads[i].action_at(pos)
-        if act is None or act.kind != "P":
-            return False
-        r = program._res_index[act.resource]
-        if totals[r] != program.kappa[r]:
-            return False
-    return True
+    requests = _requests(program, state)
+    if requests is None:
+        return False
+    return _requests_full(program.kappa, program.use_totals(state), requests)
 
 
 @dataclass(frozen=True)
@@ -436,6 +457,18 @@ class WitnessPlan:
     expected_resource: Optional[str] = None
 
 
+def _chain_actions(names: Sequence[str]) -> list[str]:
+    """The tight deadlock chain over resources r1..rk (k >= 2):
+    P r1, then P ri V r(i-1) for i = 2..k, then P r1 V rk V r1."""
+    k = len(names)
+    if k < 2:
+        raise ValueError("the construction needs at least two resources")
+    actions = [f"P{names[0]}"]
+    for i in range(1, k):
+        actions += [f"P{names[i]}", f"V{names[i - 1]}"]
+    return actions + [f"P{names[0]}", f"V{names[k - 1]}", f"V{names[0]}"]
+
+
 def deadsharp_witness(caps: CapacityMap) -> WitnessPlan:
     """A thread over the given resources (declaration order, k >= 2) whose
     capacity-sum cut-off is tight: the M-copy instance deadlocks at a
@@ -447,13 +480,7 @@ def deadsharp_witness(caps: CapacityMap) -> WitnessPlan:
     """
     names = caps.names
     k = len(names)
-    if k < 2:
-        raise ValueError("the construction needs at least two resources")
-    actions = [f"P{names[0]}"]
-    for i in range(1, k):
-        actions += [f"P{names[i]}", f"V{names[i - 1]}"]
-    actions += [f"P{names[0]}", f"V{names[k - 1]}", f"V{names[0]}"]
-    thread = Thread.from_text(" ".join(actions))
+    thread = Thread.from_text(" ".join(_chain_actions(names)))
     cutoff = caps.total()
     # Block vector: κ(r_k) copies stand at the second P of r_1 (position 2k),
     # then κ(r_{i-1}) copies stand at position 2i-2 for i = 2..k.

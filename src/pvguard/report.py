@@ -99,23 +99,12 @@ def class_report_json(program: Program, report: ClassReport) -> dict:
     }
 
 
-def _witness_program(thread_pool: Sequence[Thread], caps, state: State) -> Program:
-    # family verdict witnesses live in a power of the analyzed thread
-    assert len(thread_pool) == 1
-    return Program(tuple(thread_pool) * len(state), caps)
-
-
 def family_verdict_json(
-    verdict: FamilyVerdict,
-    thread: Optional[Thread] = None,
-    caps=None,
-    program: Optional[Program] = None,
+    verdict: FamilyVerdict, thread: Optional[Thread] = None, caps=None
 ) -> dict:
+    # family verdict witnesses live in a power of the analyzed thread
     def ctx(state: State) -> Program:
-        if program is not None:
-            return program
-        assert thread is not None and caps is not None
-        return _witness_program([thread], caps, state)
+        return Program.power(thread, len(state), caps)
 
     out = {
         "property": verdict.property_name,

@@ -28,6 +28,9 @@ from .deadlock import (
     FamilyVerdict,
     ReachabilityIndex,
     WitnessPlan,
+    _acquire_states,
+    _chain_actions,
+    _requests,
     is_potential_deadlock,
     potential_deadlocks,
 )
@@ -37,7 +40,6 @@ from .geometry import (
     guard_grid,
     path_from_steps,
     square_admissible,
-    state_admissible,
     successors,
 )
 
@@ -296,6 +298,27 @@ class ChoicePoint:
     reachable: Optional[bool]
 
 
+def _one_short(
+    kappa: Sequence[int], totals: list[int], requests: list[Optional[int]]
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The choice-point leaf: (contended resource index, contenders) or None.
+
+    Every resource is within capacity; exactly one requested resource is one
+    holder short with at least two requesters; every other requested
+    resource is full.
+    """
+    if any(tot > cap for tot, cap in zip(totals, kappa)):
+        return None
+    short = {r for r in requests if r is not None and totals[r] != kappa[r]}
+    if len(short) != 1:
+        return None
+    (r,) = short
+    contenders = tuple(i for i, q in enumerate(requests) if q == r)
+    if totals[r] != kappa[r] - 1 or len(contenders) < 2:
+        return None
+    return r, contenders
+
+
 def is_local_choice_point(
     program: Program, state: State
 ) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -307,33 +330,14 @@ def is_local_choice_point(
     at least two requesters; every other requested resource is full.
     """
     program.check_state(state)
-    if state == program.top:
+    requests = _requests(program, state)
+    if requests is None:
         return None
-    if not state_admissible(program, state):
+    hit = _one_short(program.kappa, program.use_totals(state), requests)
+    if hit is None:
         return None
-    totals = program.use_totals(state)
-    kappa = program.kappa
-    res_index = program._res_index
-    requesters: dict[int, list[int]] = {}
-    for i, pos in enumerate(state):
-        if pos == program.tops[i]:
-            continue
-        act = program.threads[i].action_at(pos)
-        if act is None or act.kind != "P":
-            return None
-        requesters.setdefault(res_index[act.resource], []).append(i)
-    deficient = None
-    for r, coords in sorted(requesters.items()):
-        if totals[r] == kappa[r]:
-            continue
-        if totals[r] == kappa[r] - 1 and len(coords) >= 2 and deficient is None:
-            deficient = r
-            continue
-        return None
-    if deficient is None:
-        return None
-    name = program.resource_names[deficient]
-    return name, tuple(requesters[deficient])
+    r, contenders = hit
+    return program.resource_names[r], contenders
 
 
 def local_choice_points(
@@ -341,53 +345,24 @@ def local_choice_points(
     max_states: int = DEFAULT_MAX_STATES,
     reachability: bool = True,
 ) -> list[ChoicePoint]:
-    """All local choice points, by candidate enumeration over states whose
-    unfinished threads stand at acquires.  The reachable flag comes from a
-    forward search (skipped, and left None, when ``reachability`` is off)."""
-    n = program.n
-    kappa = program.kappa
-    res_index = program._res_index
-    tops = program.tops
-    point = program._point_idx
-    options: list[list[Optional[int]]] = [
-        list(t.acquire_positions) + [None] for t in program.threads
-    ]
-    requests: list[list[Optional[int]]] = [
-        [res_index[t.actions[p - 1].resource] if p is not None else None for p in opts]
-        for t, opts in zip(program.threads, options)
-    ]
-
-    found: list[tuple[State, str, tuple[int, ...]]] = []
-    state: list[int] = [0] * n
-
-    def assign(i: int, totals: list[int]) -> None:
-        if i == n:
-            hit = is_local_choice_point(program, tuple(state))
-            if hit is not None:
-                found.append((tuple(state), hit[0], hit[1]))
-            return
-        for opt, req in zip(options[i], requests[i]):
-            pos = tops[i] if opt is None else opt
-            state[i] = pos
-            add = point[i][pos]
-            for r in add:
-                totals[r] += 1
-            # requested resources may sit at most at capacity
-            if req is None or totals[req] <= kappa[req]:
-                assign(i + 1, totals)
-            for r in add:
-                totals[r] -= 1
-
-    assign(0, [0] * len(kappa))
-    found.sort()
+    """All local choice points, in state order.  Candidates come from the
+    acquire-state sweep shared with potential deadlocks
+    (``deadlock._acquire_states``).  The reachable flag comes from a forward
+    search (skipped, and left None, when ``reachability`` is off)."""
+    found = _acquire_states(program, _one_short)
     if not found:
         return []
     index = ReachabilityIndex(program, max_states) if reachability else None
-    out = []
-    for st, res, contenders in found:
-        flag = index.is_reachable(st) if index is not None else None
-        out.append(ChoicePoint(st, res, contenders, flag))
-    return out
+    names = program.resource_names
+    return [
+        ChoicePoint(
+            state,
+            names[r],
+            contenders,
+            index.is_reachable(state) if index is not None else None,
+        )
+        for state, (r, contenders) in found
+    ]
 
 
 def lcp_cutoff(caps: CapacityMap) -> int:
@@ -438,16 +413,10 @@ def sharpserializable_witness(caps: CapacityMap) -> WitnessPlan:
     """
     names = caps.names
     k = len(names)
-    if k < 2:
-        raise ValueError("the construction needs at least two resources")
+    actions = _chain_actions(names) + [f"P{names[0]}", f"V{names[0]}"]
     for r in names:
         if caps[r] < 2:
             raise ValueError(f"the construction needs κ >= 2, got κ({r})={caps[r]}")
-    actions = [f"P{names[0]}"]
-    for i in range(1, k):
-        actions += [f"P{names[i]}", f"V{names[i - 1]}"]
-    actions += [f"P{names[0]}", f"V{names[k - 1]}", f"V{names[0]}"]
-    actions += [f"P{names[0]}", f"V{names[0]}"]
     thread = Thread.from_text(" ".join(actions))
     cutoff = lcp_cutoff(caps)
     # Contended resource: the last one in the chain, one holder short.

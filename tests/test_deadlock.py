@@ -110,8 +110,8 @@ def test_potential_deadlock_allows_unrequested_overflow():
 def test_potential_matches_naive_sweep():
     rng = random.Random(21)
     for _ in range(40):
-        caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 2))))
-        prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 3), 2,
+        caps = CapacityMap((("a", rng.randint(1, 3)), ("b", rng.randint(1, 3))))
+        prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 4), 2,
                               identical=rng.random() < 0.5)
         assert set(potential_deadlocks(prog)) == naive_potential_deadlocks(prog)
 

@@ -37,6 +37,7 @@ from conftest import (
     naive_count_dipaths,
     path_obeys,
     path_schedule,
+    random_program,
     random_thread,
     reachable,
     schedule_feasible,
@@ -407,6 +408,41 @@ def test_definition_check_agrees_with_combinatorial_test():
                 continue
             combinatorial = is_local_choice_point(prog, state) is not None
             assert combinatorial == lcp_definition_check(prog, state)
+
+
+def test_choice_points_match_naive_sweep():
+    # the sieve against a full-grid sweep of the single-state test, and on
+    # identical copies also against the direct definition check
+    rng = random.Random(38)
+    hits = 0
+    for k in range(60):
+        caps = CapacityMap((("a", rng.randint(1, 3)), ("b", rng.randint(1, 3))))
+        n = rng.randint(2, 4)
+        power = k % 2 == 1
+        if power:
+            prog = Program.power(random_thread(rng, ["a", "b"], 2), n, caps)
+        else:
+            prog = random_program(rng, ["a", "b"], caps, n, 2)
+        got = [
+            (c.state, c.resource, c.contenders)
+            for c in local_choice_points(prog, reachability=False)
+        ]
+        grid = list(itertools.product(*(range(t + 1) for t in prog.tops)))
+        swept = [
+            (state,) + hit
+            for state in grid
+            if (hit := is_local_choice_point(prog, state)) is not None
+        ]
+        assert got == swept
+        if power:
+            defined = [
+                state
+                for state in grid
+                if state_admissible(prog, state) and lcp_definition_check(prog, state)
+            ]
+            assert [c[0] for c in got] == defined
+        hits += bool(got)
+    assert hits >= 10
 
 
 def test_definition_check_rejects_forbidden_states():
