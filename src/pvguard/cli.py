@@ -132,7 +132,7 @@ def _cmd_deadlocks(args) -> int:
     raw, model = _load(args.file)
     name, program = _pick_program(model, args.program)
     if args.potential:
-        hits = potential_deadlocks(program)
+        hits = potential_deadlocks(program, args.max_states)
         result = {
             "program": name,
             "potential_deadlocks": [report.state_json(program, s) for s in hits],

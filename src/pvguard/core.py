@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
+from operator import le
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 ACQUIRE = "P"
@@ -362,6 +364,25 @@ class Program:
         return size
 
     @cached_property
+    def _groups(self) -> tuple[tuple[int, ...], ...]:
+        """Coordinates running identical threads, in ascending order, one
+        group per distinct thread in order of first appearance."""
+        groups: dict[tuple[Action, ...], list[int]] = {}
+        for i, t in enumerate(self.threads):
+            groups.setdefault(t.actions, []).append(i)
+        return tuple(tuple(g) for g in groups.values())
+
+    def orbit_states(self) -> int:
+        """Grid states up to permuting the coordinates of identical threads:
+        per group of g copies with top position m, the C(m + g, g)
+        non-decreasing value sequences.  Equals :meth:`grid_states` when the
+        threads are pairwise distinct."""
+        size = 1
+        for g in self._groups:
+            size *= comb(self.tops[g[0]] + len(g), len(g))
+        return size
+
+    @cached_property
     def resource_names(self) -> tuple[str, ...]:
         return self.caps.names
 
@@ -383,6 +404,20 @@ class Program:
         )
 
     @cached_property
+    def _request_idx(self) -> tuple[tuple[Optional[int], ...], ...]:
+        """Per thread, per position: index of the resource the acquire there
+        requests, or None (⊥, ⊤ and releases).  It is the one resource the
+        segment out of that position holds and the point does not."""
+        ri = self._res_index
+        return tuple(
+            tuple(
+                ri[act.resource] if act is not None and act.kind == ACQUIRE else None
+                for act in map(t.action_at, range(t.top + 1))
+            )
+            for t in self.threads
+        )
+
+    @cached_property
     def _segment_idx(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per thread, per edge start position: indices of resources held."""
         ri = self._res_index
@@ -394,6 +429,8 @@ class Program:
     def check_state(self, state: State) -> None:
         if len(state) != self.n:
             raise ValueError(f"state has {len(state)} coordinates, program has {self.n}")
+        if min(state) >= 0 and all(map(le, state, self.tops)):
+            return
         for i, (x, top) in enumerate(zip(state, self.tops)):
             if not 0 <= x <= top:
                 raise ValueError(f"coordinate {i + 1} value {x} out of range 0..{top}")
@@ -401,8 +438,7 @@ class Program:
     def use_totals(self, state: State) -> list[int]:
         """Point-use count per resource index, summed over all threads."""
         totals = [0] * len(self.resource_names)
-        point = self._point_idx
-        for i, x in enumerate(state):
-            for r in point[i][x]:
+        for held, x in zip(self._point_idx, state):
+            for r in held[x]:
                 totals[r] += 1
         return totals

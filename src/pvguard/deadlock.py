@@ -28,7 +28,7 @@ from .core import (
 from .geometry import (
     DEFAULT_MAX_STATES,
     LatticePath,
-    guard_grid,
+    guard_orbits,
     state_admissible,
     successors,
 )
@@ -38,21 +38,21 @@ class ReachabilityIndex:
     """Forward reachability of a program, folded by thread symmetry.
 
     Coordinates running identical threads are interchangeable, so the search
-    runs over states with each identity group sorted ascending.  Membership
-    queries and witness paths for arbitrary concrete states are recovered by
-    permuting within groups; the transition relation is invariant under such
-    permutations, so the folding is exact.
+    runs over states with each identity group sorted ascending: one state per
+    orbit, i.e. a multiset of positions per group (the counter abstraction).
+    Membership queries and witness paths for arbitrary concrete states are
+    recovered by permuting within groups; the transition relation is
+    invariant under such permutations, so the folding is exact.
     """
 
     def __init__(self, program: Program, max_states: int = DEFAULT_MAX_STATES):
-        guard_grid(program, max_states)
+        guard_orbits(program, max_states)
         self.program = program
         self.max_states = max_states
-        groups: dict[tuple, list[int]] = {}
-        for i, t in enumerate(program.threads):
-            groups.setdefault(t.actions, []).append(i)
-        self._groups = tuple(tuple(g) for g in groups.values())
+        self._groups = program._groups
+        self._group_of = {i: g for g in self._groups for i in g}
         self._parents: dict[State, tuple[State, int]] = {}
+        self._chains: dict[State, list[State]] = {}  # witness paths per orbit
         self._search()
 
     def canon(self, state: State) -> State:
@@ -64,21 +64,59 @@ class ReachabilityIndex:
         return tuple(out)
 
     def _search(self) -> None:
+        """Breadth-first search over group-sorted states.
+
+        Every stored state is group-sorted, and its successors are built
+        sorted: of a run of equal values within a group only the first
+        coordinate is tried, and the step raises the run's last coordinate.
+        A parent is stored as (state, first coordinate of the run), the
+        coordinate a step in ascending order reaches the orbit by first.
+        Reached states are admissible (⊥ is, and an admissible edge ends in
+        one), so a step is blocked exactly when the resource it acquires is
+        full.
+        """
         program = self.program
+        n = program.n
+        kappa = program.kappa
+        point = program._point_idx
+        request = program._request_idx
+        tops = program.tops
+        before = [-1] * n  # previous coordinate of the same group
+        after = [-1] * n  # next coordinate of the same group
+        for g in self._groups:
+            for a, b in zip(g, g[1:]):
+                before[b] = a
+                after[a] = b
+        totals0 = [0] * len(kappa)
         start = program.bottom
         parents = self._parents
         parents[start] = (start, -1)
         queue: deque[State] = deque((start,))
         while queue:
             state = queue.popleft()
-            for coord, nxt in successors(program, state):
-                key = self.canon(nxt)
-                if key in parents:
+            totals = totals0[:]
+            for held, x in zip(point, state):
+                for r in held[x]:
+                    totals[r] += 1
+            for c in range(n):
+                x = state[c]
+                if x == tops[c]:
                     continue
-                parents[key] = (state, coord)
-                if len(parents) > self.max_states:
-                    raise SearchLimitExceeded(self.max_states, "visited states")
-                queue.append(key)
+                b = before[c]
+                if b >= 0 and state[b] == x:
+                    continue
+                r = request[c][x]
+                if r is not None and totals[r] >= kappa[r]:
+                    continue
+                last = c
+                a = after[c]
+                while a >= 0 and state[a] == x:
+                    last = a
+                    a = after[a]
+                key = state[:last] + (x + 1,) + state[last + 1 :]
+                if key not in parents:
+                    parents[key] = (state, c)
+                    queue.append(key)
 
     @property
     def visited(self) -> int:
@@ -96,44 +134,60 @@ class ReachabilityIndex:
         target = self.canon(state)
         if target not in self._parents:
             return None
+        concrete = self._chains.get(target)
+        if concrete is None:
+            concrete = self._chains[target] = self._chain(target)
+
+        # Map the reached representative onto the requested state by pairing
+        # equal values within each identity group, in index order.
+        end = concrete[-1]
+        source = list(range(len(end)))  # coordinate of ``end`` feeding each one
+        for g in self._groups:
+            pool: dict[int, deque[int]] = {}
+            for i in g:
+                pool.setdefault(end[i], deque()).append(i)
+            for i in g:
+                source[i] = pool[state[i]].popleft()
+        return LatticePath(tuple(tuple(map(st.__getitem__, source)) for st in concrete))
+
+    def _chain(self, target: State) -> list[State]:
+        """A concrete admissible path ⊥ -> some state of ``target``'s orbit,
+        replaying the stored parents (group-sorted already) from ⊥."""
         start = self.program.bottom
         chain: list[tuple[State, int]] = []
         cur = target
         while cur != start:
             prev, coord = self._parents[cur]
             chain.append((prev, coord))
-            cur = self.canon(prev)
+            cur = prev
         chain.reverse()
 
-        group_of = {}
-        for g in self._groups:
-            for i in g:
-                group_of[i] = g
+        group_of = self._group_of
         concrete = [start]
         q = list(start)
         for prev, coord in chain:
             value = prev[coord]
-            d = min(i for i in group_of[coord] if q[i] == value)
+            d = next(i for i in group_of[coord] if q[i] == value)
             q[d] += 1
             concrete.append(tuple(q))
+        return concrete
 
-        # Map the reached representative onto the requested state by pairing
-        # equal values within each identity group, in index order.
-        end = concrete[-1]
-        perm = list(range(len(end)))
-        for g in self._groups:
-            pool: dict[int, deque[int]] = {}
-            for i in g:
-                pool.setdefault(state[i], deque()).append(i)
-            for i in g:
-                perm[i] = pool[end[i]].popleft()
-        mapped = []
-        for st in concrete:
-            out = [0] * len(st)
-            for i, v in enumerate(st):
-                out[perm[i]] = v
-            mapped.append(tuple(out))
-        return LatticePath(tuple(mapped))
+
+def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of ascending ``values``, in lexicographic order."""
+    a = list(values)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def _acquire_states(
@@ -144,45 +198,64 @@ def _acquire_states(
     points: every state other than ⊤ whose coordinates each stand at an
     acquire or at ⊤.
 
-    The sweep keeps the point-use totals and, per coordinate, the requested
-    resource index (None at ⊤).  A requested resource never sheds holders as
-    later coordinates are placed, so a branch is pruned once its request is
-    over capacity.  Returns the sorted (state, hit) pairs for which
-    ``leaf(kappa, totals, requests)`` is truthy.
+    The sweep runs over orbits: within each identity group it places only
+    non-decreasing positions, and takes the product across groups.  It keeps
+    the point-use totals and, per coordinate, the requested resource index
+    (None at ⊤).  A requested resource never sheds holders as later
+    coordinates are placed, so a branch is pruned once its request is over
+    capacity.  Whether ``leaf(kappa, totals, requests)`` is truthy must not
+    depend on the order of coordinates within a group; each hit is expanded
+    into its distinct concrete states, and only the leaf's payload is
+    recomputed for each.  Returns the sorted (state, hit) pairs.
     """
     n = program.n
     kappa = program.kappa
-    res_index = program._res_index
+    request = program._request_idx
     point = program._point_idx
+    groups = program._groups
+    order = [i for g in groups for i in g]
+    leads = {g[0] for g in groups}  # a group's first coordinate has no lower bound
     options = [
-        [(p, res_index[t.actions[p - 1].resource]) for p in t.acquire_positions]
-        + [(t.top, None)]
-        for t in program.threads
+        [(p, request[i][p]) for p in t.acquire_positions] + [(t.top, None)]
+        for i, t in enumerate(program.threads)
     ]
     totals = [0] * len(kappa)
     requests: list[Optional[int]] = [None] * n
     state = [0] * n
     found: list[tuple[State, object]] = []
 
-    def visit(i: int, requested: int) -> None:
-        if i == n:
-            if requested:  # ⊤ itself is never a candidate
-                hit = leaf(kappa, totals, requests)
-                if hit:
-                    found.append((tuple(state), hit))
+    def expand() -> None:
+        arrangements = [
+            _distinct_permutations([state[i] for i in g]) for g in groups
+        ]
+        for combo in itertools.product(*arrangements):
+            out = [0] * n
+            for g, values in zip(groups, combo):
+                for i, v in zip(g, values):
+                    out[i] = v
+            reqs = [request[i][x] for i, x in enumerate(out)]
+            found.append((tuple(out), leaf(kappa, totals, reqs)))
+
+    def visit(k: int, lo: int, requested: int) -> None:
+        if k == n:
+            if requested and leaf(kappa, totals, requests):  # ⊤ is never one
+                expand()
             return
-        for pos, req in options[i]:
+        i = order[k]
+        opts = options[i]
+        for j in range(0 if i in leads else lo, len(opts)):
+            pos, req = opts[j]
             add = point[i][pos]
             for r in add:
                 totals[r] += 1
             if req is None or totals[req] <= kappa[req]:
                 state[i] = pos
                 requests[i] = req
-                visit(i + 1, requested + (req is not None))
+                visit(k + 1, j, requested + (req is not None))
             for r in add:
                 totals[r] -= 1
 
-    visit(0, 0)
+    visit(0, 0, 0)
     found.sort()
     return found
 
@@ -191,14 +264,11 @@ def _requests(program: Program, state: State) -> Optional[list[Optional[int]]]:
     """Requested resource index per coordinate (None at ⊤), or None if some
     unfinished thread is not at an acquire."""
     out: list[Optional[int]] = []
-    for t, pos in zip(program.threads, state):
-        if pos == t.top:
-            out.append(None)
-            continue
-        act = t.action_at(pos)
-        if act is None or act.kind != "P":
+    for i, (pos, top) in enumerate(zip(state, program.tops)):
+        req = program._request_idx[i][pos]
+        if req is None and pos != top:
             return None
-        out.append(program._res_index[act.resource])
+        out.append(req)
     return out
 
 
@@ -209,14 +279,19 @@ def _requests_full(
     return all(r is None or totals[r] == kappa[r] for r in requests)
 
 
-def potential_deadlocks(program: Program) -> list[State]:
+def potential_deadlocks(
+    program: Program, max_states: int = DEFAULT_MAX_STATES
+) -> list[State]:
     """States (other than ⊤) where every unfinished thread stands at an
     acquire whose resource is at full point-use capacity.
 
     Reachability and admissibility are not required: a potential deadlock may
     lie inside the forbidden region.  Candidates come from the shared
-    acquire-state sweep (``_acquire_states``).  Results are sorted.
+    acquire-state sweep (``_acquire_states``).  Results are sorted.  Raises
+    :class:`SearchLimitExceeded` when the symmetry-folded state space exceeds
+    ``max_states``.
     """
+    guard_orbits(program, max_states)
     return [state for state, _ in _acquire_states(program, _requests_full)]
 
 
@@ -259,11 +334,11 @@ def find_deadlocks(
     """All deadlocks of the program, each with a validated witness path.
 
     Candidates come from the potential-deadlock sieve; reachability is then
-    decided by one forward search.  Every reported deadlock is re-checked:
+    decided by one forward search.  Both are bounded by the symmetry-folded
+    state count (:meth:`Program.orbit_states`).  Every reported deadlock is re-checked:
     it must have no successors and its witness path must be admissible.
     """
-    guard_grid(program, max_states)
-    candidates = potential_deadlocks(program)
+    candidates = potential_deadlocks(program, max_states)
     visited = 0
     deadlocks: list[Deadlock] = []
     if candidates:

@@ -76,13 +76,22 @@ class LatticePath:
         return tuple(out)
 
     def validate(self, program: Program) -> None:
-        """Raise unless every state is admissible and every step edge-admissible."""
+        """Raise unless every state is admissible and every step edge-admissible.
+
+        The point-use totals of each state are summed once and serve both its
+        state check and the check of the edge out of it."""
+        kappa = program.kappa
+        totals = []
         for state in self.states:
             program.check_state(state)
-            if not state_admissible(program, state):
+            tot = program.use_totals(state)
+            if any(t > cap for t, cap in zip(tot, kappa)):
                 raise PvError(f"path visits inadmissible state {state}")
-        for state, coord in zip(self.states, self.steps()):
-            if not edge_admissible(program, state, coord):
+            totals.append(tot)
+        # every step raises its coordinate to at most ⊤ (the next state passed
+        # check_state), so no edge leaves a finished coordinate
+        for state, tot, coord in zip(self.states, totals, self.steps()):
+            if not _edge_ok(program, tot, state, coord):
                 raise PvError(f"path takes inadmissible edge {state} along {coord + 1}")
 
 
@@ -196,6 +205,14 @@ def guard_grid(program: Program, max_states: int) -> None:
     size = program.grid_states()
     if size > max_states:
         raise SearchLimitExceeded(max_states)
+
+
+def guard_orbits(program: Program, max_states: int) -> None:
+    """Bound of the symmetry-folded engines: the grid states up to permuting
+    identical threads (:meth:`Program.orbit_states`)."""
+    size = program.orbit_states()
+    if size > max_states:
+        raise SearchLimitExceeded(max_states, f"symmetry-folded states ({size} needed)")
 
 
 def enumerate_dipaths(

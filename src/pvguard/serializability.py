@@ -38,6 +38,7 @@ from .geometry import (
     DEFAULT_MAX_STATES,
     LatticePath,
     guard_grid,
+    guard_orbits,
     path_from_steps,
     square_admissible,
     successors,
@@ -348,7 +349,9 @@ def local_choice_points(
     """All local choice points, in state order.  Candidates come from the
     acquire-state sweep shared with potential deadlocks
     (``deadlock._acquire_states``).  The reachable flag comes from a forward
-    search (skipped, and left None, when ``reachability`` is off)."""
+    search (skipped, and left None, when ``reachability`` is off).  Both are
+    bounded by the symmetry-folded state count."""
+    guard_orbits(program, max_states)
     found = _acquire_states(program, _one_short)
     if not found:
         return []
@@ -439,19 +442,25 @@ def sharpserializable_witness(caps: CapacityMap) -> WitnessPlan:
 
 
 def potential_deadlock_certificate(
-    thread: Thread, caps: CapacityMap
+    thread: Thread, caps: CapacityMap, max_states: int = DEFAULT_MAX_STATES
 ) -> FamilyVerdict:
     """Serializability certificate via deadlock machinery: if the instance
     two copies above the capacity sum has no potential deadlock, then no
     instance has a local choice point, so every instance is serializable.
-    Requires every used capacity >= 2."""
+    Requires every used capacity >= 2.  An instance whose symmetry-folded
+    state count exceeds ``max_states`` gives an inconclusive verdict."""
     used = caps.restrict(thread.resources_used)
     for r in used.names:
         if used[r] < 2:
             raise ValueError(f"certificate needs κ >= 2, got κ({r})={used[r]}")
     size = used.total() + 2
     program = Program.power(thread, size, caps)
-    hits = potential_deadlocks(program)
+    try:
+        hits = potential_deadlocks(program, max_states)
+    except SearchLimitExceeded as exc:
+        return FamilyVerdict(
+            "serializability", "inconclusive", size, "search-limit", str(exc)
+        )
     if not hits:
         return FamilyVerdict(
             "serializability",

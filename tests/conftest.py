@@ -81,6 +81,25 @@ def random_program(
     return Program(threads, caps)
 
 
+def two_group_program(
+    rng: random.Random,
+    resources: list[str],
+    caps: CapacityMap,
+    copies: tuple[int, int],
+    max_pairs: int,
+) -> Program:
+    """``T ^ a | U ^ b`` for two distinct random threads, with the copies
+    shuffled into a random thread order, so both identity groups are
+    non-trivial and interleaved."""
+    t = random_thread(rng, resources, max_pairs)
+    u = random_thread(rng, resources, max_pairs)
+    while u == t:
+        u = random_thread(rng, resources, max_pairs)
+    threads = [t] * copies[0] + [u] * copies[1]
+    rng.shuffle(threads)
+    return Program(tuple(threads), caps)
+
+
 def naive_deadlock_states(program: Program, max_states: int = 10**7) -> set[State]:
     """Reachable admissible states with no admissible outgoing edge, except top."""
     out = set()
@@ -206,6 +225,37 @@ def reachable_states(program: Program, max_states: int = 10**7) -> set[State]:
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
+
+
+def sort_groups(program: Program, state: State) -> State:
+    """The orbit representative of a state: the coordinates of each group of
+    identical threads sorted ascending."""
+    out = list(state)
+    groups: dict[Thread, list[int]] = {}
+    for i, t in enumerate(program.threads):
+        groups.setdefault(t, []).append(i)
+    for g in groups.values():
+        for i, v in zip(g, sorted(out[i] for i in g)):
+            out[i] = v
+    return tuple(out)
+
+
+def sorted_orbit_parents(program: Program) -> dict[State, tuple[State, int]]:
+    """The symmetry-folded search by sorting every successor: breadth-first
+    from bottom, successors in ascending coordinate order, each mapped to its
+    orbit representative.  Maps every reached representative, in discovery
+    order, to (representative it was first reached from, coordinate moved)."""
+    start = program.bottom
+    parents: dict[State, tuple[State, int]] = {start: (start, -1)}
+    queue: deque[State] = deque((start,))
+    while queue:
+        state = queue.popleft()
+        for coord, nxt in successors(program, state):
+            key = sort_groups(program, nxt)
+            if key not in parents:
+                parents[key] = (state, coord)
+                queue.append(key)
+    return parents
 
 
 # ---------------------------------------------------------------------------

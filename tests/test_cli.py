@@ -311,6 +311,13 @@ def test_max_states_flag_overflow(capsys, ex3):
     assert code == 3
 
 
+def test_potential_mode_honours_max_states(capsys, ex3):
+    code, out, err = run(capsys, "deadlocks", ex3, "--potential", "--max-states", "3")
+    assert code == 3
+    assert out == ""
+    assert "configured bound of 3 symmetry-folded states" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

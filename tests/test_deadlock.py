@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvguard import (
     CapacityMap,
@@ -30,6 +33,9 @@ from conftest import (
     random_program,
     random_thread,
     reachable_states,
+    sort_groups,
+    sorted_orbit_parents,
+    two_group_program,
 )
 
 T1 = Thread.from_text("Pa Pb Vb Va")
@@ -114,6 +120,48 @@ def test_potential_matches_naive_sweep():
         prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 4), 2,
                               identical=rng.random() < 0.5)
         assert set(potential_deadlocks(prog)) == naive_potential_deadlocks(prog)
+    # two non-trivial identity groups, interleaved in thread order; most
+    # draws have no potential deadlock, so draw until twelve have some
+    rng = random.Random(26)
+    hits = 0
+    for _ in range(300):
+        caps = CapacityMap((("a", rng.randint(1, 3)), ("b", rng.randint(1, 3))))
+        prog = two_group_program(rng, ["a", "b"], caps, (rng.randint(2, 3), 2), 2)
+        got = potential_deadlocks(prog)
+        assert got == sorted(naive_potential_deadlocks(prog))
+        hits += bool(got)
+        if hits == 12:
+            break
+    assert hits == 12
+
+
+def test_potential_deadlocks_respect_the_bound():
+    caps = make_caps(a=4, b=4, c=2)
+    plan = deadsharp_witness(caps)
+    prog = Program.power(plan.thread, 10, caps)
+    folded = prog.orbit_states()
+    assert folded == 92378 < prog.grid_states()
+    with pytest.raises(SearchLimitExceeded) as e:
+        potential_deadlocks(prog, max_states=folded - 1)
+    assert e.value.limit == folded - 1
+    assert f"symmetry-folded states ({folded} needed)" in str(e.value)
+    hits = potential_deadlocks(prog, max_states=folded)
+    assert len(hits) == 3150
+    assert plan.expected_state in hits
+
+
+def test_orbit_states_counts_multisets():
+    # distinct threads: nothing folds
+    rng = random.Random(27)
+    for _ in range(20):
+        caps = CapacityMap((("a", 1), ("b", 1)))
+        prog = random_program(rng, ["a", "b"], caps, rng.randint(1, 4), 3)
+        if len(set(prog.threads)) == prog.n:
+            assert prog.orbit_states() == prog.grid_states()
+    # identical copies: one state per sorted tuple, per group
+    for prog in (Program.power(FIG, 3, KABC), Program((T1, T2, T1, T2, T1), K11)):
+        grid = itertools.product(*(range(t + 1) for t in prog.tops))
+        assert prog.orbit_states() == len({sort_groups(prog, s) for s in grid})
 
 
 def test_find_deadlocks_matches_naive_search():
@@ -153,6 +201,30 @@ def test_reachability_index_agrees_with_plain_search():
         for s in itertools.product(*(range(x + 1) for x in prog.tops)):
             if idx.is_reachable(s):
                 assert s in plain
+
+
+@st.composite
+def folding_programs(draw):
+    """Random programs of three kinds: mixed threads, ``T ^ n``, and two
+    interleaved groups ``T ^ a | U ^ b``."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    resources = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    caps = CapacityMap(tuple((r, draw(st.integers(1, 3))) for r in resources))
+    kind = draw(st.sampled_from(["mixed", "power", "two-groups"]))
+    if kind == "two-groups":
+        return two_group_program(rng, resources, caps, (2, draw(st.integers(2, 3))), 2)
+    return random_program(rng, resources, caps, draw(st.integers(2, 4)), 3,
+                          identical=kind == "power")
+
+
+@given(folding_programs())
+@settings(max_examples=120, deadline=None)
+def test_orbit_search_matches_sorting_oracle(prog):
+    # same orbit representatives in the same discovery order, each with the
+    # same parent position, so witness paths are unchanged
+    index = ReachabilityIndex(prog)
+    assert list(index._parents.items()) == list(sorted_orbit_parents(prog).items())
+    assert index.visited == len({sort_groups(prog, s) for s in reachable_states(prog)})
 
 
 def test_reachability_index_witness_targets_exact_state():

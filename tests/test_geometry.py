@@ -8,6 +8,7 @@ from pvguard import (
     ForbiddenRectangle,
     LatticePath,
     Program,
+    PvError,
     ReachabilityIndex,
     SearchLimitExceeded,
     Thread,
@@ -146,6 +147,23 @@ def test_lattice_path_validate_rejects_jumps():
         LatticePath(((0, 0), (1, 1))).validate(EX3)
     with pytest.raises(Exception):
         LatticePath(((0, 0), (0, 1), (0, 0))).validate(EX3)
+
+
+def test_lattice_path_validate_messages():
+    # states are checked first, in path order, then the steps, then the edges
+    with pytest.raises(ValueError, match=r"^coordinate 1 value 9 out of range 0\.\.5$"):
+        LatticePath(((0, 0), (9, 0))).validate(EX3)
+    over = ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3))
+    with pytest.raises(PvError, match=r"^path visits inadmissible state \(2, 2\)$"):
+        LatticePath(over).validate(Program.power(T1, 2, make_caps(a=1, b=1)))
+    with pytest.raises(ValueError, match="^not a unit lattice step$"):
+        LatticePath(((0, 0), (1, 1))).validate(EX3)
+    prog = Program((Thread.from_text("Pa Pb Vb Va"), Thread.from_text("Pa Va")),
+                   make_caps(a=1, b=1))
+    edge = ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
+    assert all(state_admissible(prog, s) for s in edge)
+    with pytest.raises(PvError, match=r"^path takes inadmissible edge \(2, 1\) along 2$"):
+        LatticePath(edge).validate(prog)
 
 
 def test_path_from_steps():

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import pvguard
+from pvguard import Program, ReachabilityIndex, deadsharp_witness
+from pvguard import deadlock, geometry, serializability
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -54,3 +56,21 @@ def test_demo_runs(demo):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_folded_engines_skip_per_state_checks(monkeypatch):
+    # the search and both sieves build group-sorted states themselves: no
+    # state re-check, no successor list, no re-sorting of successors
+    caps = pvguard.CapacityMap((("a", 3), ("b", 3), ("c", 2)))
+    program = Program.power(deadsharp_witness(caps).thread, 8, caps)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called from a folded engine")
+
+    monkeypatch.setattr(Program, "check_state", forbidden)
+    monkeypatch.setattr(ReachabilityIndex, "canon", forbidden)
+    for module in (geometry, deadlock, serializability):
+        monkeypatch.setattr(module, "successors", forbidden)
+    assert ReachabilityIndex(program).visited == 13408
+    assert len(pvguard.potential_deadlocks(program)) == 560
+    assert len(pvguard.local_choice_points(program, reachability=False)) == 8960

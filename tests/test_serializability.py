@@ -43,6 +43,7 @@ from conftest import (
     schedule_feasible,
     schedule_pair_serializable,
     schedules,
+    two_group_program,
 )
 
 T1 = Thread.from_text("Pa Pb Vb Va")
@@ -443,6 +444,36 @@ def test_choice_points_match_naive_sweep():
             assert [c[0] for c in got] == defined
         hits += bool(got)
     assert hits >= 10
+    # two non-trivial identity groups, interleaved in thread order: the
+    # contenders of each concrete state come from the per-group expansion
+    rng = random.Random(39)
+    hits = 0
+    for _ in range(30):
+        caps = CapacityMap((("a", rng.randint(1, 3)), ("b", rng.randint(1, 3))))
+        prog = two_group_program(rng, ["a", "b"], caps, (rng.randint(2, 3), 2), 2)
+        got = [
+            (c.state, c.resource, c.contenders)
+            for c in local_choice_points(prog, reachability=False)
+        ]
+        swept = [
+            (state,) + hit
+            for state in itertools.product(*(range(t + 1) for t in prog.tops))
+            if (hit := is_local_choice_point(prog, state)) is not None
+        ]
+        assert got == swept
+        hits += bool(got)
+    assert hits >= 10
+
+
+def test_choice_points_respect_the_bound():
+    plan = sharpserializable_witness(K22)
+    prog = Program.power(plan.thread, plan.instance_n, K22)
+    folded = prog.orbit_states()
+    for reachability in (True, False):
+        with pytest.raises(SearchLimitExceeded):
+            local_choice_points(prog, folded - 1, reachability=reachability)
+    cps = local_choice_points(prog, folded)
+    assert plan.expected_state in [c.state for c in cps if c.reachable]
 
 
 def test_definition_check_rejects_forbidden_states():
@@ -583,6 +614,16 @@ def test_certificate_inconclusive_route():
     prog = Program.power(WIT, 6, K22)
     for s in v.witnesses[:3]:
         assert is_potential_deadlock(prog, s)
+
+
+def test_certificate_respects_the_bound():
+    folded = Program.power(WIT, 6, K22).orbit_states()
+    v = potential_deadlock_certificate(WIT, K22, max_states=folded - 1)
+    assert (v.verdict, v.rule, v.cutoff) == ("inconclusive", "search-limit", 6)
+    assert f"({folded} needed)" in v.detail
+    assert potential_deadlock_certificate(WIT, K22, max_states=folded).rule == (
+        "potential-deadlock-cutoff"
+    )
 
 
 def test_certificate_implies_no_choice_points():
