@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import le
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 ACQUIRE = "P"
@@ -406,8 +405,8 @@ class Program:
     @cached_property
     def _request_idx(self) -> tuple[tuple[Optional[int], ...], ...]:
         """Per thread, per position: index of the resource the acquire there
-        requests, or None (⊥, ⊤ and releases).  It is the one resource the
-        segment out of that position holds and the point does not."""
+        requests, or None (⊥, ⊤ and releases).  The segment out of a position
+        holds what the point holds plus this resource."""
         ri = self._res_index
         return tuple(
             tuple(
@@ -417,20 +416,9 @@ class Program:
             for t in self.threads
         )
 
-    @cached_property
-    def _segment_idx(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per thread, per edge start position: indices of resources held."""
-        ri = self._res_index
-        return tuple(
-            tuple(tuple(sorted(ri[r] for r in t.segment_use(p))) for p in range(t.top))
-            for t in self.threads
-        )
-
     def check_state(self, state: State) -> None:
         if len(state) != self.n:
             raise ValueError(f"state has {len(state)} coordinates, program has {self.n}")
-        if min(state) >= 0 and all(map(le, state, self.tops)):
-            return
         for i, (x, top) in enumerate(zip(state, self.tops)):
             if not 0 <= x <= top:
                 raise ValueError(f"coordinate {i + 1} value {x} out of range 0..{top}")
@@ -438,7 +426,8 @@ class Program:
     def use_totals(self, state: State) -> list[int]:
         """Point-use count per resource index, summed over all threads."""
         totals = [0] * len(self.resource_names)
-        for held, x in zip(self._point_idx, state):
-            for r in held[x]:
+        point = self._point_idx
+        for i, x in enumerate(state):
+            for r in point[i][x]:
                 totals[r] += 1
         return totals

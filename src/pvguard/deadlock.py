@@ -12,8 +12,9 @@ of the resources the thread uses.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
@@ -190,23 +191,33 @@ def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
-def _acquire_states(
+def _orbit_size(groups: Sequence[Sequence[int]], state: State) -> int:
+    """Concrete states in the orbit of ``state``: per identity group, the
+    multinomial count of the orderings of its values."""
+    size = 1
+    for g in groups:
+        size *= factorial(len(g))
+        for count in Counter(state[i] for i in g).values():
+            size //= factorial(count)
+    return size
+
+
+def _hit_orbits(
     program: Program,
     leaf: Callable[[Sequence[int], list[int], list[Optional[int]]], object],
-) -> list[tuple[State, object]]:
+) -> list[State]:
     """The candidate sweep shared by potential deadlocks and local choice
-    points: every state other than ⊤ whose coordinates each stand at an
-    acquire or at ⊤.
+    points, over orbits: the group-sorted states other than ⊤ whose
+    coordinates each stand at an acquire or at ⊤ and on which
+    ``leaf(kappa, totals, requests)`` is truthy, in sweep order.
 
-    The sweep runs over orbits: within each identity group it places only
-    non-decreasing positions, and takes the product across groups.  It keeps
-    the point-use totals and, per coordinate, the requested resource index
-    (None at ⊤).  A requested resource never sheds holders as later
-    coordinates are placed, so a branch is pruned once its request is over
-    capacity.  Whether ``leaf(kappa, totals, requests)`` is truthy must not
-    depend on the order of coordinates within a group; each hit is expanded
-    into its distinct concrete states, and only the leaf's payload is
-    recomputed for each.  Returns the sorted (state, hit) pairs.
+    Within each identity group the sweep places only non-decreasing
+    positions, and takes the product across groups.  It keeps the point-use
+    totals and, per coordinate, the requested resource index (None at ⊤).  A
+    requested resource never sheds holders as later coordinates are placed,
+    so a branch is pruned once its request is over capacity.  Whether the
+    leaf is truthy must not depend on the order of coordinates within a
+    group.
     """
     n = program.n
     kappa = program.kappa
@@ -222,24 +233,12 @@ def _acquire_states(
     totals = [0] * len(kappa)
     requests: list[Optional[int]] = [None] * n
     state = [0] * n
-    found: list[tuple[State, object]] = []
-
-    def expand() -> None:
-        arrangements = [
-            _distinct_permutations([state[i] for i in g]) for g in groups
-        ]
-        for combo in itertools.product(*arrangements):
-            out = [0] * n
-            for g, values in zip(groups, combo):
-                for i, v in zip(g, values):
-                    out[i] = v
-            reqs = [request[i][x] for i, x in enumerate(out)]
-            found.append((tuple(out), leaf(kappa, totals, reqs)))
+    hits: list[State] = []
 
     def visit(k: int, lo: int, requested: int) -> None:
         if k == n:
             if requested and leaf(kappa, totals, requests):  # ⊤ is never one
-                expand()
+                hits.append(tuple(state))
             return
         i = order[k]
         opts = options[i]
@@ -256,6 +255,41 @@ def _acquire_states(
                 totals[r] -= 1
 
     visit(0, 0, 0)
+    return hits
+
+
+def _acquire_states(
+    program: Program,
+    leaf: Callable[[Sequence[int], list[int], list[Optional[int]]], object],
+    max_states: int,
+) -> list[tuple[State, object]]:
+    """The hits of the orbit sweep (``_hit_orbits``) as concrete states: each
+    orbit is expanded into its distinct states, and only the leaf's payload
+    is recomputed for each.  Raises :class:`SearchLimitExceeded`, before
+    expanding, when they are more than ``max_states``.  Returns the sorted
+    (state, hit) pairs.
+    """
+    hits = _hit_orbits(program, leaf)
+    groups = program._groups
+    size = sum(_orbit_size(groups, hit) for hit in hits)
+    if size > max_states:
+        raise SearchLimitExceeded(
+            max_states, f"concrete candidate states ({size} needed)"
+        )
+    n = program.n
+    kappa = program.kappa
+    request = program._request_idx
+    found: list[tuple[State, object]] = []
+    for hit in hits:
+        totals = program.use_totals(hit)
+        arrangements = [_distinct_permutations([hit[i] for i in g]) for g in groups]
+        for combo in itertools.product(*arrangements):
+            out = [0] * n
+            for g, values in zip(groups, combo):
+                for i, v in zip(g, values):
+                    out[i] = v
+            requests = [request[i][x] for i, x in enumerate(out)]
+            found.append((tuple(out), leaf(kappa, totals, requests)))
     found.sort()
     return found
 
@@ -288,11 +322,12 @@ def potential_deadlocks(
     Reachability and admissibility are not required: a potential deadlock may
     lie inside the forbidden region.  Candidates come from the shared
     acquire-state sweep (``_acquire_states``).  Results are sorted.  Raises
-    :class:`SearchLimitExceeded` when the symmetry-folded state space exceeds
-    ``max_states``.
+    :class:`SearchLimitExceeded` when the symmetry-folded state space, or the
+    number of results, exceeds ``max_states``.
     """
     guard_orbits(program, max_states)
-    return [state for state, _ in _acquire_states(program, _requests_full)]
+    found = _acquire_states(program, _requests_full, max_states)
+    return [state for state, _ in found]
 
 
 def is_potential_deadlock(program: Program, state: State) -> bool:
@@ -335,9 +370,23 @@ def find_deadlocks(
 
     Candidates come from the potential-deadlock sieve; reachability is then
     decided by one forward search.  Both are bounded by the symmetry-folded
-    state count (:meth:`Program.orbit_states`).  Every reported deadlock is re-checked:
-    it must have no successors and its witness path must be admissible.
+    state count (:meth:`Program.orbit_states`), the sieve also by its number
+    of candidates.  So are, before either runs, the states of the witness
+    paths the admissible candidates would need, counted on the sieve's
+    orbits (a path to a state has its coordinate sum plus one states).
+    Every reported deadlock is re-checked: it must have no successors and
+    its witness path must be admissible.
     """
+    guard_orbits(program, max_states)
+    path_states = sum(
+        _orbit_size(program._groups, hit) * (sum(hit) + 1)
+        for hit in _hit_orbits(program, _requests_full)
+        if state_admissible(program, hit)
+    )
+    if path_states > max_states:
+        raise SearchLimitExceeded(
+            max_states, f"witness-path states ({path_states} needed)"
+        )
     candidates = potential_deadlocks(program, max_states)
     visited = 0
     deadlocks: list[Deadlock] = []

@@ -137,20 +137,12 @@ def state_admissible(program: Program, state: State) -> bool:
 
 
 def _edge_ok(program: Program, totals: list[int], state: State, coord: int) -> bool:
-    """Capacity check for the edge out of ``state`` along ``coord``, given the
-    point-use totals of ``state``.  Only the moving coordinate's use changes:
-    point use is swapped for segment use."""
-    pos = state[coord]
-    seg = program._segment_idx[coord][pos]
-    if not seg:
-        return True
-    point = program._point_idx[coord][pos]
-    kappa = program.kappa
-    for r in seg:
-        extra = 0 if r in point else 1
-        if totals[r] + extra > kappa[r]:
-            return False
-    return True
+    """Capacity check for the edge out of the admissible ``state`` along
+    ``coord``, given the point-use totals of ``state``.  The edge holds what
+    its start point holds plus the resource acquired there, if any
+    (``Program._request_idx``), so only that resource needs room."""
+    r = program._request_idx[coord][state[coord]]
+    return r is None or totals[r] < program.kappa[r]
 
 
 def edge_admissible(program: Program, state: State, coord: int) -> bool:
@@ -177,11 +169,9 @@ def square_admissible(program: Program, state: State, i: int, j: int) -> bool:
     kappa = program.kappa
     delta: dict[int, int] = {}
     for c in (i, j):
-        pos = state[c]
-        point = program._point_idx[c][pos]
-        for r in program._segment_idx[c][pos]:
-            if r not in point:
-                delta[r] = delta.get(r, 0) + 1
+        r = program._request_idx[c][state[c]]
+        if r is not None:
+            delta[r] = delta.get(r, 0) + 1
     return all(totals[r] + d <= kappa[r] for r, d in delta.items()) and all(
         tot <= cap for tot, cap in zip(totals, kappa)
     )

@@ -350,9 +350,10 @@ def local_choice_points(
     acquire-state sweep shared with potential deadlocks
     (``deadlock._acquire_states``).  The reachable flag comes from a forward
     search (skipped, and left None, when ``reachability`` is off).  Both are
-    bounded by the symmetry-folded state count."""
+    bounded by the symmetry-folded state count, the sweep also by its number
+    of choice points."""
     guard_orbits(program, max_states)
-    found = _acquire_states(program, _one_short)
+    found = _acquire_states(program, _one_short, max_states)
     if not found:
         return []
     index = ReachabilityIndex(program, max_states) if reachability else None

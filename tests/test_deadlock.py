@@ -150,6 +150,49 @@ def test_potential_deadlocks_respect_the_bound():
     assert plan.expected_state in hits
 
 
+def test_potential_deadlocks_bound_counts_concrete_states():
+    # the (7,7,6) chain at its cut-off: 10,015,005 orbits fit the default
+    # bound, the 133,024,320 concrete potential deadlocks they stand for do
+    # not, and the sweep stops before expanding them
+    caps = make_caps(a=7, b=7, c=6)
+    prog = Program.power(deadsharp_witness(caps).thread, 20, caps)
+    assert prog.orbit_states() == 10015005
+    with pytest.raises(SearchLimitExceeded) as e:
+        potential_deadlocks(prog)
+    assert "concrete candidate states (133024320 needed)" in str(e.value)
+
+
+def test_find_deadlocks_bounds_witness_paths():
+    # 1680 deadlocks whose witness paths hold 62,160 states in all, more
+    # than the 48,620 orbits of the search
+    caps = make_caps(a=3, b=3, c=3)
+    prog = Program.power(deadsharp_witness(caps).thread, 9, caps)
+    assert prog.orbit_states() == 48620
+    with pytest.raises(SearchLimitExceeded) as e:
+        find_deadlocks(prog, max_states=62159)
+    assert "witness-path states (62160 needed)" in str(e.value)
+    report = find_deadlocks(prog, max_states=62160)
+    assert len(report.deadlocks) == 1680
+    assert sum(len(d.witness.states) for d in report.deadlocks) == 62160
+
+
+@pytest.mark.parametrize(
+    "entries, max_states, needed",
+    [
+        # orbits fit (C(25, 9) = 2,042,975), the 1,681,680 deadlock paths do not
+        ((6, 6, 4), 2042975, "witness-path states (102582480 needed)"),
+        ((7, 7, 6), 10**8, "witness-path states (10508921280 needed)"),
+    ],
+)
+def test_family_deadlock_bound_stops_before_the_search(entries, max_states, needed):
+    caps = make_caps(a=entries[0], b=entries[1], c=entries[2])
+    plan = deadsharp_witness(caps)
+    assert Program.power(plan.thread, plan.cutoff, caps).orbit_states() <= max_states
+    v = family_deadlock_verdict(plan.thread, caps, max_states)
+    assert (v.verdict, v.rule, v.cutoff) == ("inconclusive", "search-limit", plan.cutoff)
+    assert needed in v.detail
+
+
 def test_orbit_states_counts_multisets():
     # distinct threads: nothing folds
     rng = random.Random(27)

@@ -240,6 +240,34 @@ def test_square_admissible_implies_all_faces():
                 assert edge_admissible(prog, up, 0)
 
 
+def test_edge_and_square_rules_match_segment_use():
+    # the definitions: a cell is admissible when every resource's use, summed
+    # over coordinates, stays within capacity; moving coordinates count the
+    # resources of the segment they traverse, the others those of their point
+    rng = random.Random(15)
+    for _ in range(30):
+        caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 2))))
+        prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 3), 2)
+
+        def fits(state, moving):
+            use = {r: 0 for r in caps.names}
+            for c, (t, x) in enumerate(zip(prog.threads, state)):
+                for r in t.segment_use(x) if c in moving else t.point_use(x):
+                    use[r] += 1
+            return all(use[r] <= caps[r] for r in caps.names)
+
+        for state in itertools.product(*(range(t + 1) for t in prog.tops)):
+            open_ = [c for c in range(prog.n) if state[c] < prog.tops[c]]
+            for c in open_:
+                assert edge_admissible(prog, state, c) == (
+                    fits(state, ()) and fits(state, (c,))
+                )
+            for i, j in itertools.combinations(open_, 2):
+                assert square_admissible(prog, state, i, j) == (
+                    fits(state, ()) and fits(state, (i, j))
+                )
+
+
 def test_extended_rectangle_shape():
     rect = ForbiddenRectangle("a", ((0, (1, 4)), (1, (2, 3))))
     ext = extended_rectangle(rect, 0)

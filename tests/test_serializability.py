@@ -12,6 +12,7 @@ from pvguard import (
     SearchLimitExceeded,
     Thread,
     connectivity_serializable,
+    deadsharp_witness,
     dihomotopy_classes,
     enumerate_dipaths,
     family_serializability_verdict,
@@ -474,6 +475,22 @@ def test_choice_points_respect_the_bound():
             local_choice_points(prog, folded - 1, reachability=reachability)
     cps = local_choice_points(prog, folded)
     assert plan.expected_state in [c.state for c in cps if c.reachable]
+
+
+def test_choice_points_bound_counts_concrete_states():
+    # the (6,6,4) deadlock chain at 16 copies: 2,042,975 orbits, but
+    # 53,813,760 concrete choice points; the sweep stops before expanding
+    caps = make_caps(a=6, b=6, c=4)
+    prog = Program.power(deadsharp_witness(caps).thread, 16, caps)
+    folded = prog.orbit_states()
+    assert folded == 2042975
+    for reachability in (True, False):
+        with pytest.raises(SearchLimitExceeded) as e:
+            local_choice_points(prog, folded, reachability=reachability)
+        assert "concrete candidate states (53813760 needed)" in str(e.value)
+    v = family_serializability_verdict(deadsharp_witness(caps).thread, caps)
+    assert (v.verdict, v.rule) == ("inconclusive", "search-limit")
+    assert "concrete candidate states" in v.detail
 
 
 def test_definition_check_rejects_forbidden_states():
