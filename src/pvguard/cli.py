@@ -183,13 +183,12 @@ def _cmd_family(args) -> int:
     ]
     if verdict.manifests_at_n is not None:
         text.append(f"  manifests at n={verdict.manifests_at_n}")
+    ctx = report.power_programs(thread, model.caps)
     for w in verdict.witnesses:
-        prog = Program.power(thread, len(w), model.caps)
-        text.append(f"  witness {report.state_text(prog, w)}")
+        text.append(f"  witness {report.state_text(ctx(w), w)}")
     for cp in verdict.choice_points:
-        prog = Program.power(thread, len(cp.state), model.caps)
         text.append(
-            f"  choice point {report.state_text(prog, cp.state)} "
+            f"  choice point {report.state_text(ctx(cp.state), cp.state)} "
             f"on {cp.resource}, contenders {[c + 1 for c in cp.contenders]}"
         )
     _emit(args, f"family {args.property} {name}", raw, result, text)

@@ -12,10 +12,11 @@ of the resources the thread uses.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     CapacityMap,
@@ -44,14 +45,34 @@ class ReachabilityIndex:
     Membership queries and witness paths for arbitrary concrete states are
     recovered by permuting within groups; the transition relation is
     invariant under such permutations, so the folding is exact.
+
+    ``targets``, if given, are the states the caller will query.  The search
+    then stays at or below the componentwise maximum of their group-sorted
+    forms, the *ceiling* (⊤ by default): a monotone path to a state never
+    leaves the states below it.  A query whose group-sorted form is not at or
+    below the ceiling raises :class:`ValueError`.
     """
 
-    def __init__(self, program: Program, max_states: int = DEFAULT_MAX_STATES):
+    def __init__(
+        self,
+        program: Program,
+        max_states: int = DEFAULT_MAX_STATES,
+        *,
+        targets: Optional[Iterable[State]] = None,
+    ):
         guard_orbits(program, max_states)
         self.program = program
         self.max_states = max_states
         self._groups = program._groups
         self._group_of = {i: g for g in self._groups for i in g}
+        if targets is None:
+            self.ceiling = program.tops
+        else:
+            orbits = []
+            for state in targets:
+                program.check_state(state)
+                orbits.append(self.canon(state))
+            self.ceiling = tuple(map(max, zip(program.bottom, *orbits)))
         self._parents: dict[State, tuple[State, int]] = {}
         self._chains: dict[State, list[State]] = {}  # witness paths per orbit
         self._search()
@@ -74,14 +95,18 @@ class ReachabilityIndex:
         coordinate a step in ascending order reaches the orbit by first.
         Reached states are admissible (⊥ is, and an admissible edge ends in
         one), so a step is blocked exactly when the resource it acquires is
-        full.
+        full.  A successor is kept only at or below the ceiling; it differs
+        from its stored parent only in the raised coordinate.  Every parent
+        of a state below the ceiling is below it too, and a level is a
+        coordinate sum, so on the states below it the search stores the same
+        keys in the same order with the same parents as with ceiling ⊤.
         """
         program = self.program
         n = program.n
         kappa = program.kappa
         point = program._point_idx
         request = program._request_idx
-        tops = program.tops
+        ceiling = self.ceiling
         before = [-1] * n  # previous coordinate of the same group
         after = [-1] * n  # next coordinate of the same group
         for g in self._groups:
@@ -101,19 +126,19 @@ class ReachabilityIndex:
                     totals[r] += 1
             for c in range(n):
                 x = state[c]
-                if x == tops[c]:
-                    continue
                 b = before[c]
                 if b >= 0 and state[b] == x:
-                    continue
-                r = request[c][x]
-                if r is not None and totals[r] >= kappa[r]:
                     continue
                 last = c
                 a = after[c]
                 while a >= 0 and state[a] == x:
                     last = a
                     a = after[a]
+                if x >= ceiling[last]:
+                    continue
+                r = request[c][x]
+                if r is not None and totals[r] >= kappa[r]:
+                    continue
                 key = state[:last] + (x + 1,) + state[last + 1 :]
                 if key not in parents:
                     parents[key] = (state, c)
@@ -127,12 +152,22 @@ class ReachabilityIndex:
         """All reachable states, one representative per permutation orbit."""
         return iter(self._parents)
 
+    def _orbit(self, state: State) -> State:
+        """The group-sorted ``state``; raises unless it lies at or below the
+        ceiling, the only states the search decides."""
+        target = self.canon(state)
+        if any(map(operator.gt, target, self.ceiling)):
+            raise ValueError(
+                f"state {state} lies outside the search ceiling {self.ceiling}"
+            )
+        return target
+
     def is_reachable(self, state: State) -> bool:
-        return self.canon(state) in self._parents
+        return self._orbit(state) in self._parents
 
     def witness(self, state: State) -> Optional[LatticePath]:
         """A concrete admissible path ⊥ -> ``state``, or None."""
-        target = self.canon(state)
+        target = self._orbit(state)
         if target not in self._parents:
             return None
         concrete = self._chains.get(target)
@@ -262,12 +297,12 @@ def _acquire_states(
     program: Program,
     leaf: Callable[[Sequence[int], list[int], list[Optional[int]]], object],
     max_states: int,
-) -> list[tuple[State, object]]:
+) -> list[tuple[State, object, State]]:
     """The hits of the orbit sweep (``_hit_orbits``) as concrete states: each
     orbit is expanded into its distinct states, and only the leaf's payload
     is recomputed for each.  Raises :class:`SearchLimitExceeded`, before
-    expanding, when they are more than ``max_states``.  Returns the sorted
-    (state, hit) pairs.
+    expanding, when they are more than ``max_states``.  Returns the
+    (state, hit, orbit) triples sorted by state.
     """
     hits = _hit_orbits(program, leaf)
     groups = program._groups
@@ -279,7 +314,7 @@ def _acquire_states(
     n = program.n
     kappa = program.kappa
     request = program._request_idx
-    found: list[tuple[State, object]] = []
+    found: list[tuple[State, object, State]] = []
     for hit in hits:
         totals = program.use_totals(hit)
         arrangements = [_distinct_permutations([hit[i] for i in g]) for g in groups]
@@ -289,8 +324,8 @@ def _acquire_states(
                 for i, v in zip(g, values):
                     out[i] = v
             requests = [request[i][x] for i, x in enumerate(out)]
-            found.append((tuple(out), leaf(kappa, totals, requests)))
-    found.sort()
+            found.append((tuple(out), leaf(kappa, totals, requests), hit))
+    found.sort(key=operator.itemgetter(0))
     return found
 
 
@@ -327,7 +362,7 @@ def potential_deadlocks(
     """
     guard_orbits(program, max_states)
     found = _acquire_states(program, _requests_full, max_states)
-    return [state for state, _ in found]
+    return [state for state, _, _ in found]
 
 
 def is_potential_deadlock(program: Program, state: State) -> bool:
@@ -375,13 +410,24 @@ def find_deadlocks(
     paths the admissible candidates would need, counted on the sieve's
     orbits (a path to a state has its coordinate sum plus one states).
     Every reported deadlock is re-checked: it must have no successors and
-    its witness path must be admissible.
+    its witness path must be admissible.  The search covers the whole
+    folded space, so ``stats.visited`` counts every reachable orbit.
     """
+    return _find_deadlocks(program, max_states, bounded=False)
+
+
+def _find_deadlocks(program: Program, max_states: int, bounded: bool) -> DeadlockReport:
+    """The body of :func:`find_deadlocks`.  With ``bounded`` the search stops
+    at the ceiling of the admissible candidate orbits, which gives the same
+    deadlocks and witness paths; only ``stats.visited`` is smaller."""
     guard_orbits(program, max_states)
-    path_states = sum(
-        _orbit_size(program._groups, hit) * (sum(hit) + 1)
+    admissible = [
+        hit
         for hit in _hit_orbits(program, _requests_full)
         if state_admissible(program, hit)
+    ]
+    path_states = sum(
+        _orbit_size(program._groups, hit) * (sum(hit) + 1) for hit in admissible
     )
     if path_states > max_states:
         raise SearchLimitExceeded(
@@ -391,7 +437,8 @@ def find_deadlocks(
     visited = 0
     deadlocks: list[Deadlock] = []
     if candidates:
-        index = ReachabilityIndex(program, max_states)
+        targets = admissible if bounded else None
+        index = ReachabilityIndex(program, max_states, targets=targets)
         visited = index.visited
         for cand in candidates:
             if not state_admissible(program, cand):
@@ -480,7 +527,7 @@ def family_deadlock_verdict(
         )
     program = Program.power(thread, cutoff, caps)
     try:
-        report = find_deadlocks(program, max_states)
+        report = _find_deadlocks(program, max_states, bounded=True)
     except SearchLimitExceeded as exc:
         return FamilyVerdict(
             "deadlock-freedom",

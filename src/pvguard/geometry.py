@@ -11,6 +11,7 @@ over-subscribing a single resource.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -78,21 +79,57 @@ class LatticePath:
     def validate(self, program: Program) -> None:
         """Raise unless every state is admissible and every step edge-admissible.
 
-        The point-use totals of each state are summed once and serve both its
-        state check and the check of the edge out of it."""
+        One pass keeps the point-use totals of the current state.  A unit step
+        changes one coordinate, so only its new value is range-checked and
+        only its two point-use entries move the totals; any other step
+        re-checks and re-sums the whole next state.  A bad state raises at
+        once; a bad step, else the first bad edge, raises after the pass, so
+        faults are reported as by checking all states, then all steps, then
+        all edges."""
+        states = self.states
+        if not states:
+            return
         kappa = program.kappa
-        totals = []
-        for state in self.states:
-            program.check_state(state)
-            tot = program.use_totals(state)
-            if any(t > cap for t, cap in zip(tot, kappa)):
-                raise PvError(f"path visits inadmissible state {state}")
-            totals.append(tot)
-        # every step raises its coordinate to at most ⊤ (the next state passed
-        # check_state), so no edge leaves a finished coordinate
-        for state, tot, coord in zip(self.states, totals, self.steps()):
-            if not _edge_ok(program, tot, state, coord):
-                raise PvError(f"path takes inadmissible edge {state} along {coord + 1}")
+        tops = program.tops
+        point = program._point_idx
+        request = program._request_idx
+        n = program.n
+        prev = states[0]
+        program.check_state(prev)
+        totals = program.use_totals(prev)
+        if any(t > cap for t, cap in zip(totals, kappa)):
+            raise PvError(f"path visits inadmissible state {prev}")
+        bad_step = False
+        bad_edge: Optional[tuple[State, int]] = None
+        for nxt in states[1:]:
+            diff = list(map(operator.sub, nxt, prev))
+            if len(nxt) == n and diff.count(0) == n - 1 and 1 in diff:
+                c = diff.index(1)
+                x = prev[c]
+                if x >= tops[c]:
+                    program.check_state(nxt)  # raises: coordinate c is past ⊤
+                if bad_edge is None:  # the edge rule of ``_edge_ok``, inlined
+                    r = request[c][x]
+                    if r is not None and totals[r] >= kappa[r]:
+                        bad_edge = (prev, c)
+                for r in point[c][x]:
+                    totals[r] -= 1
+                for r in point[c][x + 1]:
+                    totals[r] += 1
+                    if totals[r] > kappa[r]:
+                        raise PvError(f"path visits inadmissible state {nxt}")
+            else:
+                program.check_state(nxt)
+                totals = program.use_totals(nxt)
+                if any(t > cap for t, cap in zip(totals, kappa)):
+                    raise PvError(f"path visits inadmissible state {nxt}")
+                bad_step = True
+            prev = nxt
+        if bad_step:
+            raise ValueError("not a unit lattice step")
+        if bad_edge is not None:
+            state, coord = bad_edge
+            raise PvError(f"path takes inadmissible edge {state} along {coord + 1}")
 
 
 def path_from_steps(program: Program, start: State, steps: tuple[int, ...]) -> LatticePath:

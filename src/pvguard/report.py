@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .core import BOTTOM_LABEL, TOP_LABEL, Program, State, Thread
+from .core import BOTTOM_LABEL, TOP_LABEL, CapacityMap, Program, State, Thread
 from .deadlock import DeadlockReport, FamilyVerdict, WitnessPlan
 from .geometry import LatticePath, state_admissible
 from .serializability import ChoicePoint, ClassReport
@@ -99,13 +99,26 @@ def class_report_json(program: Program, report: ClassReport) -> dict:
     }
 
 
+def power_programs(thread: Thread, caps: CapacityMap) -> Callable[[State], Program]:
+    """The power of ``thread`` that a family verdict's state lives in, built
+    once per copy count."""
+    programs: dict[int, Program] = {}
+
+    def ctx(state: State) -> Program:
+        n = len(state)
+        program = programs.get(n)
+        if program is None:
+            program = programs[n] = Program.power(thread, n, caps)
+        return program
+
+    return ctx
+
+
 def family_verdict_json(
     verdict: FamilyVerdict, thread: Optional[Thread] = None, caps=None
 ) -> dict:
     # family verdict witnesses live in a power of the analyzed thread
-    def ctx(state: State) -> Program:
-        return Program.power(thread, len(state), caps)
-
+    ctx = power_programs(thread, caps)
     out = {
         "property": verdict.property_name,
         "verdict": verdict.verdict,

@@ -349,23 +349,23 @@ def local_choice_points(
     """All local choice points, in state order.  Candidates come from the
     acquire-state sweep shared with potential deadlocks
     (``deadlock._acquire_states``).  The reachable flag comes from a forward
-    search (skipped, and left None, when ``reachability`` is off).  Both are
+    search up to the ceiling of the candidates' orbits, read once per orbit
+    (skipped, and left None, when ``reachability`` is off).  Both are
     bounded by the symmetry-folded state count, the sweep also by its number
     of choice points."""
     guard_orbits(program, max_states)
     found = _acquire_states(program, _one_short, max_states)
     if not found:
         return []
-    index = ReachabilityIndex(program, max_states) if reachability else None
+    reached: dict[State, Optional[bool]] = dict.fromkeys(o for _, _, o in found)
+    if reachability:
+        index = ReachabilityIndex(program, max_states, targets=reached)
+        for orbit in reached:
+            reached[orbit] = index.is_reachable(orbit)
     names = program.resource_names
     return [
-        ChoicePoint(
-            state,
-            names[r],
-            contenders,
-            index.is_reachable(state) if index is not None else None,
-        )
-        for state, (r, contenders) in found
+        ChoicePoint(state, names[r], contenders, reached[orbit])
+        for state, (r, contenders), orbit in found
     ]
 
 

@@ -7,6 +7,7 @@ agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -15,15 +16,20 @@ from typing import Optional
 
 from pvguard import (
     CapacityMap,
+    ChoicePoint,
     ClassReport,
     ForbiddenRectangle,
     LatticePath,
     Program,
+    PvError,
     ReachabilityIndex,
     State,
     Thread,
+    edge_admissible,
     enumerate_dipaths,
+    find_deadlocks,
     forbidden_rectangles,
+    local_choice_points,
     path_from_steps,
     square_admissible,
     state_admissible,
@@ -256,6 +262,44 @@ def sorted_orbit_parents(program: Program) -> dict[State, tuple[State, int]]:
                 parents[key] = (state, coord)
                 queue.append(key)
     return parents
+
+
+def full_search_choice_points(program: Program) -> list[ChoicePoint]:
+    """``local_choice_points`` with every reachable flag read from a search
+    of the whole folded space."""
+    index = ReachabilityIndex(program)
+    return [
+        dataclasses.replace(cp, reachable=index.is_reachable(cp.state))
+        for cp in local_choice_points(program, reachability=False)
+    ]
+
+
+def full_search_deadlock_witnesses(
+    thread: Thread, caps: CapacityMap
+) -> tuple[State, ...]:
+    """The deadlocks of a family's cut-off instance (the capacity sum of the
+    used resources), found by ``find_deadlocks``, which searches the whole
+    folded space."""
+    cutoff = caps.restrict(thread.resources_used).total()
+    report = find_deadlocks(Program.power(thread, cutoff, caps))
+    return tuple(d.state for d in report.deadlocks)
+
+
+# ---------------------------------------------------------------------------
+# path validation in three passes
+
+
+def validate_three_pass(path: LatticePath, program: Program) -> None:
+    """``LatticePath.validate`` by three passes over the path: every state
+    (range, then admissibility), then every step, then every edge."""
+    for state in path.states:
+        program.check_state(state)
+        totals = program.use_totals(state)
+        if any(t > cap for t, cap in zip(totals, program.kappa)):
+            raise PvError(f"path visits inadmissible state {state}")
+    for state, coord in zip(path.states, path.steps()):
+        if not edge_admissible(program, state, coord):
+            raise PvError(f"path takes inadmissible edge {state} along {coord + 1}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import itertools
 import json
 
 import pytest
 
+from pvguard import Program
 from pvguard.cli import main
 
 EX3 = """\
@@ -275,6 +277,73 @@ def test_witness_lcp_closed_loop(capsys, tmp_path):
         for cp in doc["result"]["choice_points"]
     ]
     assert (4, 2, 2) in states
+
+
+def capacity_maps(low: int) -> list[tuple[int, ...]]:
+    """Every capacity map over 2-3 resources with values >= ``low`` and a
+    total of at most 6."""
+    return [
+        caps
+        for k in (2, 3)
+        for caps in itertools.product(range(low, 7), repeat=k)
+        if sum(caps) <= 6
+    ]
+
+
+def generated_witness(capsys, tmp_path, kind, caps):
+    """The generated source of a witness and its expected state."""
+    args = [f"{r}:{c}" for r, c in zip("abc", caps)]
+    code, doc, _ = run_json(capsys, "witness", kind, *args)
+    assert code == 0
+    src = tmp_path / f"{kind}.pv"
+    src.write_text(doc["result"]["source"])
+    return str(src), tuple(doc["result"]["expected_state"])
+
+
+def positions(state):
+    return tuple(c["position"] for c in state)
+
+
+@pytest.mark.parametrize("caps", capacity_maps(1), ids=str)
+def test_deadlock_witness_closes_the_loop(capsys, tmp_path, caps):
+    src, expected = generated_witness(capsys, tmp_path, "deadlock", caps)
+    code, doc, _ = run_json(capsys, "deadlocks", src)
+    assert code == 1
+    assert expected in [positions(d["state"]) for d in doc["result"]["deadlocks"]]
+    code, doc, _ = run_json(capsys, "family", src, "deadlock")
+    assert code == 1
+    assert doc["result"]["verdict"] == "no"
+    assert expected in [positions(w) for w in doc["result"]["witnesses"]]
+
+
+@pytest.mark.parametrize("caps", capacity_maps(2), ids=str)
+def test_choice_point_witness_closes_the_loop(capsys, tmp_path, caps):
+    src, expected = generated_witness(capsys, tmp_path, "lcp", caps)
+    code, doc, _ = run_json(capsys, "lcp", src)
+    assert code == 1
+    reachable = [
+        positions(cp["state"]) for cp in doc["result"]["choice_points"] if cp["reachable"]
+    ]
+    assert expected in reachable
+
+
+def test_family_output_builds_one_program_per_copy_count(capsys, tmp_path, monkeypatch):
+    src, _ = generated_witness(capsys, tmp_path, "lcp", (2, 2, 2))
+    built = []
+    post_init = Program.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Program, "__post_init__", counting)
+    code, doc, _ = run_json(capsys, "family", src, "serializability")
+    assert code == 4
+    cps = doc["result"]["choice_points"]
+    assert len(cps) == 17010
+    # the parsed 5-copy program, the 7-copy verdict instance, and one 7-copy
+    # program each for the JSON and the text rendering of 17,010 choice points
+    assert sorted(built) == [5, 7, 7, 7]
 
 
 def test_witness_json_mode(capsys):

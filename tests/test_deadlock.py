@@ -17,6 +17,7 @@ from pvguard import (
     family_deadlock_verdict,
     find_deadlocks,
     is_potential_deadlock,
+    local_choice_points,
     pad_top,
     potential_deadlocks,
     program_deadlock_verdict,
@@ -26,7 +27,11 @@ from pvguard import (
     successors,
 )
 
+from pvguard.deadlock import _find_deadlocks
+
 from conftest import (
+    full_search_choice_points,
+    full_search_deadlock_witnesses,
     make_caps,
     naive_deadlock_states,
     naive_potential_deadlocks,
@@ -268,6 +273,116 @@ def test_orbit_search_matches_sorting_oracle(prog):
     index = ReachabilityIndex(prog)
     assert list(index._parents.items()) == list(sorted_orbit_parents(prog).items())
     assert index.visited == len({sort_groups(prog, s) for s in reachable_states(prog)})
+
+
+@given(folding_programs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_bounded_search_matches_full_search(prog, seed):
+    rng = random.Random(seed)
+    full = ReachabilityIndex(prog)
+    grid = list(itertools.product(*(range(t + 1) for t in prog.tops)))
+    reached = list(full.canonical_states())
+    # reachable orbits, and any grid states, some unreachable or unsorted
+    targets = rng.sample(reached, min(len(reached), rng.randint(0, 2)))
+    targets += rng.sample(grid, rng.randint(0, 2))
+    bounded = ReachabilityIndex(prog, targets=targets)
+    ceiling = tuple(map(max, zip(prog.bottom, *(sort_groups(prog, t) for t in targets))))
+    assert bounded.ceiling == ceiling
+
+    def below(state):
+        return all(x <= c for x, c in zip(sort_groups(prog, state), ceiling))
+
+    # the down-set of the ceiling, in the same order with the same parents
+    assert list(bounded._parents.items()) == [
+        (key, parent) for key, parent in full._parents.items() if below(key)
+    ]
+    queries = targets + rng.sample(grid, min(len(grid), 60))
+    for state in queries:
+        if below(state):
+            assert bounded.is_reachable(state) == full.is_reachable(state)
+            path = bounded.witness(state)
+            expected = full.witness(state)
+            assert (path is None) == (expected is None)
+            assert path is None or path.states == expected.states
+        else:
+            with pytest.raises(ValueError, match="outside the search ceiling"):
+                bounded.is_reachable(state)
+            with pytest.raises(ValueError, match="outside the search ceiling"):
+                bounded.witness(state)
+
+
+@st.composite
+def deadlock_prone_programs(draw):
+    """Folding programs on 2-3 resources of capacity 1-2 with up to four
+    acquire/release pairs per thread, or the cut-off instance of a
+    deadlock-chain thread (``deadsharp_witness``), which deadlocks."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    resources = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    caps = CapacityMap(tuple((r, draw(st.integers(1, 2))) for r in resources))
+    kind = draw(st.sampled_from(["mixed", "power", "two-groups", "chain"]))
+    if kind == "chain":
+        chain = deadsharp_witness(caps).thread
+        return Program.power(chain, caps.total(), caps)
+    if kind == "two-groups":
+        return two_group_program(rng, resources, caps, (2, draw(st.integers(1, 2))), 3)
+    return random_program(rng, resources, caps, draw(st.integers(2, 4)), 4,
+                          identical=kind == "power")
+
+
+def test_bounded_engines_match_full_search_oracles():
+    seen = {"choice points": 0, "deadlocks": 0, "family no": 0, "family yes": 0}
+
+    @given(st.one_of(folding_programs(), deadlock_prone_programs()))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def check(prog):
+        cps = local_choice_points(prog)
+        assert cps == full_search_choice_points(prog)
+        # the bounded body gives the same deadlocks and witness paths
+        bounded = _find_deadlocks(prog, 10**8, bounded=True)
+        full = find_deadlocks(prog)
+        assert bounded.deadlocks == full.deadlocks
+        assert bounded.potential_deadlocks == full.potential_deadlocks
+        assert bounded.stats.visited <= full.stats.visited
+        thread = prog.threads[0]
+        verdict = family_deadlock_verdict(thread, prog.caps)
+        witnesses = full_search_deadlock_witnesses(thread, prog.caps)
+        assert verdict.verdict == ("no" if witnesses else "yes")
+        assert verdict.witnesses == witnesses
+        seen["choice points"] += bool(cps)
+        seen["deadlocks"] += bool(full.deadlocks)
+        seen["family " + verdict.verdict] += 1
+
+    check()
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_bounded_choice_points_keep_unreachable_flags():
+    # unreachable admissible choice points are rare in random programs; this
+    # one was found by search, and (1, 1, 6, 6) is one of them
+    prog = Program(
+        tuple(map(Thread.from_text, ["Pa Va Pb Vb", "Pc Pb Vc Vb",
+                                     "Pa Pc Pb Va Vc Pa Va Vb",
+                                     "Pa Va Pa Pb Vb Pc Va Vc"])),
+        KABC,
+    )
+    cps = local_choice_points(prog)
+    assert cps == full_search_choice_points(prog)
+    flags = {cp.state: cp.reachable for cp in cps}
+    assert flags[(1, 1, 6, 6)] is False
+    assert True in flags.values()
+
+
+def test_full_search_visits_every_reachable_orbit():
+    # deadlocks --json prints stats.visited, so find_deadlocks keeps the
+    # whole folded space while the family verdict stops at its ceiling
+    caps = make_caps(a=3, b=3, c=2)
+    plan = deadsharp_witness(caps)
+    program = Program.power(plan.thread, 8, caps)
+    report = find_deadlocks(program)
+    assert report.stats.visited == ReachabilityIndex(program).visited == 13408
+    bounded = ReachabilityIndex(program, targets=[plan.expected_state])
+    assert bounded.visited == 1000
+    assert _find_deadlocks(program, 10**8, bounded=True).deadlocks == report.deadlocks
 
 
 def test_reachability_index_witness_targets_exact_state():

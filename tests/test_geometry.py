@@ -1,7 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvguard import (
     CapacityMap,
@@ -28,6 +31,7 @@ from conftest import (
     random_program,
     reachable,
     reachable_states,
+    validate_three_pass,
 )
 
 T1 = Thread.from_text("Pa Pb Vb Va")
@@ -166,6 +170,102 @@ def test_lattice_path_validate_messages():
         LatticePath(edge).validate(prog)
 
 
+def nested_hold_thread(rng: random.Random, resources: list[str]) -> Thread:
+    """A thread whose holds nest: each block acquires a resource not held
+    around it, runs zero or more inner blocks, and releases it."""
+
+    def blocks(free: list[str], depth: int) -> list[str]:
+        out: list[str] = []
+        for _ in range(rng.randint(1, 2)):
+            if not free:
+                break
+            r = rng.choice(free)
+            inner = [x for x in free if x != r]
+            body = blocks(inner, depth - 1) if depth and rng.random() < 0.6 else []
+            out += [f"P{r}", *body, f"V{r}"]
+        return out
+
+    return Thread.from_text(" ".join(blocks(resources, 2)))
+
+
+def outcome(fn) -> tuple[str, str]:
+    try:
+        fn()
+    except (ValueError, PvError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", ""
+
+
+def mutate(rng: random.Random, program: Program, states: list, how: str) -> list:
+    """One fault at a random state: a coordinate bumped by one, dropped or
+    added, the state deleted, or a value out of range."""
+    states = list(states)
+    k = rng.randrange(len(states))
+    s = list(states[k])
+    c = rng.randrange(len(s))
+    if how == "bump":
+        s[c] += 1
+    elif how == "drop":
+        del s[c]
+    elif how == "add":
+        s.insert(c, rng.randint(0, 1))
+    elif how == "delete":
+        del states[k]
+        return states
+    elif how == "range":
+        s[c] = rng.choice([-1, program.tops[c] + 1])
+    states[k] = tuple(s)
+    return states
+
+
+def test_validate_matches_three_pass_oracle():
+    # random walks through nested-hold programs, mostly over admissible
+    # states, so that inadmissible edges show up next to inadmissible states
+    seen: Counter = Counter()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        # half the paths are left as walked
+        st.sampled_from(["none"] * 5 + ["bump", "drop", "add", "delete", "range"]),
+    )
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def check(seed, how):
+        rng = random.Random(seed)
+        resources = ["a", "b", "c"][: rng.randint(1, 3)]
+        caps = CapacityMap(tuple((r, rng.randint(1, 2)) for r in resources))
+        program = Program(
+            tuple(nested_hold_thread(rng, resources) for _ in range(rng.randint(2, 3))),
+            caps,
+        )
+        admissible = rng.choice([0.5, 0.9, 1.0])  # odds of an admissible step
+        state = program.bottom
+        states = [state]
+        for _ in range(rng.randint(0, sum(program.tops))):
+            moves = [c for c in range(program.n) if state[c] < program.tops[c]]
+            done = [c for c in range(program.n) if state[c] == program.tops[c]]
+            if done and (not moves or rng.random() < 0.05):
+                # a unit step past ⊤ ends the walk
+                c = rng.choice(done)
+                states.append(state[:c] + (state[c] + 1,) + state[c + 1 :])
+                break
+            nexts = [state[:c] + (state[c] + 1,) + state[c + 1 :] for c in moves]
+            fine = [s for s in nexts if state_admissible(program, s)]
+            state = rng.choice(fine if fine and rng.random() < admissible else nexts)
+            states.append(state)
+        if how != "none":
+            states = mutate(rng, program, states, how)
+        path = LatticePath(tuple(states))
+        got = outcome(lambda: path.validate(program))
+        assert got == outcome(lambda: validate_three_pass(path, program))
+        seen[got[1].split(" (")[0] if got[0] == "PvError" else got[0]] += 1
+
+    check()
+    # both capacity faults occur, so agreement on them is not vacuous
+    assert seen["path visits inadmissible state"] >= 10
+    assert seen["path takes inadmissible edge"] >= 10
+    assert seen["ValueError"] >= 10 and seen["ok"] >= 10
+
+
 def test_path_from_steps():
     p = path_from_steps(EX3, (0, 0), (0, 0, 1, 1))
     assert p.end == (2, 2)
@@ -194,7 +294,7 @@ def test_enumerate_matches_recursive_count():
     for _ in range(25):
         caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 2))))
         prog = random_program(rng, ["a", "b"], caps, 2, 3,
-                              identical=rng.random() < 0.5)
+                              identical=rng.random() < 0.6)
         assert naive_count_dipaths(prog) == sum(
             1 for _ in enumerate_dipaths(prog))
 

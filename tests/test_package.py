@@ -1,5 +1,6 @@
-"""Package surface: the public names and the shipped demos."""
+"""Package surface: the public names, the shipped demos, and the one search."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pvguard import Program, ReachabilityIndex, deadsharp_witness
 from pvguard import deadlock, geometry, serializability
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pvguard"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Reference oracles kept in tests/conftest.py, and a deleted alias; none of
@@ -56,6 +58,38 @@ def test_demo_runs(demo):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def takes_front(node) -> bool:
+    """``q.popleft()`` or ``q.pop(0)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    if node.func.attr == "popleft":
+        return True
+    return node.func.attr == "pop" and [ast.dump(a) for a in node.args] == [
+        ast.dump(ast.Constant(0))
+    ]
+
+
+def test_one_breadth_first_search():
+    # a breadth-first search is a loop that takes states off a queue's front;
+    # ReachabilityIndex._search is the only one, the ceiling included
+    loops = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.ClassDef)]
+        scopes.append(("", tree))
+        for prefix, scope in scopes:
+            for fn in scope.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = f"{prefix}.{fn.name}" if prefix else fn.name
+                for loop in ast.walk(fn):
+                    if isinstance(loop, ast.While) and any(
+                        takes_front(call) for call in ast.walk(loop)
+                    ):
+                        loops.append(f"{path.stem}.{name}")
+    assert loops == ["deadlock.ReachabilityIndex._search"]
 
 
 def test_folded_engines_skip_per_state_checks(monkeypatch):
