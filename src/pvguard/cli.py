@@ -202,8 +202,7 @@ def _cmd_family(args) -> int:
 def _cmd_classes(args) -> int:
     raw, model = _load(args.file)
     name, program = _pick_program(model, args.program)
-    limit = args.limit if args.limit is not None else args.max_states
-    rep = dihomotopy_classes(program, limit)
+    rep = dihomotopy_classes(program, args.max_states)
     result = {"program": name, **report.class_report_json(program, rep)}
     text = [
         f"program {name}: {rep.class_count} execution class(es), "
@@ -347,9 +346,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", help="execution classes up to square swaps")
     common(p)
     p.add_argument("program", nargs="?", help="program name (default: the only one)")
-    p.add_argument(
-        "--limit", type=_positive_int, help="class pair bound (default: max-states)"
-    )
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("lcp", help="find local choice points of a program")

@@ -240,11 +240,13 @@ def _orbit_size(groups: Sequence[Sequence[int]], state: State) -> int:
 def _hit_orbits(
     program: Program,
     leaf: Callable[[Sequence[int], list[int], list[Optional[int]]], object],
+    max_states: int,
 ) -> list[State]:
     """The candidate sweep shared by potential deadlocks and local choice
     points, over orbits: the group-sorted states other than ⊤ whose
     coordinates each stand at an acquire or at ⊤ and on which
-    ``leaf(kappa, totals, requests)`` is truthy, in sweep order.
+    ``leaf(kappa, totals, requests)`` is truthy, in sweep order.  Bounded
+    by the symmetry-folded state count (``guard_orbits``).
 
     Within each identity group the sweep places only non-decreasing
     positions, and takes the product across groups.  It keeps the point-use
@@ -254,6 +256,7 @@ def _hit_orbits(
     leaf is truthy must not depend on the order of coordinates within a
     group.
     """
+    guard_orbits(program, max_states)
     n = program.n
     kappa = program.kappa
     request = program._request_idx
@@ -293,40 +296,36 @@ def _hit_orbits(
     return hits
 
 
-def _acquire_states(
-    program: Program,
-    leaf: Callable[[Sequence[int], list[int], list[Optional[int]]], object],
-    max_states: int,
-) -> list[tuple[State, object, State]]:
-    """The hits of the orbit sweep (``_hit_orbits``) as concrete states: each
-    orbit is expanded into its distinct states, and only the leaf's payload
-    is recomputed for each.  Raises :class:`SearchLimitExceeded`, before
-    expanding, when they are more than ``max_states``.  Returns the
-    (state, hit, orbit) triples sorted by state.
-    """
-    hits = _hit_orbits(program, leaf)
-    groups = program._groups
-    size = sum(_orbit_size(groups, hit) for hit in hits)
-    if size > max_states:
-        raise SearchLimitExceeded(
-            max_states, f"concrete candidate states ({size} needed)"
-        )
+def _orbit_members(
+    program: Program, orbits: Iterable[State]
+) -> list[tuple[State, State]]:
+    """The concrete states the ``orbits`` stand for: each orbit is expanded
+    into its distinct states, permuting values within identity groups.
+    Returns (state, orbit) pairs sorted by state."""
     n = program.n
-    kappa = program.kappa
-    request = program._request_idx
-    found: list[tuple[State, object, State]] = []
-    for hit in hits:
-        totals = program.use_totals(hit)
-        arrangements = [_distinct_permutations([hit[i] for i in g]) for g in groups]
+    groups = program._groups
+    found: list[tuple[State, State]] = []
+    for orbit in orbits:
+        arrangements = [_distinct_permutations([orbit[i] for i in g]) for g in groups]
         for combo in itertools.product(*arrangements):
             out = [0] * n
             for g, values in zip(groups, combo):
                 for i, v in zip(g, values):
                     out[i] = v
-            requests = [request[i][x] for i, x in enumerate(out)]
-            found.append((tuple(out), leaf(kappa, totals, requests), hit))
+            found.append((tuple(out), orbit))
     found.sort(key=operator.itemgetter(0))
     return found
+
+
+def _guard_members(program: Program, orbits: Iterable[State], max_states: int) -> None:
+    """Raise :class:`SearchLimitExceeded`, before anything is expanded, when
+    the candidate ``orbits`` stand for more than ``max_states`` concrete
+    states."""
+    size = sum(_orbit_size(program._groups, orbit) for orbit in orbits)
+    if size > max_states:
+        raise SearchLimitExceeded(
+            max_states, f"concrete candidate states ({size} needed)"
+        )
 
 
 def _requests(program: Program, state: State) -> Optional[list[Optional[int]]]:
@@ -356,13 +355,14 @@ def potential_deadlocks(
 
     Reachability and admissibility are not required: a potential deadlock may
     lie inside the forbidden region.  Candidates come from the shared
-    acquire-state sweep (``_acquire_states``).  Results are sorted.  Raises
-    :class:`SearchLimitExceeded` when the symmetry-folded state space, or the
-    number of results, exceeds ``max_states``.
+    acquire-state sweep (``_hit_orbits``), expanded by ``_orbit_members``.
+    Results are sorted.  Raises :class:`SearchLimitExceeded` when the
+    symmetry-folded state space, or the number of results, exceeds
+    ``max_states``.
     """
-    guard_orbits(program, max_states)
-    found = _acquire_states(program, _requests_full, max_states)
-    return [state for state, _, _ in found]
+    hits = _hit_orbits(program, _requests_full, max_states)
+    _guard_members(program, hits, max_states)
+    return [state for state, _ in _orbit_members(program, hits)]
 
 
 def is_potential_deadlock(program: Program, state: State) -> bool:
@@ -403,29 +403,47 @@ def find_deadlocks(
 ) -> DeadlockReport:
     """All deadlocks of the program, each with a validated witness path.
 
-    Candidates come from the potential-deadlock sieve; reachability is then
-    decided by one forward search.  Both are bounded by the symmetry-folded
-    state count (:meth:`Program.orbit_states`), the sieve also by its number
-    of candidates.  So are, before either runs, the states of the witness
-    paths the admissible candidates would need, counted on the sieve's
-    orbits (a path to a state has its coordinate sum plus one states).
-    Every reported deadlock is re-checked: it must have no successors and
-    its witness path must be admissible.  The search covers the whole
-    folded space, so ``stats.visited`` counts every reachable orbit.
+    The deadlocks are decided once per orbit (``_deadlock_orbits``), then
+    expanded into their concrete states, and every concrete witness path is
+    rebuilt and validated.  The search covers the whole folded space, so
+    ``stats.visited`` counts every reachable orbit.
     """
-    return _find_deadlocks(program, max_states, bounded=False)
+    candidates, orbits, index = _deadlock_orbits(program, max_states, bounded=False)
+    deadlocks: list[Deadlock] = []
+    for state, _ in _orbit_members(program, orbits):
+        witness = index.witness(state)
+        assert witness is not None and witness.end == state
+        witness.validate(program)
+        deadlocks.append(Deadlock(state, witness))
+    potential = tuple(state for state, _ in _orbit_members(program, candidates))
+    stats = SearchStats(
+        threads=program.n,
+        grid_states=program.grid_states(),
+        candidates=len(potential),
+        visited=index.visited if index is not None else 0,
+        max_states=max_states,
+    )
+    return DeadlockReport(tuple(deadlocks), potential, stats)
 
 
-def _find_deadlocks(program: Program, max_states: int, bounded: bool) -> DeadlockReport:
-    """The body of :func:`find_deadlocks`.  With ``bounded`` the search stops
-    at the ceiling of the admissible candidate orbits, which gives the same
-    deadlocks and witness paths; only ``stats.visited`` is smaller."""
-    guard_orbits(program, max_states)
-    admissible = [
-        hit
-        for hit in _hit_orbits(program, _requests_full)
-        if state_admissible(program, hit)
-    ]
+def _deadlock_orbits(
+    program: Program, max_states: int, bounded: bool
+) -> tuple[list[State], list[State], Optional[ReachabilityIndex]]:
+    """The potential-deadlock orbits, the deadlock orbits among them, and the
+    reachability index (None without candidates).  Permuting identical
+    copies leaves the program unchanged, so being admissible, reachable and
+    without successors are orbit properties, decided once per orbit with one
+    validated witness chain.
+
+    Bounded by the symmetry-folded state count, then, before the search, by
+    the states of the witness paths to the admissible candidates (a path to
+    a state has its coordinate sum plus one states) and by the concrete
+    candidates, both counted on the orbits.  With ``bounded`` the search
+    stops at the ceiling of the admissible orbits: same deadlocks, fewer
+    orbits visited.
+    """
+    hits = _hit_orbits(program, _requests_full, max_states)
+    admissible = [hit for hit in hits if state_admissible(program, hit)]
     path_states = sum(
         _orbit_size(program._groups, hit) * (sum(hit) + 1) for hit in admissible
     )
@@ -433,41 +451,26 @@ def _find_deadlocks(program: Program, max_states: int, bounded: bool) -> Deadloc
         raise SearchLimitExceeded(
             max_states, f"witness-path states ({path_states} needed)"
         )
-    candidates = potential_deadlocks(program, max_states)
-    visited = 0
-    deadlocks: list[Deadlock] = []
-    if candidates:
-        targets = admissible if bounded else None
-        index = ReachabilityIndex(program, max_states, targets=targets)
-        visited = index.visited
-        for cand in candidates:
-            if not state_admissible(program, cand):
-                continue
-            if not index.is_reachable(cand):
-                continue
-            witness = index.witness(cand)
-            assert witness is not None and witness.end == cand
-            witness.validate(program)
-            if successors(program, cand):
-                raise PvError(f"claimed deadlock {cand} has successors")
-            deadlocks.append(Deadlock(cand, witness))
-    stats = SearchStats(
-        threads=program.n,
-        grid_states=program.grid_states(),
-        candidates=len(candidates),
-        visited=visited,
-        max_states=max_states,
-    )
-    return DeadlockReport(tuple(deadlocks), tuple(candidates), stats)
+    _guard_members(program, hits, max_states)
+    targets = admissible if bounded else None
+    index = ReachabilityIndex(program, max_states, targets=targets) if hits else None
+    deadlocks: list[State] = []
+    for hit in admissible:
+        witness = index.witness(hit)
+        if witness is None:
+            continue
+        witness.validate(program)
+        if successors(program, hit):
+            raise PvError(f"claimed deadlock {hit} has successors")
+        deadlocks.append(hit)
+    return hits, deadlocks, index
 
 
-def pad_top(state: State, extra_tops: Sequence[int]) -> State:
-    """Extend a state with already-finished coordinates.
-
-    Appending threads parked at ⊤ preserves deadlocks: finished coordinates
-    hold nothing and request nothing.
-    """
-    return tuple(state) + tuple(extra_tops)
+def _deadlock_states(program: Program, max_states: int) -> tuple[State, ...]:
+    """The deadlocks of the program, sorted, without witness paths: the
+    search stops at the ceiling of the candidates."""
+    _, orbits, _ = _deadlock_orbits(program, max_states, bounded=True)
+    return tuple(state for state, _ in _orbit_members(program, orbits))
 
 
 def scatter_state(
@@ -527,7 +530,7 @@ def family_deadlock_verdict(
         )
     program = Program.power(thread, cutoff, caps)
     try:
-        report = _find_deadlocks(program, max_states, bounded=True)
+        witnesses = _deadlock_states(program, max_states)
     except SearchLimitExceeded as exc:
         return FamilyVerdict(
             "deadlock-freedom",
@@ -536,14 +539,14 @@ def family_deadlock_verdict(
             "search-limit",
             f"cut-off instance too large: {exc}",
         )
-    if report.deadlocks:
+    if witnesses:
         return FamilyVerdict(
             "deadlock-freedom",
             "no",
             cutoff,
             "deadlock-cutoff",
-            f"{len(report.deadlocks)} deadlock(s) in the {cutoff}-copy instance",
-            witnesses=tuple(d.state for d in report.deadlocks),
+            f"{len(witnesses)} deadlock(s) in the {cutoff}-copy instance",
+            witnesses=witnesses,
             manifests_at_n=cutoff,
         )
     return FamilyVerdict(
@@ -570,15 +573,15 @@ def program_deadlock_verdict(
         used_names |= t.resources_used
     cutoff = deadlock_cutoff(program.caps.restrict(used_names))
     if program.n <= cutoff:
-        report = find_deadlocks(program, max_states)
-        if report.deadlocks:
+        witnesses = _deadlock_states(program, max_states)
+        if witnesses:
             return FamilyVerdict(
                 "deadlock-freedom",
                 "no",
                 cutoff,
                 "direct-search",
-                f"{len(report.deadlocks)} deadlock(s) found",
-                witnesses=tuple(d.state for d in report.deadlocks),
+                f"{len(witnesses)} deadlock(s) found",
+                witnesses=witnesses,
                 manifests_at_n=program.n,
             )
         return FamilyVerdict(
@@ -591,11 +594,9 @@ def program_deadlock_verdict(
             continue
         seen.add(key)
         sub = Program(tuple(program.threads[i] for i in indices), program.caps)
-        report = find_deadlocks(sub, max_states)
-        if report.deadlocks:
-            witnesses = tuple(
-                scatter_state(d.state, indices, program) for d in report.deadlocks
-            )
+        found = _deadlock_states(sub, max_states)
+        if found:
+            witnesses = tuple(scatter_state(s, indices, program) for s in found)
             return FamilyVerdict(
                 "deadlock-freedom",
                 "no",

@@ -115,11 +115,11 @@ def power_programs(thread: Thread, caps: CapacityMap) -> Callable[[State], Progr
 
 
 def family_verdict_json(
-    verdict: FamilyVerdict, thread: Optional[Thread] = None, caps=None
+    verdict: FamilyVerdict, thread: Thread, caps: CapacityMap
 ) -> dict:
     # family verdict witnesses live in a power of the analyzed thread
     ctx = power_programs(thread, caps)
-    out = {
+    return {
         "property": verdict.property_name,
         "verdict": verdict.verdict,
         "cutoff": verdict.cutoff,
@@ -131,7 +131,6 @@ def family_verdict_json(
             choice_point_json(ctx(cp.state), cp) for cp in verdict.choice_points
         ],
     }
-    return out
 
 
 def witness_plan_json(plan: WitnessPlan) -> dict:

@@ -28,8 +28,10 @@ from .deadlock import (
     FamilyVerdict,
     ReachabilityIndex,
     WitnessPlan,
-    _acquire_states,
     _chain_actions,
+    _guard_members,
+    _hit_orbits,
+    _orbit_members,
     _requests,
     is_potential_deadlock,
     potential_deadlocks,
@@ -38,7 +40,6 @@ from .geometry import (
     DEFAULT_MAX_STATES,
     LatticePath,
     guard_grid,
-    guard_orbits,
     path_from_steps,
     square_admissible,
     successors,
@@ -346,27 +347,31 @@ def local_choice_points(
     max_states: int = DEFAULT_MAX_STATES,
     reachability: bool = True,
 ) -> list[ChoicePoint]:
-    """All local choice points, in state order.  Candidates come from the
-    acquire-state sweep shared with potential deadlocks
-    (``deadlock._acquire_states``).  The reachable flag comes from a forward
-    search up to the ceiling of the candidates' orbits, read once per orbit
-    (skipped, and left None, when ``reachability`` is off).  Both are
-    bounded by the symmetry-folded state count, the sweep also by its number
-    of choice points."""
-    guard_orbits(program, max_states)
-    found = _acquire_states(program, _one_short, max_states)
-    if not found:
-        return []
-    reached: dict[State, Optional[bool]] = dict.fromkeys(o for _, _, o in found)
-    if reachability:
-        index = ReachabilityIndex(program, max_states, targets=reached)
-        for orbit in reached:
+    """All local choice points, in state order.  Candidate orbits come from
+    the acquire-state sweep shared with potential deadlocks
+    (``deadlock._hit_orbits``); the leaf is re-read on each of their
+    concrete states, whose order fixes the contenders.  The reachable flag
+    comes from a forward search up to the ceiling of the orbits, read once
+    per orbit (skipped, and left None, when ``reachability`` is off).  Both
+    are bounded by the symmetry-folded state count, the sweep also by its
+    number of choice points."""
+    hits = _hit_orbits(program, _one_short, max_states)
+    _guard_members(program, hits, max_states)
+    reached: dict[State, Optional[bool]] = dict.fromkeys(hits)
+    if hits and reachability:
+        index = ReachabilityIndex(program, max_states, targets=hits)
+        for orbit in hits:
             reached[orbit] = index.is_reachable(orbit)
+    kappa = program.kappa
+    request = program._request_idx
     names = program.resource_names
-    return [
-        ChoicePoint(state, names[r], contenders, reached[orbit])
-        for state, (r, contenders), orbit in found
-    ]
+    totals = {orbit: program.use_totals(orbit) for orbit in hits}
+    out = []
+    for state, orbit in _orbit_members(program, hits):
+        requests = [request[i][x] for i, x in enumerate(state)]
+        r, contenders = _one_short(kappa, totals[orbit], requests)
+        out.append(ChoicePoint(state, names[r], contenders, reached[orbit]))
+    return out
 
 
 def lcp_cutoff(caps: CapacityMap) -> int:

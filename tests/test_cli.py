@@ -219,7 +219,7 @@ def test_classes_not_serializable(capsys, tmp_path):
 def test_classes_limit_overflow(capsys, tmp_path):
     f = tmp_path / "pv3.pv"
     f.write_text("resource a cap 1\nthread T = Pa Va\nprogram m = T^3\n")
-    code, out, err = run(capsys, "classes", str(f), "--limit", "2")
+    code, out, err = run(capsys, "classes", str(f), "--max-states", "2")
     assert code == 3
     assert "bound" in err
 
@@ -392,8 +392,8 @@ def test_potential_mode_honours_max_states(capsys, ex3):
     [
         ("deadlocks", "--max-states", "-5"),
         ("lcp", "--max-states", "0"),
-        ("classes", "--limit", "0"),
-        ("classes", "--limit", "-1"),
+        ("classes", "--max-states", "0"),
+        ("classes", "--max-states", "-1"),
     ],
 )
 def test_bounds_below_one_are_usage_errors(capsys, ex3, argv):
@@ -402,6 +402,14 @@ def test_bounds_below_one_are_usage_errors(capsys, ex3, argv):
         main([command, ex3, *flags])
     assert e.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_classes_has_no_second_bound(capsys, ex3):
+    # --max-states is the one bound of classes
+    with pytest.raises(SystemExit) as e:
+        main(["classes", ex3, "--limit", "2"])
+    assert e.value.code == 2
+    assert "--limit" in capsys.readouterr().err
 
 
 def test_family_unit_capacities_bound_is_inconclusive(capsys, ex3):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -18,7 +19,6 @@ from pvguard import (
     find_deadlocks,
     is_potential_deadlock,
     local_choice_points,
-    pad_top,
     potential_deadlocks,
     program_deadlock_verdict,
     scatter_state,
@@ -27,7 +27,9 @@ from pvguard import (
     successors,
 )
 
-from pvguard.deadlock import _find_deadlocks
+from pvguard import deadlock
+from pvguard.deadlock import _deadlock_orbits, _deadlock_states
+from pvguard.geometry import LatticePath
 
 from conftest import (
     full_search_choice_points,
@@ -337,12 +339,15 @@ def test_bounded_engines_match_full_search_oracles():
     def check(prog):
         cps = local_choice_points(prog)
         assert cps == full_search_choice_points(prog)
-        # the bounded body gives the same deadlocks and witness paths
-        bounded = _find_deadlocks(prog, 10**8, bounded=True)
+        # the bounded body decides the same candidate and deadlock orbits,
+        # and visits no more orbits than the full search
+        hits, orbits, index = _deadlock_orbits(prog, 10**8, bounded=True)
+        full_hits, full_orbits, full_index = _deadlock_orbits(prog, 10**8, bounded=False)
+        assert (hits, orbits) == (full_hits, full_orbits)
+        if index is not None:
+            assert index.visited <= full_index.visited
         full = find_deadlocks(prog)
-        assert bounded.deadlocks == full.deadlocks
-        assert bounded.potential_deadlocks == full.potential_deadlocks
-        assert bounded.stats.visited <= full.stats.visited
+        assert _deadlock_states(prog, 10**8) == tuple(d.state for d in full.deadlocks)
         thread = prog.threads[0]
         verdict = family_deadlock_verdict(thread, prog.caps)
         witnesses = full_search_deadlock_witnesses(thread, prog.caps)
@@ -382,7 +387,33 @@ def test_full_search_visits_every_reachable_orbit():
     assert report.stats.visited == ReachabilityIndex(program).visited == 13408
     bounded = ReachabilityIndex(program, targets=[plan.expected_state])
     assert bounded.visited == 1000
-    assert _find_deadlocks(program, 10**8, bounded=True).deadlocks == report.deadlocks
+    assert _deadlock_orbits(program, 10**8, bounded=True)[2].visited == 1000
+    verdict = family_deadlock_verdict(plan.thread, caps)
+    assert verdict.witnesses == full_search_deadlock_witnesses(plan.thread, caps)
+    assert verdict.witnesses == tuple(d.state for d in report.deadlocks)
+
+
+def test_deadlocks_are_decided_once_per_orbit(monkeypatch):
+    # the (3,3,2) chain at n=8 has 560 deadlocks, all in one orbit: one sweep
+    # per call, and the verdicts validate one witness chain, not 560 paths
+    caps = make_caps(a=3, b=3, c=2)
+    plan = deadsharp_witness(caps)
+    program = Program.power(plan.thread, 8, caps)
+    sweeps, validations = [], []
+    sweep, validate = deadlock._hit_orbits, LatticePath.validate
+    monkeypatch.setattr(deadlock, "_hit_orbits",
+                        lambda *args: sweeps.append(1) or sweep(*args))
+    monkeypatch.setattr(LatticePath, "validate",
+                        lambda path, prog: validations.append(1) or validate(path, prog))
+    assert len(find_deadlocks(program).deadlocks) == 560
+    assert len(sweeps) == 1
+    sweeps.clear()
+    validations.clear()
+    assert len(family_deadlock_verdict(plan.thread, caps).witnesses) == 560
+    assert (len(sweeps), len(validations)) == (1, 1)
+    validations.clear()
+    assert len(program_deadlock_verdict(program).witnesses) == 560
+    assert len(validations) == 1
 
 
 def test_reachability_index_witness_targets_exact_state():
@@ -395,7 +426,6 @@ def test_reachability_index_witness_targets_exact_state():
 
 
 def test_pad_and_scatter():
-    assert pad_top((2, 2), (5, 5)) == (2, 2, 5, 5)
     prog = Program.power(T1, 4, K11)
     assert scatter_state((2, 3), (1, 3), prog) == (5, 2, 5, 3)
 
@@ -468,6 +498,37 @@ def test_program_verdict_subprogram_clean():
     v = program_deadlock_verdict(prog)
     assert v.rule == "subprogram-cutoff"
     assert v.verdict == "yes"
+
+
+def test_program_verdict_matches_naive_search():
+    seen = collections.Counter()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["mixed", "two-groups"]),
+           st.integers(2, 4), st.integers(1, 2))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def check(seed, kind, n, cap_b):
+        rng = random.Random(seed)
+        caps = make_caps(a=1, b=cap_b)
+        if kind == "two-groups":
+            prog = two_group_program(rng, ["a", "b"], caps, (2, max(n - 2, 1)), 4)
+        else:
+            prog = random_program(rng, ["a", "b"], caps, n, 4)
+        naive = naive_deadlock_states(prog)
+        v = program_deadlock_verdict(prog)
+        if v.rule == "direct-search":
+            # n at most the cut-off: the program itself is searched
+            assert v.witnesses == tuple(sorted(naive))
+        else:
+            # larger programs: a deadlocked sub-program, padded with
+            # finished copies, is a deadlock of the whole program
+            assert v.rule == "subprogram-cutoff"
+            assert (v.verdict == "no") == bool(naive)
+            assert set(v.witnesses) <= naive
+        seen[v.rule, v.verdict] += 1
+
+    check()
+    routes = [(r, v) for r in ("direct-search", "subprogram-cutoff") for v in ("no", "yes")]
+    assert all(seen[key] >= 5 for key in routes), seen
 
 
 def test_deadsharp_witness_pair():
