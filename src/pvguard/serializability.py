@@ -13,6 +13,7 @@ Three decision routes are implemented:
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -41,8 +42,6 @@ from .geometry import (
     LatticePath,
     guard_grid,
     path_from_steps,
-    square_admissible,
-    successors,
 )
 
 
@@ -115,40 +114,6 @@ class ClassReport:
     serializable: bool
 
 
-class _Unions:
-    """Union-find keeping the lexicographically least payload per root."""
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.least: dict[int, tuple] = {}
-
-    def add(self, x: int, payload: tuple) -> None:
-        if x in self.parent:
-            if payload < self.least[self.find(x)]:
-                self.least[self.find(x)] = payload
-        else:
-            self.parent[x] = x
-            self.least[x] = payload
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.least[rb] < self.least[ra]:
-            self.least[ra] = self.least[rb]
-
-
 def dihomotopy_classes(
     program: Program, limit: int = DEFAULT_MAX_STATES
 ) -> ClassReport:
@@ -163,85 +128,120 @@ def dihomotopy_classes(
     representative of a class extends the least representative of one of
     its prefix classes.
 
-    Raises the search limit signal when the number of (class, coordinate)
-    pairs at some level exceeds ``limit``.
+    Each level numbers its classes in lexicographic order of their least
+    representatives and indexes its pairs by class, then coordinate, so a
+    pair's index sorts like that representative followed by the coordinate:
+    unions keeping the smaller root keep each set's least representative at
+    its root, and a class needs only its root's back pointer.  Steps and
+    squares are tabled once per end state; serial executions advance as a
+    frontier of (class, thread running its block) pairs.
+
+    Raises the search limit signal as soon as the number of (class,
+    coordinate) pairs at some level exceeds ``limit``.
     """
     guard_grid(program, limit)
     n = program.n
-    total_steps = sum(program.tops)
+    tops = program.tops
+    kappa = program.kappa
+    point = program._point_idx
+    request = program._request_idx
 
-    # per level: ends[class_id] = end state, reps[class_id] = least steps,
-    # trans[(class_id, coord)] = class id at the next level
-    ends: list[State] = [program.bottom]
-    reps: list[tuple[int, ...]] = [()]
-    all_trans: list[dict[tuple[int, int], int]] = []
-    prev_trans: dict[tuple[int, int], int] = {}
-    prev_ends: list[State] = []
+    def table(state: State) -> tuple:
+        # (state, steps, offset per coordinate or -1, squares (a, b, i, j) as
+        # offsets a < b and coordinates).  Reached states are admissible: a
+        # step is blocked iff its resource is full, a square iff both steps
+        # request one resource with fewer than two free slots
+        totals = [0] * len(kappa)
+        for held, x in zip(point, state):
+            for r in held[x]:
+                totals[r] += 1
+        steps, asks, offsets = [], [], [-1] * n
+        for c, x in enumerate(state):
+            if x < tops[c]:
+                r = request[c][x]
+                if r is None or totals[r] < kappa[r]:
+                    offsets[c] = len(steps)
+                    steps.append(c)
+                    asks.append(r)
+        squares = [
+            (a, b, steps[a], steps[b])
+            for b, rb in enumerate(asks)
+            for a in range(b)
+            if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]
+        ]
+        return state, steps, offsets, squares
 
-    for level in range(1, total_steps + 1):
-        pairs: list[tuple[int, int]] = []
-        pair_id: dict[tuple[int, int], int] = {}
-        uf = _Unions()
-        for cid, end in enumerate(ends):
-            for coord, _ in successors(program, end):
-                key = (cid, coord)
-                pair_id[key] = len(pairs)
-                pairs.append(key)
-                uf.add(pair_id[key], reps[cid] + (coord,))
-        if len(pairs) > limit:
-            raise SearchLimitExceeded(limit, "execution class pairs")
+    tabs = [table(program.bottom)]  # per class: its end state's table
+    # two levels down: tables and pair offsets; one down: pair -> class id
+    prev_tabs, prev_start, cls = [], [], []
+    links = []  # per level, per class: its root's previous class * n + coord
+    serial = {(0, -1)}
+    for _ in range(sum(tops)):
+        start, size = [], 0
+        for tab in tabs:
+            start.append(size)
+            size += len(tab[1])
+            if size > limit:
+                raise SearchLimitExceeded(limit, "execution class pairs")
         # merge across admissible squares rooted two levels down
-        for did, dend in enumerate(prev_ends):
-            outs = [c for c in range(n) if (did, c) in prev_trans]
-            for i, j in itertools.combinations(outs, 2):
-                if not square_admissible(program, dend, i, j):
-                    continue
-                ci = prev_trans[(did, i)]
-                cj = prev_trans[(did, j)]
-                uf.union(pair_id[(ci, j)], pair_id[(cj, i)])
-        roots = sorted({uf.find(p) for p in range(len(pairs))}, key=lambda r: uf.least[r])
-        root_to_cid = {r: k for k, r in enumerate(roots)}
-        new_ends: list[State] = []
-        new_reps: list[tuple[int, ...]] = []
-        for r in roots:
-            cid, coord = pairs[r]
-            state = list(ends[cid])
-            state[coord] += 1
-            new_ends.append(tuple(state))
-            new_reps.append(uf.least[r])
-        trans = {
-            pairs[p]: root_to_cid[uf.find(p)] for p in range(len(pairs))
-        }
-        all_trans.append(trans)
-        prev_ends, prev_trans = ends, trans
-        ends, reps = new_ends, new_reps
+        parent = list(range(size))
+        for did, tab in enumerate(prev_tabs):
+            base = prev_start[did]
+            for a, b, i, j in tab[3]:
+                ci = cls[base + a]
+                cj = cls[base + b]
+                x = start[ci] + tabs[ci][2][j]
+                y = start[cj] + tabs[cj][2][i]
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+        # number the roots in index order; parent[p] <= p is numbered first
+        level: dict[State, tuple] = {}  # the next level's tables
+        new_tabs, link = [], array("q")
+        p = 0
+        for cid, (state, steps, _, _) in enumerate(tabs):
+            for c in steps:
+                q = parent[p]
+                if q == p:
+                    parent[p] = len(new_tabs)
+                    nxt = state[:c] + (state[c] + 1,) + state[c + 1 :]
+                    if nxt not in level:
+                        level[nxt] = table(nxt)
+                    new_tabs.append(level[nxt])
+                    link.append(cid * n + c)
+                else:
+                    parent[p] = parent[q]
+                p += 1
+        advanced = set()
+        for cid, t in serial:
+            state, _, offsets, _ = tabs[cid]
+            # mid-block only t steps; between blocks the rest are at ⊥ or ⊤
+            for c in (t,) if t >= 0 and state[t] < tops[t] else range(n):
+                if offsets[c] >= 0:
+                    advanced.add((parent[start[cid] + offsets[c]], c))
+        serial = advanced
+        prev_tabs, prev_start, cls, tabs = tabs, start, parent, new_tabs
+        links.append(link)
 
-    assert all(e == program.top for e in ends)
-    class_count = len(ends)
-    representatives = tuple(
-        path_from_steps(program, program.bottom, steps) for steps in reps
-    )
-
-    serial_ids = set()
-    for order in serial_orders(program):
-        cid = 0
-        ok = True
-        for level, c in enumerate(
-            coord for c0 in order for coord in [c0] * program.tops[c0]
-        ):
-            nxt = all_trans[level].get((cid, c))
-            if nxt is None:
-                ok = False
-                break
-            cid = nxt
-        if ok:
-            serial_ids.add(cid)
-    covered = len(serial_ids)
+    assert all(tab[0] == program.top for tab in tabs)
+    representatives = []
+    for k in range(len(tabs)):
+        steps = []
+        for link in reversed(links):
+            k, c = divmod(link[k], n)
+            steps.append(c)
+        path = path_from_steps(program, program.bottom, tuple(reversed(steps)))
+        representatives.append(path)
+    covered = len({cid for cid, _ in serial})
     return ClassReport(
-        class_count=class_count,
-        representatives=representatives,
+        class_count=len(tabs),
+        representatives=tuple(representatives),
         serial_classes_covered=covered,
-        serializable=class_count == covered,
+        serializable=len(tabs) == covered,
     )
 
 

@@ -23,6 +23,7 @@ from pvguard import (
     Program,
     PvError,
     ReachabilityIndex,
+    SearchLimitExceeded,
     State,
     Thread,
     edge_admissible,
@@ -31,11 +32,12 @@ from pvguard import (
     forbidden_rectangles,
     local_choice_points,
     path_from_steps,
+    serial_orders,
     square_admissible,
     state_admissible,
     successors,
 )
-from pvguard.geometry import guard_grid
+from pvguard.geometry import DEFAULT_MAX_STATES, guard_grid
 
 
 def make_caps(**caps: int) -> CapacityMap:
@@ -471,6 +473,143 @@ def dihomotopy_classes_by_enumeration(
         representatives=tuple(path_from_steps(program, program.bottom, r) for r in reps),
         serial_classes_covered=len(serial_roots),
         serializable=len(reps) == len(serial_roots),
+    )
+
+
+# The class DP as it stood before per-state tables: a union-find over
+# (class, coordinate) pairs carrying each set's least step tuple, a
+# square_admissible test per pair of successors, and every level's transition
+# table kept to trace the n! serial orders at the end.  The differential
+# tests compare the package's dihomotopy_classes with it.
+
+
+class _Unions:
+    """Union-find keeping the lexicographically least payload per root."""
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+        self.least: dict[int, tuple] = {}
+
+    def add(self, x: int, payload: tuple) -> None:
+        if x in self.parent:
+            if payload < self.least[self.find(x)]:
+                self.least[self.find(x)] = payload
+        else:
+            self.parent[x] = x
+            self.least[x] = payload
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.least[rb] < self.least[ra]:
+            self.least[ra] = self.least[rb]
+
+
+def level_dp_classes(
+    program: Program, limit: int = DEFAULT_MAX_STATES
+) -> ClassReport:
+    """Equivalence classes of complete executions under square swaps.
+
+    Classes are built level by level over the number of steps taken: a
+    length-m prefix class is a pair (length-(m-1) class, next coordinate),
+    and two pairs merge when they arise from one admissible square on top
+    of a common shorter prefix.  Any single swap inside a path either lies
+    within the shorter prefix (already merged) or is such a square, so the
+    final classes are exactly the swap-equivalence classes, and the least
+    representative of a class extends the least representative of one of
+    its prefix classes.
+
+    Raises the search limit signal when the number of (class, coordinate)
+    pairs at some level exceeds ``limit``.
+    """
+    guard_grid(program, limit)
+    n = program.n
+    total_steps = sum(program.tops)
+
+    # per level: ends[class_id] = end state, reps[class_id] = least steps,
+    # trans[(class_id, coord)] = class id at the next level
+    ends: list[State] = [program.bottom]
+    reps: list[tuple[int, ...]] = [()]
+    all_trans: list[dict[tuple[int, int], int]] = []
+    prev_trans: dict[tuple[int, int], int] = {}
+    prev_ends: list[State] = []
+
+    for level in range(1, total_steps + 1):
+        pairs: list[tuple[int, int]] = []
+        pair_id: dict[tuple[int, int], int] = {}
+        uf = _Unions()
+        for cid, end in enumerate(ends):
+            for coord, _ in successors(program, end):
+                key = (cid, coord)
+                pair_id[key] = len(pairs)
+                pairs.append(key)
+                uf.add(pair_id[key], reps[cid] + (coord,))
+        if len(pairs) > limit:
+            raise SearchLimitExceeded(limit, "execution class pairs")
+        # merge across admissible squares rooted two levels down
+        for did, dend in enumerate(prev_ends):
+            outs = [c for c in range(n) if (did, c) in prev_trans]
+            for i, j in itertools.combinations(outs, 2):
+                if not square_admissible(program, dend, i, j):
+                    continue
+                ci = prev_trans[(did, i)]
+                cj = prev_trans[(did, j)]
+                uf.union(pair_id[(ci, j)], pair_id[(cj, i)])
+        roots = sorted({uf.find(p) for p in range(len(pairs))}, key=lambda r: uf.least[r])
+        root_to_cid = {r: k for k, r in enumerate(roots)}
+        new_ends: list[State] = []
+        new_reps: list[tuple[int, ...]] = []
+        for r in roots:
+            cid, coord = pairs[r]
+            state = list(ends[cid])
+            state[coord] += 1
+            new_ends.append(tuple(state))
+            new_reps.append(uf.least[r])
+        trans = {
+            pairs[p]: root_to_cid[uf.find(p)] for p in range(len(pairs))
+        }
+        all_trans.append(trans)
+        prev_ends, prev_trans = ends, trans
+        ends, reps = new_ends, new_reps
+
+    assert all(e == program.top for e in ends)
+    class_count = len(ends)
+    representatives = tuple(
+        path_from_steps(program, program.bottom, steps) for steps in reps
+    )
+
+    serial_ids = set()
+    for order in serial_orders(program):
+        cid = 0
+        ok = True
+        for level, c in enumerate(
+            coord for c0 in order for coord in [c0] * program.tops[c0]
+        ):
+            nxt = all_trans[level].get((cid, c))
+            if nxt is None:
+                ok = False
+                break
+            cid = nxt
+        if ok:
+            serial_ids.add(cid)
+    covered = len(serial_ids)
+    return ClassReport(
+        class_count=class_count,
+        representatives=representatives,
+        serial_classes_covered=covered,
+        serializable=class_count == covered,
     )
 
 

@@ -25,6 +25,7 @@ NOT_EXPORTED = {
     "dihomotopy_classes_by_enumeration",
     "extended_rectangle",
     "lcp_definition_check",
+    "level_dp_classes",
     "path_obeys",
     "path_schedule",
     "reachable",
@@ -104,7 +105,32 @@ def test_folded_engines_skip_per_state_checks(monkeypatch):
     monkeypatch.setattr(Program, "check_state", forbidden)
     monkeypatch.setattr(ReachabilityIndex, "canon", forbidden)
     for module in (geometry, deadlock, serializability):
-        monkeypatch.setattr(module, "successors", forbidden)
+        # raising=False: serializability does not import it
+        monkeypatch.setattr(module, "successors", forbidden, raising=False)
     assert ReachabilityIndex(program).visited == 13408
     assert len(pvguard.potential_deadlocks(program)) == 560
     assert len(pvguard.local_choice_points(program, reachability=False)) == 8960
+
+
+def test_class_dp_reads_per_state_tables(monkeypatch):
+    # the class DP tables steps and squares once per end state and follows
+    # serial executions as a frontier: no state re-check, successor list,
+    # square test or serial-order enumeration, and no union-find of payloads
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called from the class DP")
+
+    monkeypatch.setattr(Program, "check_state", forbidden)
+    for module in (geometry, serializability):
+        monkeypatch.setattr(module, "successors", forbidden, raising=False)
+        monkeypatch.setattr(module, "square_admissible", forbidden, raising=False)
+    monkeypatch.setattr(serializability, "serial_orders", forbidden)
+    assert not hasattr(serializability, "_Unions")
+    pv = pvguard.Thread.from_text("Pa Va")
+    report = pvguard.dihomotopy_classes(
+        Program.power(pv, 4, pvguard.CapacityMap((("a", 1),)))
+    )
+    assert (report.class_count, report.serial_classes_covered) == (24, 24)
+    wit = pvguard.Thread.from_text("Pa Pb Va Pa Vb Va Pa Va")
+    caps = pvguard.CapacityMap((("a", 2), ("b", 2)))
+    report = pvguard.dihomotopy_classes(Program.power(wit, 3, caps))
+    assert (report.class_count, report.serial_classes_covered) == (1, 1)

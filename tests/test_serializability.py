@@ -34,6 +34,7 @@ from pvguard import (
 from conftest import (
     dihomotopy_classes_by_enumeration,
     lcp_definition_check,
+    level_dp_classes,
     make_caps,
     naive_count_dipaths,
     path_obeys,
@@ -249,6 +250,86 @@ def test_classes_match_enumeration_oracle():
         assert [p.steps() for p in dp.representatives] == [
             p.steps() for p in en.representatives
         ]
+
+
+def class_outcome(classes, program, limit):
+    """The whole report, or the message of the bound that stopped it."""
+    try:
+        return classes(program, limit)
+    except SearchLimitExceeded as exc:
+        return str(exc)
+
+
+def test_classes_match_level_dp_oracle():
+    # powers, mixed programs and empty threads against the DP with a
+    # union-find of least step tuples and n! traced serial orders; a limit
+    # the oracle overflows must give the same message
+    rng = random.Random(36)
+    empty = Thread.from_text("")
+    kinds = dict.fromkeys(["power", "mixed", "empty", "grid", "pairs"], 0)
+    for _ in range(300):
+        resources = ["a", "b", "c"][: rng.randint(1, 3)]
+        caps = CapacityMap(tuple((r, rng.randint(1, 3)) for r in resources))
+        n = rng.randint(1, 4)
+        if rng.random() < 0.4:
+            threads = (random_thread(rng, resources, 3 if n <= 3 else 2),) * n
+        else:
+            threads = tuple(
+                empty if rng.random() < 0.15 else random_thread(rng, resources, 2)
+                for _ in range(n)
+            )
+        prog = Program(threads, caps)
+        assert prog.grid_states() <= 20_000
+        limit = rng.choice([50, 500, 10**8])
+        expected = class_outcome(level_dp_classes, prog, limit)
+        assert class_outcome(dihomotopy_classes, prog, limit) == expected
+        if empty in threads:
+            kinds["empty"] += 1
+        else:
+            kinds["power" if n > 1 and len(set(threads)) == 1 else "mixed"] += 1
+        if isinstance(expected, str):
+            kinds["pairs" if expected.endswith("class pairs") else "grid"] += 1
+    # the pair bound trips only where many classes share few states; the
+    # boundary test below pins it exactly
+    assert kinds["pairs"] >= 1, kinds
+    assert min(kinds[k] for k in ("power", "mixed", "empty", "grid")) >= 20, kinds
+
+
+def largest_level_pairs(program):
+    """The least limit the oracle passes, found by bisection: the largest
+    level's (class, coordinate) pair count, unless the grid is larger."""
+    lo, hi = 1, program.grid_states()
+    while isinstance(class_outcome(level_dp_classes, program, hi), str):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if isinstance(class_outcome(level_dp_classes, program, mid), str):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        Program.power(PV, 4, make_caps(a=1)),
+        Program.power(Thread.from_text("Pa Va Pa Va"), 3, make_caps(a=1)),
+        Program((PV, PV, Thread.from_text(""), PV, PV), make_caps(a=1)),
+    ],
+    ids=["PaVa^4", "PaVaPaVa^3", "PaVa^4+empty"],
+)
+def test_class_pair_bound_is_exact(program):
+    # the largest level's pair count passes and one less raises, so the
+    # bound trips on that level's count however early it is checked
+    limit = largest_level_pairs(program)
+    assert limit > program.grid_states()
+    assert dihomotopy_classes(program, limit) == level_dp_classes(program)
+    with pytest.raises(SearchLimitExceeded) as exc:
+        dihomotopy_classes(program, limit - 1)
+    assert str(exc.value) == (
+        f"instance exceeds the configured bound of {limit - 1} execution class pairs"
+    )
 
 
 def test_classes_count_equals_feasible_schedules_for_unit_pairs():
