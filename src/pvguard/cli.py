@@ -7,6 +7,7 @@ byte-identical across reruns; progress and timing go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -90,40 +91,43 @@ def _pick_thread(model: SourceModel, name: Optional[str]) -> tuple[str, Thread]:
     raise _InputError(f"several threads defined ({known}); pick one with --thread")
 
 
-def _emit(args, command: str, source: bytes, result: dict, text: Sequence[str]) -> None:
+def _emit(args, command: str, source: bytes, result, text) -> None:
+    """Print one rendering: ``result`` (the JSON result) and ``text`` (the
+    text lines) are zero-argument callables, and only the printed one runs."""
     if args.json:
-        env = report.envelope(command, source, result, __version__)
+        env = report.envelope(command, source, result(), __version__)
         sys.stdout.write(report.dumps(env))
     else:
-        for line in text:
+        for line in text():
             print(line)
 
 
 def _cmd_check(args) -> int:
     raw, model = _load(args.file)
-    threads = [
-        {"name": nm, "actions": [a.mnemonic for a in t.actions], "length": t.length}
-        for nm, t in model.threads.items()
-    ]
-    programs = [
-        {"name": nm, "threads": p.n} for nm, p in model.programs.items()
-    ]
-    result = {
-        "valid": True,
-        "resources": {r: model.caps[r] for r in model.caps.names},
-        "threads": threads,
-        "programs": programs,
-    }
-    text = [
-        f"ok: {len(model.caps)} resource(s), {len(model.threads)} thread(s), "
-        f"{len(model.programs)} program(s)"
-    ]
-    for r in model.caps.names:
-        text.append(f"  resource {r} cap {model.caps[r]}")
-    for nm, t in model.threads.items():
-        text.append(f"  thread {nm}: {t} ({t.length} actions)")
-    for nm, p in model.programs.items():
-        text.append(f"  program {nm}: {p.n} thread(s), {p.grid_states()} grid states")
+
+    def result():
+        return {
+            "valid": True,
+            "resources": {r: model.caps[r] for r in model.caps.names},
+            "threads": [
+                {"name": nm, "actions": [a.mnemonic for a in t.actions], "length": t.length}
+                for nm, t in model.threads.items()
+            ],
+            "programs": [{"name": nm, "threads": p.n} for nm, p in model.programs.items()],
+        }
+
+    def text():
+        yield (
+            f"ok: {len(model.caps)} resource(s), {len(model.threads)} thread(s), "
+            f"{len(model.programs)} program(s)"
+        )
+        for r in model.caps.names:
+            yield f"  resource {r} cap {model.caps[r]}"
+        for nm, t in model.threads.items():
+            yield f"  thread {nm}: {t} ({t.length} actions)"
+        for nm, p in model.programs.items():
+            yield f"  program {nm}: {p.n} thread(s), {p.grid_states()} grid states"
+
     _emit(args, "check", raw, result, text)
     return EXIT_OK
 
@@ -133,33 +137,41 @@ def _cmd_deadlocks(args) -> int:
     name, program = _pick_program(model, args.program)
     if args.potential:
         hits = potential_deadlocks(program, args.max_states)
-        result = {
-            "program": name,
-            "potential_deadlocks": [report.state_json(program, s) for s in hits],
-            "count": len(hits),
-        }
-        text = [f"program {name}: {len(hits)} potential deadlock(s)"]
-        text += [f"  {report.state_text(program, s)}" for s in hits]
-        _emit(args, f"deadlocks --potential {name}", raw, result, text)
+
+        def potential_result():
+            return {
+                "program": name,
+                "potential_deadlocks": [report.state_json(program, s) for s in hits],
+                "count": len(hits),
+            }
+
+        def potential_text():
+            yield f"program {name}: {len(hits)} potential deadlock(s)"
+            yield from (f"  {report.state_text(program, s)}" for s in hits)
+
+        _emit(args, f"deadlocks --potential {name}", raw, potential_result, potential_text)
         return EXIT_VIOLATION if hits else EXIT_OK
     rep = find_deadlocks(program, args.max_states)
-    result = {"program": name, **report.deadlock_report_json(program, rep)}
-    text = [
-        f"program {name}: {len(rep.deadlocks)} deadlock(s), "
-        f"{rep.stats.candidates} candidate(s), {rep.stats.visited} state(s) visited"
-    ]
-    for d in rep.deadlocks:
-        text.append(f"  deadlock {report.state_text(program, d.state)}")
-        text.append(f"    via {report.path_text(program, d.witness)}")
-    if program.n == 2:
-        text.append("")
-        text.append(
-            report.render_grid(
+
+    def result():
+        return {"program": name, **report.deadlock_report_json(program, rep)}
+
+    def text():
+        yield (
+            f"program {name}: {len(rep.deadlocks)} deadlock(s), "
+            f"{rep.stats.candidates} candidate(s), {rep.stats.visited} state(s) visited"
+        )
+        for d in rep.deadlocks:
+            yield f"  deadlock {report.state_text(program, d.state)}"
+            yield f"    via {report.path_text(program, d.witness)}"
+        if program.n == 2:
+            yield ""
+            yield report.render_grid(
                 program,
                 marked=[d.state for d in rep.deadlocks],
                 path=rep.deadlocks[0].witness if rep.deadlocks else None,
             )
-        )
+
     _emit(args, f"deadlocks {name}", raw, result, text)
     return EXIT_VIOLATION if rep.deadlocks else EXIT_OK
 
@@ -171,26 +183,31 @@ def _cmd_family(args) -> int:
         verdict = family_deadlock_verdict(thread, model.caps, args.max_states)
     else:
         verdict = family_serializability_verdict(thread, model.caps, args.max_states)
-    result = {
-        "thread": name,
-        **report.family_verdict_json(verdict, thread=thread, caps=model.caps),
-    }
-    text = [
-        f"thread {name}, {verdict.property_name} for all copy counts: "
-        f"{verdict.verdict}",
-        f"  rule: {verdict.rule} (cut-off {verdict.cutoff})",
-        f"  {verdict.detail}",
-    ]
-    if verdict.manifests_at_n is not None:
-        text.append(f"  manifests at n={verdict.manifests_at_n}")
-    ctx = report.power_programs(thread, model.caps)
-    for w in verdict.witnesses:
-        text.append(f"  witness {report.state_text(ctx(w), w)}")
-    for cp in verdict.choice_points:
-        text.append(
-            f"  choice point {report.state_text(ctx(cp.state), cp.state)} "
-            f"on {cp.resource}, contenders {[c + 1 for c in cp.contenders]}"
+
+    def result():
+        return {
+            "thread": name,
+            **report.family_verdict_json(verdict, thread=thread, caps=model.caps),
+        }
+
+    def text():
+        yield (
+            f"thread {name}, {verdict.property_name} for all copy counts: "
+            f"{verdict.verdict}"
         )
+        yield f"  rule: {verdict.rule} (cut-off {verdict.cutoff})"
+        yield f"  {verdict.detail}"
+        if verdict.manifests_at_n is not None:
+            yield f"  manifests at n={verdict.manifests_at_n}"
+        ctx = report.power_programs(thread, model.caps)
+        for w in verdict.witnesses:
+            yield f"  witness {report.state_text(ctx(w), w)}"
+        for cp in verdict.choice_points:
+            yield (
+                f"  choice point {report.state_text(ctx(cp.state), cp.state)} "
+                f"on {cp.resource}, contenders {[c + 1 for c in cp.contenders]}"
+            )
+
     _emit(args, f"family {args.property} {name}", raw, result, text)
     if verdict.verdict == "yes":
         return EXIT_OK
@@ -203,15 +220,20 @@ def _cmd_classes(args) -> int:
     raw, model = _load(args.file)
     name, program = _pick_program(model, args.program)
     rep = dihomotopy_classes(program, args.max_states)
-    result = {"program": name, **report.class_report_json(program, rep)}
-    text = [
-        f"program {name}: {rep.class_count} execution class(es), "
-        f"{rep.serial_classes_covered} containing a serial execution",
-        f"  serializable: {'yes' if rep.serializable else 'no'}",
-    ]
-    for i, r in enumerate(rep.representatives, 1):
-        steps = " ".join(str(c + 1) for c in r.steps())
-        text.append(f"  class {i}: thread steps {steps}")
+
+    def result():
+        return {"program": name, **report.class_report_json(program, rep)}
+
+    def text():
+        yield (
+            f"program {name}: {rep.class_count} execution class(es), "
+            f"{rep.serial_classes_covered} containing a serial execution"
+        )
+        yield f"  serializable: {'yes' if rep.serializable else 'no'}"
+        for i, r in enumerate(rep.representatives, 1):
+            steps = " ".join(str(c + 1) for c in r.steps())
+            yield f"  class {i}: thread steps {steps}"
+
     _emit(args, f"classes {name}", raw, result, text)
     return EXIT_OK if rep.serializable else EXIT_VIOLATION
 
@@ -220,18 +242,23 @@ def _cmd_lcp(args) -> int:
     raw, model = _load(args.file)
     name, program = _pick_program(model, args.program)
     cps = local_choice_points(program, args.max_states)
-    result = {
-        "program": name,
-        "choice_points": [report.choice_point_json(program, cp) for cp in cps],
-        "count": len(cps),
-    }
-    text = [f"program {name}: {len(cps)} local choice point(s)"]
-    for cp in cps:
+
+    def result():
+        return {
+            "program": name,
+            "choice_points": [report.choice_point_json(program, cp) for cp in cps],
+            "count": len(cps),
+        }
+
+    def text():
+        yield f"program {name}: {len(cps)} local choice point(s)"
         reach = {True: "reachable", False: "unreachable", None: "reachability unknown"}
-        text.append(
-            f"  {report.state_text(program, cp.state)} on {cp.resource}, "
-            f"contenders {[c + 1 for c in cp.contenders]}, {reach[cp.reachable]}"
-        )
+        for cp in cps:
+            yield (
+                f"  {report.state_text(program, cp.state)} on {cp.resource}, "
+                f"contenders {[c + 1 for c in cp.contenders]}, {reach[cp.reachable]}"
+            )
+
     _emit(args, f"lcp {name}", raw, result, text)
     return EXIT_VIOLATION if cps else EXIT_OK
 
@@ -262,14 +289,13 @@ def _cmd_witness(args) -> int:
     except ValueError as exc:
         raise _InputError(str(exc))
     source = report.witness_source(plan)
-    result = report.witness_plan_json(plan)
     caps_str = ",".join(f"{r}:{caps[r]}" for r in caps.names)
     _emit(
         args,
         f"witness {args.kind} {caps_str}",
         source.encode("utf-8"),
-        result,
-        [source.rstrip("\n")],
+        lambda: report.witness_plan_json(plan),
+        lambda: [source.rstrip("\n")],
     )
     return EXIT_OK
 
@@ -302,7 +328,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     top = argparse.ArgumentParser(
         prog="pvguard",
         description="Static deadlock and serializability analysis for PV "
@@ -318,7 +346,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-states",
             type=_positive_int,
-            default=_default_max_states(),
+            default=None,
             help=f"search bound (default {DEFAULT_MAX_STATES:,}; also via "
             "PVGUARD_MAX_STATES)",
         )
@@ -369,6 +397,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    # the parser is shared by every call, so the environment is read here
+    if getattr(args, "max_states", 0) is None:
+        args.max_states = _default_max_states()
     started = time.perf_counter()
     try:
         return args.func(args)

@@ -1,9 +1,10 @@
+import argparse
 import itertools
 import json
 
 import pytest
 
-from pvguard import Program
+from pvguard import Program, cli, report
 from pvguard.cli import main
 
 EX3 = """\
@@ -342,8 +343,9 @@ def test_family_output_builds_one_program_per_copy_count(capsys, tmp_path, monke
     cps = doc["result"]["choice_points"]
     assert len(cps) == 17010
     # the parsed 5-copy program, the 7-copy verdict instance, and one 7-copy
-    # program each for the JSON and the text rendering of 17,010 choice points
-    assert sorted(built) == [5, 7, 7, 7]
+    # program for the JSON rendering of 17,010 choice points: the text
+    # rendering is not built under --json
+    assert sorted(built) == [5, 7, 7]
 
 
 def test_witness_json_mode(capsys):
@@ -429,7 +431,15 @@ def test_max_states_env(capsys, ex3, monkeypatch):
     monkeypatch.setenv("PVGUARD_MAX_STATES", "not-a-number")
     code, out, err = run(capsys, "deadlocks", ex3)
     assert code == 1
-    assert "PVGUARD_MAX_STATES" in err
+    assert err.count("ignoring invalid PVGUARD_MAX_STATES='not-a-number'") == 1
+    # only calls that use the bound read it
+    for argv, expected in (
+        (("deadlocks", ex3, "--max-states", "3"), 3),
+        (("witness", "deadlock", "a:1", "b:1"), 0),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+        assert "PVGUARD_MAX_STATES" not in err
 
 
 def test_timing_goes_to_stderr_not_stdout(capsys, ex3):
@@ -462,3 +472,88 @@ def test_version_flag(capsys):
     assert e.value.code == 0
     out = capsys.readouterr().out
     assert "pvguard" in out
+
+
+def call(capsys, argv):
+    """Exit code, stdout and stderr of one call, usage errors included, with
+    the timing line dropped."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    err = [ln for ln in captured.err.splitlines() if " finished in " not in ln]
+    return code, captured.out, err
+
+
+@pytest.fixture
+def corpus(tmp_path, ex3):
+    """One call per command on small sources; ``ex3`` is a 2-thread program
+    that deadlocks, so the text rendering draws the grid."""
+    ring = tmp_path / "ring.pv"
+    ring.write_text(RING)
+    wit = tmp_path / "wit.pv"
+    wit.write_text(WIT22)
+    return [
+        ("check", ex3),
+        ("deadlocks", ex3),
+        ("deadlocks", ex3, "--potential"),
+        ("family", str(ring), "deadlock"),
+        ("family", str(wit), "serializability"),
+        ("classes", ex3),
+        ("lcp", str(wit)),
+        ("witness", "lcp", "a:2", "b:2"),
+    ]
+
+
+def test_parser_is_built_once_per_process(capsys, corpus, monkeypatch):
+    call(capsys, corpus[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    codes = [call(capsys, argv)[0] for argv in corpus]
+    assert codes == [0, 1, 1, 1, 4, 0, 1, 0]
+    assert built == []
+
+
+def test_calls_share_no_state(capsys, ex3):
+    sequence = [
+        ("deadlocks", ex3, "--max-states", "3"),
+        ("deadlocks", ex3),
+        ("deadlocks", ex3, "--max-states", "0"),
+        ("witness", "deadlock", "a:1", "b:1"),
+        ("classes", ex3),
+        ("deadlocks", ex3),
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(call(capsys, argv))
+    cli._parser.cache_clear()
+    shared = [call(capsys, argv) for argv in sequence]
+    assert [r[0] for r in fresh] == [3, 1, 2, 0, 0, 1]
+    assert shared == fresh
+
+
+def _raising(*args, **kwargs):
+    raise AssertionError("rendering of the format not printed")
+
+
+@pytest.mark.parametrize(
+    "flags, unused",
+    [
+        (("--json",), ("state_text", "path_text", "render_grid")),
+        ((), ("state_json", "path_json", "envelope", "dumps")),
+    ],
+    ids=["json", "text"],
+)
+def test_only_the_printed_format_is_rendered(capsys, corpus, monkeypatch, flags, unused):
+    expected = [call(capsys, [*argv, *flags]) for argv in corpus]
+    for name in unused:
+        monkeypatch.setattr(report, name, _raising)
+    assert [call(capsys, [*argv, *flags]) for argv in corpus] == expected
