@@ -22,7 +22,6 @@ from .core import (
     Program,
     PvError,
     SearchLimitExceeded,
-    Thread,
 )
 from .deadlock import (
     deadsharp_witness,
@@ -63,32 +62,27 @@ def _load(path: str) -> tuple[bytes, SourceModel]:
     return raw, parse_source(raw.decode("utf-8"))
 
 
-def _pick_program(model: SourceModel, name: Optional[str]) -> tuple[str, Program]:
+def _pick(defs: dict, kind: str, name: Optional[str], none_hint: str, several_hint: str):
+    """The definition named ``name``, else the only one, as (name, definition)."""
     if name is not None:
-        if name not in model.programs:
-            known = ", ".join(sorted(model.programs)) or "none"
-            raise _InputError(f"no program named {name!r} (defined: {known})")
-        return name, model.programs[name]
-    if len(model.programs) == 1:
-        return next(iter(model.programs.items()))
-    if not model.programs:
-        raise _InputError("source defines no program; add a 'program NAME = ...' line")
-    known = ", ".join(sorted(model.programs))
-    raise _InputError(f"several programs defined ({known}); pick one")
+        if name not in defs:
+            known = ", ".join(sorted(defs)) or "none"
+            raise _InputError(f"no {kind} named {name!r} (defined: {known})")
+        return name, defs[name]
+    if len(defs) == 1:
+        return next(iter(defs.items()))
+    if not defs:
+        raise _InputError(f"source defines no {kind}{none_hint}")
+    known = ", ".join(sorted(defs))
+    raise _InputError(f"several {kind}s defined ({known}); pick one{several_hint}")
 
 
-def _pick_thread(model: SourceModel, name: Optional[str]) -> tuple[str, Thread]:
-    if name is not None:
-        if name not in model.threads:
-            known = ", ".join(sorted(model.threads)) or "none"
-            raise _InputError(f"no thread named {name!r} (defined: {known})")
-        return name, model.threads[name]
-    if len(model.threads) == 1:
-        return next(iter(model.threads.items()))
-    if not model.threads:
-        raise _InputError("source defines no thread")
-    known = ", ".join(sorted(model.threads))
-    raise _InputError(f"several threads defined ({known}); pick one with --thread")
+def _load_program(args) -> tuple[bytes, str, Program]:
+    """The source and the program a program command analyzes."""
+    raw, model = _load(args.file)
+    hint = "; add a 'program NAME = ...' line"
+    name, program = _pick(model.programs, "program", args.program, hint, "")
+    return raw, name, program
 
 
 def _emit(args, command: str, source: bytes, result, text) -> None:
@@ -133,8 +127,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_deadlocks(args) -> int:
-    raw, model = _load(args.file)
-    name, program = _pick_program(model, args.program)
+    raw, name, program = _load_program(args)
     if args.potential:
         hits = potential_deadlocks(program, args.max_states)
 
@@ -178,7 +171,7 @@ def _cmd_deadlocks(args) -> int:
 
 def _cmd_family(args) -> int:
     raw, model = _load(args.file)
-    name, thread = _pick_thread(model, args.thread)
+    name, thread = _pick(model.threads, "thread", args.thread, "", " with --thread")
     if args.property == "deadlock":
         verdict = family_deadlock_verdict(thread, model.caps, args.max_states)
     else:
@@ -187,7 +180,7 @@ def _cmd_family(args) -> int:
     def result():
         return {
             "thread": name,
-            **report.family_verdict_json(verdict, thread=thread, caps=model.caps),
+            **report.family_verdict_json(verdict),
         }
 
     def text():
@@ -199,26 +192,20 @@ def _cmd_family(args) -> int:
         yield f"  {verdict.detail}"
         if verdict.manifests_at_n is not None:
             yield f"  manifests at n={verdict.manifests_at_n}"
-        ctx = report.power_programs(thread, model.caps)
         for w in verdict.witnesses:
-            yield f"  witness {report.state_text(ctx(w), w)}"
+            yield f"  witness {report.state_text(verdict.program, w)}"
         for cp in verdict.choice_points:
             yield (
-                f"  choice point {report.state_text(ctx(cp.state), cp.state)} "
+                f"  choice point {report.state_text(verdict.program, cp.state)} "
                 f"on {cp.resource}, contenders {[c + 1 for c in cp.contenders]}"
             )
 
     _emit(args, f"family {args.property} {name}", raw, result, text)
-    if verdict.verdict == "yes":
-        return EXIT_OK
-    if verdict.verdict == "no":
-        return EXIT_VIOLATION
-    return EXIT_INCONCLUSIVE
+    return {"yes": EXIT_OK, "no": EXIT_VIOLATION}.get(verdict.verdict, EXIT_INCONCLUSIVE)
 
 
 def _cmd_classes(args) -> int:
-    raw, model = _load(args.file)
-    name, program = _pick_program(model, args.program)
+    raw, name, program = _load_program(args)
     rep = dihomotopy_classes(program, args.max_states)
 
     def result():
@@ -239,8 +226,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_lcp(args) -> int:
-    raw, model = _load(args.file)
-    name, program = _pick_program(model, args.program)
+    raw, name, program = _load_program(args)
     cps = local_choice_points(program, args.max_states)
 
     def result():
@@ -409,10 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, InvalidThreadError) as exc:
         print(f"pvguard: {getattr(args, 'file', '')}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (_InputError, OSError, ValueError) as exc:
-        print(f"pvguard: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PvError as exc:
+    except (_InputError, OSError, ValueError, PvError) as exc:
         print(f"pvguard: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

@@ -11,6 +11,7 @@ finished state (printed as ``⊤``).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -146,27 +147,35 @@ class CapacityMap:
         return CapacityMap(tuple((n, c) for n, c in self.entries if n in keep))
 
 
-def parse_actions(text: str) -> tuple[Action, ...]:
-    """Parse a whitespace-separated action string such as ``"Pa Pb Vb Va"``.
+class ActionSyntaxError(ValueError):
+    """A malformed action string; ``offset`` is where the bad token starts."""
 
-    Both the fused form ``Pa`` and the spaced form ``P a`` are accepted.
-    """
-    tokens = text.split()
-    actions: list[Action] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.offset = offset
+
+
+def _scan_actions(text: str) -> Iterator[tuple[Action, int]]:
+    """Yield each action of a whitespace-separated action string with the
+    offset of its first token.  Both the fused form ``Pa`` and the spaced
+    form ``P a`` are accepted; a malformed token raises
+    :class:`ActionSyntaxError` when the scan reaches it."""
+    tokens = re.finditer(r"\S+", text)
+    for m in tokens:
+        tok, at = m.group(), m.start()
         if tok[0] not in (ACQUIRE, RELEASE):
-            raise ValueError(f"action token must start with P or V: {tok!r}")
-        if len(tok) > 1:
-            actions.append(Action(tok[0], tok[1:]))
-            i += 1
-        else:
-            if i + 1 >= len(tokens):
-                raise ValueError(f"dangling {tok!r} without a resource name")
-            actions.append(Action(tok, tokens[i + 1]))
-            i += 2
-    return tuple(actions)
+            raise ActionSyntaxError(f"action token must start with P or V: {tok!r}", at)
+        if len(tok) == 1:
+            res = next(tokens, None)
+            if res is None:
+                raise ActionSyntaxError(f"dangling {tok!r} without a resource name", at)
+            tok += res.group()
+        yield Action(tok[0], tok[1:]), at
+
+
+def parse_actions(text: str) -> tuple[Action, ...]:
+    """Parse an action string such as ``"Pa Pb Vb Va"`` or ``"P a V a"``."""
+    return tuple(action for action, _ in _scan_actions(text))
 
 
 def thread_violations(
@@ -431,3 +440,34 @@ class Program:
             for r in point[i][x]:
                 totals[r] += 1
         return totals
+
+    def _steps(self, state: State) -> tuple[list[int], list[int], list[int], list[tuple]]:
+        """The step table of an admissible ``state``: point-use totals, the
+        coordinates that may step (ascending), each coordinate's offset among
+        them (-1 if it may not), and the admissible squares as (a, b, i, j),
+        offsets a < b and their coordinates.  A step holds its point's
+        resources plus the one it acquires, so it is blocked iff that is full,
+        and a square iff both acquire one resource with fewer than two free
+        slots."""
+        kappa = self.kappa
+        tops = self.tops
+        request = self._request_idx
+        totals = [0] * len(kappa)
+        for held, x in zip(self._point_idx, state):
+            for r in held[x]:
+                totals[r] += 1
+        steps, asks, offsets = [], [], [-1] * len(state)
+        for c, x in enumerate(state):
+            if x < tops[c]:
+                r = request[c][x]
+                if r is None or totals[r] < kappa[r]:
+                    offsets[c] = len(steps)
+                    steps.append(c)
+                    asks.append(r)
+        squares = [
+            (a, b, steps[a], steps[b])
+            for b, rb in enumerate(asks)
+            for a in range(b)
+            if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]
+        ]
+        return totals, steps, offsets, squares

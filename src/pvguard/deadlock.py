@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -495,7 +495,9 @@ class FamilyVerdict:
     """Outcome of a for-all-n check.
 
     ``witnesses`` carries deadlock states (verdict "no"); ``choice_points``
-    carries local choice points (serializability "inconclusive").
+    carries local choice points (serializability "inconclusive").  Both are
+    states of ``program``, the instance the verdict searched; verdicts that
+    search none, and the pair test, leave it None.
     """
 
     property_name: str  # "deadlock-freedom" | "serializability"
@@ -506,6 +508,7 @@ class FamilyVerdict:
     witnesses: tuple[State, ...] = ()
     manifests_at_n: Optional[int] = None
     choice_points: tuple = ()
+    program: Optional[Program] = field(default=None, compare=False, repr=False)
 
 
 def family_deadlock_verdict(
@@ -538,6 +541,7 @@ def family_deadlock_verdict(
             cutoff,
             "search-limit",
             f"cut-off instance too large: {exc}",
+            program=program,
         )
     if witnesses:
         return FamilyVerdict(
@@ -548,6 +552,7 @@ def family_deadlock_verdict(
             f"{len(witnesses)} deadlock(s) in the {cutoff}-copy instance",
             witnesses=witnesses,
             manifests_at_n=cutoff,
+            program=program,
         )
     return FamilyVerdict(
         "deadlock-freedom",
@@ -556,6 +561,7 @@ def family_deadlock_verdict(
         "deadlock-cutoff",
         f"the {cutoff}-copy instance is deadlock-free, which settles every "
         "copy count",
+        program=program,
     )
 
 
@@ -567,11 +573,12 @@ def program_deadlock_verdict(
     Small programs are searched directly.  Larger ones reduce to their
     sub-programs of cut-off size: any deadlock restricts to the threads not
     yet finished, and at most capacity-sum many threads can block each other.
+    A sub-program is a choice of how many threads to take from each group of
+    identical ones (``Program._groups``), taken at the group's first indices
+    (``_subprogram_indices``).
     """
-    used_names: set[str] = set()
-    for t in program.threads:
-        used_names |= t.resources_used
-    cutoff = deadlock_cutoff(program.caps.restrict(used_names))
+    used = set().union(*(t.resources_used for t in program.threads))
+    cutoff = deadlock_cutoff(program.caps.restrict(used))
     if program.n <= cutoff:
         witnesses = _deadlock_states(program, max_states)
         if witnesses:
@@ -583,16 +590,12 @@ def program_deadlock_verdict(
                 f"{len(witnesses)} deadlock(s) found",
                 witnesses=witnesses,
                 manifests_at_n=program.n,
+                program=program,
             )
         return FamilyVerdict(
-            "deadlock-freedom", "yes", cutoff, "direct-search", "no deadlocks"
+            "deadlock-freedom", "yes", cutoff, "direct-search", "no deadlocks", program=program
         )
-    seen: set[tuple] = set()
-    for indices in itertools.combinations(range(program.n), cutoff):
-        key = tuple(sorted(str(program.threads[i]) for i in indices))
-        if key in seen:
-            continue
-        seen.add(key)
+    for indices in _subprogram_indices(program._groups, cutoff):
         sub = Program(tuple(program.threads[i] for i in indices), program.caps)
         found = _deadlock_states(sub, max_states)
         if found:
@@ -606,6 +609,7 @@ def program_deadlock_verdict(
                 f"{tuple(i + 1 for i in indices)}, finished copies padded",
                 witnesses=witnesses,
                 manifests_at_n=program.n,
+                program=program,
             )
     return FamilyVerdict(
         "deadlock-freedom",
@@ -613,7 +617,33 @@ def program_deadlock_verdict(
         cutoff,
         "subprogram-cutoff",
         f"all distinct {cutoff}-thread sub-programs are deadlock-free",
+        program=program,
     )
+
+
+def _subprogram_indices(groups: Sequence[Sequence[int]], size: int) -> Iterator[tuple[int, ...]]:
+    """One index tuple per vector of per-group counts summing to ``size``,
+    taking each group's first indices, in lexicographic order.  An index is
+    taken only after its group's earlier ones; a branch ends once the groups
+    still open cannot fill it."""
+    place = {i: (k, r) for k, g in enumerate(groups) for r, i in enumerate(g)}
+    taken = [0] * len(groups)
+
+    def extend(picked: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
+        if len(picked) == size:
+            yield picked
+            return
+        for i in range(start, len(place)):
+            open_ = sum(len(g) - t for g, t in zip(groups, taken) if t < len(g) and g[t] >= i)
+            if open_ < size - len(picked):
+                return
+            k, r = place[i]
+            if r == taken[k]:
+                taken[k] += 1
+                yield from extend(picked + (i,), i + 1)
+                taken[k] -= 1
+
+    return extend((), 0)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ class LatticePath:
                 x = prev[c]
                 if x >= tops[c]:
                     program.check_state(nxt)  # raises: coordinate c is past ⊤
-                if bad_edge is None:  # the edge rule of ``_edge_ok``, inlined
+                if bad_edge is None:  # the edge rule of ``Program._steps``, inlined
                     r = request[c][x]
                     if r is not None and totals[r] >= kappa[r]:
                         bad_edge = (prev, c)
@@ -173,24 +173,13 @@ def state_admissible(program: Program, state: State) -> bool:
     return all(tot <= cap for tot, cap in zip(totals, program.kappa))
 
 
-def _edge_ok(program: Program, totals: list[int], state: State, coord: int) -> bool:
-    """Capacity check for the edge out of the admissible ``state`` along
-    ``coord``, given the point-use totals of ``state``.  The edge holds what
-    its start point holds plus the resource acquired there, if any
-    (``Program._request_idx``), so only that resource needs room."""
-    r = program._request_idx[coord][state[coord]]
-    return r is None or totals[r] < program.kappa[r]
-
-
 def edge_admissible(program: Program, state: State, coord: int) -> bool:
     """May coordinate ``coord`` advance one step from ``state``?"""
     program.check_state(state)
     if state[coord] >= program.tops[coord]:
         raise ValueError(f"coordinate {coord + 1} is already finished")
-    totals = program.use_totals(state)
-    return _edge_ok(program, totals, state, coord) and all(
-        tot <= cap for tot, cap in zip(totals, program.kappa)
-    )
+    totals, _, offsets, _ = program._steps(state)
+    return offsets[coord] >= 0 and all(tot <= cap for tot, cap in zip(totals, program.kappa))
 
 
 def square_admissible(program: Program, state: State, i: int, j: int) -> bool:
@@ -202,30 +191,20 @@ def square_admissible(program: Program, state: State, i: int, j: int) -> bool:
     for c in (i, j):
         if state[c] >= program.tops[c]:
             raise ValueError(f"coordinate {c + 1} is already finished")
-    totals = program.use_totals(state)
-    kappa = program.kappa
-    delta: dict[int, int] = {}
-    for c in (i, j):
-        r = program._request_idx[c][state[c]]
-        if r is not None:
-            delta[r] = delta.get(r, 0) + 1
-    return all(totals[r] + d <= kappa[r] for r, d in delta.items()) and all(
-        tot <= cap for tot, cap in zip(totals, kappa)
+    totals, _, _, squares = program._steps(state)
+    pair = (min(i, j), max(i, j))
+    return any(sq[2:] == pair for sq in squares) and all(
+        tot <= cap for tot, cap in zip(totals, program.kappa)
     )
 
 
 def successors(program: Program, state: State) -> list[tuple[int, State]]:
     """Admissible one-step moves from ``state`` in ascending coordinate order."""
     program.check_state(state)
-    totals = program.use_totals(state)
+    totals, steps, _, _ = program._steps(state)
     if any(tot > cap for tot, cap in zip(totals, program.kappa)):
         return []
-    out = []
-    for c, (x, top) in enumerate(zip(state, program.tops)):
-        if x < top and _edge_ok(program, totals, state, c):
-            nxt = state[:c] + (x + 1,) + state[c + 1 :]
-            out.append((c, nxt))
-    return out
+    return [(c, state[:c] + (state[c] + 1,) + state[c + 1 :]) for c in steps]
 
 
 def guard_grid(program: Program, max_states: int) -> None:

@@ -16,13 +16,13 @@ import re
 from dataclasses import dataclass, field
 
 from .core import (
-    ACQUIRE,
-    RELEASE,
     Action,
+    ActionSyntaxError,
     CapacityMap,
     ParseError,
     Program,
     Thread,
+    _scan_actions,
     thread_violations,
 )
 
@@ -58,40 +58,24 @@ def _parse_resource_line(body: str, lineno: int, offset: int) -> tuple[str, int]
     return name, int(cap_text)
 
 
-def _tokenize_actions(body: str, lineno: int, offset: int) -> list[tuple[str, int]]:
-    """Split an action list into (token, column) pairs."""
-    out = []
-    for m in re.finditer(r"\S+", body):
-        out.append((m.group(0), offset + m.start() + 1))
-    if not out:
-        raise ParseError("thread needs at least one action after '='", lineno, offset + 1)
-    return out
-
-
 def _parse_thread_actions(
-    tokens: list[tuple[str, int]], caps: CapacityMap, lineno: int
-) -> tuple[tuple[Action, ...], list[int]]:
-    """Turn tokens into actions; returns actions plus per-action columns."""
+    body: str, caps: CapacityMap, lineno: int, offset: int
+) -> tuple[list[Action], list[int]]:
+    """The actions of a thread body plus the column of each."""
     actions: list[Action] = []
     columns: list[int] = []
-    i = 0
-    while i < len(tokens):
-        tok, col = tokens[i]
-        if tok[0] not in (ACQUIRE, RELEASE):
-            raise ParseError(f"action token must start with P or V: {tok!r}", lineno, col)
-        if len(tok) > 1:
-            res = tok[1:]
-            i += 1
-        else:
-            if i + 1 >= len(tokens):
-                raise ParseError(f"dangling {tok!r} without a resource name", lineno, col)
-            res = tokens[i + 1][0]
-            i += 2
-        if res not in caps:
-            raise ParseError(f"unknown resource {res!r}", lineno, col)
-        actions.append(Action(tok[0], res))
-        columns.append(col)
-    return tuple(actions), columns
+    try:
+        for action, at in _scan_actions(body):
+            col = offset + at + 1
+            if action.resource not in caps:
+                raise ParseError(f"unknown resource {action.resource!r}", lineno, col)
+            actions.append(action)
+            columns.append(col)
+    except ActionSyntaxError as exc:
+        raise ParseError(str(exc), lineno, offset + exc.offset + 1) from None
+    if not actions:
+        raise ParseError("thread needs at least one action after '='", lineno, offset + 1)
+    return actions, columns
 
 
 def _parse_program_expr(
@@ -179,14 +163,13 @@ def parse_source(text: str) -> SourceModel:
         if keyword == "thread":
             if name in model.threads:
                 raise ParseError(f"duplicate thread name {name!r}", lineno, 1)
-            tokens = _tokenize_actions(body, lineno, offset)
-            actions, columns = _parse_thread_actions(tokens, caps, lineno)
+            actions, columns = _parse_thread_actions(body, caps, lineno, offset)
             bad = thread_violations(actions, caps)
             if bad:
                 first = bad[0]
                 col = columns[first.position - 1] if first.position <= len(actions) else offset + 1
                 raise ParseError(f"invalid thread {name!r}: {first}", lineno, col)
-            model.threads[name] = Thread(actions)
+            model.threads[name] = Thread(tuple(actions))
         else:
             if name in model.programs:
                 raise ParseError(f"duplicate program name {name!r}", lineno, 1)

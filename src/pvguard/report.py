@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import BOTTOM_LABEL, TOP_LABEL, CapacityMap, Program, State, Thread
+from .core import BOTTOM_LABEL, TOP_LABEL, Program, State, Thread
 from .deadlock import DeadlockReport, FamilyVerdict, WitnessPlan
 from .geometry import LatticePath, state_admissible
 from .serializability import ChoicePoint, ClassReport
@@ -99,26 +99,7 @@ def class_report_json(program: Program, report: ClassReport) -> dict:
     }
 
 
-def power_programs(thread: Thread, caps: CapacityMap) -> Callable[[State], Program]:
-    """The power of ``thread`` that a family verdict's state lives in, built
-    once per copy count."""
-    programs: dict[int, Program] = {}
-
-    def ctx(state: State) -> Program:
-        n = len(state)
-        program = programs.get(n)
-        if program is None:
-            program = programs[n] = Program.power(thread, n, caps)
-        return program
-
-    return ctx
-
-
-def family_verdict_json(
-    verdict: FamilyVerdict, thread: Thread, caps: CapacityMap
-) -> dict:
-    # family verdict witnesses live in a power of the analyzed thread
-    ctx = power_programs(thread, caps)
+def family_verdict_json(verdict: FamilyVerdict) -> dict:
     return {
         "property": verdict.property_name,
         "verdict": verdict.verdict,
@@ -126,10 +107,8 @@ def family_verdict_json(
         "rule": verdict.rule,
         "detail": verdict.detail,
         "manifests_at_n": verdict.manifests_at_n,
-        "witnesses": [state_json(ctx(w), w) for w in verdict.witnesses],
-        "choice_points": [
-            choice_point_json(ctx(cp.state), cp) for cp in verdict.choice_points
-        ],
+        "witnesses": [state_json(verdict.program, w) for w in verdict.witnesses],
+        "choice_points": [choice_point_json(verdict.program, cp) for cp in verdict.choice_points],
     }
 
 

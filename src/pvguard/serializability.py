@@ -137,38 +137,41 @@ def dihomotopy_classes(
     frontier of (class, thread running its block) pairs.
 
     Raises the search limit signal as soon as the number of (class,
-    coordinate) pairs at some level exceeds ``limit``.
+    coordinate) pairs at some level exceeds ``limit``, and before the
+    representatives are built when their states, the class count times the
+    path length, exceed it.
     """
+    count, covered, links = _classes(program, limit)
+    n = program.n
+    size = count * (sum(program.tops) + 1)
+    if size > limit:
+        raise SearchLimitExceeded(limit, f"representative path states ({size} needed)")
+    representatives = []
+    for k in range(count):
+        steps = []
+        for link in reversed(links):
+            k, c = divmod(link[k], n)
+            steps.append(c)
+        representatives.append(path_from_steps(program, program.bottom, tuple(reversed(steps))))
+    return ClassReport(
+        class_count=count,
+        representatives=tuple(representatives),
+        serial_classes_covered=covered,
+        serializable=count == covered,
+    )
+
+
+def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
+    """The class DP of :func:`dihomotopy_classes`: the class count, the serial
+    classes, and per level the back pointers of the least representatives."""
     guard_grid(program, limit)
     n = program.n
     tops = program.tops
-    kappa = program.kappa
-    point = program._point_idx
-    request = program._request_idx
 
     def table(state: State) -> tuple:
-        # (state, steps, offset per coordinate or -1, squares (a, b, i, j) as
-        # offsets a < b and coordinates).  Reached states are admissible: a
-        # step is blocked iff its resource is full, a square iff both steps
-        # request one resource with fewer than two free slots
-        totals = [0] * len(kappa)
-        for held, x in zip(point, state):
-            for r in held[x]:
-                totals[r] += 1
-        steps, asks, offsets = [], [], [-1] * n
-        for c, x in enumerate(state):
-            if x < tops[c]:
-                r = request[c][x]
-                if r is None or totals[r] < kappa[r]:
-                    offsets[c] = len(steps)
-                    steps.append(c)
-                    asks.append(r)
-        squares = [
-            (a, b, steps[a], steps[b])
-            for b, rb in enumerate(asks)
-            for a in range(b)
-            if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]
-        ]
+        # (state, steps, offsets, squares); reached states are admissible,
+        # as Program._steps needs
+        _, steps, offsets, squares = program._steps(state)
         return state, steps, offsets, squares
 
     tabs = [table(program.bottom)]  # per class: its end state's table
@@ -228,21 +231,7 @@ def dihomotopy_classes(
         links.append(link)
 
     assert all(tab[0] == program.top for tab in tabs)
-    representatives = []
-    for k in range(len(tabs)):
-        steps = []
-        for link in reversed(links):
-            k, c = divmod(link[k], n)
-            steps.append(c)
-        path = path_from_steps(program, program.bottom, tuple(reversed(steps)))
-        representatives.append(path)
-    covered = len({cid for cid, _ in serial})
-    return ClassReport(
-        class_count=len(tabs),
-        representatives=tuple(representatives),
-        serial_classes_covered=covered,
-        serializable=len(tabs) == covered,
-    )
+    return len(tabs), len({cid for cid, _ in serial}), links
 
 
 def connectivity_serializable(
@@ -257,7 +246,7 @@ def connectivity_serializable(
                 raise ValueError(
                     f"connectivity criterion needs κ >= 2, got κ({r})=1"
                 )
-    return dihomotopy_classes(program, limit).class_count == 1
+    return _classes(program, limit)[0] == 1
 
 
 def kappa1_pair_serializable(
@@ -273,7 +262,8 @@ def kappa1_pair_serializable(
     The serial executions realise exactly the two uniform schedules (one copy
     last everywhere), so the pair is serializable iff no mixed schedule is
     feasible, which is what the class count decides.  ``max_states`` bounds
-    the class DP as in :func:`dihomotopy_classes`.
+    the class DP's grid and pairs per level as in :func:`dihomotopy_classes`;
+    no representatives are built.
     """
     used = thread.resources_used
     if not used:
@@ -281,7 +271,8 @@ def kappa1_pair_serializable(
     for r in used:
         if caps[r] != 1:
             raise ValueError(f"pair test requires capacity 1, got κ({r})={caps[r]}")
-    return dihomotopy_classes(Program.power(thread, 2, caps), max_states).serializable
+    count, covered, _ = _classes(Program.power(thread, 2, caps), max_states)
+    return count == covered
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +456,7 @@ def potential_deadlock_certificate(
         hits = potential_deadlocks(program, max_states)
     except SearchLimitExceeded as exc:
         return FamilyVerdict(
-            "serializability", "inconclusive", size, "search-limit", str(exc)
+            "serializability", "inconclusive", size, "search-limit", str(exc), program=program
         )
     if not hits:
         return FamilyVerdict(
@@ -475,6 +466,7 @@ def potential_deadlock_certificate(
             "potential-deadlock-cutoff",
             f"no potential deadlocks among {size} copies, hence no local "
             "choice points at any copy count",
+            program=program,
         )
     return FamilyVerdict(
         "serializability",
@@ -484,6 +476,7 @@ def potential_deadlock_certificate(
         f"{len(hits)} potential deadlock(s) among {size} copies; the "
         "certificate is sufficient, not necessary",
         witnesses=tuple(hits),
+        program=program,
     )
 
 
@@ -541,7 +534,8 @@ def family_serializability_verdict(
             cps = local_choice_points(program, max_states)
         except SearchLimitExceeded as exc:
             return FamilyVerdict(
-                "serializability", "inconclusive", cutoff, "search-limit", str(exc)
+                "serializability", "inconclusive", cutoff, "search-limit", str(exc),
+                program=program,
             )
         if not cps:
             return FamilyVerdict(
@@ -551,6 +545,7 @@ def family_serializability_verdict(
                 "choice-point-cutoff",
                 f"no local choice points among {cutoff} copies, hence none "
                 "at any copy count",
+                program=program,
             )
         return FamilyVerdict(
             "serializability",
@@ -560,6 +555,7 @@ def family_serializability_verdict(
             f"{len(cps)} local choice point(s) among {cutoff} copies; the "
             "obstruction does not prove non-serializability",
             choice_points=tuple(cps),
+            program=program,
         )
     cutoff = lcp_cutoff(used)
     return FamilyVerdict(

@@ -18,6 +18,7 @@ from pvguard import (
     CapacityMap,
     ChoicePoint,
     ClassReport,
+    FamilyVerdict,
     ForbiddenRectangle,
     LatticePath,
     Program,
@@ -26,17 +27,21 @@ from pvguard import (
     SearchLimitExceeded,
     State,
     Thread,
+    deadlock_cutoff,
     edge_admissible,
     enumerate_dipaths,
     find_deadlocks,
     forbidden_rectangles,
     local_choice_points,
     path_from_steps,
+    program_deadlock_verdict,
+    scatter_state,
     serial_orders,
     square_admissible,
     state_admissible,
     successors,
 )
+from pvguard.deadlock import _deadlock_states
 from pvguard.geometry import DEFAULT_MAX_STATES, guard_grid
 
 
@@ -634,3 +639,43 @@ def lcp_definition_check(program: Program, state: State) -> bool:
             seen.add(nb)
             stack.append(nb)
     return len(seen) != len(steppable)
+
+
+def combination_deadlock_verdict(
+    program: Program, max_states: int = DEFAULT_MAX_STATES
+) -> FamilyVerdict:
+    """``program_deadlock_verdict`` by its earlier sub-program loop: every
+    cut-off-size index tuple in lexicographic order, skipping a tuple whose
+    multiset of threads (by text) was already searched."""
+    used: set[str] = set()
+    for t in program.threads:
+        used |= t.resources_used
+    cutoff = deadlock_cutoff(program.caps.restrict(used))
+    if program.n <= cutoff:
+        return program_deadlock_verdict(program, max_states)
+    seen: set[tuple] = set()
+    for indices in itertools.combinations(range(program.n), cutoff):
+        key = tuple(sorted(str(program.threads[i]) for i in indices))
+        if key in seen:
+            continue
+        seen.add(key)
+        sub = Program(tuple(program.threads[i] for i in indices), program.caps)
+        found = _deadlock_states(sub, max_states)
+        if found:
+            return FamilyVerdict(
+                "deadlock-freedom",
+                "no",
+                cutoff,
+                "subprogram-cutoff",
+                f"deadlock in the sub-program at threads "
+                f"{tuple(i + 1 for i in indices)}, finished copies padded",
+                witnesses=tuple(scatter_state(s, indices, program) for s in found),
+                manifests_at_n=program.n,
+            )
+    return FamilyVerdict(
+        "deadlock-freedom",
+        "yes",
+        cutoff,
+        "subprogram-cutoff",
+        f"all distinct {cutoff}-thread sub-programs are deadlock-free",
+    )

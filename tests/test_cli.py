@@ -225,6 +225,23 @@ def test_classes_limit_overflow(capsys, tmp_path):
     assert "bound" in err
 
 
+def test_classes_bounds_the_representatives(capsys, tmp_path):
+    # 216 grid states and at most 720 pairs per level, but 90 classes of
+    # 16-state representatives: 1,000 refuses, 1,440 answers
+    f = tmp_path / "twice.pv"
+    f.write_text("resource a cap 1\nthread T = Pa Va Pa Va\nprogram m = T^3\n")
+    code, out, err = run(capsys, "classes", str(f), "--max-states", "1000")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[0] == (
+        "pvguard: instance exceeds the configured bound of 1000 representative "
+        "path states (1440 needed)"
+    )
+    code, doc, _ = run_json(capsys, "classes", str(f), "--max-states", "1440")
+    assert code == 1
+    assert doc["result"]["class_count"] == 90
+    assert len(doc["result"]["representatives"]) == 90
+
+
 def test_lcp_reports_choice_points(capsys, tmp_path):
     f = tmp_path / "wit.pv"
     f.write_text(WIT22)
@@ -342,10 +359,9 @@ def test_family_output_builds_one_program_per_copy_count(capsys, tmp_path, monke
     assert code == 4
     cps = doc["result"]["choice_points"]
     assert len(cps) == 17010
-    # the parsed 5-copy program, the 7-copy verdict instance, and one 7-copy
-    # program for the JSON rendering of 17,010 choice points: the text
-    # rendering is not built under --json
-    assert sorted(built) == [5, 7, 7]
+    # the parsed 5-copy program and the 7-copy verdict instance, which the
+    # JSON rendering of 17,010 choice points reads from the verdict
+    assert sorted(built) == [5, 7]
 
 
 def test_witness_json_mode(capsys):

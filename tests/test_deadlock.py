@@ -32,6 +32,7 @@ from pvguard.deadlock import _deadlock_orbits, _deadlock_states
 from pvguard.geometry import LatticePath
 
 from conftest import (
+    combination_deadlock_verdict,
     full_search_choice_points,
     full_search_deadlock_witnesses,
     make_caps,
@@ -498,6 +499,72 @@ def test_program_verdict_subprogram_clean():
     v = program_deadlock_verdict(prog)
     assert v.rule == "subprogram-cutoff"
     assert v.verdict == "yes"
+
+
+def count_vectors(program, total):
+    """Per-group counts, each at most its group's size, summing to ``total``."""
+    sizes = [len(g) for g in program._groups]
+    return sum(sum(c) == total for c in itertools.product(*(range(k + 1) for k in sizes)))
+
+
+@pytest.mark.parametrize(
+    "copies,caps",
+    [((3, 2, 2), dict(a=1, b=1)), ((3, 2, 2), dict(a=2, b=1)), ((10, 10, 10), dict(a=5, b=5))],
+    ids=["3+2+2,M=2", "3+2+2,M=3", "10+10+10,M=10"],
+)
+def test_program_verdict_searches_one_subprogram_per_count_vector(monkeypatch, copies, caps):
+    # deadlock-free (b is taken only after a, or alone), so every sub-program
+    # is searched: one per vector of per-group counts summing to M, where
+    # index tuples would be C(n, M), 30,045,015 for the last case
+    threads = [Thread.from_text(t) for t in ("Pa Va", "Pb Vb", "Pa Pb Vb Va")]
+    order = [t for t, k in zip(threads, copies) for _ in range(k)]
+    random.Random(7).shuffle(order)
+    prog = Program(tuple(order), make_caps(**caps))
+    calls = []
+    search = deadlock._deadlock_states
+    monkeypatch.setattr(deadlock, "_deadlock_states",
+                        lambda sub, limit: calls.append(sub.n) or search(sub, limit))
+    v = program_deadlock_verdict(prog)
+    m = sum(caps.values())
+    assert (v.verdict, v.rule) == ("yes", "subprogram-cutoff")
+    assert calls == [m] * count_vectors(prog, m)
+    assert len(calls) == {2: 6, 3: 8, 10: 66}[m]
+
+
+def test_subprogram_indices_are_the_sorted_count_vectors():
+    # random interleavings of groups: the enumeration is lazy, so its order
+    # is checked against sorting every count vector's first indices
+    rng = random.Random(45)
+    for _ in range(200):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        labels = [k for k, size in enumerate(sizes) for _ in range(size)]
+        rng.shuffle(labels)
+        groups = [tuple(i for i, k in enumerate(labels) if k == g) for g in range(len(sizes))]
+        size = rng.randint(1, len(labels))
+        expected = sorted(
+            tuple(sorted(i for g, k in zip(groups, counts) for i in g[:k]))
+            for counts in itertools.product(*(range(len(g) + 1) for g in groups))
+            if sum(counts) == size
+        )
+        assert list(deadlock._subprogram_indices(groups, size)) == expected
+
+
+def test_program_verdict_matches_combination_loop():
+    # random programs of two or three groups of identical threads against the
+    # loop over all index tuples: the same first deadlocked sub-program, so
+    # the same witnesses and detail
+    rng = random.Random(44)
+    seen = collections.Counter()
+    for _ in range(150):
+        caps = make_caps(a=rng.randint(1, 2), b=rng.randint(1, 2))
+        pool = [random_thread(rng, ["a", "b"], 3) for _ in range(rng.randint(2, 3))]
+        threads = tuple(rng.choice(pool) for _ in range(rng.randint(3, 6)))
+        prog = Program(threads, caps)
+        v = program_deadlock_verdict(prog)
+        assert v == combination_deadlock_verdict(prog)
+        assert v.program is prog
+        seen[v.rule, v.verdict] += 1
+    assert min(seen["subprogram-cutoff", x] for x in ("yes", "no")) >= 10, seen
 
 
 def test_program_verdict_matches_naive_search():

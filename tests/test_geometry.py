@@ -343,18 +343,25 @@ def test_square_admissible_implies_all_faces():
 def test_edge_and_square_rules_match_segment_use():
     # the definitions: a cell is admissible when every resource's use, summed
     # over coordinates, stays within capacity; moving coordinates count the
-    # resources of the segment they traverse, the others those of their point
+    # resources of the segment they traverse, the others those of their point.
+    # Up to capacity 3 and four threads, a square can fail on a resource that
+    # another thread already holds
     rng = random.Random(15)
+    shared = 0
     for _ in range(30):
-        caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 2))))
-        prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 3), 2)
+        caps = CapacityMap((("a", rng.randint(1, 3)), ("b", rng.randint(1, 3))))
+        prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 4), 2)
 
-        def fits(state, moving):
-            use = {r: 0 for r in caps.names}
+        def use(state, moving):
+            out = {r: 0 for r in caps.names}
             for c, (t, x) in enumerate(zip(prog.threads, state)):
                 for r in t.segment_use(x) if c in moving else t.point_use(x):
-                    use[r] += 1
-            return all(use[r] <= caps[r] for r in caps.names)
+                    out[r] += 1
+            return out
+
+        def fits(state, moving):
+            out = use(state, moving)
+            return all(out[r] <= caps[r] for r in caps.names)
 
         for state in itertools.product(*(range(t + 1) for t in prog.tops)):
             open_ = [c for c in range(prog.n) if state[c] < prog.tops[c]]
@@ -363,9 +370,12 @@ def test_edge_and_square_rules_match_segment_use():
                     fits(state, ()) and fits(state, (c,))
                 )
             for i, j in itertools.combinations(open_, 2):
-                assert square_admissible(prog, state, i, j) == (
-                    fits(state, ()) and fits(state, (i, j))
-                )
+                square = fits(state, ()) and fits(state, (i, j))
+                assert square_admissible(prog, state, i, j) == square
+                if not square and fits(state, (i,)) and fits(state, (j,)):
+                    held, moved = use(state, ()), use(state, (i, j))
+                    shared += any(moved[r] > caps[r] and held[r] for r in caps.names)
+    assert shared >= 20, shared
 
 
 def test_extended_rectangle_shape():

@@ -1,6 +1,6 @@
 import pytest
 
-from pvguard import ParseError, parse_source
+from pvguard import ParseError, parse_actions, parse_source
 
 GOOD = """\
 # two crossing lock orders
@@ -118,3 +118,42 @@ def test_empty_source_has_no_models():
 def test_parse_error_str_format():
     e = err("resource a cap 0\n")
     assert str(e).startswith(f"line {e.line}, column {e.column}: ")
+
+
+ACTION_ERRORS = [
+    # (thread line, column, reason); "thread T = " is 11 characters
+    ("thread T = Pa Qa Va", 15, "action token must start with P or V: 'Qa'"),
+    ("thread T = Pa Va x", 18, "action token must start with P or V: 'x'"),
+    ("thread T = pa Va", 12, "action token must start with P or V: 'pa'"),
+    ("thread T = P a Q a", 16, "action token must start with P or V: 'Q'"),
+    ("thread T =\tPa\tQa", 15, "action token must start with P or V: 'Qa'"),
+    ("  thread T = Pa Va ?", 20, "action token must start with P or V: '?'"),
+    ("thread T = Pa Va P", 18, "dangling 'P' without a resource name"),
+    ("thread T = P a  V", 17, "dangling 'V' without a resource name"),
+    ("thread T = Pa Va V  # comment", 18, "dangling 'V' without a resource name"),
+    ("thread T = Pa Pz Va", 15, "unknown resource 'z'"),
+    ("thread T = P a P z V z", 16, "unknown resource 'z'"),
+    ("thread T = Pz Q", 12, "unknown resource 'z'"),
+    ("thread T =   # nothing", 14, "thread needs at least one action after '='"),
+    ("thread T =", 11, "thread needs at least one action after '='"),
+    (
+        "thread T = P a P a V a V a",
+        16,
+        "invalid thread 'T': resource 'a' use count 2 at position 2 is outside 0..1",
+    ),
+]
+
+
+@pytest.mark.parametrize("line,column,reason", ACTION_ERRORS)
+def test_action_token_errors(line, column, reason):
+    # every action error of a thread line, fused and spaced, mid-line and at
+    # the end: the message and the column of the offending token
+    e = err(f"resource a cap 1\n{line}\n")
+    assert (e.line, e.column, e.reason) == (2, column, reason)
+    assert str(e) == f"line 2, column {column}: {reason}"
+    if "must start with" in reason or "dangling" in reason:
+        # the library parser reports the same message
+        body = line.split("=", 1)[1].split("#")[0]
+        with pytest.raises(ValueError) as exc:
+            parse_actions(body)
+        assert str(exc.value) == reason

@@ -260,13 +260,28 @@ def class_outcome(classes, program, limit):
         return str(exc)
 
 
+def capped_outcome(program, limit):
+    """The oracle's outcome, or the message of the representative bound
+    where the oracle's classes times the path length exceed ``limit``."""
+    expected = class_outcome(level_dp_classes, program, limit)
+    if not isinstance(expected, str):
+        size = expected.class_count * (sum(program.tops) + 1)
+        if size > limit:
+            return (
+                f"instance exceeds the configured bound of {limit} "
+                f"representative path states ({size} needed)"
+            )
+    return expected
+
+
 def test_classes_match_level_dp_oracle():
     # powers, mixed programs and empty threads against the DP with a
     # union-find of least step tuples and n! traced serial orders; a limit
-    # the oracle overflows must give the same message
+    # the oracle overflows must give the same message, and a report whose
+    # representatives would exceed it the representative bound's
     rng = random.Random(36)
     empty = Thread.from_text("")
-    kinds = dict.fromkeys(["power", "mixed", "empty", "grid", "pairs"], 0)
+    kinds = dict.fromkeys(["power", "mixed", "empty", "grid", "pairs", "paths"], 0)
     for _ in range(300):
         resources = ["a", "b", "c"][: rng.randint(1, 3)]
         caps = CapacityMap(tuple((r, rng.randint(1, 3)) for r in resources))
@@ -281,17 +296,19 @@ def test_classes_match_level_dp_oracle():
         prog = Program(threads, caps)
         assert prog.grid_states() <= 20_000
         limit = rng.choice([50, 500, 10**8])
-        expected = class_outcome(level_dp_classes, prog, limit)
+        expected = capped_outcome(prog, limit)
         assert class_outcome(dihomotopy_classes, prog, limit) == expected
         if empty in threads:
             kinds["empty"] += 1
         else:
             kinds["power" if n > 1 and len(set(threads)) == 1 else "mixed"] += 1
-        if isinstance(expected, str):
-            kinds["pairs" if expected.endswith("class pairs") else "grid"] += 1
+        if isinstance(expected, str) and expected.endswith("class pairs"):
+            kinds["pairs"] += 1
+        elif isinstance(expected, str):
+            kinds["paths" if "representative" in expected else "grid"] += 1
     # the pair bound trips only where many classes share few states; the
-    # boundary test below pins it exactly
-    assert kinds["pairs"] >= 1, kinds
+    # boundary tests below pin both bounds exactly
+    assert min(kinds["pairs"], kinds["paths"]) >= 1, kinds
     assert min(kinds[k] for k in ("power", "mixed", "empty", "grid")) >= 20, kinds
 
 
@@ -321,15 +338,36 @@ def largest_level_pairs(program):
 )
 def test_class_pair_bound_is_exact(program):
     # the largest level's pair count passes and one less raises, so the
-    # bound trips on that level's count however early it is checked
+    # bound trips on that level's count however early it is checked; past
+    # the levels, the representatives are bounded on their own
     limit = largest_level_pairs(program)
     assert limit > program.grid_states()
-    assert dihomotopy_classes(program, limit) == level_dp_classes(program)
+    assert class_outcome(dihomotopy_classes, program, limit) == capped_outcome(program, limit)
     with pytest.raises(SearchLimitExceeded) as exc:
         dihomotopy_classes(program, limit - 1)
     assert str(exc.value) == (
         f"instance exceeds the configured bound of {limit - 1} execution class pairs"
     )
+
+
+def test_class_representative_bound_is_exact():
+    # 90 classes of 16-state paths: the levels pass 720 pairs, the 1,440
+    # representative states are counted before any is built
+    program = Program.power(Thread.from_text("Pa Va Pa Va"), 3, make_caps(a=1))
+    assert largest_level_pairs(program) == 720
+    with pytest.raises(SearchLimitExceeded) as exc:
+        dihomotopy_classes(program, 1439)
+    assert str(exc.value) == (
+        "instance exceeds the configured bound of 1439 representative path "
+        "states (1440 needed)"
+    )
+    report = dihomotopy_classes(program, 1440)
+    assert report == level_dp_classes(program)
+    assert report.class_count == 90
+    # the pair test builds no representatives: its 20 classes of 15-state
+    # paths would exceed its bound of 64, the grid
+    pair = Thread.from_text("Pa Va Pa Va Pa Va")
+    assert not kappa1_pair_serializable(pair, make_caps(a=1), 64)
 
 
 def test_classes_count_equals_feasible_schedules_for_unit_pairs():
