@@ -24,6 +24,7 @@ from .core import (
     SearchLimitExceeded,
 )
 from .deadlock import (
+    _guard_paths,
     deadsharp_witness,
     family_deadlock_verdict,
     find_deadlocks,
@@ -174,6 +175,10 @@ def _cmd_family(args) -> int:
     name, thread = _pick(model.threads, "thread", args.thread, "", " with --thread")
     if args.property == "deadlock":
         verdict = family_deadlock_verdict(thread, model.caps, args.max_states)
+        if verdict.witnesses:
+            # the verdict expands no state; the printed ones stay bounded as
+            # the witness paths of `deadlocks` on the same instance
+            _guard_paths(verdict.program, verdict.witnesses.orbits, args.max_states)
     else:
         verdict = family_serializability_verdict(thread, model.caps, args.max_states)
 

@@ -11,12 +11,14 @@ of the resources the thread uses.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     CapacityMap,
@@ -317,6 +319,75 @@ def _orbit_members(
     return found
 
 
+class OrbitView(Sequence):
+    """The concrete states of some orbits of a power program, whose copies
+    form one identity group, in ascending order, without expanding them.
+
+    ``len`` sums the orbit sizes and ``in`` sorts the state and looks it up
+    among the ``orbits`` (ascending states).  Iteration merges each orbit's
+    distinct permutations, which come out sorted.  ``==``, ``hash``,
+    indexing and slicing behave as on the sorted tuple the view stands for;
+    ``hash``, indexing and slicing build that tuple, once.
+    """
+
+    __slots__ = ("_orbits", "_len", "_tuple")
+
+    def __init__(self, orbits: Iterable[State]):
+        self._orbits = frozenset(orbits)
+        self._len = sum(_orbit_size((range(len(o)),), o) for o in self._orbits)
+        self._tuple: Optional[tuple[State, ...]] = None
+
+    @property
+    def orbits(self) -> frozenset[State]:
+        return self._orbits
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, state: object) -> bool:
+        if not isinstance(state, tuple):
+            return False
+        try:
+            return tuple(sorted(state)) in self._orbits
+        except TypeError:  # unorderable or unhashable values
+            return False
+
+    def __iter__(self) -> Iterator[State]:
+        if self._tuple is not None:
+            return iter(self._tuple)
+        return heapq.merge(*map(_distinct_permutations, self._orbits))
+
+    def _states(self) -> tuple[State, ...]:
+        if self._tuple is None:
+            self._tuple = tuple(self)
+        return self._tuple
+
+    def __getitem__(self, index):
+        return self._states()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, OrbitView):
+            return self._orbits == other._orbits
+        if isinstance(other, tuple):
+            return len(other) == self._len and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._states())
+
+    def __repr__(self) -> str:
+        return f"OrbitView({self._len} states in {len(self._orbits)} orbits)"
+
+
+def _guard_paths(program: Program, orbits: Iterable[State], max_states: int) -> None:
+    """Raise :class:`SearchLimitExceeded` when the witness paths to the
+    concrete states of ``orbits`` hold more than ``max_states`` states; a
+    path to a state has its coordinate sum plus one states."""
+    size = sum(_orbit_size(program._groups, orbit) * (sum(orbit) + 1) for orbit in orbits)
+    if size > max_states:
+        raise SearchLimitExceeded(max_states, f"witness-path states ({size} needed)")
+
+
 def _guard_members(program: Program, orbits: Iterable[State], max_states: int) -> None:
     """Raise :class:`SearchLimitExceeded`, before anything is expanded, when
     the candidate ``orbits`` stand for more than ``max_states`` concrete
@@ -436,21 +507,16 @@ def _deadlock_orbits(
     validated witness chain.
 
     Bounded by the symmetry-folded state count, then, before the search, by
-    the states of the witness paths to the admissible candidates (a path to
-    a state has its coordinate sum plus one states) and by the concrete
-    candidates, both counted on the orbits.  With ``bounded`` the search
+    the concrete candidates and, without ``bounded``, by the states of the
+    witness paths to the admissible candidates, both counted on the orbits.
+    With ``bounded`` the caller builds no witness paths, and the search
     stops at the ceiling of the admissible orbits: same deadlocks, fewer
     orbits visited.
     """
     hits = _hit_orbits(program, _requests_full, max_states)
     admissible = [hit for hit in hits if state_admissible(program, hit)]
-    path_states = sum(
-        _orbit_size(program._groups, hit) * (sum(hit) + 1) for hit in admissible
-    )
-    if path_states > max_states:
-        raise SearchLimitExceeded(
-            max_states, f"witness-path states ({path_states} needed)"
-        )
+    if not bounded:
+        _guard_paths(program, admissible, max_states)
     _guard_members(program, hits, max_states)
     targets = admissible if bounded else None
     index = ReachabilityIndex(program, max_states, targets=targets) if hits else None
@@ -494,10 +560,12 @@ def deadlock_cutoff(caps: CapacityMap) -> int:
 class FamilyVerdict:
     """Outcome of a for-all-n check.
 
-    ``witnesses`` carries deadlock states (verdict "no"); ``choice_points``
-    carries local choice points (serializability "inconclusive").  Both are
-    states of ``program``, the instance the verdict searched; verdicts that
-    search none, and the pair test, leave it None.
+    ``witnesses`` carries deadlock states (verdict "no"), sorted; the family
+    deadlock verdict keeps them as a lazy :class:`OrbitView` over the
+    deadlock orbits.  ``choice_points`` carries local choice points
+    (serializability "inconclusive").  Both are states of ``program``, the
+    instance the verdict searched; verdicts that search none, and the pair
+    test, leave it None.
     """
 
     property_name: str  # "deadlock-freedom" | "serializability"
@@ -505,7 +573,7 @@ class FamilyVerdict:
     cutoff: int
     rule: str
     detail: str
-    witnesses: tuple[State, ...] = ()
+    witnesses: Sequence[State] = ()
     manifests_at_n: Optional[int] = None
     choice_points: tuple = ()
     program: Optional[Program] = field(default=None, compare=False, repr=False)
@@ -518,7 +586,10 @@ def family_deadlock_verdict(
 
     The cut-off size is the capacity sum of the resources the thread uses;
     a deadlock among more copies than that restricts to one among at most
-    that many, and extra finished copies never unblock anything.
+    that many, and extra finished copies never unblock anything.  The
+    deadlocks are decided per orbit and never expanded: ``witnesses`` is an
+    :class:`OrbitView`, so neither its states nor their witness paths are
+    counted against ``max_states``.
     """
     used = caps.restrict(thread.resources_used)
     cutoff = deadlock_cutoff(used)
@@ -533,7 +604,7 @@ def family_deadlock_verdict(
         )
     program = Program.power(thread, cutoff, caps)
     try:
-        witnesses = _deadlock_states(program, max_states)
+        witnesses = OrbitView(_deadlock_orbits(program, max_states, bounded=True)[1])
     except SearchLimitExceeded as exc:
         return FamilyVerdict(
             "deadlock-freedom",
@@ -575,7 +646,8 @@ def program_deadlock_verdict(
     yet finished, and at most capacity-sum many threads can block each other.
     A sub-program is a choice of how many threads to take from each group of
     identical ones (``Program._groups``), taken at the group's first indices
-    (``_subprogram_indices``).
+    (``_subprogram_indices``).  Raises :class:`SearchLimitExceeded` before
+    any search when there are more than ``max_states`` sub-programs.
     """
     used = set().union(*(t.resources_used for t in program.threads))
     cutoff = deadlock_cutoff(program.caps.restrict(used))
@@ -595,6 +667,9 @@ def program_deadlock_verdict(
         return FamilyVerdict(
             "deadlock-freedom", "yes", cutoff, "direct-search", "no deadlocks", program=program
         )
+    count = _subprogram_count(program._groups, cutoff)
+    if count > max_states:
+        raise SearchLimitExceeded(max_states, f"sub-programs ({count} needed)")
     for indices in _subprogram_indices(program._groups, cutoff):
         sub = Program(tuple(program.threads[i] for i in indices), program.caps)
         found = _deadlock_states(sub, max_states)
@@ -644,6 +719,15 @@ def _subprogram_indices(groups: Sequence[Sequence[int]], size: int) -> Iterator[
                 taken[k] -= 1
 
     return extend((), 0)
+
+
+def _subprogram_count(groups: Sequence[Sequence[int]], size: int) -> int:
+    """Vectors of per-group counts summing to ``size``: the coefficient of
+    x^size in the product over groups of 1 + x + ... + x^|g|."""
+    coeffs = [1] + [0] * size
+    for g in groups:
+        coeffs = [sum(coeffs[max(0, m - len(g)) : m + 1]) for m in range(size + 1)]
+    return coeffs[size]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from pvguard import (
     Thread,
     deadlock_cutoff,
     edge_admissible,
+    family_deadlock_verdict,
     enumerate_dipaths,
     find_deadlocks,
     forbidden_rectangles,
@@ -37,11 +38,12 @@ from pvguard import (
     program_deadlock_verdict,
     scatter_state,
     serial_orders,
+    single_access,
     square_admissible,
     state_admissible,
     successors,
 )
-from pvguard.deadlock import _deadlock_states
+from pvguard.deadlock import _deadlock_orbits, _deadlock_states, _orbit_members
 from pvguard.geometry import DEFAULT_MAX_STATES, guard_grid
 
 
@@ -290,6 +292,37 @@ def full_search_deadlock_witnesses(
     cutoff = caps.restrict(thread.resources_used).total()
     report = find_deadlocks(Program.power(thread, cutoff, caps))
     return tuple(d.state for d in report.deadlocks)
+
+
+def concrete_family_deadlock_verdict(
+    thread: Thread, caps: CapacityMap, max_states: int = DEFAULT_MAX_STATES
+) -> FamilyVerdict:
+    """``family_deadlock_verdict`` by its earlier concrete route: the deadlock
+    orbits expanded into the sorted tuple of their states (``_orbit_members``).
+    The witness-path cap that route also had is left out."""
+    cutoff = deadlock_cutoff(caps.restrict(thread.resources_used))
+    if single_access(thread):
+        return family_deadlock_verdict(thread, caps, max_states)  # searches nothing
+    program = Program.power(thread, cutoff, caps)
+    try:
+        _, orbits, _ = _deadlock_orbits(program, max_states, bounded=True)
+    except SearchLimitExceeded as exc:
+        return FamilyVerdict(
+            "deadlock-freedom", "inconclusive", cutoff, "search-limit",
+            f"cut-off instance too large: {exc}", program=program,
+        )
+    witnesses = tuple(state for state, _ in _orbit_members(program, orbits))
+    if witnesses:
+        return FamilyVerdict(
+            "deadlock-freedom", "no", cutoff, "deadlock-cutoff",
+            f"{len(witnesses)} deadlock(s) in the {cutoff}-copy instance",
+            witnesses=witnesses, manifests_at_n=cutoff, program=program,
+        )
+    return FamilyVerdict(
+        "deadlock-freedom", "yes", cutoff, "deadlock-cutoff",
+        f"the {cutoff}-copy instance is deadlock-free, which settles every copy count",
+        program=program,
+    )
 
 
 # ---------------------------------------------------------------------------

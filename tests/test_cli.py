@@ -1,10 +1,11 @@
 import argparse
+import hashlib
 import itertools
 import json
 
 import pytest
 
-from pvguard import Program, cli, report
+from pvguard import Program, cli, deadlock, report
 from pvguard.cli import main
 
 EX3 = """\
@@ -362,6 +363,43 @@ def test_family_output_builds_one_program_per_copy_count(capsys, tmp_path, monke
     # the parsed 5-copy program and the 7-copy verdict instance, which the
     # JSON rendering of 17,010 choice points reads from the verdict
     assert sorted(built) == [5, 7]
+
+
+def test_family_deadlock_print_bound_is_exact(capsys, tmp_path):
+    # the (3,3,3) ladder instance: 48,620 orbits, 1,680 witnesses whose
+    # paths hold 62,160 states.  At that bound the output is the one printed
+    # before the verdict stopped counting paths (digests of those bytes);
+    # one below, printing is refused
+    src, _ = generated_witness(capsys, tmp_path, "deadlock", (3, 3, 3))
+    digests = {
+        (): "ac2aa733b0b78ddfd374bebb36f3f0b20208bbc944f1cff466e10b29214a0ac2",
+        ("--json",): "b695bd8278cac6690c7c835afb324c7ab1229dbc4ffcb1290ddaf9d517954e43",
+    }
+    for flags, digest in digests.items():
+        code, out, _ = run(capsys, "family", src, "deadlock", "--max-states", "62160", *flags)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, out, err = run(capsys, "family", src, "deadlock", "--max-states", "62159", *flags)
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "pvguard: instance exceeds the configured bound of 62159 "
+            "witness-path states (62160 needed)\n"
+        )
+
+
+def test_family_deadlock_refuses_to_print_rung_16(capsys, tmp_path, monkeypatch):
+    # 2,018,016 witnesses at the default bound: the verdict is "no", and the
+    # refusal comes before any state is expanded
+    src, _ = generated_witness(capsys, tmp_path, "deadlock", (6, 5, 5))
+
+    def fail(*args):
+        raise AssertionError("a concrete state was expanded")
+
+    monkeypatch.setattr(deadlock, "_distinct_permutations", fail)
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "family", src, "deadlock", *flags)
+        assert (code, out) == (3, "")
+        assert "witness-path states (127135008 needed)" in err
 
 
 def test_witness_json_mode(capsys):

@@ -13,6 +13,7 @@ from pvguard import (
     ReachabilityIndex,
     SearchLimitExceeded,
     Thread,
+    concat_threads,
     deadlock_cutoff,
     deadsharp_witness,
     family_deadlock_verdict,
@@ -33,6 +34,7 @@ from pvguard.geometry import LatticePath
 
 from conftest import (
     combination_deadlock_verdict,
+    concrete_family_deadlock_verdict,
     full_search_choice_points,
     full_search_deadlock_witnesses,
     make_caps,
@@ -184,21 +186,118 @@ def test_find_deadlocks_bounds_witness_paths():
     assert sum(len(d.witness.states) for d in report.deadlocks) == 62160
 
 
+def test_family_deadlock_bound_stops_before_the_search():
+    # the (7,7,6) chain at its cut-off: the 10,015,005 orbits fit the default
+    # bound, the 133,024,320 concrete candidates do not; the family verdict
+    # counts no witness paths, so this is the only cap left between them
+    caps = make_caps(a=7, b=7, c=6)
+    plan = deadsharp_witness(caps)
+    assert Program.power(plan.thread, plan.cutoff, caps).orbit_states() <= 10**8
+    v = family_deadlock_verdict(plan.thread, caps)
+    assert (v.verdict, v.rule, v.cutoff) == ("inconclusive", "search-limit", plan.cutoff)
+    assert "concrete candidate states (133024320 needed)" in v.detail
+
+
 @pytest.mark.parametrize(
-    "entries, max_states, needed",
+    "entries, max_states, witnesses",
     [
-        # orbits fit (C(25, 9) = 2,042,975), the 1,681,680 deadlock paths do not
-        ((6, 6, 4), 2042975, "witness-path states (102582480 needed)"),
-        ((7, 7, 6), 10**8, "witness-path states (10508921280 needed)"),
+        # ladder rung 16 at the default bound: 2,018,016 witnesses, whose
+        # paths (127,135,008 states) would trip the bound
+        ((6, 5, 5), 10**8, 2018016),
+        # orbits and candidates fit at C(25, 9) = 2,042,975; the witness
+        # paths (102,582,480 states) do not
+        ((6, 6, 4), 2042975, 1681680),
     ],
+    ids=["rung16", "664-at-orbit-count"],
 )
-def test_family_deadlock_bound_stops_before_the_search(entries, max_states, needed):
+def test_family_deadlock_verdict_expands_no_state(monkeypatch, entries, max_states, witnesses):
+    def fail(*args):
+        raise AssertionError("a concrete state was expanded")
+
+    monkeypatch.setattr(deadlock, "_orbit_members", fail)
+    monkeypatch.setattr(deadlock, "_distinct_permutations", fail)
     caps = make_caps(a=entries[0], b=entries[1], c=entries[2])
     plan = deadsharp_witness(caps)
-    assert Program.power(plan.thread, plan.cutoff, caps).orbit_states() <= max_states
     v = family_deadlock_verdict(plan.thread, caps, max_states)
-    assert (v.verdict, v.rule, v.cutoff) == ("inconclusive", "search-limit", plan.cutoff)
-    assert needed in v.detail
+    assert (v.verdict, v.rule, v.manifests_at_n) == ("no", "deadlock-cutoff", plan.cutoff)
+    assert len(v.witnesses) == witnesses
+    assert v.detail == f"{witnesses} deadlock(s) in the 16-copy instance"
+    assert plan.expected_state in v.witnesses
+    assert plan.expected_state[::-1] in v.witnesses
+    assert plan.expected_state[1:] not in v.witnesses
+
+
+@st.composite
+def family_threads(draw):
+    """A thread and capacities for a family verdict: a deadlock-ladder rung
+    of capacity sum 2..8 (one deadlock orbit), two chained or random parts
+    (often several deadlock orbits), or a random thread (mostly
+    deadlock-free)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["rung", "parts", "random"]))
+    if kind == "rung":
+        total = draw(st.integers(2, 8))
+        k = 2 if total == 2 else 3
+        caps = CapacityMap(tuple(zip("abc", (total // k + (i < total % k) for i in range(k)))))
+        return kind, deadsharp_witness(caps).thread, caps
+    resources = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    caps = CapacityMap(tuple((r, draw(st.integers(1, 2))) for r in resources))
+    if kind == "random":
+        return kind, random_thread(rng, resources, 4), caps
+    parts = []
+    for _ in range(2):
+        order = rng.sample(resources, rng.randint(2, len(resources)))
+        if rng.random() < 0.5:
+            parts.append(deadsharp_witness(CapacityMap(tuple((r, caps[r]) for r in order))).thread)
+        else:
+            parts.append(random_thread(rng, resources, 2))
+    return kind, concat_threads(parts), caps
+
+
+def test_family_witness_view_matches_concrete_route():
+    seen = collections.Counter()
+
+    @given(family_threads(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def check(drawn, seed):
+        kind, thread, caps = drawn
+        v = family_deadlock_verdict(thread, caps)
+        oracle = concrete_family_deadlock_verdict(thread, caps)
+        assert (v.verdict, v.rule, v.detail, v.manifests_at_n) == (
+            oracle.verdict, oracle.rule, oracle.detail, oracle.manifests_at_n)
+        expected = oracle.witnesses
+        w = v.witnesses
+        assert len(w) == len(expected) and bool(w) == bool(expected)
+        assert w == expected and expected == w and v == oracle
+        seen[kind, v.verdict] += 1
+        if not expected:
+            return
+        seen["several orbits"] += len(w.orbits) > 1
+        assert tuple(w) == expected  # merged, before anything is materialised
+        assert w != expected[:-1] and w != expected + expected[:1] and w != list(expected)
+        assert w != expected[:-1] + ((-1,) * len(expected[0]),)
+        rng = random.Random(seed)
+        for i in (0, -1, len(expected) // 2, rng.randrange(len(expected))):
+            assert w[i] == expected[i]
+        for sl in (slice(1, 4), slice(None, None, -1), slice(-3, None), slice(5, 2)):
+            assert w[sl] == expected[sl]
+        assert list(w) == list(expected) and hash(w) == hash(expected)
+        members = set(expected)
+        assert all(state in w for state in rng.sample(expected, min(len(expected), 50)))
+        n, tops = len(expected[0]), v.program.tops
+        for _ in range(50):
+            # grid states, some past ⊤ or below ⊥
+            state = tuple(rng.randint(-1, t + 1) for t in tops)
+            assert (state in w) == (state in members)
+        state = expected[0]
+        for other in (state[:-1], state + (0,), (), list(state), None, "x", n,
+                      ((1, "a") * n)[:n], ([0],) * n, tuple(float(x) for x in state)):
+            assert (other in w) == (other in expected)
+
+    check()
+    assert seen["several orbits"] >= 10, seen
+    assert all(seen[kind, "no"] >= 10 for kind in ("rung", "parts")), seen
+    assert seen["random", "yes"] + seen["parts", "yes"] >= 10, seen
 
 
 def test_orbit_states_counts_multisets():
@@ -533,7 +632,8 @@ def test_program_verdict_searches_one_subprogram_per_count_vector(monkeypatch, c
 
 def test_subprogram_indices_are_the_sorted_count_vectors():
     # random interleavings of groups: the enumeration is lazy, so its order
-    # is checked against sorting every count vector's first indices
+    # is checked against sorting every count vector's first indices, and the
+    # count the bound reads against the enumeration
     rng = random.Random(45)
     for _ in range(200):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
@@ -547,6 +647,30 @@ def test_subprogram_indices_are_the_sorted_count_vectors():
             if sum(counts) == size
         )
         assert list(deadlock._subprogram_indices(groups, size)) == expected
+        assert deadlock._subprogram_count(groups, size) == len(expected)
+
+
+def test_program_verdict_bounds_the_subprogram_count(monkeypatch):
+    # 30 distinct threads over ten capacity-1 resources (M = 10) have
+    # C(30, 10) = 30,045,015 sub-programs: refused before any search, where
+    # listing them alone takes minutes
+    names = "abcdefghij"
+    pairs = list(itertools.combinations(names, 2))[:30]
+    prog = Program(tuple(Thread.from_text(f"P{x} P{y} V{y} V{x}") for x, y in pairs),
+                   make_caps(**{r: 1 for r in names}))
+    calls = []
+    monkeypatch.setattr(deadlock, "_deadlock_states", lambda sub, limit: calls.append(sub) or ())
+    with pytest.raises(SearchLimitExceeded, match=r"1000 sub-programs \(30045015 needed\)"):
+        program_deadlock_verdict(prog, max_states=1000)
+    assert calls == []
+    # the bound is exact: 66 count vectors for 10 + 10 + 10 copies at M = 10
+    threads = [Thread.from_text(t) for t in ("Pa Va", "Pb Vb", "Pa Pb Vb Va")]
+    prog = Program(tuple(t for t in threads for _ in range(10)), make_caps(a=5, b=5))
+    with pytest.raises(SearchLimitExceeded, match=r"sub-programs \(66 needed\)"):
+        program_deadlock_verdict(prog, max_states=65)
+    assert calls == []
+    assert program_deadlock_verdict(prog, max_states=66).verdict == "yes"
+    assert len(calls) == 66
 
 
 def test_program_verdict_matches_combination_loop():
