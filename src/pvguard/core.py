@@ -441,14 +441,16 @@ class Program:
                 totals[r] += 1
         return totals
 
-    def _steps(self, state: State) -> tuple[list[int], list[int], list[int], list[tuple]]:
+    def _steps(
+        self, state: State, squares: bool = False
+    ) -> tuple[list[int], list[int], list[int], Optional[list[tuple]]]:
         """The step table of an admissible ``state``: point-use totals, the
         coordinates that may step (ascending), each coordinate's offset among
-        them (-1 if it may not), and the admissible squares as (a, b, i, j),
-        offsets a < b and their coordinates.  A step holds its point's
-        resources plus the one it acquires, so it is blocked iff that is full,
-        and a square iff both acquire one resource with fewer than two free
-        slots."""
+        them (-1 if it may not), and, with ``squares`` (else None), the
+        admissible squares as (a, b, i, j), offsets a < b and their
+        coordinates.  A step holds its point's resources plus the one it
+        acquires, so it is blocked iff that is full, and a square iff both
+        acquire one resource with fewer than two free slots."""
         kappa = self.kappa
         tops = self.tops
         request = self._request_idx
@@ -464,10 +466,12 @@ class Program:
                     offsets[c] = len(steps)
                     steps.append(c)
                     asks.append(r)
-        squares = [
+        if not squares:
+            return totals, steps, offsets, None
+        table = [
             (a, b, steps[a], steps[b])
             for b, rb in enumerate(asks)
             for a in range(b)
             if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]
         ]
-        return totals, steps, offsets, squares
+        return totals, steps, offsets, table

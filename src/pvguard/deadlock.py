@@ -15,7 +15,7 @@ import heapq
 import itertools
 import operator
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Iterable, Iterator, Optional
@@ -320,63 +320,122 @@ def _orbit_members(
 
 
 class OrbitView(Sequence):
-    """The concrete states of some orbits of a power program, whose copies
-    form one identity group, in ascending order, without expanding them.
+    """One record per concrete state of some orbits of a power program, whose
+    copies form one identity group, in ascending state order, without
+    expanding them.
 
-    ``len`` sums the orbit sizes and ``in`` sorts the state and looks it up
-    among the ``orbits`` (ascending states).  Iteration merges each orbit's
-    distinct permutations, which come out sorted.  ``==``, ``hash``,
-    indexing and slicing behave as on the sorted tuple the view stands for;
-    ``hash``, indexing and slicing build that tuple, once.
+    ``orbits`` maps each orbit (an ascending state) to a payload, or is a
+    plain iterable of orbits.  ``record(state, payload)`` builds a member's
+    record, which names its state as ``.state``; without ``record`` the
+    records are the states themselves.
+
+    ``len`` sums the orbit sizes, and ``in`` sorts a record's state, looks it
+    up among the orbits and compares the one record it stands for.
+    Iteration merges each orbit's distinct permutations, which come out
+    sorted.  Indexing and slicing unrank each index from multinomial counts
+    over the orbits, so they build only the records they return; a slice
+    over more than a quarter of the view iterates instead.  ``==`` and
+    ``hash`` behave as on the sorted tuple the view stands for; ``hash``, and
+    ``==`` against anything but a view with the same orbits, payloads and
+    ``record``, iterate.
     """
 
-    __slots__ = ("_orbits", "_len", "_tuple")
+    __slots__ = ("_orbits", "_record", "_len", "_values", "_counts")
 
-    def __init__(self, orbits: Iterable[State]):
-        self._orbits = frozenset(orbits)
-        self._len = sum(_orbit_size((range(len(o)),), o) for o in self._orbits)
-        self._tuple: Optional[tuple[State, ...]] = None
+    def __init__(
+        self,
+        orbits: Mapping[State, object] | Iterable[State],
+        record: Optional[Callable[[State, object], object]] = None,
+    ):
+        self._orbits = dict(orbits) if isinstance(orbits, Mapping) else dict.fromkeys(orbits)
+        self._record = record
+        # the values any orbit holds, and per orbit how often it holds each
+        # and how many states it stands for
+        self._values = sorted(set().union(*self._orbits))
+        self._counts = [
+            ([orbit.count(v) for v in self._values], _orbit_size((range(len(orbit)),), orbit))
+            for orbit in self._orbits
+        ]
+        self._len = sum(size for _, size in self._counts)
 
     @property
-    def orbits(self) -> frozenset[State]:
-        return self._orbits
+    def orbits(self) -> KeysView[State]:
+        return self._orbits.keys()
 
     def __len__(self) -> int:
         return self._len
 
-    def __contains__(self, state: object) -> bool:
+    def _member(self, state: State, orbit: State):
+        if self._record is None:
+            return state
+        return self._record(state, self._orbits[orbit])
+
+    def __contains__(self, item: object) -> bool:
+        state = item if self._record is None else getattr(item, "state", None)
         if not isinstance(state, tuple):
             return False
         try:
-            return tuple(sorted(state)) in self._orbits
+            orbit = tuple(sorted(state))
+            if orbit not in self._orbits:
+                return False
         except TypeError:  # unorderable or unhashable values
             return False
+        return self._record is None or self._member(state, orbit) == item
 
-    def __iter__(self) -> Iterator[State]:
-        if self._tuple is not None:
-            return iter(self._tuple)
-        return heapq.merge(*map(_distinct_permutations, self._orbits))
+    def __iter__(self) -> Iterator:
+        if self._record is None:
+            return heapq.merge(*map(_distinct_permutations, self._orbits))
+        members = [
+            map(self._record, _distinct_permutations(orbit), itertools.repeat(payload))
+            for orbit, payload in self._orbits.items()
+        ]
+        return heapq.merge(*members, key=operator.attrgetter("state"))
 
-    def _states(self) -> tuple[State, ...]:
-        if self._tuple is None:
-            self._tuple = tuple(self)
-        return self._tuple
+    def _unrank(self, index: int):
+        """The record of rank ``index``, 0 <= index < len.  Each coordinate
+        takes the least value whose members with the prefix so far, counted
+        over the orbits that still hold it, reach past ``index``: a multiset
+        of m values of which c equal v has size * c / m orderings that start
+        with v."""
+        live = [(counts[:], size) for counts, size in self._counts]
+        out: list[int] = []
+        for m in range(len(next(iter(self._orbits))), 0, -1):
+            for k, v in enumerate(self._values):
+                below = sum(size * counts[k] // m for counts, size in live)
+                if index < below:
+                    break
+                index -= below
+            out.append(v)
+            live = [(counts, size * counts[k] // m) for counts, size in live if counts[k]]
+            for counts, _ in live:
+                counts[k] -= 1
+        state = tuple(out)
+        return self._member(state, tuple(sorted(state)))
 
     def __getitem__(self, index):
-        return self._states()[index]
+        if not isinstance(index, slice):
+            return self._unrank(range(self._len)[index])
+        ranks = range(self._len)[index]
+        if 4 * len(ranks) > self._len:  # the result is about as large as the view
+            return tuple(self)[index]
+        return tuple(map(self._unrank, ranks))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, OrbitView):
-            return self._orbits == other._orbits
-        if isinstance(other, tuple):
+        if (
+            isinstance(other, OrbitView)
+            and other._record is self._record
+            and other._orbits == self._orbits
+        ):
+            return True
+        if isinstance(other, (tuple, OrbitView)):
             return len(other) == self._len and all(map(operator.eq, self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._states())
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"OrbitView({self._len} states in {len(self._orbits)} orbits)"
+        return f"OrbitView({self._len} records in {len(self._orbits)} orbits)"
 
 
 def _guard_paths(program: Program, orbits: Iterable[State], max_states: int) -> None:
@@ -560,12 +619,15 @@ def deadlock_cutoff(caps: CapacityMap) -> int:
 class FamilyVerdict:
     """Outcome of a for-all-n check.
 
-    ``witnesses`` carries deadlock states (verdict "no"), sorted; the family
-    deadlock verdict keeps them as a lazy :class:`OrbitView` over the
-    deadlock orbits.  ``choice_points`` carries local choice points
-    (serializability "inconclusive").  Both are states of ``program``, the
-    instance the verdict searched; verdicts that search none, and the pair
-    test, leave it None.
+    ``witnesses`` carries deadlock states (verdict "no"), sorted.
+    ``choice_points`` carries local choice points (serializability
+    "inconclusive"), sorted by state.  The family verdicts keep both as a
+    lazy :class:`OrbitView`, over the deadlock orbits and the choice-point
+    orbits: ``len``, ``in`` and ``==`` between views of equal orbits build
+    nothing, indexing and slicing build only the records they return, and
+    iteration and ``hash`` build every one.  Both are states of
+    ``program``, the instance the verdict searched; verdicts that search
+    none, and the pair test, leave it None.
     """
 
     property_name: str  # "deadlock-freedom" | "serializability"
@@ -575,7 +637,7 @@ class FamilyVerdict:
     detail: str
     witnesses: Sequence[State] = ()
     manifests_at_n: Optional[int] = None
-    choice_points: tuple = ()
+    choice_points: Sequence = ()
     program: Optional[Program] = field(default=None, compare=False, repr=False)
 
 

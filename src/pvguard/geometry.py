@@ -191,7 +191,7 @@ def square_admissible(program: Program, state: State, i: int, j: int) -> bool:
     for c in (i, j):
         if state[c] >= program.tops[c]:
             raise ValueError(f"coordinate {c + 1} is already finished")
-    totals, _, _, squares = program._steps(state)
+    totals, _, _, squares = program._steps(state, squares=True)
     pair = (min(i, j), max(i, j))
     return any(sq[2:] == pair for sq in squares) and all(
         tot <= cap for tot, cap in zip(totals, program.kappa)

@@ -13,6 +13,7 @@ Three decision routes are implemented:
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -27,6 +28,7 @@ from .core import (
 )
 from .deadlock import (
     FamilyVerdict,
+    OrbitView,
     ReachabilityIndex,
     WitnessPlan,
     _chain_actions,
@@ -171,7 +173,7 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
     def table(state: State) -> tuple:
         # (state, steps, offsets, squares); reached states are admissible,
         # as Program._steps needs
-        _, steps, offsets, squares = program._steps(state)
+        _, steps, offsets, squares = program._steps(state, squares=True)
         return state, steps, offsets, squares
 
     tabs = [table(program.bottom)]  # per class: its end state's table
@@ -333,19 +335,22 @@ def is_local_choice_point(
     return program.resource_names[r], contenders
 
 
-def local_choice_points(
-    program: Program,
-    max_states: int = DEFAULT_MAX_STATES,
-    reachability: bool = True,
-) -> list[ChoicePoint]:
-    """All local choice points, in state order.  Candidate orbits come from
-    the acquire-state sweep shared with potential deadlocks
-    (``deadlock._hit_orbits``); the leaf is re-read on each of their
-    concrete states, whose order fixes the contenders.  The reachable flag
-    comes from a forward search up to the ceiling of the orbits, read once
-    per orbit (skipped, and left None, when ``reachability`` is off).  Both
-    are bounded by the symmetry-folded state count, the sweep also by its
-    number of choice points."""
+# what the members of a choice-point orbit share: the contended resource, per
+# coordinate the positions that request it, and the reachable flag
+_OrbitRecord = tuple[str, tuple[frozenset[int], ...], Optional[bool]]
+
+
+def _choice_point_orbits(
+    program: Program, max_states: int, reachability: bool = True
+) -> dict[State, _OrbitRecord]:
+    """The choice-point orbits from the acquire-state sweep shared with
+    potential deadlocks (``deadlock._hit_orbits``), each mapped to its
+    record (the reachable flag None without ``reachability``).
+    Permuting identical copies keeps a choice point one, with the same
+    resource and reachability, so the leaf is read once per orbit, and the
+    flags come from one forward search up to the ceiling of the orbits.
+    Bounded by the symmetry-folded state count, and by the concrete choice
+    points before the search."""
     hits = _hit_orbits(program, _one_short, max_states)
     _guard_members(program, hits, max_states)
     reached: dict[State, Optional[bool]] = dict.fromkeys(hits)
@@ -356,13 +361,42 @@ def local_choice_points(
     kappa = program.kappa
     request = program._request_idx
     names = program.resource_names
-    totals = {orbit: program.use_totals(orbit) for orbit in hits}
-    out = []
-    for state, orbit in _orbit_members(program, hits):
-        requests = [request[i][x] for i, x in enumerate(state)]
-        r, contenders = _one_short(kappa, totals[orbit], requests)
-        out.append(ChoicePoint(state, names[r], contenders, reached[orbit]))
-    return out
+    wanted = [
+        tuple(frozenset(p for p, q in enumerate(req) if q == r) for req in request)
+        for r in range(len(kappa))
+    ]
+    records: dict[State, _OrbitRecord] = {}
+    for orbit in hits:
+        requests = [request[i][x] for i, x in enumerate(orbit)]
+        r, _ = _one_short(kappa, program.use_totals(orbit), requests)
+        records[orbit] = (names[r], wanted[r], reached[orbit])
+    return records
+
+
+def _choice_point(state: State, record: _OrbitRecord) -> ChoicePoint:
+    """The choice point at ``state`` of an orbit's record: its contenders
+    are the coordinates that stand at a position requesting the resource."""
+    resource, wanted, reachable = record
+    contenders = itertools.compress(range(len(state)), map(operator.contains, wanted, state))
+    return ChoicePoint(state, resource, tuple(contenders), reachable)
+
+
+def local_choice_points(
+    program: Program,
+    max_states: int = DEFAULT_MAX_STATES,
+    reachability: bool = True,
+) -> list[ChoicePoint]:
+    """All local choice points, in state order: the orbits of
+    ``_choice_point_orbits`` expanded into their concrete states, each built
+    from its orbit's record.  The reachable flags are left None when
+    ``reachability`` is off.  Both the sweep and the search are bounded by
+    the symmetry-folded state count, the sweep also by its number of choice
+    points."""
+    records = _choice_point_orbits(program, max_states, reachability)
+    return [
+        _choice_point(state, records[orbit])
+        for state, orbit in _orbit_members(program, records)
+    ]
 
 
 def lcp_cutoff(caps: CapacityMap) -> int:
@@ -490,7 +524,10 @@ def family_serializability_verdict(
     choice-point-free cut-off instance certifies yes, otherwise the
     obstruction is reported but is not conclusive for no; mixed — no
     extrapolation from small instances is sound, so the verdict is left
-    inconclusive with per-size analysis suggested.
+    inconclusive with per-size analysis suggested.  The choice points are
+    decided per orbit (``_choice_point_orbits``) and never expanded:
+    ``choice_points`` is an :class:`OrbitView` of :class:`ChoicePoint`
+    records.
     """
     used = caps.restrict(thread.resources_used) if thread.resources_used else None
     if used is None:
@@ -531,7 +568,7 @@ def family_serializability_verdict(
         cutoff = lcp_cutoff(used)
         program = Program.power(thread, cutoff, caps)
         try:
-            cps = local_choice_points(program, max_states)
+            cps = OrbitView(_choice_point_orbits(program, max_states), _choice_point)
         except SearchLimitExceeded as exc:
             return FamilyVerdict(
                 "serializability", "inconclusive", cutoff, "search-limit", str(exc),
@@ -554,7 +591,7 @@ def family_serializability_verdict(
             "choice-point-cutoff",
             f"{len(cps)} local choice point(s) among {cutoff} copies; the "
             "obstruction does not prove non-serializability",
-            choice_points=tuple(cps),
+            choice_points=cps,
             program=program,
         )
     cutoff = lcp_cutoff(used)

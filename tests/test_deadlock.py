@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -225,6 +226,62 @@ def test_family_deadlock_verdict_expands_no_state(monkeypatch, entries, max_stat
     assert plan.expected_state in v.witnesses
     assert plan.expected_state[::-1] in v.witnesses
     assert plan.expected_state[1:] not in v.witnesses
+
+
+def _rank_in_orbit(state):
+    """The number of distinct orderings of ``state``'s values that precede it
+    lexicographically."""
+    counts = collections.Counter(state)
+    rank = 0
+    for m, x in zip(range(len(state), 0, -1), state):
+        for v in sorted(counts):
+            if v >= x:
+                break
+            if counts[v]:
+                counts[v] -= 1
+                rest = math.factorial(m - 1)
+                for c in counts.values():
+                    rest //= math.factorial(c)
+                rank += rest
+                counts[v] += 1
+        counts[x] -= 1
+    return rank
+
+
+def test_family_witness_view_indexes_without_expanding(monkeypatch):
+    # ladder rung 16: 2,018,016 witnesses in one orbit; indexing unranks
+    def fail(*args):
+        raise AssertionError("a concrete state was expanded")
+
+    monkeypatch.setattr(deadlock, "_orbit_members", fail)
+    monkeypatch.setattr(deadlock, "_distinct_permutations", fail)
+    caps = make_caps(a=6, b=5, c=5)
+    plan = deadsharp_witness(caps)
+    w = family_deadlock_verdict(plan.thread, caps).witnesses
+    assert len(w) == 2018016
+    (orbit,) = w.orbits
+    assert w[0] == orbit and w[-1] == orbit[::-1] and w[-2018016] == w[0]
+    middle = w[1009005:1009009]
+    assert [_rank_in_orbit(state) for state in middle] == list(range(1009005, 1009009))
+    assert all(state in w for state in middle)
+    assert w[1009006] == middle[1] and w[1009005:1009013:3] == (middle[0], middle[3], w[1009011])
+    with pytest.raises(IndexError):
+        w[2018016]
+
+
+def test_family_witness_view_indexes_like_the_sorted_tuple():
+    for total in range(2, 9):
+        k = 2 if total == 2 else 3
+        caps = CapacityMap(tuple(zip("abc", (total // k + (i < total % k) for i in range(k)))))
+        plan = deadsharp_witness(caps)
+        w = family_deadlock_verdict(plan.thread, caps).witnesses
+        expected = concrete_family_deadlock_verdict(plan.thread, caps).witnesses
+        assert [w[i] for i in range(len(w))] == list(expected)
+        assert [w[i] for i in range(-len(w), 0)] == list(expected)
+        n = len(expected)
+        for sl in (slice(0, n // 4), slice(n // 3, n // 3 + 3), slice(None, n // 5, 2),
+                   slice(n - 2, 1, -3), slice(None), slice(None, None, -1)):
+            assert w[sl] == expected[sl]
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 import random
 
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 from pvguard import (
     CapacityMap,
+    ChoicePoint,
     Program,
     PvError,
     SearchLimitExceeded,
     Thread,
+    concat_threads,
     connectivity_serializable,
     deadsharp_witness,
     dihomotopy_classes,
@@ -31,8 +35,11 @@ from pvguard import (
     state_admissible,
 )
 
+from pvguard import deadlock, serializability
+
 from conftest import (
     dihomotopy_classes_by_enumeration,
+    full_search_choice_points,
     lcp_definition_check,
     level_dp_classes,
     make_caps,
@@ -716,6 +723,107 @@ def test_family_wide_capacities_inconclusive():
     states = [c.state for c in v.choice_points]
     assert len(states) == 540
     assert (4, 2, 2, 9, 9) in states
+
+
+@st.composite
+def wide_capacity_threads(draw):
+    """A thread and capacities with every used κ >= 2: a choice-point
+    witness chain (always has choice points), a chain followed by a random
+    part, or, as often as both, a random thread (mostly without)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sharp", "chain+random", "random", "random"]))
+    a, b = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    caps = make_caps(a=a, b=b)
+    if kind == "random":
+        return kind, random_thread(rng, ["a", "b"], 4), caps
+    order = draw(st.permutations(["a", "b"]))
+    thread = sharpserializable_witness(CapacityMap(tuple((r, caps[r]) for r in order))).thread
+    if kind == "chain+random":
+        thread = concat_threads([thread, random_thread(rng, ["a", "b"], 1)])
+    return kind, thread, caps
+
+
+def test_family_choice_point_view_matches_concrete_routes():
+    seen = collections.Counter()
+
+    @given(wide_capacity_threads(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def check(drawn, seed):
+        kind, thread, caps = drawn
+        v = family_serializability_verdict(thread, caps)
+        assert v.rule == "choice-point-cutoff"
+        expected = tuple(local_choice_points(v.program))
+        full = tuple(full_search_choice_points(v.program))
+        assert expected == full
+        view = v.choice_points
+        assert view == expected and expected == view
+        assert len(view) == len(expected) and bool(view) == bool(expected)
+        assert v.verdict == ("inconclusive" if expected else "yes")
+        seen[kind, v.verdict] += 1
+        if not expected:
+            return
+        assert v.detail.startswith(f"{len(expected)} local choice point(s) among ")
+        seen["several orbits"] += len(view.orbits) > 1
+        listed = tuple(view)
+        assert listed == expected
+        assert [cp.reachable for cp in listed] == [cp.reachable for cp in full]
+        rng = random.Random(seed)
+        for i in (0, -1, len(expected) // 2, rng.randrange(len(expected))):
+            assert view[i] == expected[i]
+        for sl in (slice(1, 4), slice(-3, None), slice(None, None, -1)):
+            assert view[sl] == expected[sl]
+        assert view != expected[:-1] and view != list(expected)
+        records = serializability._choice_point_orbits(v.program, 10**8)
+        assert view == deadlock.OrbitView(records, serializability._choice_point)
+        flipped = {o: (res, wanted, not reach) for o, (res, wanted, reach) in records.items()}
+        assert view != deadlock.OrbitView(flipped, serializability._choice_point)
+        for cp in rng.sample(expected, min(len(expected), 30)):
+            assert cp in view
+            flipped = dataclasses.replace(cp, reachable=not cp.reachable)
+            fewer = dataclasses.replace(cp, contenders=cp.contenders[1:])
+            other = dataclasses.replace(cp, resource="b" if cp.resource == "a" else "a")
+            for item in (flipped, fewer, other, cp.state, None):
+                assert item not in view
+        tops = v.program.tops
+        members = set(expected)
+        for _ in range(30):
+            state = tuple(rng.randint(0, t) for t in tops)
+            hit = is_local_choice_point(v.program, state)
+            if hit is not None:
+                cp = ChoicePoint(state, hit[0], hit[1], True)
+                assert (cp in view) == (cp in members)
+
+    check()
+    with_choice_points = sum(c for key, c in seen.items() if key[1:] == ("inconclusive",))
+    assert with_choice_points >= 10, seen
+    assert seen["several orbits"] >= 10, seen
+    assert seen["random", "yes"] >= 5, seen
+
+
+def test_family_choice_points_expand_no_state(monkeypatch):
+    # the (3,3,2) choice-point witness: 18 orbits, 181,440 choice points
+    def fail(*args):
+        raise AssertionError("a concrete state was expanded")
+
+    monkeypatch.setattr(deadlock, "_orbit_members", fail)
+    monkeypatch.setattr(deadlock, "_distinct_permutations", fail)
+    monkeypatch.setattr(serializability, "_orbit_members", fail)
+    caps = make_caps(a=3, b=3, c=2)
+    plan = sharpserializable_witness(caps)
+    v = family_serializability_verdict(plan.thread, caps)
+    assert (v.verdict, v.rule, v.cutoff) == ("inconclusive", "choice-point-cutoff", 9)
+    assert len(v.choice_points) == 181440 and len(v.choice_points.orbits) == 18
+    assert v.detail == (
+        "181440 local choice point(s) among 9 copies; the obstruction does not "
+        "prove non-serializability"
+    )
+    top = plan.thread.length + 1
+    state = plan.expected_state + (top,) * (plan.cutoff - plan.instance_n)
+    resource, contenders = is_local_choice_point(v.program, state)
+    assert resource == plan.expected_resource
+    assert ChoicePoint(state, resource, contenders, True) in v.choice_points
+    assert ChoicePoint(state, resource, contenders, False) not in v.choice_points
+    assert v.choice_points[0].state == min(v.choice_points.orbits)
 
 
 def test_family_mixed_capacities_inconclusive():
