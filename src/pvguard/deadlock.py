@@ -623,11 +623,11 @@ class FamilyVerdict:
     ``choice_points`` carries local choice points (serializability
     "inconclusive"), sorted by state.  The family verdicts keep both as a
     lazy :class:`OrbitView`, over the deadlock orbits and the choice-point
-    orbits: ``len``, ``in`` and ``==`` between views of equal orbits build
-    nothing, indexing and slicing build only the records they return, and
-    iteration and ``hash`` build every one.  Both are states of
-    ``program``, the instance the verdict searched; verdicts that search
-    none, and the pair test, leave it None.
+    orbits: ``len`` builds no state, ``in`` at most one, ``==`` none
+    between two views over the same orbits and records, indexing and
+    slicing only the ones they return, and iteration and ``hash`` every
+    one.  Their states are states of ``program``, the instance the verdict
+    searched; verdicts that search none, and the pair test, leave it None.
     """
 
     property_name: str  # "deadlock-freedom" | "serializability"
