@@ -319,36 +319,43 @@ def _orbit_members(
     return found
 
 
+def _same_state(state: State, payload: object) -> State:
+    return state
+
+
 class OrbitView(Sequence):
     """One record per concrete state of some orbits of a power program, whose
     copies form one identity group, in ascending state order, without
     expanding them.
 
-    ``orbits`` maps each orbit (an ascending state) to a payload, or is a
-    plain iterable of orbits.  ``record(state, payload)`` builds a member's
-    record, which names its state as ``.state``; without ``record`` the
-    records are the states themselves.
+    ``orbits`` maps each orbit (an ascending state) to a payload, and
+    ``record(state, payload)`` builds a member's record; by default the
+    records are the states themselves.  ``key`` reads a record's state, and
+    is None when the records are states.
 
     ``len`` sums the orbit sizes, and ``in`` sorts a record's state, looks it
     up among the orbits and compares the one record it stands for.
     Iteration merges each orbit's distinct permutations, which come out
     sorted.  Indexing and slicing unrank each index from multinomial counts
-    over the orbits, so they build only the records they return; a slice
-    over more than a quarter of the view iterates instead.  ``==`` and
-    ``hash`` behave as on the sorted tuple the view stands for; ``hash``, and
-    ``==`` against anything but a view with the same orbits, payloads and
-    ``record``, iterate.
+    over the orbits, so they build only the records they return, at
+    O(n · values · orbits) each; ``index`` ranks the item the same way, and
+    ``count`` is ``in``.  ``==`` and ``hash`` behave as on the sorted tuple
+    the view stands for.  ``reversed``, ``hash``, and ``==`` against
+    anything but a view with the same orbits, payloads and ``record``, build
+    every record on each call.
     """
 
-    __slots__ = ("_orbits", "_record", "_len", "_values", "_counts")
+    __slots__ = ("_orbits", "_record", "_key", "_len", "_values", "_counts")
 
     def __init__(
         self,
-        orbits: Mapping[State, object] | Iterable[State],
-        record: Optional[Callable[[State, object], object]] = None,
+        orbits: Mapping[State, object],
+        record: Callable[[State, object], object] = _same_state,
+        key: Optional[Callable[[object], State]] = None,
     ):
-        self._orbits = dict(orbits) if isinstance(orbits, Mapping) else dict.fromkeys(orbits)
+        self._orbits = dict(orbits)
         self._record = record
+        self._key = key
         # the values any orbit holds, and per orbit how often it holds each
         # and how many states it stands for
         self._values = sorted(set().union(*self._orbits))
@@ -366,38 +373,50 @@ class OrbitView(Sequence):
         return self._len
 
     def _member(self, state: State, orbit: State):
-        if self._record is None:
-            return state
         return self._record(state, self._orbits[orbit])
 
-    def __contains__(self, item: object) -> bool:
-        state = item if self._record is None else getattr(item, "state", None)
-        if not isinstance(state, tuple):
-            return False
+    def _state(self, item: object) -> Optional[State]:
+        """The state ``item`` names if it is a member, else None."""
         try:
+            state = item if self._key is None else self._key(item)
+            if not isinstance(state, tuple):
+                return None
             orbit = tuple(sorted(state))
-            if orbit not in self._orbits:
-                return False
-        except TypeError:  # unorderable or unhashable values
-            return False
-        return self._record is None or self._member(state, orbit) == item
+            if orbit not in self._orbits or self._member(state, orbit) != item:
+                return None
+        except (AttributeError, TypeError):  # no state, or unorderable values
+            return None
+        return state
+
+    def __contains__(self, item: object) -> bool:
+        return self._state(item) is not None
 
     def __iter__(self) -> Iterator:
-        if self._record is None:
-            return heapq.merge(*map(_distinct_permutations, self._orbits))
         members = [
             map(self._record, _distinct_permutations(orbit), itertools.repeat(payload))
             for orbit, payload in self._orbits.items()
         ]
-        return heapq.merge(*members, key=operator.attrgetter("state"))
+        return heapq.merge(*members, key=self._key)
+
+    def __reversed__(self) -> Iterator:
+        return reversed(tuple(self))
+
+    @staticmethod
+    def _fix(live: list[tuple[list[int], int]], k: int, m: int) -> list[tuple[list[int], int]]:
+        """The orbits still live, with their value counts and member counts,
+        once the next of ``m`` coordinates takes the ``k``-th value: a
+        multiset of m values of which c equal v has size * c / m orderings
+        that start with v."""
+        live = [(counts[:], size * counts[k] // m) for counts, size in live if counts[k]]
+        for counts, _ in live:
+            counts[k] -= 1
+        return live
 
     def _unrank(self, index: int):
         """The record of rank ``index``, 0 <= index < len.  Each coordinate
         takes the least value whose members with the prefix so far, counted
-        over the orbits that still hold it, reach past ``index``: a multiset
-        of m values of which c equal v has size * c / m orderings that start
-        with v."""
-        live = [(counts[:], size) for counts, size in self._counts]
+        over the orbits that still hold it, reach past ``index``."""
+        live = self._counts
         out: list[int] = []
         for m in range(len(next(iter(self._orbits))), 0, -1):
             for k, v in enumerate(self._values):
@@ -406,19 +425,35 @@ class OrbitView(Sequence):
                     break
                 index -= below
             out.append(v)
-            live = [(counts, size * counts[k] // m) for counts, size in live if counts[k]]
-            for counts, _ in live:
-                counts[k] -= 1
+            live = self._fix(live, k, m)
         state = tuple(out)
         return self._member(state, tuple(sorted(state)))
 
+    def _rank(self, state: State) -> int:
+        """The rank of the member ``state``: the inverse of ``_unrank``."""
+        live = self._counts
+        rank = 0
+        for m, x in zip(range(len(state), 0, -1), state):
+            k = self._values.index(x)
+            rank += sum(size * counts[j] // m for j in range(k) for counts, size in live)
+            live = self._fix(live, k, m)
+        return rank
+
     def __getitem__(self, index):
-        if not isinstance(index, slice):
-            return self._unrank(range(self._len)[index])
-        ranks = range(self._len)[index]
-        if 4 * len(ranks) > self._len:  # the result is about as large as the view
-            return tuple(self)[index]
-        return tuple(map(self._unrank, ranks))
+        if isinstance(index, slice):
+            return tuple(map(self._unrank, range(self._len)[index]))
+        return self._unrank(range(self._len)[index])
+
+    def index(self, item: object, start: int = 0, stop: Optional[int] = None) -> int:
+        state = self._state(item)
+        if state is not None:
+            rank = self._rank(state)
+            if rank in range(self._len)[start:stop]:
+                return rank
+        raise ValueError(f"{item!r} is not in the view")
+
+    def count(self, item: object) -> int:
+        return int(item in self)
 
     def __eq__(self, other: object) -> bool:
         if (
@@ -625,8 +660,8 @@ class FamilyVerdict:
     lazy :class:`OrbitView`, over the deadlock orbits and the choice-point
     orbits: ``len`` builds no state, ``in`` at most one, ``==`` none
     between two views over the same orbits and records, indexing and
-    slicing only the ones they return, and iteration and ``hash`` every
-    one.  Their states are states of ``program``, the instance the verdict
+    slicing only the ones they return, ``index`` and ``count`` at most one,
+    and iteration, ``reversed`` and ``hash`` every one.  Their states are states of ``program``, the instance the verdict
     searched; verdicts that search none, and the pair test, leave it None.
     """
 
@@ -666,7 +701,9 @@ def family_deadlock_verdict(
         )
     program = Program.power(thread, cutoff, caps)
     try:
-        witnesses = OrbitView(_deadlock_orbits(program, max_states, bounded=True)[1])
+        witnesses = OrbitView(
+            dict.fromkeys(_deadlock_orbits(program, max_states, bounded=True)[1])
+        )
     except SearchLimitExceeded as exc:
         return FamilyVerdict(
             "deadlock-freedom",

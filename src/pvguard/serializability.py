@@ -568,7 +568,11 @@ def family_serializability_verdict(
         cutoff = lcp_cutoff(used)
         program = Program.power(thread, cutoff, caps)
         try:
-            cps = OrbitView(_choice_point_orbits(program, max_states), _choice_point)
+            cps = OrbitView(
+                _choice_point_orbits(program, max_states),
+                _choice_point,
+                operator.attrgetter("state"),
+            )
         except SearchLimitExceeded as exc:
             return FamilyVerdict(
                 "serializability", "inconclusive", cutoff, "search-limit", str(exc),

@@ -265,6 +265,10 @@ def test_family_witness_view_indexes_without_expanding(monkeypatch):
     assert [_rank_in_orbit(state) for state in middle] == list(range(1009005, 1009009))
     assert all(state in w for state in middle)
     assert w[1009006] == middle[1] and w[1009005:1009013:3] == (middle[0], middle[3], w[1009011])
+    assert [w.index(state) for state in middle] == list(range(1009005, 1009009))
+    assert w.index(w[-1]) == 2018015 and w.count(middle[0]) == 1
+    with pytest.raises(ValueError):
+        w.index(middle[0], 1009006)
     with pytest.raises(IndexError):
         w[2018016]
 
@@ -278,6 +282,8 @@ def test_family_witness_view_indexes_like_the_sorted_tuple():
         expected = concrete_family_deadlock_verdict(plan.thread, caps).witnesses
         assert [w[i] for i in range(len(w))] == list(expected)
         assert [w[i] for i in range(-len(w), 0)] == list(expected)
+        assert [w.index(state) for state in expected] == list(range(len(w)))
+        assert tuple(reversed(w)) == expected[::-1]
         n = len(expected)
         for sl in (slice(0, n // 4), slice(n // 3, n // 3 + 3), slice(None, n // 5, 2),
                    slice(n - 2, 1, -3), slice(None), slice(None, None, -1)):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import operator
 import random
 
 import pytest
@@ -774,16 +775,21 @@ def test_family_choice_point_view_matches_concrete_routes():
             assert view[sl] == expected[sl]
         assert view != expected[:-1] and view != list(expected)
         records = serializability._choice_point_orbits(v.program, 10**8)
-        assert view == deadlock.OrbitView(records, serializability._choice_point)
+        by_state = operator.attrgetter("state")
+        assert view == deadlock.OrbitView(records, serializability._choice_point, by_state)
         flipped = {o: (res, wanted, not reach) for o, (res, wanted, reach) in records.items()}
-        assert view != deadlock.OrbitView(flipped, serializability._choice_point)
+        assert view != deadlock.OrbitView(flipped, serializability._choice_point, by_state)
+        assert tuple(reversed(view)) == expected[::-1]
         for cp in rng.sample(expected, min(len(expected), 30)):
             assert cp in view
+            assert view.index(cp) == expected.index(cp) and view.count(cp) == 1
             flipped = dataclasses.replace(cp, reachable=not cp.reachable)
             fewer = dataclasses.replace(cp, contenders=cp.contenders[1:])
             other = dataclasses.replace(cp, resource="b" if cp.resource == "a" else "a")
             for item in (flipped, fewer, other, cp.state, None):
-                assert item not in view
+                assert item not in view and view.count(item) == 0
+                with pytest.raises(ValueError):
+                    view.index(item)
         tops = v.program.tops
         members = set(expected)
         for _ in range(30):
