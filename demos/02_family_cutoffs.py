@@ -14,6 +14,7 @@ from pvguard import (
     deadsharp_witness,
     family_deadlock_verdict,
     find_deadlocks,
+    program_deadlock_verdict,
 )
 
 caps = CapacityMap((("a", 1), ("b", 1), ("c", 1)))
@@ -47,3 +48,13 @@ for entries in [(("a", 1), ("b", 1)), (("a", 2), ("b", 1)), (("a", 2), ("b", 2))
     print(f"  {label}: thread {plan.thread}")
     print(f"    n={m}: deadlock at {plan.expected_state} "
           f"(found {len(at_cutoff)}), n={m - 1}: {len(below)}")
+print()
+
+print("A program of different threads reduces to its sub-programs of cut-off")
+print("size: a deadlock among more threads restricts to the ones still running.")
+texts = ("Pa Pb Vb Va", "Pa Va Pb Vb", "Pa Va Pb Vb", "Pb Pa Va Vb")
+mixed = Program(tuple(map(Thread.from_text, texts)), CapacityMap((("a", 1), ("b", 1))))
+v = program_deadlock_verdict(mixed)
+print(f"  {' | '.join(map(str, mixed.threads))} at a:1 b:1")
+print(f"  deadlock-free?  {v.verdict} ({v.rule}, cut-off {v.cutoff}): {v.detail}")
+print(f"  witness {v.witnesses[0]}")

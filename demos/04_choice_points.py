@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Local choice points and serializability certificates.
+"""Local choice points, and the deadlock algorithm one copy up.
 
 When capacities are at least 2, non-serializability always leaves a trace:
 a reachable state where the last free slot of some resource must go to one
 of several requesters and the outcomes never reconverge. No such state at
 (capacity sum + 1) copies means no such state at any copy count. This demo
-finds the choice points of a nearly-tight thread, maps one into a potential
-deadlock, and runs the family verdicts on both a dirty and a clean thread.
+finds the choice points of a nearly-tight thread, shows that each one sits
+inside a potential deadlock one copy up, and runs the family verdict on both
+a dirty and a clean thread.
 """
 
 from pvguard import (
@@ -15,10 +16,8 @@ from pvguard import (
     Thread,
     dihomotopy_classes,
     family_serializability_verdict,
-    is_potential_deadlock,
-    lcp_to_potential_deadlock,
     local_choice_points,
-    potential_deadlock_certificate,
+    potential_deadlocks,
     sharpserializable_witness,
 )
 
@@ -37,12 +36,20 @@ for cp in cps:
           f"contenders {cp.contenders}  reachable={cp.reachable}")
 print()
 
-cp = next(c for c in cps if c.state == plan.expected_state)
-lifted = lcp_to_potential_deadlock(program, cp)
-extended = Program((program.threads[0],) + program.threads, caps)
-print("every choice point embeds into a potential deadlock one copy up:")
-print(f"  {cp.state} -> {lifted}, "
-      f"potential deadlock: {is_potential_deadlock(extended, lifted)}")
+# the obstructions may be found by a deadlock algorithm one copy up: a copy
+# added where a holder of the contended resource stands blocks every contender
+up = set(potential_deadlocks(Program.power(plan.thread, plan.instance_n + 1, caps)))
+
+
+def lifted(cp):
+    holder = next(x for x in cp.state if cp.resource in plan.thread.point_use(x))
+    return (holder,) + cp.state
+
+
+print(f"the {plan.instance_n + 1}-copy instance has {len(up)} potential deadlock(s); "
+      "each choice point embeds into one:")
+for cp in cps:
+    print(f"  {cp.state} -> {lifted(cp)}, potential deadlock: {lifted(cp) in up}")
 print()
 
 print("family verdict for the generated thread:")
@@ -60,6 +67,6 @@ clean = Thread.from_text("Pa Va Pb Vb Pa Va")
 print(f"family verdict for {clean} (no nesting, same capacities):")
 v = family_serializability_verdict(clean, caps)
 print(f"  {v.verdict} ({v.rule}, cut-off {v.cutoff}): {v.detail}")
-cert = potential_deadlock_certificate(clean, caps)
-print(f"  deadlock-based certificate concurs: {cert.verdict} "
-      f"({cert.rule}, cut-off {cert.cutoff})")
+n = v.cutoff + 1
+print(f"  one copy up agrees: {len(potential_deadlocks(Program.power(clean, n, caps)))} "
+      f"potential deadlock(s) among {n} copies")

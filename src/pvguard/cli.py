@@ -243,11 +243,11 @@ def _cmd_lcp(args) -> int:
 
     def text():
         yield f"program {name}: {len(cps)} local choice point(s)"
-        reach = {True: "reachable", False: "unreachable", None: "reachability unknown"}
         for cp in cps:
             yield (
                 f"  {report.state_text(program, cp.state)} on {cp.resource}, "
-                f"contenders {[c + 1 for c in cp.contenders]}, {reach[cp.reachable]}"
+                f"contenders {[c + 1 for c in cp.contenders]}, "
+                f"{'reachable' if cp.reachable else 'unreachable'}"
             )
 
     _emit(args, f"lcp {name}", raw, result, text)

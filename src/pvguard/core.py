@@ -309,14 +309,6 @@ class Thread:
         return " ".join(a.mnemonic for a in self.actions)
 
 
-def concat_threads(threads: Sequence[Thread]) -> Thread:
-    """Sequential composition: run the given threads one after another."""
-    actions: list[Action] = []
-    for t in threads:
-        actions.extend(t.actions)
-    return Thread.from_actions(actions)
-
-
 def single_access(thread: Thread) -> bool:
     """True iff every resource is acquired at most once in the thread.
 

@@ -493,18 +493,6 @@ def _guard_members(program: Program, orbits: Iterable[State], max_states: int) -
         )
 
 
-def _requests(program: Program, state: State) -> Optional[list[Optional[int]]]:
-    """Requested resource index per coordinate (None at ⊤), or None if some
-    unfinished thread is not at an acquire."""
-    out: list[Optional[int]] = []
-    for i, (pos, top) in enumerate(zip(state, program.tops)):
-        req = program._request_idx[i][pos]
-        if req is None and pos != top:
-            return None
-        out.append(req)
-    return out
-
-
 def _requests_full(
     kappa: Sequence[int], totals: list[int], requests: list[Optional[int]]
 ) -> bool:
@@ -528,17 +516,6 @@ def potential_deadlocks(
     hits = _hit_orbits(program, _requests_full, max_states)
     _guard_members(program, hits, max_states)
     return [state for state, _ in _orbit_members(program, hits)]
-
-
-def is_potential_deadlock(program: Program, state: State) -> bool:
-    """Check the potential-deadlock conditions at one state."""
-    program.check_state(state)
-    if state == program.top:
-        return False
-    requests = _requests(program, state)
-    if requests is None:
-        return False
-    return _requests_full(program.kappa, program.use_totals(state), requests)
 
 
 @dataclass(frozen=True)
@@ -633,7 +610,7 @@ def _deadlock_states(program: Program, max_states: int) -> tuple[State, ...]:
     return tuple(state for state, _ in _orbit_members(program, orbits))
 
 
-def scatter_state(
+def _scatter_state(
     sub_state: State, indices: Sequence[int], program: Program
 ) -> State:
     """Place a sub-program state at the given thread indices of ``program``,
@@ -773,7 +750,7 @@ def program_deadlock_verdict(
         sub = Program(tuple(program.threads[i] for i in indices), program.caps)
         found = _deadlock_states(sub, max_states)
         if found:
-            witnesses = tuple(scatter_state(s, indices, program) for s in found)
+            witnesses = tuple(_scatter_state(s, indices, program) for s in found)
             return FamilyVerdict(
                 "deadlock-freedom",
                 "no",

@@ -173,31 +173,6 @@ def state_admissible(program: Program, state: State) -> bool:
     return all(tot <= cap for tot, cap in zip(totals, program.kappa))
 
 
-def edge_admissible(program: Program, state: State, coord: int) -> bool:
-    """May coordinate ``coord`` advance one step from ``state``?"""
-    program.check_state(state)
-    if state[coord] >= program.tops[coord]:
-        raise ValueError(f"coordinate {coord + 1} is already finished")
-    totals, _, offsets, _ = program._steps(state)
-    return offsets[coord] >= 0 and all(tot <= cap for tot, cap in zip(totals, program.kappa))
-
-
-def square_admissible(program: Program, state: State, i: int, j: int) -> bool:
-    """May coordinates ``i`` and ``j`` advance together across the unit square
-    based at ``state``?  Both count segment use; the rest count point use."""
-    program.check_state(state)
-    if i == j:
-        raise ValueError("square needs two distinct coordinates")
-    for c in (i, j):
-        if state[c] >= program.tops[c]:
-            raise ValueError(f"coordinate {c + 1} is already finished")
-    totals, _, _, squares = program._steps(state, squares=True)
-    pair = (min(i, j), max(i, j))
-    return any(sq[2:] == pair for sq in squares) and all(
-        tot <= cap for tot, cap in zip(totals, program.kappa)
-    )
-
-
 def successors(program: Program, state: State) -> list[tuple[int, State]]:
     """Admissible one-step moves from ``state`` in ascending coordinate order."""
     program.check_state(state)

@@ -5,10 +5,9 @@ other by repeatedly swapping two adjacent steps of different threads across
 an admissible square.  A program is serializable when every execution is
 equivalent to a serial one (threads run to completion one after another).
 
-Three decision routes are implemented:
+Two decision routes are implemented:
   - capacity-1 pairs: the class count of two copies;
-  - all capacities >= 2: absence of local choice points at the cut-off size;
-  - the potential-deadlock certificate two sizes above the capacity sum.
+  - all capacities >= 2: absence of local choice points at the cut-off size.
 """
 from __future__ import annotations
 
@@ -16,12 +15,11 @@ import itertools
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     CapacityMap,
     Program,
-    PvError,
     SearchLimitExceeded,
     State,
     Thread,
@@ -35,9 +33,6 @@ from .deadlock import (
     _guard_members,
     _hit_orbits,
     _orbit_members,
-    _requests,
-    is_potential_deadlock,
-    potential_deadlocks,
 )
 from .geometry import (
     DEFAULT_MAX_STATES,
@@ -84,24 +79,6 @@ def serial_order(path: LatticePath) -> Optional[tuple[int, ...]]:
 def is_serial(path: LatticePath) -> bool:
     """True iff the path runs the threads one after another to completion."""
     return serial_order(path) is not None
-
-
-def serial_path(program: Program, order: Sequence[int]) -> LatticePath:
-    """The serial execution running the threads in the given order.
-
-    Serial executions are always admissible: only one thread is ever
-    between its start and end, and alone it never exceeds any capacity.
-    """
-    if sorted(order) != list(range(program.n)):
-        raise ValueError(f"order {order} is not a permutation of the threads")
-    steps: list[int] = []
-    for c in order:
-        steps += [c] * program.tops[c]
-    return path_from_steps(program, program.bottom, steps)
-
-
-def serial_orders(program: Program) -> Iterator[tuple[int, ...]]:
-    return itertools.permutations(range(program.n))
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +213,6 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
     return len(tabs), len({cid for cid, _ in serial}), links
 
 
-def connectivity_serializable(
-    program: Program, limit: int = DEFAULT_MAX_STATES
-) -> bool:
-    """For programs with every used capacity >= 2, serializability is
-    equivalent to all executions forming a single class: all serial
-    executions are already equivalent to each other in that regime."""
-    for t in program.threads:
-        for r in t.resources_used:
-            if program.caps[r] < 2:
-                raise ValueError(
-                    f"connectivity criterion needs κ >= 2, got κ({r})=1"
-                )
-    return _classes(program, limit)[0] == 1
-
-
 def kappa1_pair_serializable(
     thread: Thread, caps: CapacityMap, max_states: int = DEFAULT_MAX_STATES
 ) -> bool:
@@ -290,7 +252,7 @@ class ChoicePoint:
     state: State
     resource: str
     contenders: tuple[int, ...]
-    reachable: Optional[bool]
+    reachable: bool
 
 
 def _one_short(
@@ -314,50 +276,22 @@ def _one_short(
     return r, contenders
 
 
-def is_local_choice_point(
-    program: Program, state: State
-) -> Optional[tuple[str, tuple[int, ...]]]:
-    """Combinatorial test: returns (contended resource, contender
-    coordinates) or None.
-
-    Conditions: the state is admissible; every unfinished thread stands at
-    an acquire; exactly one requested resource sits one below capacity with
-    at least two requesters; every other requested resource is full.
-    """
-    program.check_state(state)
-    requests = _requests(program, state)
-    if requests is None:
-        return None
-    hit = _one_short(program.kappa, program.use_totals(state), requests)
-    if hit is None:
-        return None
-    r, contenders = hit
-    return program.resource_names[r], contenders
-
-
 # what the members of a choice-point orbit share: the contended resource, per
 # coordinate the positions that request it, and the reachable flag
-_OrbitRecord = tuple[str, tuple[frozenset[int], ...], Optional[bool]]
+_OrbitRecord = tuple[str, tuple[frozenset[int], ...], bool]
 
 
-def _choice_point_orbits(
-    program: Program, max_states: int, reachability: bool = True
-) -> dict[State, _OrbitRecord]:
+def _choice_point_orbits(program: Program, max_states: int) -> dict[State, _OrbitRecord]:
     """The choice-point orbits from the acquire-state sweep shared with
     potential deadlocks (``deadlock._hit_orbits``), each mapped to its
-    record (the reachable flag None without ``reachability``).
-    Permuting identical copies keeps a choice point one, with the same
-    resource and reachability, so the leaf is read once per orbit, and the
-    flags come from one forward search up to the ceiling of the orbits.
+    record.  Permuting identical copies keeps a choice point one, with the
+    same resource and reachability, so the leaf is read once per orbit, and
+    the flags come from one forward search up to the ceiling of the orbits.
     Bounded by the symmetry-folded state count, and by the concrete choice
     points before the search."""
     hits = _hit_orbits(program, _one_short, max_states)
     _guard_members(program, hits, max_states)
-    reached: dict[State, Optional[bool]] = dict.fromkeys(hits)
-    if hits and reachability:
-        index = ReachabilityIndex(program, max_states, targets=hits)
-        for orbit in hits:
-            reached[orbit] = index.is_reachable(orbit)
+    index = ReachabilityIndex(program, max_states, targets=hits) if hits else None
     kappa = program.kappa
     request = program._request_idx
     names = program.resource_names
@@ -369,7 +303,7 @@ def _choice_point_orbits(
     for orbit in hits:
         requests = [request[i][x] for i, x in enumerate(orbit)]
         r, _ = _one_short(kappa, program.use_totals(orbit), requests)
-        records[orbit] = (names[r], wanted[r], reached[orbit])
+        records[orbit] = (names[r], wanted[r], index.is_reachable(orbit))
     return records
 
 
@@ -382,17 +316,14 @@ def _choice_point(state: State, record: _OrbitRecord) -> ChoicePoint:
 
 
 def local_choice_points(
-    program: Program,
-    max_states: int = DEFAULT_MAX_STATES,
-    reachability: bool = True,
+    program: Program, max_states: int = DEFAULT_MAX_STATES
 ) -> list[ChoicePoint]:
     """All local choice points, in state order: the orbits of
     ``_choice_point_orbits`` expanded into their concrete states, each built
-    from its orbit's record.  The reachable flags are left None when
-    ``reachability`` is off.  Both the sweep and the search are bounded by
+    from its orbit's record.  Both the sweep and the search are bounded by
     the symmetry-folded state count, the sweep also by its number of choice
     points."""
-    records = _choice_point_orbits(program, max_states, reachability)
+    records = _choice_point_orbits(program, max_states)
     return [
         _choice_point(state, records[orbit])
         for state, orbit in _orbit_members(program, records)
@@ -403,37 +334,6 @@ def lcp_cutoff(caps: CapacityMap) -> int:
     """Copy count at which absence of local choice points settles the whole
     family: the capacity sum plus one."""
     return caps.total() + 1
-
-
-def lcp_to_potential_deadlock(program: Program, cp: ChoicePoint) -> State:
-    """Prepend a coordinate of a thread holding the contended resource;
-    the result is a potential deadlock of the program extended by a copy of
-    that thread in front.
-
-    Requires every capacity >= 2 (with capacity 1 nobody holds the
-    contended resource at a choice point).  The smallest holder index is
-    tried first; the result is asserted before returning.
-    """
-    for r in program.caps.names:
-        if program.caps[r] < 2 and any(
-            r in t.resources_used for t in program.threads
-        ):
-            raise ValueError(f"construction needs κ >= 2, got κ({r})=1")
-    holders = [
-        i
-        for i, pos in enumerate(cp.state)
-        if cp.resource in program.threads[i].point_use(pos)
-    ]
-    if not holders:
-        raise PvError(f"no thread holds {cp.resource} at {cp.state}")
-    for k in holders:
-        extended = Program((program.threads[k],) + program.threads, program.caps)
-        candidate = (cp.state[k],) + tuple(cp.state)
-        if is_potential_deadlock(extended, candidate):
-            return candidate
-    raise PvError(
-        f"no holder of {cp.resource} at {cp.state} yields a potential deadlock"
-    )
 
 
 def sharpserializable_witness(caps: CapacityMap) -> WitnessPlan:
@@ -470,48 +370,6 @@ def sharpserializable_witness(caps: CapacityMap) -> WitnessPlan:
 
 # ---------------------------------------------------------------------------
 # family verdicts
-
-
-def potential_deadlock_certificate(
-    thread: Thread, caps: CapacityMap, max_states: int = DEFAULT_MAX_STATES
-) -> FamilyVerdict:
-    """Serializability certificate via deadlock machinery: if the instance
-    two copies above the capacity sum has no potential deadlock, then no
-    instance has a local choice point, so every instance is serializable.
-    Requires every used capacity >= 2.  An instance whose symmetry-folded
-    state count exceeds ``max_states`` gives an inconclusive verdict."""
-    used = caps.restrict(thread.resources_used)
-    for r in used.names:
-        if used[r] < 2:
-            raise ValueError(f"certificate needs κ >= 2, got κ({r})={used[r]}")
-    size = used.total() + 2
-    program = Program.power(thread, size, caps)
-    try:
-        hits = potential_deadlocks(program, max_states)
-    except SearchLimitExceeded as exc:
-        return FamilyVerdict(
-            "serializability", "inconclusive", size, "search-limit", str(exc), program=program
-        )
-    if not hits:
-        return FamilyVerdict(
-            "serializability",
-            "yes",
-            size,
-            "potential-deadlock-cutoff",
-            f"no potential deadlocks among {size} copies, hence no local "
-            "choice points at any copy count",
-            program=program,
-        )
-    return FamilyVerdict(
-        "serializability",
-        "inconclusive",
-        size,
-        "potential-deadlock-cutoff",
-        f"{len(hits)} potential deadlock(s) among {size} copies; the "
-        "certificate is sufficient, not necessary",
-        witnesses=tuple(hits),
-        program=program,
-    )
 
 
 def family_serializability_verdict(

@@ -8,6 +8,7 @@ agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 from collections import deque
@@ -28,7 +29,6 @@ from pvguard import (
     State,
     Thread,
     deadlock_cutoff,
-    edge_admissible,
     family_deadlock_verdict,
     enumerate_dipaths,
     find_deadlocks,
@@ -36,15 +36,19 @@ from pvguard import (
     local_choice_points,
     path_from_steps,
     program_deadlock_verdict,
-    scatter_state,
-    serial_orders,
     single_access,
-    square_admissible,
     state_admissible,
     successors,
 )
-from pvguard.deadlock import _deadlock_orbits, _deadlock_states, _orbit_members
+from pvguard.deadlock import (
+    _deadlock_orbits,
+    _deadlock_states,
+    _orbit_members,
+    _requests_full,
+    _scatter_state,
+)
 from pvguard.geometry import DEFAULT_MAX_STATES, guard_grid
+from pvguard.serializability import _classes, _one_short
 
 
 def make_caps(**caps: int) -> CapacityMap:
@@ -115,6 +119,119 @@ def two_group_program(
     return Program(tuple(threads), caps)
 
 
+# ---------------------------------------------------------------------------
+# per-state tests: the one-state forms of the library's sweeps and tables
+
+
+def edge_admissible(program: Program, state: State, coord: int) -> bool:
+    """May coordinate ``coord`` advance one step from ``state``?"""
+    return any(c == coord for c, _ in successors(program, state))
+
+
+def square_admissible(program: Program, state: State, i: int, j: int) -> bool:
+    """May coordinates ``i`` and ``j`` advance together across the unit square
+    based at ``state``?  The state must be admissible and both must step, and
+    the square is blocked iff both acquire one resource with fewer than two
+    free slots: the square rule of ``Program._steps``, read for one pair."""
+    totals, _, offsets, _ = program._steps(state)
+    if offsets[i] < 0 or offsets[j] < 0 or any(t > k for t, k in zip(totals, program.kappa)):
+        return False
+    r = program._request_idx[i][state[i]]
+    return r is None or r != program._request_idx[j][state[j]] or totals[r] + 2 <= program.kappa[r]
+
+
+def _requests(program: Program, state: State) -> Optional[list[Optional[int]]]:
+    """Requested resource index per coordinate (None at ⊤), or None if some
+    unfinished thread is not at an acquire."""
+    program.check_state(state)
+    requests = [program._request_idx[i][x] for i, x in enumerate(state)]
+    if any(r is None and x != top for r, x, top in zip(requests, state, program.tops)):
+        return None
+    return requests
+
+
+def is_potential_deadlock(program: Program, state: State) -> bool:
+    """Check the potential-deadlock conditions at one state."""
+    requests = _requests(program, state)
+    return (
+        requests is not None
+        and state != program.top
+        and _requests_full(program.kappa, program.use_totals(state), requests)
+    )
+
+
+def is_local_choice_point(
+    program: Program, state: State
+) -> Optional[tuple[str, tuple[int, ...]]]:
+    """Combinatorial test: returns (contended resource, contender
+    coordinates) or None.
+
+    Conditions: the state is admissible; every unfinished thread stands at
+    an acquire; exactly one requested resource sits one below capacity with
+    at least two requesters; every other requested resource is full.
+    """
+    requests = _requests(program, state)
+    if requests is None:
+        return None
+    hit = _one_short(program.kappa, program.use_totals(state), requests)
+    return (program.resource_names[hit[0]], hit[1]) if hit else None
+
+
+def lcp_to_potential_deadlock(program: Program, cp: ChoicePoint) -> State:
+    """Prepend a coordinate of a thread holding the contended resource;
+    the result is a potential deadlock of the program extended by a copy of
+    that thread in front: the paper's remark that the obstructions may be
+    found by a deadlock algorithm one copy up.
+
+    Requires every used capacity >= 2 (with capacity 1 nobody holds the
+    contended resource at a choice point).  The smallest holder index is
+    tried first; the result is checked before returning.
+    """
+    if any(program.caps[r] < 2 for t in program.threads for r in t.resources_used):
+        raise ValueError("construction needs every used κ >= 2")
+    for k, pos in enumerate(cp.state):
+        if cp.resource in program.threads[k].point_use(pos):
+            if is_potential_deadlock(_copy_in_front(program, k), (pos,) + cp.state):
+                return (pos,) + cp.state
+    raise PvError(f"no holder of {cp.resource} at {cp.state} yields a potential deadlock")
+
+
+@functools.lru_cache(maxsize=64)
+def _copy_in_front(program: Program, k: int) -> Program:
+    """``program`` with a copy of thread ``k`` prepended; cached, as a new
+    program derives its per-thread tables again."""
+    return Program((program.threads[k],) + program.threads, program.caps)
+
+
+def serial_path(program: Program, order: tuple[int, ...]) -> LatticePath:
+    """The serial execution running the threads in the given order.
+
+    Serial executions are always admissible: only one thread is ever
+    between its start and end, and alone it never exceeds any capacity.
+    """
+    if sorted(order) != list(range(program.n)):
+        raise ValueError(f"order {order} is not a permutation of the threads")
+    steps: list[int] = []
+    for c in order:
+        steps += [c] * program.tops[c]
+    return path_from_steps(program, program.bottom, steps)
+
+
+def connectivity_serializable(
+    program: Program, limit: int = DEFAULT_MAX_STATES
+) -> bool:
+    """For programs with every used capacity >= 2, serializability is
+    equivalent to all executions forming a single class: all serial
+    executions are already equivalent to each other in that regime."""
+    for t in program.threads:
+        for r in t.resources_used:
+            if program.caps[r] < 2:
+                raise ValueError(
+                    f"connectivity criterion needs κ >= 2, got κ({r})=1"
+                )
+    return _classes(program, limit)[0] == 1
+
+
 def naive_deadlock_states(program: Program, max_states: int = 10**7) -> set[State]:
     """Reachable admissible states with no admissible outgoing edge, except top."""
     out = set()
@@ -175,13 +292,9 @@ def naive_potential_deadlocks(program: Program) -> set[State]:
 
 def naive_count_dipaths(program: Program) -> int:
     """Recursive count of admissible monotone lattice paths bottom to top."""
-    from functools import lru_cache
-
-    from pvguard import edge_admissible
-
     tops = program.tops
 
-    @lru_cache(maxsize=None)
+    @functools.lru_cache(maxsize=None)
     def count(state: State) -> int:
         if state == tops:
             return 1
@@ -279,7 +392,7 @@ def full_search_choice_points(program: Program) -> list[ChoicePoint]:
     index = ReachabilityIndex(program)
     return [
         dataclasses.replace(cp, reachable=index.is_reachable(cp.state))
-        for cp in local_choice_points(program, reachability=False)
+        for cp in local_choice_points(program)
     ]
 
 
@@ -629,7 +742,7 @@ def level_dp_classes(
     )
 
     serial_ids = set()
-    for order in serial_orders(program):
+    for order in itertools.permutations(range(program.n)):
         cid = 0
         ok = True
         for level, c in enumerate(
@@ -702,7 +815,7 @@ def combination_deadlock_verdict(
                 "subprogram-cutoff",
                 f"deadlock in the sub-program at threads "
                 f"{tuple(i + 1 for i in indices)}, finished copies padded",
-                witnesses=tuple(scatter_state(s, indices, program) for s in found),
+                witnesses=tuple(_scatter_state(s, indices, program) for s in found),
                 manifests_at_n=program.n,
             )
     return FamilyVerdict(

@@ -21,10 +21,7 @@ from pvguard import (
     dihomotopy_classes,
     family_deadlock_verdict,
     find_deadlocks,
-    is_local_choice_point,
-    is_potential_deadlock,
     kappa1_pair_serializable,
-    lcp_to_potential_deadlock,
     local_choice_points,
     sharpserializable_witness,
     state_admissible,
@@ -32,7 +29,10 @@ from pvguard import (
 from pvguard.cli import main
 
 from conftest import (
+    is_local_choice_point,
+    is_potential_deadlock,
     lcp_definition_check,
+    lcp_to_potential_deadlock,
     make_caps,
     naive_deadlock_states,
     quotient_deadlock_empty,
@@ -245,7 +245,7 @@ def test_criterion_08_choice_points_embed_as_potential_deadlocks():
         plan = sharpserializable_witness(caps)
         prog = Program.power(plan.thread, plan.instance_n, caps)
         bigger = Program.power(plan.thread, plan.instance_n + 1, caps)
-        cps = local_choice_points(prog, reachability=False)
+        cps = local_choice_points(prog)
         assert cps
         for cp in cps:
             target = lcp_to_potential_deadlock(prog, cp)
@@ -264,7 +264,7 @@ def test_criterion_08_choice_points_embed_as_potential_deadlocks():
         prog = Program.power(t, n, caps)
         programs += 1
         bigger = Program.power(t, n + 1, caps)
-        for cp in local_choice_points(prog, reachability=False):
+        for cp in local_choice_points(prog):
             target = lcp_to_potential_deadlock(prog, cp)
             assert is_potential_deadlock(bigger, target)
             mapped += 1
@@ -281,9 +281,7 @@ def test_criterion_09_no_choice_points_means_one_class():
         t = random_thread(rng, ["a", "b"], 3)
         caps = make_caps(a=2, b=2).restrict(t.resources_used)
         cutoff = caps.total() + 1
-        if local_choice_points(
-            Program.power(t, cutoff, caps), reachability=False
-        ):
+        if local_choice_points(Program.power(t, cutoff, caps)):
             continue
         accepted += 1
         for n in (2, 3):

@@ -10,7 +10,6 @@ from pvguard import (
     InvalidThreadError,
     Program,
     Thread,
-    concat_threads,
     parse_actions,
     single_access,
     thread_violations,
@@ -182,9 +181,10 @@ def test_single_access():
 
 
 def test_concat_threads():
+    # sequential composition is the concatenation of the action tuples
     t1 = Thread.from_text("Pa Pb Vb Va")
     t2 = Thread.from_text("Pb Pa Va Vb")
-    cat = concat_threads((t1, t2))
+    cat = Thread.from_actions(t1.actions + t2.actions)
     assert str(cat) == "Pa Pb Vb Va Pb Pa Va Vb"
     assert cat.length == 8
 
@@ -192,7 +192,10 @@ def test_concat_threads():
 def test_concat_rejects_overlap_only_when_invalid():
     # concatenation of valid threads is always valid: holds are closed
     t = Thread.from_text("Pa Va")
-    assert str(concat_threads((t, t, t))) == "Pa Va Pa Va Pa Va"
+    assert str(Thread.from_actions(t.actions * 3)) == "Pa Va Pa Va Pa Va"
+    # a prefix with an open hold is not a thread, and neither is its repeat
+    with pytest.raises(InvalidThreadError):
+        Thread.from_actions(parse_actions("Pa") * 2)
 
 
 # -- property tests ----------------------------------------------------------

@@ -14,23 +14,20 @@ from pvguard import (
     ReachabilityIndex,
     SearchLimitExceeded,
     Thread,
-    concat_threads,
     deadlock_cutoff,
     deadsharp_witness,
     family_deadlock_verdict,
     find_deadlocks,
-    is_potential_deadlock,
     local_choice_points,
     potential_deadlocks,
     program_deadlock_verdict,
-    scatter_state,
     single_access,
     state_admissible,
     successors,
 )
 
 from pvguard import deadlock
-from pvguard.deadlock import _deadlock_orbits, _deadlock_states
+from pvguard.deadlock import _deadlock_orbits, _deadlock_states, _scatter_state
 from pvguard.geometry import LatticePath
 
 from conftest import (
@@ -38,6 +35,7 @@ from conftest import (
     concrete_family_deadlock_verdict,
     full_search_choice_points,
     full_search_deadlock_witnesses,
+    is_potential_deadlock,
     make_caps,
     naive_deadlock_states,
     naive_potential_deadlocks,
@@ -314,7 +312,7 @@ def family_threads(draw):
             parts.append(deadsharp_witness(CapacityMap(tuple((r, caps[r]) for r in order))).thread)
         else:
             parts.append(random_thread(rng, resources, 2))
-    return kind, concat_threads(parts), caps
+    return kind, Thread.from_actions(parts[0].actions + parts[1].actions), caps
 
 
 def test_family_witness_view_matches_concrete_route():
@@ -590,7 +588,7 @@ def test_reachability_index_witness_targets_exact_state():
 
 def test_pad_and_scatter():
     prog = Program.power(T1, 4, K11)
-    assert scatter_state((2, 3), (1, 3), prog) == (5, 2, 5, 3)
+    assert _scatter_state((2, 3), (1, 3), prog) == (5, 2, 5, 3)
 
 
 def test_deadlock_cutoff_totals():

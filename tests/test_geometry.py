@@ -15,22 +15,22 @@ from pvguard import (
     ReachabilityIndex,
     SearchLimitExceeded,
     Thread,
-    edge_admissible,
     enumerate_dipaths,
     forbidden_rectangles,
     path_from_steps,
-    square_admissible,
     state_admissible,
     successors,
 )
 
 from conftest import (
+    edge_admissible,
     extended_rectangle,
     make_caps,
     naive_count_dipaths,
     random_program,
     reachable,
     reachable_states,
+    square_admissible,
     validate_three_pass,
 )
 
@@ -365,13 +365,20 @@ def test_edge_and_square_rules_match_segment_use():
 
         for state in itertools.product(*(range(t + 1) for t in prog.tops)):
             open_ = [c for c in range(prog.n) if state[c] < prog.tops[c]]
-            for c in open_:
-                assert edge_admissible(prog, state, c) == (
-                    fits(state, ()) and fits(state, (c,))
-                )
+            # the library's rules: successors, and the square table of
+            # Program._steps, which is defined on admissible states
+            steps = [c for c, _ in successors(prog, state)]
+            assert steps == [c for c in open_ if fits(state, ()) and fits(state, (c,))]
+            squares = None
+            if fits(state, ()):
+                _, table_steps, _, table = prog._steps(state, squares=True)
+                assert table_steps == steps
+                squares = {(i, j) for _, _, i, j in table}
             for i, j in itertools.combinations(open_, 2):
                 square = fits(state, ()) and fits(state, (i, j))
                 assert square_admissible(prog, state, i, j) == square
+                if squares is not None:
+                    assert ((i, j) in squares) == square
                 if not square and fits(state, (i,)) and fits(state, (j,)):
                     held, moved = use(state, ()), use(state, (i, j))
                     shared += any(moved[r] > caps[r] and held[r] for r in caps.names)

@@ -1,6 +1,7 @@
 """Package surface: the public names, the shipped demos, and the one search."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -9,29 +10,40 @@ from pathlib import Path
 import pytest
 
 import pvguard
-from pvguard import Program, ReachabilityIndex, deadsharp_witness
+from pvguard import DEFAULT_MAX_STATES, Program, ReachabilityIndex, deadsharp_witness
 from pvguard import deadlock, geometry, serializability
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pvguard"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-# Reference oracles kept in tests/conftest.py, and a deleted alias; none of
-# them belongs to the library surface.
+# Reference oracles kept in tests/conftest.py, deleted functions, and a
+# helper made private; none of them belongs to the library surface.
 NOT_EXPORTED = {
     "ExtendedRectangle",
     "Schedule",
+    "concat_threads",
+    "connectivity_serializable",
     "deadlock_candidates",
     "dihomotopy_classes_by_enumeration",
+    "edge_admissible",
     "extended_rectangle",
+    "is_local_choice_point",
+    "is_potential_deadlock",
     "lcp_definition_check",
+    "lcp_to_potential_deadlock",
     "level_dp_classes",
     "path_obeys",
     "path_schedule",
+    "potential_deadlock_certificate",
     "reachable",
     "reachable_states",
+    "scatter_state",
     "schedule_feasible",
     "schedules",
+    "serial_orders",
+    "serial_path",
+    "square_admissible",
 }
 
 
@@ -45,6 +57,25 @@ def test_oracles_are_not_exported():
     assert NOT_EXPORTED.isdisjoint(pvguard.__all__)
     for name in NOT_EXPORTED:
         assert not hasattr(pvguard, name), name
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """The names a module reads: bare names and attribute names."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_export_has_a_user():
+    # every public name is read by the package beyond its own definition and
+    # __init__, or by a demo
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *DEMOS]:
+        if path.name != "__init__.py":
+            used |= loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(pvguard.__all__) - used) == []
 
 
 def test_demos_are_present():
@@ -109,21 +140,23 @@ def test_folded_engines_skip_per_state_checks(monkeypatch):
         monkeypatch.setattr(module, "successors", forbidden, raising=False)
     assert ReachabilityIndex(program).visited == 13408
     assert len(pvguard.potential_deadlocks(program)) == 560
-    assert len(pvguard.local_choice_points(program, reachability=False)) == 8960
+    # ReachabilityIndex checks and sorts its targets, so the choice-point
+    # sweep is read without the flag search
+    hits = deadlock._hit_orbits(program, serializability._one_short, DEFAULT_MAX_STATES)
+    assert len(deadlock._orbit_members(program, hits)) == 8960
 
 
 def test_class_dp_reads_per_state_tables(monkeypatch):
     # the class DP tables steps and squares once per end state and follows
-    # serial executions as a frontier: no state re-check, successor list,
-    # square test or serial-order enumeration, and no union-find of payloads
+    # serial executions as a frontier: no state re-check, successor list or
+    # serial-order enumeration, and no union-find of payloads
     def forbidden(*args, **kwargs):
         raise AssertionError("called from the class DP")
 
     monkeypatch.setattr(Program, "check_state", forbidden)
     for module in (geometry, serializability):
         monkeypatch.setattr(module, "successors", forbidden, raising=False)
-        monkeypatch.setattr(module, "square_admissible", forbidden, raising=False)
-    monkeypatch.setattr(serializability, "serial_orders", forbidden)
+    monkeypatch.setattr(itertools, "permutations", forbidden)
     assert not hasattr(serializability, "_Unions")
     pv = pvguard.Thread.from_text("Pa Va")
     report = pvguard.dihomotopy_classes(

@@ -15,23 +15,16 @@ from pvguard import (
     PvError,
     SearchLimitExceeded,
     Thread,
-    concat_threads,
-    connectivity_serializable,
     deadsharp_witness,
     dihomotopy_classes,
     enumerate_dipaths,
     family_serializability_verdict,
-    is_local_choice_point,
-    is_potential_deadlock,
     is_serial,
     kappa1_pair_serializable,
     lcp_cutoff,
-    lcp_to_potential_deadlock,
     local_choice_points,
-    potential_deadlock_certificate,
+    potential_deadlocks,
     serial_order,
-    serial_orders,
-    serial_path,
     sharpserializable_witness,
     state_admissible,
 )
@@ -39,9 +32,13 @@ from pvguard import (
 from pvguard import deadlock, serializability
 
 from conftest import (
+    connectivity_serializable,
     dihomotopy_classes_by_enumeration,
     full_search_choice_points,
+    is_local_choice_point,
+    is_potential_deadlock,
     lcp_definition_check,
+    lcp_to_potential_deadlock,
     level_dp_classes,
     make_caps,
     naive_count_dipaths,
@@ -53,6 +50,7 @@ from conftest import (
     schedule_feasible,
     schedule_pair_serializable,
     schedules,
+    serial_path,
     two_group_program,
 )
 
@@ -85,19 +83,13 @@ def test_interleaved_path_is_not_serial():
     assert serial_order(p) is None
 
 
-def test_serial_orders_enumeration():
-    assert list(serial_orders(EX3)) == [(0, 1), (1, 0)]
-    prog3 = Program.power(PV, 3, make_caps(a=1))
-    assert len(list(serial_orders(prog3))) == 6
-
-
 def test_serial_paths_always_valid():
     rng = random.Random(31)
     for _ in range(20):
         caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 2))))
         threads = tuple(random_thread(rng, ["a", "b"], 3) for _ in range(3))
         prog = Program(threads, caps)
-        for order in serial_orders(prog):
+        for order in itertools.permutations(range(prog.n)):
             sp = serial_path(prog, order)
             sp.validate(prog)
             assert serial_order(sp) == order
@@ -211,9 +203,7 @@ def test_crossing_locks_two_classes():
 
 
 def test_sequential_composition_breaks_serializability():
-    from pvguard import concat_threads
-
-    cat = concat_threads((T1, T2))
+    cat = Thread.from_actions(T1.actions + T2.actions)
     cr = dihomotopy_classes(Program.power(cat, 2, K11))
     assert cr.class_count == 6
     assert cr.serial_classes_covered == 2
@@ -428,9 +418,7 @@ def test_pair_serializability_examples():
     assert kappa1_pair_serializable(PV, make_caps(a=1))
     assert kappa1_pair_serializable(T1, K11)
     assert not kappa1_pair_serializable(FIG, KABC)
-    from pvguard import concat_threads
-
-    assert not kappa1_pair_serializable(concat_threads((T1, T2)), K11)
+    assert not kappa1_pair_serializable(Thread.from_actions(T1.actions + T2.actions), K11)
 
 
 def test_pair_serializability_rejects_wrong_shapes():
@@ -502,13 +490,6 @@ def test_no_choice_points_for_single_user_patterns():
     assert local_choice_points(prog) == []
 
 
-def test_choice_point_without_reachability_flag():
-    prog = Program.power(WIT, 3, K22)
-    cps = local_choice_points(prog, reachability=False)
-    assert len(cps) == 6
-    assert all(c.reachable is None for c in cps)
-
-
 def test_is_local_choice_point_details():
     prog = Program.power(WIT, 3, K22)
     got = is_local_choice_point(prog, (4, 2, 2))
@@ -554,7 +535,7 @@ def test_choice_points_match_naive_sweep():
             prog = random_program(rng, ["a", "b"], caps, n, 2)
         got = [
             (c.state, c.resource, c.contenders)
-            for c in local_choice_points(prog, reachability=False)
+            for c in local_choice_points(prog)
         ]
         grid = list(itertools.product(*(range(t + 1) for t in prog.tops)))
         swept = [
@@ -581,7 +562,7 @@ def test_choice_points_match_naive_sweep():
         prog = two_group_program(rng, ["a", "b"], caps, (rng.randint(2, 3), 2), 2)
         got = [
             (c.state, c.resource, c.contenders)
-            for c in local_choice_points(prog, reachability=False)
+            for c in local_choice_points(prog)
         ]
         swept = [
             (state,) + hit
@@ -597,9 +578,8 @@ def test_choice_points_respect_the_bound():
     plan = sharpserializable_witness(K22)
     prog = Program.power(plan.thread, plan.instance_n, K22)
     folded = prog.orbit_states()
-    for reachability in (True, False):
-        with pytest.raises(SearchLimitExceeded):
-            local_choice_points(prog, folded - 1, reachability=reachability)
+    with pytest.raises(SearchLimitExceeded):
+        local_choice_points(prog, folded - 1)
     cps = local_choice_points(prog, folded)
     assert plan.expected_state in [c.state for c in cps if c.reachable]
 
@@ -611,10 +591,9 @@ def test_choice_points_bound_counts_concrete_states():
     prog = Program.power(deadsharp_witness(caps).thread, 16, caps)
     folded = prog.orbit_states()
     assert folded == 2042975
-    for reachability in (True, False):
-        with pytest.raises(SearchLimitExceeded) as e:
-            local_choice_points(prog, folded, reachability=reachability)
-        assert "concrete candidate states (53813760 needed)" in str(e.value)
+    with pytest.raises(SearchLimitExceeded) as e:
+        local_choice_points(prog, folded)
+    assert "concrete candidate states (53813760 needed)" in str(e.value)
     v = family_serializability_verdict(deadsharp_witness(caps).thread, caps)
     assert (v.verdict, v.rule) == ("inconclusive", "search-limit")
     assert "concrete candidate states" in v.detail
@@ -740,7 +719,7 @@ def wide_capacity_threads(draw):
     order = draw(st.permutations(["a", "b"]))
     thread = sharpserializable_witness(CapacityMap(tuple((r, caps[r]) for r in order))).thread
     if kind == "chain+random":
-        thread = concat_threads([thread, random_thread(rng, ["a", "b"], 1)])
+        thread = Thread.from_actions(thread.actions + random_thread(rng, ["a", "b"], 1).actions)
     return kind, thread, caps
 
 
@@ -849,43 +828,30 @@ def test_family_unit_capacities_search_limit():
     assert (v.verdict, v.rule, v.cutoff) == ("inconclusive", "search-limit", 2)
 
 
-# -- certificates ---------------------------------------------------------------
-
-def test_certificate_yes_route():
-    v = potential_deadlock_certificate(Thread.from_text("Pa Va Pb Vb"), K22)
-    assert (v.verdict, v.rule, v.cutoff) == ("yes", "potential-deadlock-cutoff", 6)
-    assert v.witnesses == ()
-
-
-def test_certificate_inconclusive_route():
-    v = potential_deadlock_certificate(WIT, K22)
-    assert (v.verdict, v.cutoff) == ("inconclusive", 6)
-    assert v.witnesses
-    prog = Program.power(WIT, 6, K22)
-    for s in v.witnesses[:3]:
-        assert is_potential_deadlock(prog, s)
-
-
-def test_certificate_respects_the_bound():
-    folded = Program.power(WIT, 6, K22).orbit_states()
-    v = potential_deadlock_certificate(WIT, K22, max_states=folded - 1)
-    assert (v.verdict, v.rule, v.cutoff) == ("inconclusive", "search-limit", 6)
-    assert f"({folded} needed)" in v.detail
-    assert potential_deadlock_certificate(WIT, K22, max_states=folded).rule == (
-        "potential-deadlock-cutoff"
-    )
-
+# -- choice points one copy up ---------------------------------------------------
 
 def test_certificate_implies_no_choice_points():
+    # the paper's remark that the obstructions may be found by a deadlock
+    # algorithm one copy up: every choice point among Σκ+1 copies lifts to a
+    # potential deadlock among Σκ+2, so none there certifies none at Σκ+1
     rng = random.Random(38)
-    checked = 0
-    while checked < 8:
-        t = random_thread(rng, ["a", "b"], 2)
-        caps = K22.restrict(t.resources_used)
-        v = potential_deadlock_certificate(t, caps)
-        if v.verdict != "yes":
-            continue
-        checked += 1
+    clean = lifted = 0
+    for k in range(21):
+        if k % 3 == 2:  # a choice-point chain, then a random part
+            caps = K22
+            chain = sharpserializable_witness(CapacityMap(tuple((r, 2) for r in rng.sample("ab", 2))))
+            tail = random_thread(rng, ["a", "b"], 1)
+            t = Thread.from_actions(chain.thread.actions + tail.actions)
+        else:
+            caps = make_caps(a=rng.randint(2, 3), b=rng.randint(2, 3))
+            t = random_thread(rng, ["a", "b"], 3)
+        caps = caps.restrict(t.resources_used)
         m = lcp_cutoff(caps)
-        assert local_choice_points(
-            Program.power(t, m, caps), reachability=False) == []
+        prog = Program.power(t, m, caps)
+        above = set(potential_deadlocks(Program.power(t, m + 1, caps)))
+        cps = local_choice_points(prog)
+        for cp in cps:
+            assert lcp_to_potential_deadlock(prog, cp) in above
+        clean += not above
+        lifted += bool(cps)
+    assert clean >= 8 and lifted >= 5, (clean, lifted)
