@@ -53,6 +53,11 @@ class ReachabilityIndex:
     forms, the *ceiling* (⊤ by default): a monotone path to a state never
     leaves the states below it.  A query whose group-sorted form is not at or
     below the ceiling raises :class:`ValueError`.
+
+    ``_release_first``, the mode of the bounded verdict routes, reduces the
+    search (see ``_search``) so that it decides only the states where every
+    coordinate stands at an acquire or at ⊤; a query about any other state
+    raises :class:`ValueError`.
     """
 
     def __init__(
@@ -61,6 +66,7 @@ class ReachabilityIndex:
         max_states: int = DEFAULT_MAX_STATES,
         *,
         targets: Optional[Iterable[State]] = None,
+        _release_first: bool = False,
     ):
         guard_orbits(program, max_states)
         self.program = program
@@ -75,8 +81,17 @@ class ReachabilityIndex:
                 program.check_state(state)
                 orbits.append(self.canon(state))
             self.ceiling = tuple(map(max, zip(program.bottom, *orbits)))
-        self._parents: dict[State, tuple[State, int]] = {}
-        self._chains: dict[State, list[State]] = {}  # witness paths per orbit
+        self._release_first = _release_first
+        # states at or below the ceiling as mixed-radix codes, the last
+        # coordinate least significant; ⊥ is code 0
+        self._radix = tuple(c + 1 for c in self.ceiling)
+        self._weight = tuple(
+            itertools.accumulate(self._radix[:0:-1], operator.mul, initial=1)
+        )[::-1]
+        # per reached code, in discovery order: parent code * n + the
+        # coordinate its step is taken by (-1 for ⊥)
+        self._links: dict[int, int] = {}
+        self._chains: dict[int, list[State]] = {}  # witness paths per orbit code
         self._search()
 
     def canon(self, state: State) -> State:
@@ -87,13 +102,20 @@ class ReachabilityIndex:
                 out[i] = v
         return tuple(out)
 
+    def _decode(self, code: int) -> State:
+        out = []
+        for r in reversed(self._radix):
+            code, x = divmod(code, r)
+            out.append(x)
+        return tuple(reversed(out))
+
     def _search(self) -> None:
         """Breadth-first search over group-sorted states.
 
         Every stored state is group-sorted, and its successors are built
         sorted: of a run of equal values within a group only the first
         coordinate is tried, and the step raises the run's last coordinate.
-        A parent is stored as (state, first coordinate of the run), the
+        A parent is stored with the first coordinate of the run, the
         coordinate a step in ascending order reaches the orbit by first.
         Reached states are admissible (⊥ is, and an admissible edge ends in
         one), so a step is blocked exactly when the resource it acquires is
@@ -102,6 +124,25 @@ class ReachabilityIndex:
         of a state below the ceiling is below it too, and a level is a
         coordinate sum, so on the states below it the search stores the same
         keys in the same order with the same parents as with ceiling ⊤.
+
+        States are keyed by their codes, so a step adds the raised
+        coordinate's weight to a code; each queued state carries its
+        point-use totals, which a step moves by the stepped thread's point
+        use before and after it.
+
+        With ``_release_first``, a state in which some coordinate stands
+        below its ceiling at a position that requests nothing (⊥ or a
+        release) expands only the first such coordinate's step.  That step is
+        always enabled, disables no other step and commutes with every step,
+        and on a path to a state where every coordinate stands at an acquire
+        or at ⊤ it is taken later anyway; taking it first only lowers
+        point-use totals on the way, so each such state below the ceiling
+        stays reachable (a persistent set: Valmari, "Stubborn sets for
+        reduced state space generation", 1990).  If the coordinate is not the
+        first of its run, the run's first one stands at its ceiling at a
+        position that requests nothing, so no such state is reachable and the
+        state expands nothing.  The verdict routes never meet that case: the
+        ceiling of their targets stands at acquires or at ⊤.
         """
         program = self.program
         n = program.n
@@ -109,24 +150,36 @@ class ReachabilityIndex:
         point = program._point_idx
         request = program._request_idx
         ceiling = self.ceiling
+        weight = self._weight
         before = [-1] * n  # previous coordinate of the same group
         after = [-1] * n  # next coordinate of the same group
         for g in self._groups:
             for a, b in zip(g, g[1:]):
                 before[b] = a
                 after[a] = b
-        totals0 = [0] * len(kappa)
+        coords = range(n)
+        release_first = self._release_first
+        links = self._links
+        links[0] = -1
         start = program.bottom
-        parents = self._parents
-        parents[start] = (start, -1)
-        queue: deque[State] = deque((start,))
+        queue: deque[tuple[State, int, list[int]]] = deque(
+            ((start, 0, program.use_totals(start)),)
+        )
         while queue:
-            state = queue.popleft()
-            totals = totals0[:]
-            for held, x in zip(point, state):
-                for r in held[x]:
-                    totals[r] += 1
-            for c in range(n):
+            state, code, totals = queue.popleft()
+            steps: Iterable[int] = coords
+            if release_first:
+                free = next(
+                    (
+                        c
+                        for c in coords
+                        if state[c] < ceiling[c] and request[c][state[c]] is None
+                    ),
+                    -1,
+                )
+                if free >= 0:
+                    steps = (free,)
+            for c in steps:
                 x = state[c]
                 b = before[c]
                 if b >= 0 and state[b] == x:
@@ -141,40 +194,69 @@ class ReachabilityIndex:
                 r = request[c][x]
                 if r is not None and totals[r] >= kappa[r]:
                     continue
-                key = state[:last] + (x + 1,) + state[last + 1 :]
-                if key not in parents:
-                    parents[key] = (state, c)
-                    queue.append(key)
+                key = code + weight[last]
+                if key in links:
+                    continue
+                links[key] = code * n + c
+                moved = totals[:]
+                held = point[c]
+                for r in held[x]:
+                    moved[r] -= 1
+                for r in held[x + 1]:
+                    moved[r] += 1
+                queue.append((state[:last] + (x + 1,) + state[last + 1 :], key, moved))
+
+    @property
+    def _parents(self) -> dict[State, tuple[State, int]]:
+        """Each reached state, in discovery order, mapped to its parent and
+        the coordinate its step is taken by; ⊥ maps to (⊥, -1)."""
+        n = self.program.n
+        parents = {}
+        for code, link in self._links.items():
+            prev, c = divmod(link, n) if code else (0, -1)
+            parents[self._decode(code)] = (self._decode(prev), c)
+        return parents
 
     @property
     def visited(self) -> int:
-        return len(self._parents)
+        return len(self._links)
 
     def canonical_states(self) -> Iterator[State]:
         """All reachable states, one representative per permutation orbit."""
-        return iter(self._parents)
+        return map(self._decode, self._links)
 
-    def _orbit(self, state: State) -> State:
-        """The group-sorted ``state``; raises unless it lies at or below the
-        ceiling, the only states the search decides."""
+    def _code(self, state: State) -> int:
+        """The code of the group-sorted ``state``; raises unless it lies at
+        or below the ceiling and, with ``_release_first``, every coordinate
+        stands at an acquire or at ⊤: the only states the search decides."""
         target = self.canon(state)
         if any(map(operator.gt, target, self.ceiling)):
             raise ValueError(
                 f"state {state} lies outside the search ceiling {self.ceiling}"
             )
-        return target
+        if self._release_first:
+            request = self.program._request_idx
+            tops = self.program.tops
+            if any(
+                x != top and req[x] is None for x, top, req in zip(state, tops, request)
+            ):
+                raise ValueError(
+                    f"state {state} has a coordinate at neither an acquire nor ⊤, "
+                    "which the release-first search does not decide"
+                )
+        return sum(map(operator.mul, target, self._weight))
 
     def is_reachable(self, state: State) -> bool:
-        return self._orbit(state) in self._parents
+        return self._code(state) in self._links
 
     def witness(self, state: State) -> Optional[LatticePath]:
         """A concrete admissible path ⊥ -> ``state``, or None."""
-        target = self._orbit(state)
-        if target not in self._parents:
+        code = self._code(state)
+        if code not in self._links:
             return None
-        concrete = self._chains.get(target)
+        concrete = self._chains.get(code)
         if concrete is None:
-            concrete = self._chains[target] = self._chain(target)
+            concrete = self._chains[code] = self._chain(code)
 
         # Map the reached representative onto the requested state by pairing
         # equal values within each identity group, in index order.
@@ -188,23 +270,22 @@ class ReachabilityIndex:
                 source[i] = pool[state[i]].popleft()
         return LatticePath(tuple(tuple(map(st.__getitem__, source)) for st in concrete))
 
-    def _chain(self, target: State) -> list[State]:
-        """A concrete admissible path ⊥ -> some state of ``target``'s orbit,
-        replaying the stored parents (group-sorted already) from ⊥."""
-        start = self.program.bottom
-        chain: list[tuple[State, int]] = []
-        cur = target
-        while cur != start:
-            prev, coord = self._parents[cur]
-            chain.append((prev, coord))
-            cur = prev
+    def _chain(self, code: int) -> list[State]:
+        """A concrete admissible path ⊥ -> some state of the orbit coded
+        ``code``, replaying the stored parents (group-sorted already) from
+        ⊥."""
+        n = self.program.n
+        chain: list[tuple[int, int]] = []  # (value, coordinate) per step
+        while code:
+            code, coord = divmod(self._links[code], n)
+            chain.append(((code // self._weight[coord]) % self._radix[coord], coord))
         chain.reverse()
 
         group_of = self._group_of
+        start = self.program.bottom
         concrete = [start]
         q = list(start)
-        for prev, coord in chain:
-            value = prev[coord]
+        for value, coord in chain:
             d = next(i for i in group_of[coord] if q[i] == value)
             q[d] += 1
             concrete.append(tuple(q))
@@ -590,7 +671,11 @@ def _deadlock_orbits(
         _guard_paths(program, admissible, max_states)
     _guard_members(program, hits, max_states)
     targets = admissible if bounded else None
-    index = ReachabilityIndex(program, max_states, targets=targets) if hits else None
+    index = (
+        ReachabilityIndex(program, max_states, targets=targets, _release_first=bounded)
+        if hits
+        else None
+    )
     deadlocks: list[State] = []
     for hit in admissible:
         witness = index.witness(hit)

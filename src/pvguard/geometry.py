@@ -34,16 +34,6 @@ class ForbiddenRectangle:
     def contains_state(self, state: State) -> bool:
         return all(a < state[c] < b for c, (a, b) in self.legs)
 
-    def meets_edge(self, state: State, coord: int) -> bool:
-        """Does the open edge segment from ``state`` along ``coord`` meet the box?"""
-        for c, (a, b) in self.legs:
-            if c == coord:
-                if not a <= state[c] < b:
-                    return False
-            elif not a < state[c] < b:
-                return False
-        return True
-
     @property
     def leg_coords(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.legs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ from pvguard import (
     state_admissible,
     successors,
 )
+from pvguard.core import RELEASE
 from pvguard.deadlock import (
     _deadlock_orbits,
     _deadlock_states,
@@ -381,6 +383,31 @@ def sorted_orbit_parents(program: Program) -> dict[State, tuple[State, int]]:
         for coord, nxt in successors(program, state):
             key = sort_groups(program, nxt)
             if key not in parents:
+                parents[key] = (state, coord)
+                queue.append(key)
+    return parents
+
+
+def release_first_parents(program: Program, ceiling: State) -> dict[State, tuple[State, int]]:
+    """``sorted_orbit_parents`` kept at or below ``ceiling`` and reduced
+    release-first: where some coordinate stands below its ceiling at ⊥ or at
+    a release, only the first such coordinate's step is taken."""
+    start = program.bottom
+    threads = program.threads
+    parents: dict[State, tuple[State, int]] = {start: (start, -1)}
+    queue: deque[State] = deque((start,))
+    while queue:
+        state = queue.popleft()
+        free = [
+            i
+            for i, (t, x, top) in enumerate(zip(threads, state, ceiling))
+            if x < top and (t.action_at(x) is None or t.action_at(x).kind == RELEASE)
+        ]
+        for coord, nxt in successors(program, state):
+            if free and coord != free[0]:
+                continue
+            key = sort_groups(program, nxt)
+            if key not in parents and all(map(operator.le, key, ceiling)):
                 parents[key] = (state, coord)
                 queue.append(key)
     return parents

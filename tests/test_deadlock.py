@@ -21,6 +21,7 @@ from pvguard import (
     local_choice_points,
     potential_deadlocks,
     program_deadlock_verdict,
+    sharpserializable_witness,
     single_access,
     state_admissible,
     successors,
@@ -42,6 +43,7 @@ from conftest import (
     random_program,
     random_thread,
     reachable_states,
+    release_first_parents,
     sort_groups,
     sorted_orbit_parents,
     two_group_program,
@@ -477,15 +479,29 @@ def test_bounded_search_matches_full_search(prog, seed):
 @st.composite
 def deadlock_prone_programs(draw):
     """Folding programs on 2-3 resources of capacity 1-2 with up to four
-    acquire/release pairs per thread, or the cut-off instance of a
-    deadlock-chain thread (``deadsharp_witness``), which deadlocks."""
+    acquire/release pairs per thread; the cut-off instance of a
+    deadlock-chain thread (``deadsharp_witness``), which deadlocks; that of
+    two such chains run one after the other, the second over a shuffled
+    resource order; or, at capacity 2, copies of a choice-point thread
+    (``sharpserializable_witness``) at and one above the size where its
+    choice point is reachable."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     resources = ["a", "b", "c"][: draw(st.integers(2, 3))]
     caps = CapacityMap(tuple((r, draw(st.integers(1, 2))) for r in resources))
-    kind = draw(st.sampled_from(["mixed", "power", "two-groups", "chain"]))
+    kind = draw(st.sampled_from(["mixed", "power", "two-groups", "chain", "chains", "lcp"]))
     if kind == "chain":
         chain = deadsharp_witness(caps).thread
         return Program.power(chain, caps.total(), caps)
+    if kind == "chains":
+        order = rng.sample(resources, len(resources))
+        chains = Thread.from_text(
+            " ".join(deadlock._chain_actions(resources) + deadlock._chain_actions(order))
+        )
+        return Program.power(chains, caps.total(), caps)
+    if kind == "lcp":
+        caps = CapacityMap(tuple((r, 2) for r in resources))
+        plan = sharpserializable_witness(caps)
+        return Program.power(plan.thread, plan.instance_n + draw(st.integers(0, 1)), caps)
     if kind == "two-groups":
         return two_group_program(rng, resources, caps, (2, draw(st.integers(1, 2))), 3)
     return random_program(rng, resources, caps, draw(st.integers(2, 4)), 4,
@@ -493,7 +509,7 @@ def deadlock_prone_programs(draw):
 
 
 def test_bounded_engines_match_full_search_oracles():
-    seen = {"choice points": 0, "deadlocks": 0, "family no": 0, "family yes": 0}
+    seen = {"reachable choice points": 0, "deadlocks": 0, "family no": 0, "family yes": 0}
 
     @given(st.one_of(folding_programs(), deadlock_prone_programs()))
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -507,6 +523,9 @@ def test_bounded_engines_match_full_search_oracles():
         assert (hits, orbits) == (full_hits, full_orbits)
         if index is not None:
             assert index.visited <= full_index.visited
+            # the release-first search: same orbits, order and parents
+            expected = release_first_parents(prog, index.ceiling)
+            assert list(index._parents.items()) == list(expected.items())
         full = find_deadlocks(prog)
         assert _deadlock_states(prog, 10**8) == tuple(d.state for d in full.deadlocks)
         thread = prog.threads[0]
@@ -514,7 +533,7 @@ def test_bounded_engines_match_full_search_oracles():
         witnesses = full_search_deadlock_witnesses(thread, prog.caps)
         assert verdict.verdict == ("no" if witnesses else "yes")
         assert verdict.witnesses == witnesses
-        seen["choice points"] += bool(cps)
+        seen["reachable choice points"] += any(cp.reachable for cp in cps)
         seen["deadlocks"] += bool(full.deadlocks)
         seen["family " + verdict.verdict] += 1
 
@@ -548,10 +567,67 @@ def test_full_search_visits_every_reachable_orbit():
     assert report.stats.visited == ReachabilityIndex(program).visited == 13408
     bounded = ReachabilityIndex(program, targets=[plan.expected_state])
     assert bounded.visited == 1000
-    assert _deadlock_orbits(program, 10**8, bounded=True)[2].visited == 1000
+    # the verdict routes' release-first search stores far fewer orbits
+    assert _deadlock_orbits(program, 10**8, bounded=True)[2].visited == 107
     verdict = family_deadlock_verdict(plan.thread, caps)
     assert verdict.witnesses == full_search_deadlock_witnesses(plan.thread, caps)
     assert verdict.witnesses == tuple(d.state for d in report.deadlocks)
+
+
+def ladder_caps(total):
+    """Three resources whose capacities sum to ``total``, as even as
+    possible, larger first (24 gives 8, 8, 8)."""
+    return make_caps(**{r: total // 3 + (i < total % 3) for i, r in enumerate("abc")})
+
+
+@pytest.mark.parametrize("total, stored", [(8, 107), (16, 623), (24, 1905)])
+def test_release_first_search_stored_orbits(total, stored):
+    # the full search below the ceiling stores 1,000, 22,638 and 188,325
+    caps = ladder_caps(total)
+    plan = deadsharp_witness(caps)
+    program = Program.power(plan.thread, total, caps)
+    _, orbits, index = _deadlock_orbits(program, 10**18, bounded=True)
+    assert index.visited == stored
+    assert orbits == [sort_groups(program, plan.expected_state)]
+
+
+def test_family_deadlock_verdict_at_capacity_sum_32():
+    caps = ladder_caps(32)
+    assert caps.total() == 32 and [caps[r] for r in "abc"] == [11, 11, 10]
+    plan = deadsharp_witness(caps)
+    verdict = family_deadlock_verdict(plan.thread, caps, max_states=10**18)
+    assert verdict.verdict == "no"
+    assert plan.expected_state in verdict.witnesses
+
+
+def release_first_index():
+    """The (3,3,2) chain at n=8 searched release-first up to the ceiling of
+    its deadlock, with a state that stands at ⊥ or a release in some
+    coordinate and is reachable."""
+    caps = make_caps(a=3, b=3, c=2)
+    plan = deadsharp_witness(caps)
+    program = Program.power(plan.thread, 8, caps)
+    index = ReachabilityIndex(program, targets=[plan.expected_state], _release_first=True)
+    # positions 0 (⊥) and 3 (Va) request nothing
+    free = (0, 0, 0, 0, 0, 2, 3, 4)
+    assert ReachabilityIndex(program, targets=[plan.expected_state]).is_reachable(free)
+    return index, plan, free
+
+
+def test_release_first_index_refuses_free_states_in_is_reachable():
+    index, plan, free = release_first_index()
+    assert index.is_reachable(plan.expected_state)
+    for state in (free, index.program.bottom, (0,) * 7 + (3,)):
+        with pytest.raises(ValueError, match="neither an acquire nor ⊤"):
+            index.is_reachable(state)
+
+
+def test_release_first_index_refuses_free_states_in_witness():
+    index, plan, free = release_first_index()
+    index.witness(plan.expected_state).validate(index.program)
+    for state in (free, index.program.bottom, (0,) * 7 + (3,)):
+        with pytest.raises(ValueError, match="neither an acquire nor ⊤"):
+            index.witness(state)
 
 
 def test_deadlocks_are_decided_once_per_orbit(monkeypatch):

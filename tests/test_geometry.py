@@ -70,8 +70,9 @@ def test_rectangle_membership():
     assert not any(
         rect.contains_state((x, y)) for x in range(4) for y in range(4)
     )
-    # but it does meet the unit edges inside it
-    assert rect.meets_edge((1, 1), 0) is False  # other leg only touches 1
+    # nor, with leg 1 kept open, the unit edge from (1, 1) along leg 0:
+    # leg 1 only touches 1
+    assert extended_rectangle(rect, 1).meets_edge((1, 1), 0) is False
     assert rect.leg_coords == (0, 1)
 
 

@@ -811,6 +811,28 @@ def test_family_choice_points_expand_no_state(monkeypatch):
     assert v.choice_points[0].state == min(v.choice_points.orbits)
 
 
+def test_choice_point_flags_come_from_the_release_first_search(monkeypatch):
+    # the (3,3,2) witness at 9 copies: the flag search stores 852 orbits,
+    # where the full search below the same ceiling stores 16,820
+    built = []
+
+    class Spy(deadlock.ReachabilityIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(serializability, "ReachabilityIndex", Spy)
+    caps = make_caps(a=3, b=3, c=2)
+    program = Program.power(sharpserializable_witness(caps).thread, lcp_cutoff(caps), caps)
+    records = serializability._choice_point_orbits(program, 10**8)
+    (index,) = built
+    assert index.visited == 852
+    full = deadlock.ReachabilityIndex(program, targets=records)
+    assert full.visited == 16820
+    flags = [reachable for _, _, reachable in records.values()]
+    assert flags == list(map(full.is_reachable, records)) and any(flags)
+
+
 def test_family_mixed_capacities_inconclusive():
     v = family_serializability_verdict(
         Thread.from_text("Pa Va Pb Vb"), make_caps(a=2, b=1)
