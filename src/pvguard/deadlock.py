@@ -221,10 +221,6 @@ class ReachabilityIndex:
     def visited(self) -> int:
         return len(self._links)
 
-    def canonical_states(self) -> Iterator[State]:
-        """All reachable states, one representative per permutation orbit."""
-        return map(self._decode, self._links)
-
     def _code(self, state: State) -> int:
         """The code of the group-sorted ``state``; raises unless it lies at
         or below the ceiling and, with ``_release_first``, every coordinate
@@ -254,21 +250,23 @@ class ReachabilityIndex:
         code = self._code(state)
         if code not in self._links:
             return None
-        concrete = self._chains.get(code)
-        if concrete is None:
-            concrete = self._chains[code] = self._chain(code)
+        chain = self._chains.get(code)
+        if chain is None:
+            chain = self._chains[code] = self._chain(code)
+        return self._onto(chain, state)
 
-        # Map the reached representative onto the requested state by pairing
-        # equal values within each identity group, in index order.
-        end = concrete[-1]
+    def _onto(self, chain: Sequence[State], state: State) -> LatticePath:
+        """``chain``, a path ⊥ -> some state of the orbit of ``state``, with
+        its coordinates permuted so that it ends at ``state``: equal values
+        within each identity group are paired in index order."""
+        end = chain[-1]
         source = list(range(len(end)))  # coordinate of ``end`` feeding each one
         for g in self._groups:
-            pool: dict[int, deque[int]] = {}
-            for i in g:
-                pool.setdefault(end[i], deque()).append(i)
-            for i in g:
-                source[i] = pool[state[i]].popleft()
-        return LatticePath(tuple(tuple(map(st.__getitem__, source)) for st in concrete))
+            for i, j in zip(sorted(g, key=state.__getitem__), sorted(g, key=end.__getitem__)):
+                source[i] = j
+        if len(source) == 1:  # itemgetter of one item returns it bare
+            return LatticePath(tuple(chain))
+        return LatticePath(tuple(map(operator.itemgetter(*source), chain)))
 
     def _chain(self, code: int) -> list[State]:
         """A concrete admissible path ⊥ -> some state of the orbit coded
@@ -414,8 +412,10 @@ class OrbitView(Sequence):
     records are the states themselves.  ``key`` reads a record's state, and
     is None when the records are states.
 
-    ``len`` sums the orbit sizes, and ``in`` sorts a record's state, looks it
-    up among the orbits and compares the one record it stands for.
+    ``len`` sums the orbit sizes, so it raises :class:`OverflowError` past
+    ``sys.maxsize`` records, where indexing and slicing still work; a view is
+    true iff it holds an orbit.  ``in`` sorts a record's state, looks it up
+    among the orbits and compares the one record it stands for.
     Iteration merges each orbit's distinct permutations, which come out
     sorted.  Indexing and slicing unrank each index from multinomial counts
     over the orbits, so they build only the records they return, at
@@ -452,6 +452,9 @@ class OrbitView(Sequence):
 
     def __len__(self) -> int:
         return self._len
+
+    def __bool__(self) -> bool:
+        return bool(self._orbits)
 
     def _member(self, state: State, orbit: State):
         return self._record(state, self._orbits[orbit])
@@ -627,26 +630,29 @@ def find_deadlocks(
     """All deadlocks of the program, each with a validated witness path.
 
     The deadlocks are decided once per orbit (``_deadlock_orbits``), then
-    expanded into their concrete states, and every concrete witness path is
-    rebuilt and validated.  The search covers the whole folded space, so
+    the candidate orbits are expanded into their concrete states.  Each
+    deadlock's witness path is its orbit's chain, permuted onto it, and is
+    validated.  The search covers the whole folded space, so
     ``stats.visited`` counts every reachable orbit.
     """
     candidates, orbits, index = _deadlock_orbits(program, max_states, bounded=False)
+    members = _orbit_members(program, candidates)
+    chains = {orbit: index.witness(orbit).states for orbit in orbits}
     deadlocks: list[Deadlock] = []
-    for state, _ in _orbit_members(program, orbits):
-        witness = index.witness(state)
-        assert witness is not None and witness.end == state
-        witness.validate(program)
-        deadlocks.append(Deadlock(state, witness))
-    potential = tuple(state for state, _ in _orbit_members(program, candidates))
+    for state, orbit in members:
+        if orbit in chains:
+            witness = index._onto(chains[orbit], state)
+            assert witness.end == state
+            witness.validate(program)
+            deadlocks.append(Deadlock(state, witness))
     stats = SearchStats(
         threads=program.n,
         grid_states=program.grid_states(),
-        candidates=len(potential),
+        candidates=len(members),
         visited=index.visited if index is not None else 0,
         max_states=max_states,
     )
-    return DeadlockReport(tuple(deadlocks), potential, stats)
+    return DeadlockReport(tuple(deadlocks), tuple(state for state, _ in members), stats)
 
 
 def _deadlock_orbits(
@@ -781,7 +787,7 @@ def family_deadlock_verdict(
             "no",
             cutoff,
             "deadlock-cutoff",
-            f"{len(witnesses)} deadlock(s) in the {cutoff}-copy instance",
+            f"{witnesses._len} deadlock(s) in the {cutoff}-copy instance",
             witnesses=witnesses,
             manifests_at_n=cutoff,
             program=program,

@@ -455,7 +455,7 @@ def family_serializability_verdict(
             "inconclusive",
             cutoff,
             "choice-point-cutoff",
-            f"{len(cps)} local choice point(s) among {cutoff} copies; the "
+            f"{cps._len} local choice point(s) among {cutoff} copies; the "
             "obstruction does not prove non-serializability",
             choice_points=cps,
             program=program,

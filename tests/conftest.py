@@ -255,7 +255,7 @@ def quotient_deadlock_empty(program: Program, max_states: int = 10**7) -> bool:
     idx = ReachabilityIndex(program, max_states)
     top = program.top
     return not any(
-        s != top and not successors(program, s) for s in idx.canonical_states()
+        s != top and not successors(program, s) for s in idx._parents
     )
 
 

@@ -273,6 +273,16 @@ def test_family_witness_view_indexes_without_expanding(monkeypatch):
         w[2018016]
 
 
+def test_orbit_view_past_sys_maxsize():
+    # one orbit of 25 distinct values stands for 25! records: len() raises,
+    # but truth and indexing do not
+    v = deadlock.OrbitView({tuple(range(25)): None})
+    assert v and not deadlock.OrbitView({})
+    assert v[0] == tuple(range(25)) and v[-1] == tuple(range(24, -1, -1))
+    with pytest.raises(OverflowError):
+        len(v)
+
+
 def test_family_witness_view_indexes_like_the_sorted_tuple():
     for total in range(2, 9):
         k = 2 if total == 2 else 3
@@ -388,15 +398,55 @@ def test_find_deadlocks_matches_naive_search():
 
 
 def test_witnesses_always_validate():
+    # deadlock-chain threads at their cut-off (T ^ n), mixed and two-group
+    # programs of nested lock orders, and one thread: each witness is its
+    # orbit's chain permuted onto the deadlock, the per-state query's path
     rng = random.Random(23)
-    for _ in range(30):
-        caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 2))))
-        prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 3), 3,
-                              identical=True)
+    found = collections.Counter()
+
+    def pooled(index, state):
+        # the orbit's chain mapped onto ``state`` by pairing equal values
+        # within each identity group in index order, one state at a time
+        chain = index._chain(index._code(state))
+        source = list(range(len(state)))
+        for g in index._groups:
+            pool = collections.defaultdict(collections.deque)
+            for i in g:
+                pool[chain[-1][i]].append(i)
+            for i in g:
+                source[i] = pool[state[i]].popleft()
+        return tuple(tuple(st[j] for j in source) for st in chain)
+
+    def nested(resources):
+        order = rng.sample(resources, len(resources))
+        return Thread.from_text(" ".join([f"P{r}" for r in order] + [f"V{r}" for r in order[::-1]]))
+
+    for k in range(60):
+        resources = ["a", "b", "c"][: rng.randint(2, 3)]
+        caps = CapacityMap(tuple((r, rng.randint(1, 2)) for r in resources))
+        kind = ("power", "mixed", "two-groups", "one-thread")[k % 4]
+        if kind == "power":
+            prog = Program.power(deadsharp_witness(caps).thread, caps.total(), caps)
+        elif kind == "mixed":
+            prog = Program(tuple(nested(resources) for _ in range(rng.randint(2, 4))), caps)
+        elif kind == "two-groups":
+            threads = [nested(resources)] * 2 + [nested(resources)] * rng.randint(1, 2)
+            rng.shuffle(threads)
+            prog = Program(tuple(threads), caps)
+        else:
+            prog = random_program(rng, resources, caps, 1, 3)
+        index = ReachabilityIndex(prog)
+        top = index.witness(prog.top)
+        top.validate(prog)
+        assert (top.start, top.end) == (prog.bottom, prog.top)
         for d in find_deadlocks(prog).deadlocks:
             d.witness.validate(prog)
             assert d.witness.start == prog.bottom
             assert d.witness.end == d.state
+            assert d.witness == index.witness(d.state)
+            assert d.witness.states == pooled(index, d.state)
+            found[kind] += 1
+    assert all(found[kind] >= 20 for kind in ("power", "mixed", "two-groups")), found
 
 
 def test_reachability_index_agrees_with_plain_search():
@@ -446,7 +496,7 @@ def test_bounded_search_matches_full_search(prog, seed):
     rng = random.Random(seed)
     full = ReachabilityIndex(prog)
     grid = list(itertools.product(*(range(t + 1) for t in prog.tops)))
-    reached = list(full.canonical_states())
+    reached = list(full._parents)
     # reachable orbits, and any grid states, some unreachable or unsorted
     targets = rng.sample(reached, min(len(reached), rng.randint(0, 2)))
     targets += rng.sample(grid, rng.randint(0, 2))
@@ -642,8 +692,17 @@ def test_deadlocks_are_decided_once_per_orbit(monkeypatch):
                         lambda *args: sweeps.append(1) or sweep(*args))
     monkeypatch.setattr(LatticePath, "validate",
                         lambda path, prog: validations.append(1) or validate(path, prog))
+    expansions, chains = [], []
+    members, chain = deadlock._orbit_members, ReachabilityIndex._chain
+    monkeypatch.setattr(deadlock, "_orbit_members",
+                        lambda *args: expansions.append(1) or members(*args))
+    monkeypatch.setattr(ReachabilityIndex, "_chain",
+                        lambda index, code: chains.append(code) or chain(index, code))
+    # one expansion of the candidate orbits, one chain for the one deadlock
+    # orbit, and every reported witness validated
     assert len(find_deadlocks(program).deadlocks) == 560
-    assert len(sweeps) == 1
+    assert (len(sweeps), len(expansions), len(chains)) == (1, 1, 1)
+    assert len(validations) >= 560
     sweeps.clear()
     validations.clear()
     assert len(family_deadlock_verdict(plan.thread, caps).witnesses) == 560
