@@ -60,7 +60,7 @@ def _read_source(path: str) -> bytes:
 
 def _load(path: str) -> tuple[bytes, SourceModel]:
     raw = _read_source(path)
-    return raw, parse_source(raw.decode("utf-8"))
+    return raw, parse_source(raw.decode("utf-8-sig"))
 
 
 def _pick(defs: dict, kind: str, name: Optional[str], none_hint: str, several_hint: str):

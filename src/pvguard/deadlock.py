@@ -48,16 +48,15 @@ class ReachabilityIndex:
     recovered by permuting within groups; the transition relation is
     invariant under such permutations, so the folding is exact.
 
-    ``targets``, if given, are the states the caller will query.  The search
-    then stays at or below the componentwise maximum of their group-sorted
-    forms, the *ceiling* (⊤ by default): a monotone path to a state never
-    leaves the states below it.  A query whose group-sorted form is not at or
-    below the ceiling raises :class:`ValueError`.
-
-    ``_release_first``, the mode of the bounded verdict routes, reduces the
-    search (see ``_search``) so that it decides only the states where every
-    coordinate stands at an acquire or at ⊤; a query about any other state
-    raises :class:`ValueError`.
+    Without ``targets`` the search covers the whole folded space and decides
+    every state.  ``targets``, the states the caller will query, select the
+    reduced search of the verdict routes: it stays at or below the
+    componentwise maximum of their group-sorted forms, the *ceiling* (a
+    monotone path to a state never leaves the states below it), and expands
+    release-first (see ``_search``), so it decides only the states at or
+    below the ceiling where every coordinate stands at an acquire or at ⊤.
+    A query about any other state, or a malformed one, raises
+    :class:`ValueError`.
     """
 
     def __init__(
@@ -66,7 +65,6 @@ class ReachabilityIndex:
         max_states: int = DEFAULT_MAX_STATES,
         *,
         targets: Optional[Iterable[State]] = None,
-        _release_first: bool = False,
     ):
         guard_orbits(program, max_states)
         self.program = program
@@ -81,7 +79,7 @@ class ReachabilityIndex:
                 program.check_state(state)
                 orbits.append(self.canon(state))
             self.ceiling = tuple(map(max, zip(program.bottom, *orbits)))
-        self._release_first = _release_first
+        self._reduced = targets is not None
         # states at or below the ceiling as mixed-radix codes, the last
         # coordinate least significant; ⊥ is code 0
         self._radix = tuple(c + 1 for c in self.ceiling)
@@ -91,7 +89,6 @@ class ReachabilityIndex:
         # per reached code, in discovery order: parent code * n + the
         # coordinate its step is taken by (-1 for ⊥)
         self._links: dict[int, int] = {}
-        self._chains: dict[int, list[State]] = {}  # witness paths per orbit code
         self._search()
 
     def canon(self, state: State) -> State:
@@ -101,13 +98,6 @@ class ReachabilityIndex:
             for i, v in zip(g, vals):
                 out[i] = v
         return tuple(out)
-
-    def _decode(self, code: int) -> State:
-        out = []
-        for r in reversed(self._radix):
-            code, x = divmod(code, r)
-            out.append(x)
-        return tuple(reversed(out))
 
     def _search(self) -> None:
         """Breadth-first search over group-sorted states.
@@ -119,20 +109,19 @@ class ReachabilityIndex:
         coordinate a step in ascending order reaches the orbit by first.
         Reached states are admissible (⊥ is, and an admissible edge ends in
         one), so a step is blocked exactly when the resource it acquires is
-        full.  A successor is kept only at or below the ceiling; it differs
-        from its stored parent only in the raised coordinate.  Every parent
-        of a state below the ceiling is below it too, and a level is a
-        coordinate sum, so on the states below it the search stores the same
-        keys in the same order with the same parents as with ceiling ⊤.
+        full.  A successor is kept only at or below the ceiling (⊤ without
+        targets); it differs from its stored parent only in the raised
+        coordinate.  Every parent of a state below the ceiling is below it
+        too, so the ceiling cuts no path to such a state.
 
         States are keyed by their codes, so a step adds the raised
         coordinate's weight to a code; each queued state carries its
         point-use totals, which a step moves by the stepped thread's point
         use before and after it.
 
-        With ``_release_first``, a state in which some coordinate stands
-        below its ceiling at a position that requests nothing (⊥ or a
-        release) expands only the first such coordinate's step.  That step is
+        With targets, a state in which some coordinate stands below its
+        ceiling at a position that requests nothing (⊥ or a release) expands
+        only the first such coordinate's step.  That step is
         always enabled, disables no other step and commutes with every step,
         and on a path to a state where every coordinate stands at an acquire
         or at ⊤ it is taken later anyway; taking it first only lowers
@@ -158,7 +147,7 @@ class ReachabilityIndex:
                 before[b] = a
                 after[a] = b
         coords = range(n)
-        release_first = self._release_first
+        reduced = self._reduced
         links = self._links
         links[0] = -1
         start = program.bottom
@@ -168,7 +157,7 @@ class ReachabilityIndex:
         while queue:
             state, code, totals = queue.popleft()
             steps: Iterable[int] = coords
-            if release_first:
+            if reduced:
                 free = next(
                     (
                         c
@@ -207,30 +196,21 @@ class ReachabilityIndex:
                 queue.append((state[:last] + (x + 1,) + state[last + 1 :], key, moved))
 
     @property
-    def _parents(self) -> dict[State, tuple[State, int]]:
-        """Each reached state, in discovery order, mapped to its parent and
-        the coordinate its step is taken by; ⊥ maps to (⊥, -1)."""
-        n = self.program.n
-        parents = {}
-        for code, link in self._links.items():
-            prev, c = divmod(link, n) if code else (0, -1)
-            parents[self._decode(code)] = (self._decode(prev), c)
-        return parents
-
-    @property
     def visited(self) -> int:
         return len(self._links)
 
     def _code(self, state: State) -> int:
-        """The code of the group-sorted ``state``; raises unless it lies at
-        or below the ceiling and, with ``_release_first``, every coordinate
-        stands at an acquire or at ⊤: the only states the search decides."""
+        """The code of the group-sorted ``state``; raises unless it is a
+        state of the program at or below the ceiling and, with targets, every
+        coordinate stands at an acquire or at ⊤: the states the search
+        decides."""
+        self.program.check_state(state)
         target = self.canon(state)
         if any(map(operator.gt, target, self.ceiling)):
             raise ValueError(
                 f"state {state} lies outside the search ceiling {self.ceiling}"
             )
-        if self._release_first:
+        if self._reduced:
             request = self.program._request_idx
             tops = self.program.tops
             if any(
@@ -250,10 +230,7 @@ class ReachabilityIndex:
         code = self._code(state)
         if code not in self._links:
             return None
-        chain = self._chains.get(code)
-        if chain is None:
-            chain = self._chains[code] = self._chain(code)
-        return self._onto(chain, state)
+        return self._onto(self._chain(code), state)
 
     def _onto(self, chain: Sequence[State], state: State) -> LatticePath:
         """``chain``, a path ⊥ -> some state of the orbit of ``state``, with
@@ -419,11 +396,11 @@ class OrbitView(Sequence):
     Iteration merges each orbit's distinct permutations, which come out
     sorted.  Indexing and slicing unrank each index from multinomial counts
     over the orbits, so they build only the records they return, at
-    O(n · values · orbits) each; ``index`` ranks the item the same way, and
-    ``count`` is ``in``.  ``==`` and ``hash`` behave as on the sorted tuple
-    the view stands for.  ``reversed``, ``hash``, and ``==`` against
-    anything but a view with the same orbits, payloads and ``record``, build
-    every record on each call.
+    O(n · values · orbits) each; ``reversed`` unranks from the end, one
+    record at a time; ``index`` ranks the item the same way, and ``count``
+    is ``in``.  ``==`` and ``hash`` behave as on the sorted tuple the view
+    stands for.  ``hash``, and ``==`` against anything but a view with the
+    same orbits, payloads and ``record``, build every record on each call.
     """
 
     __slots__ = ("_orbits", "_record", "_key", "_len", "_values", "_counts")
@@ -483,7 +460,7 @@ class OrbitView(Sequence):
         return heapq.merge(*members, key=self._key)
 
     def __reversed__(self) -> Iterator:
-        return reversed(tuple(self))
+        return map(self._unrank, reversed(range(self._len)))
 
     @staticmethod
     def _fix(live: list[tuple[list[int], int]], k: int, m: int) -> list[tuple[list[int], int]]:
@@ -547,7 +524,8 @@ class OrbitView(Sequence):
         ):
             return True
         if isinstance(other, (tuple, OrbitView)):
-            return len(other) == self._len and all(map(operator.eq, self, other))
+            size = other._len if isinstance(other, OrbitView) else len(other)
+            return size == self._len and all(map(operator.eq, self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -631,17 +609,16 @@ def find_deadlocks(
 
     The deadlocks are decided once per orbit (``_deadlock_orbits``), then
     the candidate orbits are expanded into their concrete states.  Each
-    deadlock's witness path is its orbit's chain, permuted onto it, and is
-    validated.  The search covers the whole folded space, so
+    deadlock's witness path is its orbit's validated path, permuted onto it,
+    and is validated.  The search covers the whole folded space, so
     ``stats.visited`` counts every reachable orbit.
     """
-    candidates, orbits, index = _deadlock_orbits(program, max_states, bounded=False)
+    candidates, paths, index = _deadlock_orbits(program, max_states, bounded=False)
     members = _orbit_members(program, candidates)
-    chains = {orbit: index.witness(orbit).states for orbit in orbits}
     deadlocks: list[Deadlock] = []
     for state, orbit in members:
-        if orbit in chains:
-            witness = index._onto(chains[orbit], state)
+        if orbit in paths:
+            witness = index._onto(paths[orbit].states, state)
             assert witness.end == state
             witness.validate(program)
             deadlocks.append(Deadlock(state, witness))
@@ -657,19 +634,19 @@ def find_deadlocks(
 
 def _deadlock_orbits(
     program: Program, max_states: int, bounded: bool
-) -> tuple[list[State], list[State], Optional[ReachabilityIndex]]:
-    """The potential-deadlock orbits, the deadlock orbits among them, and the
-    reachability index (None without candidates).  Permuting identical
-    copies leaves the program unchanged, so being admissible, reachable and
-    without successors are orbit properties, decided once per orbit with one
-    validated witness chain.
+) -> tuple[list[State], dict[State, LatticePath], Optional[ReachabilityIndex]]:
+    """The potential-deadlock orbits, the deadlock orbits among them, each
+    mapped to its validated witness path, and the reachability index (None
+    without candidates).  Permuting identical copies leaves the program
+    unchanged, so being admissible, reachable and without successors are
+    orbit properties, decided once per orbit.
 
     Bounded by the symmetry-folded state count, then, before the search, by
     the concrete candidates and, without ``bounded``, by the states of the
     witness paths to the admissible candidates, both counted on the orbits.
-    With ``bounded`` the caller builds no witness paths, and the search
-    stops at the ceiling of the admissible orbits: same deadlocks, fewer
-    orbits visited.
+    With ``bounded`` the caller builds no witness paths, and the index takes
+    the admissible orbits as its targets: same deadlocks, fewer orbits
+    visited.
     """
     hits = _hit_orbits(program, _requests_full, max_states)
     admissible = [hit for hit in hits if state_admissible(program, hit)]
@@ -677,12 +654,8 @@ def _deadlock_orbits(
         _guard_paths(program, admissible, max_states)
     _guard_members(program, hits, max_states)
     targets = admissible if bounded else None
-    index = (
-        ReachabilityIndex(program, max_states, targets=targets, _release_first=bounded)
-        if hits
-        else None
-    )
-    deadlocks: list[State] = []
+    index = ReachabilityIndex(program, max_states, targets=targets) if hits else None
+    deadlocks: dict[State, LatticePath] = {}
     for hit in admissible:
         witness = index.witness(hit)
         if witness is None:
@@ -690,7 +663,7 @@ def _deadlock_orbits(
         witness.validate(program)
         if successors(program, hit):
             raise PvError(f"claimed deadlock {hit} has successors")
-        deadlocks.append(hit)
+        deadlocks[hit] = witness
     return hits, deadlocks, index
 
 
@@ -727,10 +700,11 @@ class FamilyVerdict:
     "inconclusive"), sorted by state.  The family verdicts keep both as a
     lazy :class:`OrbitView`, over the deadlock orbits and the choice-point
     orbits: ``len`` builds no state, ``in`` at most one, ``==`` none
-    between two views over the same orbits and records, indexing and
-    slicing only the ones they return, ``index`` and ``count`` at most one,
-    and iteration, ``reversed`` and ``hash`` every one.  Their states are states of ``program``, the instance the verdict
-    searched; verdicts that search none, and the pair test, leave it None.
+    between two views over the same orbits and records, indexing, slicing
+    and ``reversed`` only the ones they return, ``index`` and ``count`` at
+    most one, and iteration and ``hash`` every one.  Their states are states
+    of ``program``, the instance the verdict searched; verdicts that search
+    none, and the pair test, leave it None.
     """
 
     property_name: str  # "deadlock-freedom" | "serializability"

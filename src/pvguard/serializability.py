@@ -291,11 +291,7 @@ def _choice_point_orbits(program: Program, max_states: int) -> dict[State, _Orbi
     points before the search."""
     hits = _hit_orbits(program, _one_short, max_states)
     _guard_members(program, hits, max_states)
-    index = (
-        ReachabilityIndex(program, max_states, targets=hits, _release_first=True)
-        if hits
-        else None
-    )
+    index = ReachabilityIndex(program, max_states, targets=hits) if hits else None
     kappa = program.kappa
     request = program._request_idx
     names = program.resource_names

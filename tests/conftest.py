@@ -252,10 +252,10 @@ def quotient_deadlock_empty(program: Program, max_states: int = 10**7) -> bool:
     checks for a non-top state without admissible steps. Being stuck is
     permutation invariant, so this is equivalent to the plain full search.
     """
-    idx = ReachabilityIndex(program, max_states)
     top = program.top
     return not any(
-        s != top and not successors(program, s) for s in idx._parents
+        s != top and not successors(program, s)
+        for s in index_parents(ReachabilityIndex(program, max_states))
     )
 
 
@@ -368,6 +368,26 @@ def sort_groups(program: Program, state: State) -> State:
         for i, v in zip(g, sorted(out[i] for i in g)):
             out[i] = v
     return tuple(out)
+
+
+def index_parents(index: ReachabilityIndex) -> dict[State, tuple[State, int]]:
+    """The orbits ``index`` stored, in discovery order, each mapped to its
+    parent and the coordinate its step is taken by (⊥ maps to (⊥, -1)),
+    decoded from the mixed-radix codes of ``index._links``."""
+
+    def decode(code: int) -> State:
+        out = []
+        for r in reversed(index._radix):
+            code, x = divmod(code, r)
+            out.append(x)
+        return tuple(reversed(out))
+
+    n = index.program.n
+    parents = {}
+    for code, link in index._links.items():
+        prev, c = divmod(link, n) if code else (0, -1)
+        parents[decode(code)] = (decode(prev), c)
+    return parents
 
 
 def sorted_orbit_parents(program: Program) -> dict[State, tuple[State, int]]:

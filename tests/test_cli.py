@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import hashlib
 import itertools
 import json
@@ -76,6 +77,17 @@ def test_check_json_envelope(capsys, ex3):
     assert doc["result"]["resources"] == {"a": 1, "b": 1}
     names = [t["name"] for t in doc["result"]["threads"]]
     assert names == ["T1", "T2"]
+
+
+def test_check_accepts_a_utf8_byte_order_mark(capsys, ex3, tmp_path):
+    raw = codecs.BOM_UTF8 + EX3.encode()
+    bom = tmp_path / "bom.pv"
+    bom.write_bytes(raw)
+    code, doc, _ = run_json(capsys, "check", str(bom))
+    assert code == 0
+    assert doc["result"] == run_json(capsys, "check", ex3)[1]["result"]
+    # the digest is of the bytes as read, mark included
+    assert doc["source_digest"] == hashlib.sha256(raw).hexdigest()
 
 
 def test_parse_error_cites_position(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from conftest import (
     concrete_family_deadlock_verdict,
     full_search_choice_points,
     full_search_deadlock_witnesses,
+    index_parents,
     is_potential_deadlock,
     make_caps,
     naive_deadlock_states,
@@ -275,10 +277,12 @@ def test_family_witness_view_indexes_without_expanding(monkeypatch):
 
 def test_orbit_view_past_sys_maxsize():
     # one orbit of 25 distinct values stands for 25! records: len() raises,
-    # but truth and indexing do not
+    # but truth, indexing, reversed and == do not
     v = deadlock.OrbitView({tuple(range(25)): None})
     assert v and not deadlock.OrbitView({})
     assert v[0] == tuple(range(25)) and v[-1] == tuple(range(24, -1, -1))
+    assert next(reversed(v)) == v[-1]
+    assert v != deadlock.OrbitView({tuple(range(1, 26)): None})
     with pytest.raises(OverflowError):
         len(v)
 
@@ -486,44 +490,51 @@ def test_orbit_search_matches_sorting_oracle(prog):
     # same orbit representatives in the same discovery order, each with the
     # same parent position, so witness paths are unchanged
     index = ReachabilityIndex(prog)
-    assert list(index._parents.items()) == list(sorted_orbit_parents(prog).items())
+    assert list(index_parents(index).items()) == list(sorted_orbit_parents(prog).items())
     assert index.visited == len({sort_groups(prog, s) for s in reachable_states(prog)})
 
 
 @given(folding_programs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=120, deadline=None)
-def test_bounded_search_matches_full_search(prog, seed):
+def test_reduced_search_matches_full_search(prog, seed):
     rng = random.Random(seed)
     full = ReachabilityIndex(prog)
     grid = list(itertools.product(*(range(t + 1) for t in prog.tops)))
-    reached = list(full._parents)
+    reached = list(index_parents(full))
     # reachable orbits, and any grid states, some unreachable or unsorted
     targets = rng.sample(reached, min(len(reached), rng.randint(0, 2)))
     targets += rng.sample(grid, rng.randint(0, 2))
-    bounded = ReachabilityIndex(prog, targets=targets)
+    reduced = ReachabilityIndex(prog, targets=targets)
     ceiling = tuple(map(max, zip(prog.bottom, *(sort_groups(prog, t) for t in targets))))
-    assert bounded.ceiling == ceiling
-
-    def below(state):
-        return all(x <= c for x, c in zip(sort_groups(prog, state), ceiling))
-
-    # the down-set of the ceiling, in the same order with the same parents
-    assert list(bounded._parents.items()) == [
-        (key, parent) for key, parent in full._parents.items() if below(key)
-    ]
-    queries = targets + rng.sample(grid, min(len(grid), 60))
-    for state in queries:
-        if below(state):
-            assert bounded.is_reachable(state) == full.is_reachable(state)
-            path = bounded.witness(state)
-            expected = full.witness(state)
-            assert (path is None) == (expected is None)
-            assert path is None or path.states == expected.states
+    assert reduced.ceiling == ceiling
+    stops = [set(t.acquire_positions) | {t.top} for t in prog.threads]
+    for state in grid:
+        if all(map(operator.le, sort_groups(prog, state), ceiling)) and all(
+            map(operator.contains, stops, state)
+        ):
+            # at or below the ceiling, every coordinate at an acquire or ⊤
+            reachable = full.is_reachable(state)
+            assert reduced.is_reachable(state) == reachable
+            path = reduced.witness(state)
+            assert (path is None) == (not reachable)
+            if path is not None:
+                path.validate(prog)
+                assert (path.start, path.end) == (prog.bottom, state)
         else:
-            with pytest.raises(ValueError, match="outside the search ceiling"):
-                bounded.is_reachable(state)
-            with pytest.raises(ValueError, match="outside the search ceiling"):
-                bounded.witness(state)
+            with pytest.raises(ValueError):
+                reduced.is_reachable(state)
+            with pytest.raises(ValueError):
+                reduced.witness(state)
+
+
+def test_queries_refuse_malformed_states():
+    # a state of the wrong length or out of range is no state of the program
+    index = ReachabilityIndex(EX3)
+    for state in ((0, 0, 7), (0,), (-1, 0)):
+        with pytest.raises(ValueError):
+            index.is_reachable(state)
+        with pytest.raises(ValueError):
+            index.witness(state)
 
 
 @st.composite
@@ -568,14 +579,17 @@ def test_bounded_engines_match_full_search_oracles():
         assert cps == full_search_choice_points(prog)
         # the bounded body decides the same candidate and deadlock orbits,
         # and visits no more orbits than the full search
-        hits, orbits, index = _deadlock_orbits(prog, 10**8, bounded=True)
-        full_hits, full_orbits, full_index = _deadlock_orbits(prog, 10**8, bounded=False)
-        assert (hits, orbits) == (full_hits, full_orbits)
+        hits, paths, index = _deadlock_orbits(prog, 10**8, bounded=True)
+        full_hits, full_paths, full_index = _deadlock_orbits(prog, 10**8, bounded=False)
+        assert (hits, list(paths)) == (full_hits, list(full_paths))
+        # each deadlock orbit comes with its path, validated, ending at it
+        for orbit in paths:
+            assert paths[orbit].end == full_paths[orbit].end == orbit
         if index is not None:
             assert index.visited <= full_index.visited
             # the release-first search: same orbits, order and parents
             expected = release_first_parents(prog, index.ceiling)
-            assert list(index._parents.items()) == list(expected.items())
+            assert list(index_parents(index).items()) == list(expected.items())
         full = find_deadlocks(prog)
         assert _deadlock_states(prog, 10**8) == tuple(d.state for d in full.deadlocks)
         thread = prog.threads[0]
@@ -615,9 +629,10 @@ def test_full_search_visits_every_reachable_orbit():
     program = Program.power(plan.thread, 8, caps)
     report = find_deadlocks(program)
     assert report.stats.visited == ReachabilityIndex(program).visited == 13408
-    bounded = ReachabilityIndex(program, targets=[plan.expected_state])
-    assert bounded.visited == 1000
-    # the verdict routes' release-first search stores far fewer orbits
+    # the verdict routes' search, release-first below the ceiling of their
+    # targets, stores far fewer orbits
+    reduced = ReachabilityIndex(program, targets=[plan.expected_state])
+    assert reduced.visited == 107
     assert _deadlock_orbits(program, 10**8, bounded=True)[2].visited == 107
     verdict = family_deadlock_verdict(plan.thread, caps)
     assert verdict.witnesses == full_search_deadlock_witnesses(plan.thread, caps)
@@ -636,9 +651,9 @@ def test_release_first_search_stored_orbits(total, stored):
     caps = ladder_caps(total)
     plan = deadsharp_witness(caps)
     program = Program.power(plan.thread, total, caps)
-    _, orbits, index = _deadlock_orbits(program, 10**18, bounded=True)
+    _, paths, index = _deadlock_orbits(program, 10**18, bounded=True)
     assert index.visited == stored
-    assert orbits == [sort_groups(program, plan.expected_state)]
+    assert list(paths) == [sort_groups(program, plan.expected_state)]
 
 
 def test_family_deadlock_verdict_at_capacity_sum_32():
@@ -657,10 +672,10 @@ def release_first_index():
     caps = make_caps(a=3, b=3, c=2)
     plan = deadsharp_witness(caps)
     program = Program.power(plan.thread, 8, caps)
-    index = ReachabilityIndex(program, targets=[plan.expected_state], _release_first=True)
+    index = ReachabilityIndex(program, targets=[plan.expected_state])
     # positions 0 (⊥) and 3 (Va) request nothing
     free = (0, 0, 0, 0, 0, 2, 3, 4)
-    assert ReachabilityIndex(program, targets=[plan.expected_state]).is_reachable(free)
+    assert ReachabilityIndex(program).is_reachable(free)
     return index, plan, free
 
 
@@ -692,16 +707,19 @@ def test_deadlocks_are_decided_once_per_orbit(monkeypatch):
                         lambda *args: sweeps.append(1) or sweep(*args))
     monkeypatch.setattr(LatticePath, "validate",
                         lambda path, prog: validations.append(1) or validate(path, prog))
-    expansions, chains = [], []
+    expansions, chains, queries = [], [], []
     members, chain = deadlock._orbit_members, ReachabilityIndex._chain
+    witness = ReachabilityIndex.witness
     monkeypatch.setattr(deadlock, "_orbit_members",
                         lambda *args: expansions.append(1) or members(*args))
     monkeypatch.setattr(ReachabilityIndex, "_chain",
                         lambda index, code: chains.append(code) or chain(index, code))
-    # one expansion of the candidate orbits, one chain for the one deadlock
-    # orbit, and every reported witness validated
+    monkeypatch.setattr(ReachabilityIndex, "witness",
+                        lambda index, state: queries.append(state) or witness(index, state))
+    # one expansion of the candidate orbits, one witness query and one chain
+    # for the one deadlock orbit, and every reported witness validated
     assert len(find_deadlocks(program).deadlocks) == 560
-    assert (len(sweeps), len(expansions), len(chains)) == (1, 1, 1)
+    assert (len(sweeps), len(expansions), len(queries), len(chains)) == (1, 1, 1, 1)
     assert len(validations) >= 560
     sweeps.clear()
     validations.clear()
