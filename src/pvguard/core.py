@@ -434,36 +434,32 @@ class Program:
         return totals
 
     def _steps(
-        self, state: State, squares: bool = False
-    ) -> tuple[list[int], list[int], list[int], Optional[list[tuple]]]:
-        """The step table of an admissible ``state``: point-use totals, the
-        coordinates that may step (ascending), each coordinate's offset among
-        them (-1 if it may not), and, with ``squares`` (else None), the
-        admissible squares as (a, b, i, j), offsets a < b and their
-        coordinates.  A step holds its point's resources plus the one it
-        acquires, so it is blocked iff that is full, and a square iff both
-        acquire one resource with fewer than two free slots."""
+        self, state: State, squares: bool = False, totals: Optional[list[int]] = None
+    ) -> tuple[list[int], list[int], Optional[list[tuple[int, int]]]]:
+        """The step table of an admissible ``state``: point-use totals (the
+        given ``totals`` if any, else counted), the coordinates that may step
+        (ascending), and, with ``squares`` (else None), the admissible
+        squares as coordinate pairs (i, j), i < j.  A step holds its point's
+        resources plus the one it acquires, so it is blocked iff that is
+        full, and a square iff both acquire one resource with fewer than two
+        free slots."""
         kappa = self.kappa
         tops = self.tops
         request = self._request_idx
-        totals = [0] * len(kappa)
-        for held, x in zip(self._point_idx, state):
-            for r in held[x]:
-                totals[r] += 1
-        steps, asks, offsets = [], [], [-1] * len(state)
+        if totals is None:
+            totals = self.use_totals(state)
+        steps, asks = [], []
         for c, x in enumerate(state):
             if x < tops[c]:
                 r = request[c][x]
                 if r is None or totals[r] < kappa[r]:
-                    offsets[c] = len(steps)
                     steps.append(c)
                     asks.append(r)
         if not squares:
-            return totals, steps, offsets, None
-        table = [
-            (a, b, steps[a], steps[b])
-            for b, rb in enumerate(asks)
-            for a in range(b)
-            if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]
-        ]
-        return totals, steps, offsets, table
+            return totals, steps, None
+        table = []
+        for b, rb in enumerate(asks):
+            for a in range(b):
+                if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]:
+                    table.append((steps[a], steps[b]))
+        return totals, steps, table

@@ -166,7 +166,7 @@ def state_admissible(program: Program, state: State) -> bool:
 def successors(program: Program, state: State) -> list[tuple[int, State]]:
     """Admissible one-step moves from ``state`` in ascending coordinate order."""
     program.check_state(state)
-    totals, steps, _, _ = program._steps(state)
+    totals, steps, _ = program._steps(state)
     if any(tot > cap for tot, cap in zip(totals, program.kappa)):
         return []
     return [(c, state[:c] + (state[c] + 1,) + state[c + 1 :]) for c in steps]

@@ -53,27 +53,13 @@ def serial_order(path: LatticePath) -> Optional[tuple[int, ...]]:
     running one thread from its start to its end while the others sit at
     their start or end.
     """
-    start = path.start
-    end = path.end
-    if any(v != 0 for v in start):
+    if any(path.start):
         return None
-    order: list[int] = []
-    coords = list(path.steps())
-    i = 0
-    while i < len(coords):
-        c = coords[i]
-        if c in order:
-            return None
-        run = 0
-        while i < len(coords) and coords[i] == c:
-            run += 1
-            i += 1
-        if run != end[c]:
-            return None
-        order.append(c)
-    if len(order) != len(start):
+    # from ⊥, a block that runs its thread to its end value is its only one
+    runs = [(c, len(tuple(g))) for c, g in itertools.groupby(path.steps())]
+    if len(runs) != len(path.start) or any(m != path.end[c] for c, m in runs):
         return None
-    return tuple(order)
+    return tuple(c for c, _ in runs)
 
 
 def is_serial(path: LatticePath) -> bool:
@@ -108,15 +94,18 @@ def dihomotopy_classes(
     its prefix classes.
 
     Each level numbers its classes in lexicographic order of their least
-    representatives and indexes its pairs by class, then coordinate, so a
-    pair's index sorts like that representative followed by the coordinate:
-    unions keeping the smaller root keep each set's least representative at
-    its root, and a class needs only its root's back pointer.  Steps and
-    squares are tabled once per end state; serial executions advance as a
-    frontier of (class, thread running its block) pairs.
+    representatives, and the pair (class k, coordinate c) has index
+    ``k * n + c``, so a pair's index sorts like that representative followed
+    by the coordinate: unions keeping the smaller root keep each set's least
+    representative at its root, and a class needs only its root's index as
+    its back pointer.  A level holds classes × threads slots, and one shared
+    -1 marks the roots.  Steps and squares are tabled once per end state,
+    keyed by its mixed-radix code and built from the parent table's carried
+    point-use totals; serial executions advance as a frontier of (class,
+    thread running its block) pairs.
 
-    Raises the search limit signal as soon as the number of (class,
-    coordinate) pairs at some level exceeds ``limit``, and before the
+    Raises the search limit signal as soon as the number of (class, step)
+    pairs at some level, not its slots, exceeds ``limit``, and before the
     representatives are built when their states, the class count times the
     path length, exceed it.
     """
@@ -142,75 +131,81 @@ def dihomotopy_classes(
 
 def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
     """The class DP of :func:`dihomotopy_classes`: the class count, the serial
-    classes, and per level the back pointers of the least representatives."""
+    classes, and per level each class's back pointer, its root's pair index."""
     guard_grid(program, limit)
     n = program.n
     tops = program.tops
-
-    def table(state: State) -> tuple:
-        # (state, steps, offsets, squares); reached states are admissible,
-        # as Program._steps needs
-        _, steps, offsets, squares = program._steps(state, squares=True)
-        return state, steps, offsets, squares
-
-    tabs = [table(program.bottom)]  # per class: its end state's table
-    # two levels down: tables and pair offsets; one down: pair -> class id
-    prev_tabs, prev_start, cls = [], [], []
-    links = []  # per level, per class: its root's previous class * n + coord
-    serial = {(0, -1)}
+    point = program._point_idx
+    # end states as mixed-radix codes, the last coordinate least significant
+    weight = tuple(
+        itertools.accumulate((t + 1 for t in tops[:0:-1]), operator.mul, initial=1)
+    )[::-1]
+    # per class: its end state's table (state, code, totals, steps, squares);
+    # reached states are admissible, as Program._steps needs
+    tabs = [(program.bottom, 0, *program._steps(program.bottom, True))]
+    prev_tabs, cls = [], []  # two levels down: tables; one down: pair -> class * n
+    links = []
+    serial = {(0, -1)}  # (class * n, thread running its block)
     for _ in range(sum(tops)):
-        start, size = [], 0
-        for tab in tabs:
-            start.append(size)
-            size += len(tab[1])
-            if size > limit:
-                raise SearchLimitExceeded(limit, "execution class pairs")
-        # merge across admissible squares rooted two levels down
-        parent = list(range(size))
-        for did, tab in enumerate(prev_tabs):
-            base = prev_start[did]
-            for a, b, i, j in tab[3]:
-                ci = cls[base + a]
-                cj = cls[base + b]
-                x = start[ci] + tabs[ci][2][j]
-                y = start[cj] + tabs[cj][2][i]
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if x > y:
-                    x, y = y, x
-                parent[y] = x
-        # number the roots in index order; parent[p] <= p is numbered first
-        level: dict[State, tuple] = {}  # the next level's tables
-        new_tabs, link = [], array("q")
-        p = 0
-        for cid, (state, steps, _, _) in enumerate(tabs):
+        if sum(len(tab[3]) for tab in tabs) > limit:
+            raise SearchLimitExceeded(limit, "execution class pairs")
+        # merge across admissible squares rooted two levels down; -1 marks a
+        # root, a find halves its path, a union keeps the smaller root
+        parent = [-1] * (len(tabs) * n)
+        for base, tab in zip(range(0, len(cls), n), prev_tabs):
+            for i, j in tab[4]:
+                x = cls[base + i] + j
+                y = cls[base + j] + i
+                while (p := parent[x]) >= 0:
+                    if (q := parent[p]) < 0:
+                        x = p
+                        break
+                    parent[x] = x = q
+                while (p := parent[y]) >= 0:
+                    if (q := parent[p]) < 0:
+                        y = p
+                        break
+                    parent[y] = y = q
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+        # number the roots in index order, writing class * n into each used
+        # slot; parent[p] < p is numbered first
+        level: dict[int, tuple] = {}  # the next level's tables by code
+        new_tabs, link, k = [], array("q"), 0
+        for base, (state, code, totals, steps, _) in zip(range(0, len(parent), n), tabs):
             for c in steps:
-                q = parent[p]
-                if q == p:
-                    parent[p] = len(new_tabs)
-                    nxt = state[:c] + (state[c] + 1,) + state[c + 1 :]
-                    if nxt not in level:
-                        level[nxt] = table(nxt)
-                    new_tabs.append(level[nxt])
-                    link.append(cid * n + c)
-                else:
+                p = base + c
+                if (q := parent[p]) >= 0:
                     parent[p] = parent[q]
-                p += 1
-        advanced = set()
-        for cid, t in serial:
-            state, _, offsets, _ = tabs[cid]
-            # mid-block only t steps; between blocks the rest are at ⊥ or ⊤
-            for c in (t,) if t >= 0 and state[t] < tops[t] else range(n):
-                if offsets[c] >= 0:
-                    advanced.add((parent[start[cid] + offsets[c]], c))
-        serial = advanced
-        prev_tabs, prev_start, cls, tabs = tabs, start, parent, new_tabs
+                    continue
+                parent[p] = k
+                k += n
+                key = code + weight[c]
+                if key not in level:
+                    x = state[c]
+                    moved = totals[:]  # the stepping thread's point use moves
+                    for r in point[c][x]:
+                        moved[r] -= 1
+                    for r in point[c][x + 1]:
+                        moved[r] += 1
+                    nxt = state[:c] + (x + 1,) + state[c + 1 :]
+                    level[key] = (nxt, key, *program._steps(nxt, True, moved))
+                new_tabs.append(level[key])
+                link.append(p)
+        # mid-block only t steps; between blocks the rest are at ⊥ or ⊤
+        serial = {
+            (parent[base + c], c)
+            for base, t in serial
+            for c in ((t,) if t >= 0 and tabs[base // n][0][t] < tops[t] else range(n))
+            if parent[base + c] >= 0
+        }
+        prev_tabs, cls, tabs = tabs, parent, new_tabs
         links.append(link)
 
     assert all(tab[0] == program.top for tab in tabs)
-    return len(tabs), len({cid for cid, _ in serial}), links
+    return len(tabs), len({k for k, _ in serial}), links
 
 
 def kappa1_pair_serializable(

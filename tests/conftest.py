@@ -135,8 +135,8 @@ def square_admissible(program: Program, state: State, i: int, j: int) -> bool:
     based at ``state``?  The state must be admissible and both must step, and
     the square is blocked iff both acquire one resource with fewer than two
     free slots: the square rule of ``Program._steps``, read for one pair."""
-    totals, _, offsets, _ = program._steps(state)
-    if offsets[i] < 0 or offsets[j] < 0 or any(t > k for t, k in zip(totals, program.kappa)):
+    totals, steps, _ = program._steps(state)
+    if i not in steps or j not in steps or any(t > k for t, k in zip(totals, program.kappa)):
         return False
     r = program._request_idx[i][state[i]]
     return r is None or r != program._request_idx[j][state[j]] or totals[r] + 2 <= program.kappa[r]

@@ -308,6 +308,18 @@ def test_classes_match_level_dp_oracle():
     # boundary tests below pin both bounds exactly
     assert min(kinds["pairs"], kinds["paths"]) >= 1, kinds
     assert min(kinds[k] for k in ("power", "mixed", "empty", "grid")) >= 20, kinds
+    # Pa Va ^ 5: 10,431 prefix classes, and 15,631 of its 36,480 square
+    # merges find their pairs already joined (renumbering, one-hop finds);
+    # EX3: the deadlock class at (1, 1) has no step, so both of its slots on
+    # the next level stay unused; the three-thread program: finds that halve
+    # their path, which neither reaches
+    threes = ("Pb Pa Va Pa Va Vb", "Pa Va", "Pb Pa Vb Va")
+    for prog in (
+        Program.power(PV, 5, make_caps(a=1)),
+        EX3,
+        Program(tuple(map(Thread.from_text, threes)), make_caps(a=2, b=1)),
+    ):
+        assert dihomotopy_classes(prog) == level_dp_classes(prog)
 
 
 def largest_level_pairs(program):
