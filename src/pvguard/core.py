@@ -434,20 +434,18 @@ class Program:
         return totals
 
     def _steps(
-        self, state: State, squares: bool = False, totals: Optional[list[int]] = None
+        self, state: State, squares: bool = False
     ) -> tuple[list[int], list[int], Optional[list[tuple[int, int]]]]:
-        """The step table of an admissible ``state``: point-use totals (the
-        given ``totals`` if any, else counted), the coordinates that may step
-        (ascending), and, with ``squares`` (else None), the admissible
-        squares as coordinate pairs (i, j), i < j.  A step holds its point's
-        resources plus the one it acquires, so it is blocked iff that is
-        full, and a square iff both acquire one resource with fewer than two
-        free slots."""
+        """The step table of an admissible ``state``: point-use totals, the
+        coordinates that may step (ascending), and, with ``squares`` (else
+        None), the admissible squares as coordinate pairs (i, j), i < j.  A
+        step holds its point's resources plus the one it acquires, so it is
+        blocked iff that is full, and a square iff both acquire one resource
+        with fewer than two free slots."""
         kappa = self.kappa
         tops = self.tops
         request = self._request_idx
-        if totals is None:
-            totals = self.use_totals(state)
+        totals = self.use_totals(state)
         steps, asks = [], []
         for c, x in enumerate(state):
             if x < tops[c]:

@@ -53,13 +53,27 @@ def serial_order(path: LatticePath) -> Optional[tuple[int, ...]]:
     running one thread from its start to its end while the others sit at
     their start or end.
     """
-    if any(path.start):
+    start = path.start
+    end = path.end
+    if any(v != 0 for v in start):
         return None
-    # from ⊥, a block that runs its thread to its end value is its only one
-    runs = [(c, len(tuple(g))) for c, g in itertools.groupby(path.steps())]
-    if len(runs) != len(path.start) or any(m != path.end[c] for c, m in runs):
+    order: list[int] = []
+    coords = list(path.steps())
+    i = 0
+    while i < len(coords):
+        c = coords[i]
+        if c in order:
+            return None
+        run = 0
+        while i < len(coords) and coords[i] == c:
+            run += 1
+            i += 1
+        if run != end[c]:
+            return None
+        order.append(c)
+    if len(order) != len(start):
         return None
-    return tuple(c for c, _ in runs)
+    return tuple(order)
 
 
 def is_serial(path: LatticePath) -> bool:
@@ -100,9 +114,8 @@ def dihomotopy_classes(
     representative at its root, and a class needs only its root's index as
     its back pointer.  A level holds classes × threads slots, and one shared
     -1 marks the roots.  Steps and squares are tabled once per end state,
-    keyed by its mixed-radix code and built from the parent table's carried
-    point-use totals; serial executions advance as a frontier of (class,
-    thread running its block) pairs.
+    keyed by its mixed-radix code; serial executions advance as a frontier
+    of (class, thread running its block) pairs.
 
     Raises the search limit signal as soon as the number of (class, step)
     pairs at some level, not its slots, exceeds ``limit``, and before the
@@ -135,25 +148,24 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
     guard_grid(program, limit)
     n = program.n
     tops = program.tops
-    point = program._point_idx
     # end states as mixed-radix codes, the last coordinate least significant
     weight = tuple(
         itertools.accumulate((t + 1 for t in tops[:0:-1]), operator.mul, initial=1)
     )[::-1]
-    # per class: its end state's table (state, code, totals, steps, squares);
-    # reached states are admissible, as Program._steps needs
-    tabs = [(program.bottom, 0, *program._steps(program.bottom, True))]
+    # per class: its end state's table (state, code, steps, squares); reached
+    # states are admissible, as Program._steps needs
+    tabs = [(program.bottom, 0, *program._steps(program.bottom, True)[1:])]
     prev_tabs, cls = [], []  # two levels down: tables; one down: pair -> class * n
     links = []
     serial = {(0, -1)}  # (class * n, thread running its block)
     for _ in range(sum(tops)):
-        if sum(len(tab[3]) for tab in tabs) > limit:
+        if sum(len(tab[2]) for tab in tabs) > limit:
             raise SearchLimitExceeded(limit, "execution class pairs")
         # merge across admissible squares rooted two levels down; -1 marks a
         # root, a find halves its path, a union keeps the smaller root
         parent = [-1] * (len(tabs) * n)
         for base, tab in zip(range(0, len(cls), n), prev_tabs):
-            for i, j in tab[4]:
+            for i, j in tab[3]:
                 x = cls[base + i] + j
                 y = cls[base + j] + i
                 while (p := parent[x]) >= 0:
@@ -174,7 +186,7 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
         # slot; parent[p] < p is numbered first
         level: dict[int, tuple] = {}  # the next level's tables by code
         new_tabs, link, k = [], array("q"), 0
-        for base, (state, code, totals, steps, _) in zip(range(0, len(parent), n), tabs):
+        for base, (state, code, steps, _) in zip(range(0, len(parent), n), tabs):
             for c in steps:
                 p = base + c
                 if (q := parent[p]) >= 0:
@@ -184,14 +196,8 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
                 k += n
                 key = code + weight[c]
                 if key not in level:
-                    x = state[c]
-                    moved = totals[:]  # the stepping thread's point use moves
-                    for r in point[c][x]:
-                        moved[r] -= 1
-                    for r in point[c][x + 1]:
-                        moved[r] += 1
-                    nxt = state[:c] + (x + 1,) + state[c + 1 :]
-                    level[key] = (nxt, key, *program._steps(nxt, True, moved))
+                    nxt = state[:c] + (state[c] + 1,) + state[c + 1 :]
+                    level[key] = (nxt, key, *program._steps(nxt, True)[1:])
                 new_tabs.append(level[key])
                 link.append(p)
         # mid-block only t steps; between blocks the rest are at ⊥ or ⊤

@@ -348,7 +348,7 @@ def test_edge_and_square_rules_match_segment_use():
     # Up to capacity 3 and four threads, a square can fail on a resource that
     # another thread already holds
     rng = random.Random(15)
-    shared = tables = 0
+    shared = 0
     for _ in range(30):
         caps = CapacityMap((("a", rng.randint(1, 3)), ("b", rng.randint(1, 3))))
         prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 4), 2)
@@ -372,23 +372,10 @@ def test_edge_and_square_rules_match_segment_use():
             assert steps == [c for c in open_ if fits(state, ()) and fits(state, (c,))]
             squares = None
             if fits(state, ()):
-                fresh = prog._steps(state, squares=True)
-                assert fresh[1] == steps
-                squares = set(fresh[2])
-                assert len(squares) == len(fresh[2])
-                # the class DP's tables: from a predecessor's totals, moved by
-                # the stepping thread's point use before and after the step
-                for c in range(prog.n):
-                    if state[c]:
-                        pred = state[:c] + (state[c] - 1,) + state[c + 1 :]
-                        moved = use(pred, ())
-                        for r in prog.threads[c].point_use(state[c] - 1):
-                            moved[r] -= 1
-                        for r in prog.threads[c].point_use(state[c]):
-                            moved[r] += 1
-                        carried = [moved[r] for r in prog.resource_names]
-                        assert prog._steps(state, True, carried) == fresh
-                        tables += 1
+                _, table_steps, table = prog._steps(state, squares=True)
+                assert table_steps == steps
+                squares = set(table)
+                assert len(squares) == len(table)
             for i, j in itertools.combinations(open_, 2):
                 square = fits(state, ()) and fits(state, (i, j))
                 assert square_admissible(prog, state, i, j) == square
@@ -398,7 +385,6 @@ def test_edge_and_square_rules_match_segment_use():
                     held, moved = use(state, ()), use(state, (i, j))
                     shared += any(moved[r] > caps[r] and held[r] for r in caps.names)
     assert shared >= 20, shared
-    assert tables >= 10_000, tables
 
 
 def test_extended_rectangle_shape():
