@@ -445,7 +445,10 @@ class Program:
         kappa = self.kappa
         tops = self.tops
         request = self._request_idx
-        totals = self.use_totals(state)
+        totals = [0] * len(kappa)
+        for held, x in zip(self._point_idx, state):
+            for r in held[x]:
+                totals[r] += 1
         steps, asks = [], []
         for c, x in enumerate(state):
             if x < tops[c]:
@@ -455,9 +458,10 @@ class Program:
                     asks.append(r)
         if not squares:
             return totals, steps, None
-        table = []
-        for b, rb in enumerate(asks):
-            for a in range(b):
-                if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]:
-                    table.append((steps[a], steps[b]))
+        table = [
+            (steps[a], steps[b])
+            for b, rb in enumerate(asks)
+            for a in range(b)
+            if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]
+        ]
         return totals, steps, table
