@@ -434,21 +434,19 @@ class Program:
         return totals
 
     def _steps(
-        self, state: State, squares: bool = False
+        self, state: State, squares: bool = False, totals: Optional[list[int]] = None
     ) -> tuple[list[int], list[int], Optional[list[tuple[int, int]]]]:
-        """The step table of an admissible ``state``: point-use totals, the
-        coordinates that may step (ascending), and, with ``squares`` (else
-        None), the admissible squares as coordinate pairs (i, j), i < j.  A
-        step holds its point's resources plus the one it acquires, so it is
-        blocked iff that is full, and a square iff both acquire one resource
-        with fewer than two free slots."""
+        """The step table of an admissible ``state``: its point-use totals
+        (``totals`` if given, else counted), the coordinates that may step
+        (ascending), and, with ``squares`` (else None), the admissible squares
+        as coordinate pairs (i, j), i < j.  A step holds its point's resources
+        plus the one it acquires, so it is blocked iff that is full, and a
+        square iff both acquire one resource with fewer than two free slots."""
         kappa = self.kappa
         tops = self.tops
         request = self._request_idx
-        totals = [0] * len(kappa)
-        for held, x in zip(self._point_idx, state):
-            for r in held[x]:
-                totals[r] += 1
+        if totals is None:
+            totals = self.use_totals(state)
         steps, asks = [], []
         for c, x in enumerate(state):
             if x < tops[c]:

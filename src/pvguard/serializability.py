@@ -114,8 +114,9 @@ def dihomotopy_classes(
     representative at its root, and a class needs only its root's index as
     its back pointer.  A level holds classes × threads slots, and one shared
     -1 marks the roots.  Steps and squares are tabled once per end state,
-    keyed by its mixed-radix code; serial executions advance as a frontier
-    of (class, thread running its block) pairs.
+    keyed by its mixed-radix code and built from the parent table's carried
+    point-use totals; serial executions advance as a frontier of (class,
+    thread running its block) pairs.
 
     Raises the search limit signal as soon as the number of (class, step)
     pairs at some level, not its slots, exceeds ``limit``, and before the
@@ -148,36 +149,31 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
     guard_grid(program, limit)
     n = program.n
     tops = program.tops
+    point = program._point_idx
     # end states as mixed-radix codes, the last coordinate least significant
     weight = tuple(
         itertools.accumulate((t + 1 for t in tops[:0:-1]), operator.mul, initial=1)
     )[::-1]
-    # per class: its end state's table (state, code, steps, squares); reached
-    # states are admissible, as Program._steps needs
-    tabs = [(program.bottom, 0, *program._steps(program.bottom, True)[1:])]
+    # per class: its end state's table (state, code, totals, steps, squares);
+    # reached states are admissible, as Program._steps needs
+    tabs = [(program.bottom, 0, *program._steps(program.bottom, True))]
     prev_tabs, cls = [], []  # two levels down: tables; one down: pair -> class * n
     links = []
     serial = {(0, -1)}  # (class * n, thread running its block)
     for _ in range(sum(tops)):
-        if sum(len(tab[2]) for tab in tabs) > limit:
+        if sum(len(tab[3]) for tab in tabs) > limit:
             raise SearchLimitExceeded(limit, "execution class pairs")
         # merge across admissible squares rooted two levels down; -1 marks a
         # root, a find halves its path, a union keeps the smaller root
         parent = [-1] * (len(tabs) * n)
         for base, tab in zip(range(0, len(cls), n), prev_tabs):
-            for i, j in tab[3]:
+            for i, j in tab[4]:
                 x = cls[base + i] + j
                 y = cls[base + j] + i
                 while (p := parent[x]) >= 0:
-                    if (q := parent[p]) < 0:
-                        x = p
-                        break
-                    parent[x] = x = q
+                    parent[x] = x = p if parent[p] < 0 else parent[p]
                 while (p := parent[y]) >= 0:
-                    if (q := parent[p]) < 0:
-                        y = p
-                        break
-                    parent[y] = y = q
+                    parent[y] = y = p if parent[p] < 0 else parent[p]
                 if x < y:
                     parent[y] = x
                 elif y < x:
@@ -186,7 +182,7 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
         # slot; parent[p] < p is numbered first
         level: dict[int, tuple] = {}  # the next level's tables by code
         new_tabs, link, k = [], array("q"), 0
-        for base, (state, code, steps, _) in zip(range(0, len(parent), n), tabs):
+        for base, (state, code, totals, steps, _) in zip(range(0, len(parent), n), tabs):
             for c in steps:
                 p = base + c
                 if (q := parent[p]) >= 0:
@@ -196,8 +192,14 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
                 k += n
                 key = code + weight[c]
                 if key not in level:
-                    nxt = state[:c] + (state[c] + 1,) + state[c + 1 :]
-                    level[key] = (nxt, key, *program._steps(nxt, True)[1:])
+                    x = state[c]
+                    moved = totals[:]  # the stepping thread's point use moves
+                    for r in point[c][x]:
+                        moved[r] -= 1
+                    for r in point[c][x + 1]:
+                        moved[r] += 1
+                    nxt = state[:c] + (x + 1,) + state[c + 1 :]
+                    level[key] = (nxt, key, *program._steps(nxt, True, moved))
                 new_tabs.append(level[key])
                 link.append(p)
         # mid-block only t steps; between blocks the rest are at ⊥ or ⊤

@@ -322,6 +322,27 @@ def test_classes_match_level_dp_oracle():
         assert dihomotopy_classes(prog) == level_dp_classes(prog)
 
 
+def test_class_dp_carries_exact_totals(monkeypatch):
+    # every table after ⊥ is built from totals the DP moved along one step;
+    # they must be the end state's own totals
+    steps = Program._steps
+    carried = []
+
+    def checked(self, state, squares=False, totals=None):
+        if totals is not None:
+            assert totals == self.use_totals(state)
+            carried.append(state)
+        return steps(self, state, squares, totals)
+
+    monkeypatch.setattr(Program, "_steps", checked)
+    rng = random.Random(16)
+    for _ in range(40):
+        caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 2))))
+        prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 3), 2)
+        dihomotopy_classes(prog)
+    assert len(carried) >= 2_000, len(carried)
+
+
 def largest_level_pairs(program):
     """The least limit the oracle passes, found by bisection: the largest
     level's (class, coordinate) pair count, unless the grid is larger."""
