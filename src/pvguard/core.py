@@ -456,10 +456,9 @@ class Program:
                     asks.append(r)
         if not squares:
             return totals, steps, None
-        table = [
-            (steps[a], steps[b])
-            for b, rb in enumerate(asks)
-            for a in range(b)
-            if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]
-        ]
+        table = []
+        for b, rb in enumerate(asks):
+            for a in range(b):
+                if rb is None or asks[a] != rb or totals[rb] + 2 <= kappa[rb]:
+                    table.append((steps[a], steps[b]))
         return totals, steps, table

@@ -170,10 +170,12 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
             for i, j in tab[4]:
                 x = cls[base + i] + j
                 y = cls[base + j] + i
-                while (p := parent[x]) >= 0:
-                    parent[x] = x = p if parent[p] < 0 else parent[p]
-                while (p := parent[y]) >= 0:
-                    parent[y] = y = p if parent[p] < 0 else parent[p]
+                while (p := parent[x]) >= 0 and (q := parent[p]) >= 0:
+                    parent[x] = x = q
+                x = p if p >= 0 else x
+                while (p := parent[y]) >= 0 and (q := parent[p]) >= 0:
+                    parent[y] = y = q
+                y = p if p >= 0 else y
                 if x < y:
                     parent[y] = x
                 elif y < x:
