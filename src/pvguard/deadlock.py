@@ -17,6 +17,7 @@ import operator
 from collections import Counter, deque
 from collections.abc import KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -92,12 +93,7 @@ class ReachabilityIndex:
         self._search()
 
     def canon(self, state: State) -> State:
-        out = list(state)
-        for g in self._groups:
-            vals = sorted(out[i] for i in g)
-            for i, v in zip(g, vals):
-                out[i] = v
-        return tuple(out)
+        return _canon(self._groups, state)
 
     def _search(self) -> None:
         """Breadth-first search over group-sorted states.
@@ -267,21 +263,44 @@ class ReachabilityIndex:
         return concrete
 
 
-def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The distinct orderings of ascending ``values``, in lexicographic order."""
-    a = list(values)
+def _canon(groups: Sequence[Sequence[int]], state: State) -> State:
+    """The orbit of ``state``: each identity group's values sorted ascending."""
+    out = list(state)
+    for g in groups:
+        for i, v in zip(g, sorted(out[i] for i in g)):
+            out[i] = v
+    return tuple(out)
+
+
+def _distinct_permutations(groups: Sequence[Sequence[int]], orbit: State) -> Iterator[State]:
+    """The states of ``orbit``, permuting values within identity groups, in
+    lexicographic order.  Each step takes the last coordinate that has a
+    larger value of its own group to its right, reverses every group's
+    values to the right of it, which are non-increasing there, and swaps it
+    with the least larger value of its group there."""
+    n = len(orbit)
+    a = list(orbit)
+    # per coordinate: its group's coordinates to its right, and the pairs of
+    # coordinates whose swaps reverse every group's values to its right
+    own, flips = [], []
+    for p in range(n):
+        tails = [[q for q in g if q > p] for g in groups]
+        own.append(next(t for g, t in zip(groups, tails) if p in g))
+        flips.append([(q, r) for t in tails for q, r in zip(t, reversed(t)) if q < r])
+    nxt = [t[0] if t else p for p, t in enumerate(own)]  # itself if last
     while True:
         yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
+        i = n - 1
+        while i >= 0 and a[i] >= a[nxt[i]]:
             i -= 1
         if i < 0:
             return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
+        for q, r in flips[i]:
+            a[q], a[r] = a[r], a[q]
+        for j in own[i]:  # ascending now, so the least larger value comes first
+            if a[j] > a[i]:
+                break
         a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def _orbit_size(groups: Sequence[Sequence[int]], state: State) -> int:
@@ -299,12 +318,13 @@ def _hit_orbits(
     program: Program,
     leaf: Callable[[Sequence[int], list[int], list[Optional[int]]], object],
     max_states: int,
-) -> list[State]:
+) -> dict[State, object]:
     """The candidate sweep shared by potential deadlocks and local choice
     points, over orbits: the group-sorted states other than ⊤ whose
     coordinates each stand at an acquire or at ⊤ and on which
-    ``leaf(kappa, totals, requests)`` is truthy, in sweep order.  Bounded
-    by the symmetry-folded state count (``guard_orbits``).
+    ``leaf(kappa, totals, requests)`` is truthy, each mapped to that value,
+    in sweep order.  Bounded by the symmetry-folded state count
+    (``guard_orbits``).
 
     Within each identity group the sweep places only non-decreasing
     positions, and takes the product across groups.  It keeps the point-use
@@ -329,12 +349,12 @@ def _hit_orbits(
     totals = [0] * len(kappa)
     requests: list[Optional[int]] = [None] * n
     state = [0] * n
-    hits: list[State] = []
+    hits: dict[State, object] = {}
 
     def visit(k: int, lo: int, requested: int) -> None:
         if k == n:
-            if requested and leaf(kappa, totals, requests):  # ⊤ is never one
-                hits.append(tuple(state))
+            if requested and (value := leaf(kappa, totals, requests)):  # ⊤ is never one
+                hits[tuple(state)] = value
             return
         i = order[k]
         opts = options[i]
@@ -354,74 +374,65 @@ def _hit_orbits(
     return hits
 
 
-def _orbit_members(
-    program: Program, orbits: Iterable[State]
-) -> list[tuple[State, State]]:
-    """The concrete states the ``orbits`` stand for: each orbit is expanded
-    into its distinct states, permuting values within identity groups.
-    Returns (state, orbit) pairs sorted by state."""
-    n = program.n
-    groups = program._groups
-    found: list[tuple[State, State]] = []
-    for orbit in orbits:
-        arrangements = [_distinct_permutations([orbit[i] for i in g]) for g in groups]
-        for combo in itertools.product(*arrangements):
-            out = [0] * n
-            for g, values in zip(groups, combo):
-                for i, v in zip(g, values):
-                    out[i] = v
-            found.append((tuple(out), orbit))
-    found.sort(key=operator.itemgetter(0))
-    return found
-
-
 def _same_state(state: State, payload: object) -> State:
     return state
 
 
 class OrbitView(Sequence):
-    """One record per concrete state of some orbits of a power program, whose
-    copies form one identity group, in ascending state order, without
-    expanding them.
+    """One record per concrete state of some orbits of a program, in
+    ascending state order, without expanding them.
 
-    ``orbits`` maps each orbit (an ascending state) to a payload, and
-    ``record(state, payload)`` builds a member's record; by default the
-    records are the states themselves.  ``key`` reads a record's state, and
-    is None when the records are states.
+    ``groups`` are the program's identity groups (``Program._groups``);
+    ``orbits`` maps each orbit (each group's values ascending) to a payload,
+    and ``record(state, payload)`` builds a member's record, by default the
+    state itself.  ``key`` reads a record's state, and is None when the
+    records are states.
 
     ``len`` sums the orbit sizes, so it raises :class:`OverflowError` past
     ``sys.maxsize`` records, where indexing and slicing still work; a view is
-    true iff it holds an orbit.  ``in`` sorts a record's state, looks it up
-    among the orbits and compares the one record it stands for.
+    true iff it holds an orbit.  ``in`` sorts a record's state within groups,
+    looks it up among the orbits and compares the one record it stands for.
     Iteration merges each orbit's distinct permutations, which come out
     sorted.  Indexing and slicing unrank each index from multinomial counts
-    over the orbits, so they build only the records they return, at
-    O(n · values · orbits) each; ``reversed`` unranks from the end, one
-    record at a time; ``index`` ranks the item the same way, and ``count``
-    is ``in``.  ``==`` and ``hash`` behave as on the sorted tuple the view
-    stands for.  ``hash``, and ``==`` against anything but a view with the
-    same orbits, payloads and ``record``, build every record on each call.
+    over the orbits, coordinate by coordinate within its group, tabled on
+    first use, so they build only the records they return, at O(n · values ·
+    orbits) each; ``reversed`` unranks from the end, one record at a time;
+    ``index`` ranks the item the same way, and ``count`` is ``in``.  ``==``
+    and ``hash`` behave as on the sorted tuple the view stands for.
+    ``hash``, and ``==`` against anything but a view with the same groups,
+    orbits, payloads and ``record``, build every record on each call.
     """
-
-    __slots__ = ("_orbits", "_record", "_key", "_len", "_values", "_counts")
 
     def __init__(
         self,
+        groups: Sequence[Sequence[int]],
         orbits: Mapping[State, object],
         record: Callable[[State, object], object] = _same_state,
         key: Optional[Callable[[object], State]] = None,
     ):
+        self._groups = groups
         self._orbits = dict(orbits)
         self._record = record
         self._key = key
-        # the values any orbit holds, and per orbit how often it holds each
-        # and how many states it stands for
-        self._values = sorted(set().union(*self._orbits))
-        self._counts = [
-            ([orbit.count(v) for v in self._values], _orbit_size((range(len(orbit)),), orbit))
-            for orbit in self._orbits
-        ]
-        self._len = sum(size for _, size in self._counts)
+        self._len = sum(_orbit_size(groups, orbit) for orbit in self._orbits)
+
+    @cached_property
+    def _tables(self) -> tuple[list[int], list[tuple[list[int], int]], list[tuple[int, int]]]:
+        """The values any orbit holds; per orbit how often each group holds
+        each value, group after group, and how many states it stands for;
+        and per coordinate its slot: its group's offset into those counts and
+        how many copies of the group are left from it on."""
+        groups = self._groups
+        values = sorted(set().union(*self._orbits))
+        counts = []
+        for orbit in self._orbits:
+            held = [[orbit[i] for i in g] for g in groups]
+            counts.append(([h.count(v) for h in held for v in values], _orbit_size(groups, orbit)))
+        slots = [(0, 0)] * sum(map(len, groups))
+        for k, g in enumerate(groups):
+            for r, i in enumerate(g):
+                slots[i] = (k * len(values), len(g) - r)
+        return values, counts, slots
 
     @property
     def orbits(self) -> KeysView[State]:
@@ -440,9 +451,9 @@ class OrbitView(Sequence):
         """The state ``item`` names if it is a member, else None."""
         try:
             state = item if self._key is None else self._key(item)
-            if not isinstance(state, tuple):
+            if not isinstance(state, tuple) or len(state) != sum(map(len, self._groups)):
                 return None
-            orbit = tuple(sorted(state))
+            orbit = _canon(self._groups, state)
             if orbit not in self._orbits or self._member(state, orbit) != item:
                 return None
         except (AttributeError, TypeError):  # no state, or unorderable values
@@ -453,8 +464,9 @@ class OrbitView(Sequence):
         return self._state(item) is not None
 
     def __iter__(self) -> Iterator:
+        groups = self._groups
         members = [
-            map(self._record, _distinct_permutations(orbit), itertools.repeat(payload))
+            map(self._record, _distinct_permutations(groups, orbit), itertools.repeat(payload))
             for orbit, payload in self._orbits.items()
         ]
         return heapq.merge(*members, key=self._key)
@@ -477,27 +489,27 @@ class OrbitView(Sequence):
         """The record of rank ``index``, 0 <= index < len.  Each coordinate
         takes the least value whose members with the prefix so far, counted
         over the orbits that still hold it, reach past ``index``."""
-        live = self._counts
+        values, live, slots = self._tables
         out: list[int] = []
-        for m in range(len(next(iter(self._orbits))), 0, -1):
-            for k, v in enumerate(self._values):
-                below = sum(size * counts[k] // m for counts, size in live)
+        for base, m in slots:
+            for k, v in enumerate(values):
+                below = sum(size * counts[base + k] // m for counts, size in live)
                 if index < below:
                     break
                 index -= below
             out.append(v)
-            live = self._fix(live, k, m)
+            live = self._fix(live, base + k, m)
         state = tuple(out)
-        return self._member(state, tuple(sorted(state)))
+        return self._member(state, _canon(self._groups, state))
 
     def _rank(self, state: State) -> int:
         """The rank of the member ``state``: the inverse of ``_unrank``."""
-        live = self._counts
+        values, live, slots = self._tables
         rank = 0
-        for m, x in zip(range(len(state), 0, -1), state):
-            k = self._values.index(x)
-            rank += sum(size * counts[j] // m for j in range(k) for counts, size in live)
-            live = self._fix(live, k, m)
+        for (base, m), x in zip(slots, state):
+            k = values.index(x)
+            rank += sum(size * counts[base + j] // m for j in range(k) for counts, size in live)
+            live = self._fix(live, base + k, m)
         return rank
 
     def __getitem__(self, index):
@@ -520,6 +532,7 @@ class OrbitView(Sequence):
         if (
             isinstance(other, OrbitView)
             and other._record is self._record
+            and other._groups == self._groups
             and other._orbits == self._orbits
         ):
             return True
@@ -550,9 +563,7 @@ def _guard_members(program: Program, orbits: Iterable[State], max_states: int) -
     states."""
     size = sum(_orbit_size(program._groups, orbit) for orbit in orbits)
     if size > max_states:
-        raise SearchLimitExceeded(
-            max_states, f"concrete candidate states ({size} needed)"
-        )
+        raise SearchLimitExceeded(max_states, f"concrete candidate states ({size} needed)")
 
 
 def _requests_full(
@@ -570,14 +581,14 @@ def potential_deadlocks(
 
     Reachability and admissibility are not required: a potential deadlock may
     lie inside the forbidden region.  Candidates come from the shared
-    acquire-state sweep (``_hit_orbits``), expanded by ``_orbit_members``.
+    acquire-state sweep (``_hit_orbits``), expanded by an :class:`OrbitView`.
     Results are sorted.  Raises :class:`SearchLimitExceeded` when the
     symmetry-folded state space, or the number of results, exceeds
     ``max_states``.
     """
     hits = _hit_orbits(program, _requests_full, max_states)
     _guard_members(program, hits, max_states)
-    return [state for state, _ in _orbit_members(program, hits)]
+    return list(OrbitView(program._groups, hits))
 
 
 @dataclass(frozen=True)
@@ -608,17 +619,20 @@ def find_deadlocks(
     """All deadlocks of the program, each with a validated witness path.
 
     The deadlocks are decided once per orbit (``_deadlock_orbits``), then
-    the candidate orbits are expanded into their concrete states.  Each
-    deadlock's witness path is its orbit's validated path, permuted onto it,
-    and is validated.  The search covers the whole folded space, so
-    ``stats.visited`` counts every reachable orbit.
+    the candidate orbits are expanded once, through an :class:`OrbitView`
+    whose records pair each state with its orbit's validated path (None off
+    the deadlock orbits).  Each deadlock's witness path is that path,
+    permuted onto it, and is validated.  The search covers the whole folded
+    space, so ``stats.visited`` counts every reachable orbit.
     """
     candidates, paths, index = _deadlock_orbits(program, max_states, bounded=False)
-    members = _orbit_members(program, candidates)
+    records = {orbit: paths.get(orbit) for orbit in candidates}
+    view = OrbitView(program._groups, records, lambda *pair: pair, operator.itemgetter(0))
+    members = tuple(view)
     deadlocks: list[Deadlock] = []
-    for state, orbit in members:
-        if orbit in paths:
-            witness = index._onto(paths[orbit].states, state)
+    for state, path in members:
+        if path is not None:
+            witness = index._onto(path.states, state)
             assert witness.end == state
             witness.validate(program)
             deadlocks.append(Deadlock(state, witness))
@@ -634,7 +648,7 @@ def find_deadlocks(
 
 def _deadlock_orbits(
     program: Program, max_states: int, bounded: bool
-) -> tuple[list[State], dict[State, LatticePath], Optional[ReachabilityIndex]]:
+) -> tuple[dict[State, object], dict[State, LatticePath], Optional[ReachabilityIndex]]:
     """The potential-deadlock orbits, the deadlock orbits among them, each
     mapped to its validated witness path, and the reachability index (None
     without candidates).  Permuting identical copies leaves the program
@@ -667,11 +681,12 @@ def _deadlock_orbits(
     return hits, deadlocks, index
 
 
-def _deadlock_states(program: Program, max_states: int) -> tuple[State, ...]:
-    """The deadlocks of the program, sorted, without witness paths: the
-    search stops at the ceiling of the candidates."""
+def _deadlock_states(program: Program, max_states: int) -> OrbitView:
+    """The deadlocks of the program, as a sorted :class:`OrbitView` over
+    their orbits, without witness paths: the search stops at the ceiling of
+    the candidates."""
     _, orbits, _ = _deadlock_orbits(program, max_states, bounded=True)
-    return tuple(state for state, _ in _orbit_members(program, orbits))
+    return OrbitView(program._groups, dict.fromkeys(orbits))
 
 
 def _scatter_state(
@@ -743,9 +758,7 @@ def family_deadlock_verdict(
         )
     program = Program.power(thread, cutoff, caps)
     try:
-        witnesses = OrbitView(
-            dict.fromkeys(_deadlock_orbits(program, max_states, bounded=True)[1])
-        )
+        witnesses = _deadlock_states(program, max_states)
     except SearchLimitExceeded as exc:
         return FamilyVerdict(
             "deadlock-freedom",
@@ -793,7 +806,7 @@ def program_deadlock_verdict(
     used = set().union(*(t.resources_used for t in program.threads))
     cutoff = deadlock_cutoff(program.caps.restrict(used))
     if program.n <= cutoff:
-        witnesses = _deadlock_states(program, max_states)
+        witnesses = tuple(_deadlock_states(program, max_states))
         if witnesses:
             return FamilyVerdict(
                 "deadlock-freedom",

@@ -29,10 +29,9 @@ from .deadlock import (
     OrbitView,
     ReachabilityIndex,
     WitnessPlan,
-    _chain_actions,
     _guard_members,
     _hit_orbits,
-    _orbit_members,
+    deadsharp_witness,
 )
 from .geometry import (
     DEFAULT_MAX_STATES,
@@ -297,19 +296,16 @@ def _choice_point_orbits(program: Program, max_states: int) -> dict[State, _Orbi
     hits = _hit_orbits(program, _one_short, max_states)
     _guard_members(program, hits, max_states)
     index = ReachabilityIndex(program, max_states, targets=hits) if hits else None
-    kappa = program.kappa
     request = program._request_idx
     names = program.resource_names
     wanted = [
         tuple(frozenset(p for p, q in enumerate(req) if q == r) for req in request)
-        for r in range(len(kappa))
+        for r in range(len(names))
     ]
-    records: dict[State, _OrbitRecord] = {}
-    for orbit in hits:
-        requests = [request[i][x] for i, x in enumerate(orbit)]
-        r, _ = _one_short(kappa, program.use_totals(orbit), requests)
-        records[orbit] = (names[r], wanted[r], index.is_reachable(orbit))
-    return records
+    return {
+        orbit: (names[r], wanted[r], index.is_reachable(orbit))
+        for orbit, (r, _) in hits.items()
+    }
 
 
 def _choice_point(state: State, record: _OrbitRecord) -> ChoicePoint:
@@ -324,15 +320,12 @@ def local_choice_points(
     program: Program, max_states: int = DEFAULT_MAX_STATES
 ) -> list[ChoicePoint]:
     """All local choice points, in state order: the orbits of
-    ``_choice_point_orbits`` expanded into their concrete states, each built
-    from its orbit's record.  Both the sweep and the search are bounded by
-    the symmetry-folded state count, the sweep also by its number of choice
-    points."""
+    ``_choice_point_orbits`` expanded through an :class:`OrbitView`, each
+    built from its orbit's record.  Both the sweep and the search are
+    bounded by the symmetry-folded state count, the sweep also by its number
+    of choice points."""
     records = _choice_point_orbits(program, max_states)
-    return [
-        _choice_point(state, records[orbit])
-        for state, orbit in _orbit_members(program, records)
-    ]
+    return list(OrbitView(program._groups, records, _choice_point, operator.attrgetter("state")))
 
 
 def lcp_cutoff(caps: CapacityMap) -> int:
@@ -347,29 +340,25 @@ def sharpserializable_witness(caps: CapacityMap) -> WitnessPlan:
     program has a reachable local choice point at a predictable state, and
     with one fewer copy it has none.
 
-    The thread is the tight deadlock chain with one extra acquire/release
-    of the first resource appended.
+    The thread is the tight deadlock chain of :func:`deadsharp_witness` with
+    one extra acquire/release of the first resource appended, and the state
+    is that chain's deadlock with one copy fewer at the second acquire of the
+    first resource, which leaves the last resource one holder short.
     """
     names = caps.names
-    k = len(names)
-    actions = _chain_actions(names) + [f"P{names[0]}", f"V{names[0]}"]
+    chain = deadsharp_witness(caps)
     for r in names:
         if caps[r] < 2:
             raise ValueError(f"the construction needs κ >= 2, got κ({r})={caps[r]}")
-    thread = Thread.from_text(" ".join(actions))
     cutoff = lcp_cutoff(caps)
-    # Contended resource: the last one in the chain, one holder short.
-    blocks = [2 * k] * (caps[names[k - 1]] - 1)
-    for i in range(2, k + 1):
-        blocks += [2 * i - 2] * caps[names[i - 2]]
     return WitnessPlan(
         kind="choice-point",
-        thread=thread,
+        thread=Thread.from_text(f"{chain.thread} P{names[0]} V{names[0]}"),
         caps=caps,
         cutoff=cutoff,
         instance_n=cutoff - 2,
-        expected_state=tuple(blocks),
-        expected_resource=names[k - 1],
+        expected_state=chain.expected_state[1:],
+        expected_resource=names[-1],
     )
 
 
@@ -431,11 +420,8 @@ def family_serializability_verdict(
         cutoff = lcp_cutoff(used)
         program = Program.power(thread, cutoff, caps)
         try:
-            cps = OrbitView(
-                _choice_point_orbits(program, max_states),
-                _choice_point,
-                operator.attrgetter("state"),
-            )
+            records = _choice_point_orbits(program, max_states)
+            cps = OrbitView(program._groups, records, _choice_point, operator.attrgetter("state"))
         except SearchLimitExceeded as exc:
             return FamilyVerdict(
                 "serializability", "inconclusive", cutoff, "search-limit", str(exc),

@@ -45,7 +45,6 @@ from pvguard.core import RELEASE
 from pvguard.deadlock import (
     _deadlock_orbits,
     _deadlock_states,
-    _orbit_members,
     _requests_full,
     _scatter_state,
 )
@@ -357,17 +356,39 @@ def reachable_states(program: Program, max_states: int = 10**7) -> set[State]:
     return seen
 
 
+def identity_groups(program: Program) -> list[list[int]]:
+    """The coordinates of each group of identical threads, ascending."""
+    groups: dict[Thread, list[int]] = {}
+    for i, t in enumerate(program.threads):
+        groups.setdefault(t, []).append(i)
+    return list(groups.values())
+
+
 def sort_groups(program: Program, state: State) -> State:
     """The orbit representative of a state: the coordinates of each group of
     identical threads sorted ascending."""
     out = list(state)
-    groups: dict[Thread, list[int]] = {}
-    for i, t in enumerate(program.threads):
-        groups.setdefault(t, []).append(i)
-    for g in groups.values():
+    for g in identity_groups(program):
         for i, v in zip(g, sorted(out[i] for i in g)):
             out[i] = v
     return tuple(out)
+
+
+def orbit_members(program: Program, orbits) -> list[State]:
+    """The concrete states of ``orbits`` by brute force: every permutation
+    of each identity group's values (``itertools.permutations``), across
+    groups, deduplicated and sorted."""
+    groups = identity_groups(program)
+    states = set()
+    for orbit in orbits:
+        per_group = [itertools.permutations([orbit[i] for i in g]) for g in groups]
+        for combo in itertools.product(*per_group):
+            out = list(orbit)
+            for g, values in zip(groups, combo):
+                for i, v in zip(g, values):
+                    out[i] = v
+            states.add(tuple(out))
+    return sorted(states)
 
 
 def index_parents(index: ReachabilityIndex) -> dict[State, tuple[State, int]]:
@@ -458,8 +479,9 @@ def concrete_family_deadlock_verdict(
     thread: Thread, caps: CapacityMap, max_states: int = DEFAULT_MAX_STATES
 ) -> FamilyVerdict:
     """``family_deadlock_verdict`` by its earlier concrete route: the deadlock
-    orbits expanded into the sorted tuple of their states (``_orbit_members``).
-    The witness-path cap that route also had is left out."""
+    orbits expanded into the sorted tuple of their states, by brute force
+    (``orbit_members``).  The witness-path cap that route also had is left
+    out."""
     cutoff = deadlock_cutoff(caps.restrict(thread.resources_used))
     if single_access(thread):
         return family_deadlock_verdict(thread, caps, max_states)  # searches nothing
@@ -471,7 +493,7 @@ def concrete_family_deadlock_verdict(
             "deadlock-freedom", "inconclusive", cutoff, "search-limit",
             f"cut-off instance too large: {exc}", program=program,
         )
-    witnesses = tuple(state for state, _ in _orbit_members(program, orbits))
+    witnesses = tuple(orbit_members(program, orbits))
     if witnesses:
         return FamilyVerdict(
             "deadlock-freedom", "no", cutoff, "deadlock-cutoff",

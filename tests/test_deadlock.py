@@ -42,6 +42,7 @@ from conftest import (
     make_caps,
     naive_deadlock_states,
     naive_potential_deadlocks,
+    orbit_members,
     random_program,
     random_thread,
     reachable_states,
@@ -217,7 +218,6 @@ def test_family_deadlock_verdict_expands_no_state(monkeypatch, entries, max_stat
     def fail(*args):
         raise AssertionError("a concrete state was expanded")
 
-    monkeypatch.setattr(deadlock, "_orbit_members", fail)
     monkeypatch.setattr(deadlock, "_distinct_permutations", fail)
     caps = make_caps(a=entries[0], b=entries[1], c=entries[2])
     plan = deadsharp_witness(caps)
@@ -255,7 +255,6 @@ def test_family_witness_view_indexes_without_expanding(monkeypatch):
     def fail(*args):
         raise AssertionError("a concrete state was expanded")
 
-    monkeypatch.setattr(deadlock, "_orbit_members", fail)
     monkeypatch.setattr(deadlock, "_distinct_permutations", fail)
     caps = make_caps(a=6, b=5, c=5)
     plan = deadsharp_witness(caps)
@@ -278,13 +277,49 @@ def test_family_witness_view_indexes_without_expanding(monkeypatch):
 def test_orbit_view_past_sys_maxsize():
     # one orbit of 25 distinct values stands for 25! records: len() raises,
     # but truth, indexing, reversed and == do not
-    v = deadlock.OrbitView({tuple(range(25)): None})
-    assert v and not deadlock.OrbitView({})
+    groups = (tuple(range(25)),)
+    v = deadlock.OrbitView(groups, {tuple(range(25)): None})
+    assert v and not deadlock.OrbitView(groups, {})
     assert v[0] == tuple(range(25)) and v[-1] == tuple(range(24, -1, -1))
     assert next(reversed(v)) == v[-1]
-    assert v != deadlock.OrbitView({tuple(range(1, 26)): None})
+    assert v != deadlock.OrbitView(groups, {tuple(range(1, 26)): None})
     with pytest.raises(OverflowError):
         len(v)
+
+
+def test_orbit_view_matches_brute_force_on_interleaved_groups():
+    # two interleaved identity groups: the view against every permutation
+    # within each group (itertools.permutations), deduplicated and sorted
+    rng = random.Random(41)
+    caps = make_caps(a=1, b=1)
+    for _ in range(60):
+        copies = (rng.randint(2, 3), rng.randint(1, 3))
+        prog = two_group_program(rng, ["a", "b"], caps, copies, 2)
+        assert len(prog._groups) == 2
+        orbits = {
+            sort_groups(prog, tuple(rng.randint(0, t) for t in prog.tops))
+            for _ in range(rng.randint(1, 4))
+        }
+        view = deadlock.OrbitView(prog._groups, dict.fromkeys(orbits))
+        expected = tuple(orbit_members(prog, orbits))
+        size = len(expected)
+        assert tuple(view) == expected and len(view) == size
+        assert view == expected and expected == view and view != expected[:-1]
+        assert [view[i] for i in range(-size, size)] == list(expected) * 2
+        for sl in (slice(1, 4), slice(-3, None), slice(None, None, -1), slice(5, 1, -2)):
+            assert view[sl] == expected[sl]
+        assert tuple(reversed(view)) == expected[::-1]
+        assert [view.index(state) for state in expected] == list(range(size))
+        members = set(expected)
+        others = [tuple(rng.randint(0, t) for t in prog.tops) for _ in range(20)]
+        others += [expected[0][:-1], expected[0] + (0,), ()]
+        for state in others:
+            assert (state in view) == (state in members)
+            if state not in members:
+                with pytest.raises(ValueError):
+                    view.index(state)
+        with pytest.raises(IndexError):
+            view[size]
 
 
 def test_family_witness_view_indexes_like_the_sorted_tuple():
@@ -708,10 +743,10 @@ def test_deadlocks_are_decided_once_per_orbit(monkeypatch):
     monkeypatch.setattr(LatticePath, "validate",
                         lambda path, prog: validations.append(1) or validate(path, prog))
     expansions, chains, queries = [], [], []
-    members, chain = deadlock._orbit_members, ReachabilityIndex._chain
+    permutations, chain = deadlock._distinct_permutations, ReachabilityIndex._chain
     witness = ReachabilityIndex.witness
-    monkeypatch.setattr(deadlock, "_orbit_members",
-                        lambda *args: expansions.append(1) or members(*args))
+    monkeypatch.setattr(deadlock, "_distinct_permutations",
+                        lambda *args: expansions.append(1) or permutations(*args))
     monkeypatch.setattr(ReachabilityIndex, "_chain",
                         lambda index, code: chains.append(code) or chain(index, code))
     monkeypatch.setattr(ReachabilityIndex, "witness",

@@ -312,12 +312,17 @@ def test_classes_match_level_dp_oracle():
     # merges find their pairs already joined (renumbering, one-hop finds);
     # EX3: the deadlock class at (1, 1) has no step, so both of its slots on
     # the next level stay unused; the three-thread program: finds that halve
-    # their path, which neither reaches
+    # their path, which neither reaches; the four-thread program: 23 finds
+    # from a square's second pair that halve their path, which none of the
+    # others runs, and a pair wrongly cut from its class there would stay
+    # cut up to the last level (81 classes, not 80)
     threes = ("Pb Pa Va Pa Va Vb", "Pa Va", "Pb Pa Vb Va")
+    fours = ("Pb Pa Vb Va", "Pb Pa Vb Va Pa Va", "Pa Pb Vb Va", "Pb Pa Vb Pb Vb Va")
     for prog in (
         Program.power(PV, 5, make_caps(a=1)),
         EX3,
         Program(tuple(map(Thread.from_text, threes)), make_caps(a=2, b=1)),
+        Program(tuple(map(Thread.from_text, fours)), make_caps(a=2, b=1)),
     ):
         assert dihomotopy_classes(prog) == level_dp_classes(prog)
 
@@ -788,9 +793,10 @@ def test_family_choice_point_view_matches_concrete_routes():
         assert view != expected[:-1] and view != list(expected)
         records = serializability._choice_point_orbits(v.program, 10**8)
         by_state = operator.attrgetter("state")
-        assert view == deadlock.OrbitView(records, serializability._choice_point, by_state)
+        groups = v.program._groups
+        assert view == deadlock.OrbitView(groups, records, serializability._choice_point, by_state)
         flipped = {o: (res, wanted, not reach) for o, (res, wanted, reach) in records.items()}
-        assert view != deadlock.OrbitView(flipped, serializability._choice_point, by_state)
+        assert view != deadlock.OrbitView(groups, flipped, serializability._choice_point, by_state)
         assert tuple(reversed(view)) == expected[::-1]
         for cp in rng.sample(expected, min(len(expected), 30)):
             assert cp in view
@@ -823,9 +829,7 @@ def test_family_choice_points_expand_no_state(monkeypatch):
     def fail(*args):
         raise AssertionError("a concrete state was expanded")
 
-    monkeypatch.setattr(deadlock, "_orbit_members", fail)
     monkeypatch.setattr(deadlock, "_distinct_permutations", fail)
-    monkeypatch.setattr(serializability, "_orbit_members", fail)
     caps = make_caps(a=3, b=3, c=2)
     plan = sharpserializable_witness(caps)
     v = family_serializability_verdict(plan.thread, caps)
