@@ -280,14 +280,11 @@ def _distinct_permutations(groups: Sequence[Sequence[int]], orbit: State) -> Ite
     with the least larger value of its group there."""
     n = len(orbit)
     a = list(orbit)
-    # per coordinate: its group's coordinates to its right, and the pairs of
-    # coordinates whose swaps reverse every group's values to its right
-    own, flips = [], []
-    for p in range(n):
-        tails = [[q for q in g if q > p] for g in groups]
-        own.append(next(t for g, t in zip(groups, tails) if p in g))
-        flips.append([(q, r) for t in tails for q, r in zip(t, reversed(t)) if q < r])
-    nxt = [t[0] if t else p for p, t in enumerate(own)]  # itself if last
+    nxt = list(range(n))  # the next coordinate of the same group, itself if last
+    for g in groups:
+        for p, q in zip(g, g[1:]):
+            nxt[p] = q
+    flips: dict[int, list[tuple[int, int]]] = {}  # per coordinate that steps
     while True:
         yield tuple(a)
         i = n - 1
@@ -295,11 +292,14 @@ def _distinct_permutations(groups: Sequence[Sequence[int]], orbit: State) -> Ite
             i -= 1
         if i < 0:
             return
+        if i not in flips:  # the swaps that reverse every group's values right of i
+            tails = [[q for q in g if q > i] for g in groups]
+            flips[i] = [(q, r) for t in tails for q, r in zip(t, t[::-1]) if q < r]
         for q, r in flips[i]:
             a[q], a[r] = a[r], a[q]
-        for j in own[i]:  # ascending now, so the least larger value comes first
-            if a[j] > a[i]:
-                break
+        j = nxt[i]
+        while a[j] <= a[i]:  # ascending now, so the least larger value comes first
+            j = nxt[j]
         a[i], a[j] = a[j], a[i]
 
 
@@ -414,7 +414,10 @@ class OrbitView(Sequence):
         self._orbits = dict(orbits)
         self._record = record
         self._key = key
-        self._len = sum(_orbit_size(groups, orbit) for orbit in self._orbits)
+
+    @cached_property
+    def _len(self) -> int:
+        return sum(_orbit_size(self._groups, orbit) for orbit in self._orbits)
 
     @cached_property
     def _tables(self) -> tuple[list[int], list[tuple[list[int], int]], list[tuple[int, int]]]:
@@ -444,9 +447,6 @@ class OrbitView(Sequence):
     def __bool__(self) -> bool:
         return bool(self._orbits)
 
-    def _member(self, state: State, orbit: State):
-        return self._record(state, self._orbits[orbit])
-
     def _state(self, item: object) -> Optional[State]:
         """The state ``item`` names if it is a member, else None."""
         try:
@@ -454,7 +454,7 @@ class OrbitView(Sequence):
             if not isinstance(state, tuple) or len(state) != sum(map(len, self._groups)):
                 return None
             orbit = _canon(self._groups, state)
-            if orbit not in self._orbits or self._member(state, orbit) != item:
+            if orbit not in self._orbits or self._record(state, self._orbits[orbit]) != item:
                 return None
         except (AttributeError, TypeError):  # no state, or unorderable values
             return None
@@ -500,7 +500,7 @@ class OrbitView(Sequence):
             out.append(v)
             live = self._fix(live, base + k, m)
         state = tuple(out)
-        return self._member(state, _canon(self._groups, state))
+        return self._record(state, self._orbits[_canon(self._groups, state)])
 
     def _rank(self, state: State) -> int:
         """The rank of the member ``state``: the inverse of ``_unrank``."""
