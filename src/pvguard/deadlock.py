@@ -388,19 +388,20 @@ class OrbitView(Sequence):
     state itself.  ``key`` reads a record's state, and is None when the
     records are states.
 
-    ``len`` sums the orbit sizes, so it raises :class:`OverflowError` past
-    ``sys.maxsize`` records, where indexing and slicing still work; a view is
-    true iff it holds an orbit.  ``in`` sorts a record's state within groups,
-    looks it up among the orbits and compares the one record it stands for.
-    Iteration merges each orbit's distinct permutations, which come out
-    sorted.  Indexing and slicing unrank each index from multinomial counts
-    over the orbits, coordinate by coordinate within its group, tabled on
-    first use, so they build only the records they return, at O(n · values ·
-    orbits) each; ``reversed`` unranks from the end, one record at a time;
-    ``index`` ranks the item the same way, and ``count`` is ``in``.  ``==``
-    and ``hash`` behave as on the sorted tuple the view stands for.
-    ``hash``, and ``==`` against anything but a view with the same groups,
-    orbits, payloads and ``record``, build every record on each call.
+    ``len`` sums the orbit sizes on first use, so it raises
+    :class:`OverflowError` past ``sys.maxsize`` records, where indexing and
+    slicing still work; a view is true iff it holds an orbit.  ``in`` sorts
+    a record's state within groups, looks it up among the orbits and
+    compares the one record it stands for.  Iteration merges each orbit's
+    distinct permutations, which come out sorted.  Indexing and slicing
+    unrank each index from multinomial counts over the orbits, coordinate by
+    coordinate within its group, tabled on first use, so they build only the
+    records they return, at O(n · values · orbits) each; ``reversed``
+    unranks from the end, one record at a time; ``index`` ranks the item the
+    same way, and ``count`` is ``in``.  ``==`` and ``hash`` behave as on the
+    sorted tuple the view stands for.  ``hash``, and ``==`` against anything
+    but a view with the same groups, orbits, payloads and ``record``, build
+    every record on each call.
     """
 
     def __init__(

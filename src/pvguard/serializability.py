@@ -302,10 +302,7 @@ def _choice_point_orbits(program: Program, max_states: int) -> dict[State, _Orbi
         tuple(frozenset(p for p, q in enumerate(req) if q == r) for req in request)
         for r in range(len(names))
     ]
-    return {
-        orbit: (names[r], wanted[r], index.is_reachable(orbit))
-        for orbit, (r, _) in hits.items()
-    }
+    return {o: (names[r], wanted[r], index.is_reachable(o)) for o, (r, _) in hits.items()}
 
 
 def _choice_point(state: State, record: _OrbitRecord) -> ChoicePoint:
