@@ -305,12 +305,13 @@ def _distinct_permutations(groups: Sequence[Sequence[int]], orbit: State) -> Ite
 
 def _orbit_size(groups: Sequence[Sequence[int]], state: State) -> int:
     """Concrete states in the orbit of ``state``: per identity group, the
-    multinomial count of the orderings of its values."""
+    multinomial count of the orderings of its values (1 for a group of one)."""
     size = 1
     for g in groups:
-        size *= factorial(len(g))
-        for count in Counter(state[i] for i in g).values():
-            size //= factorial(count)
+        if len(g) > 1:
+            size *= factorial(len(g))
+            for count in Counter(state[i] for i in g).values():
+                size //= factorial(count)
     return size
 
 
