@@ -296,15 +296,9 @@ def _default_max_states() -> int:
     if raw is None:
         return DEFAULT_MAX_STATES
     try:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError
-        return value
-    except ValueError:
-        print(
-            f"pvguard: ignoring invalid PVGUARD_MAX_STATES={raw!r}",
-            file=sys.stderr,
-        )
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError:
+        print(f"pvguard: ignoring invalid PVGUARD_MAX_STATES={raw!r}", file=sys.stderr)
         return DEFAULT_MAX_STATES
 
 
@@ -330,9 +324,8 @@ def _parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"pvguard {__version__}")
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="PV source file, or - for stdin")
+    def common(p):
+        p.add_argument("file", help="PV source file, or - for stdin")
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument(
             "--max-states",

@@ -69,7 +69,6 @@ class ReachabilityIndex:
     ):
         guard_orbits(program, max_states)
         self.program = program
-        self.max_states = max_states
         self._groups = program._groups
         self._group_of = {i: g for g in self._groups for i in g}
         if targets is None:
@@ -422,17 +421,18 @@ class OrbitView(Sequence):
         return sum(_orbit_size(self._groups, orbit) for orbit in self._orbits)
 
     @cached_property
-    def _tables(self) -> tuple[list[int], list[tuple[list[int], int]], list[tuple[int, int]]]:
+    def _tables(self) -> tuple[list[int], list[tuple], list[tuple[int, int]]]:
         """The values any orbit holds; per orbit how often each group holds
-        each value, group after group, and how many states it stands for;
-        and per coordinate its slot: its group's offset into those counts and
-        how many copies of the group are left from it on."""
+        each value, group after group, how many states it stands for, and its
+        payload; and per coordinate its slot: its group's offset into those
+        counts and how many copies of the group are left from it on."""
         groups = self._groups
         values = sorted(set().union(*self._orbits))
         counts = []
-        for orbit in self._orbits:
+        for orbit, payload in self._orbits.items():
             held = [[orbit[i] for i in g] for g in groups]
-            counts.append(([h.count(v) for h in held for v in values], _orbit_size(groups, orbit)))
+            size = _orbit_size(groups, orbit)
+            counts.append(([h.count(v) for h in held for v in values], size, payload))
         slots = [(0, 0)] * sum(map(len, groups))
         for k, g in enumerate(groups):
             for r, i in enumerate(g):
@@ -477,32 +477,32 @@ class OrbitView(Sequence):
         return map(self._unrank, reversed(range(self._len)))
 
     @staticmethod
-    def _fix(live: list[tuple[list[int], int]], k: int, m: int) -> list[tuple[list[int], int]]:
-        """The orbits still live, with their value counts and member counts,
-        once the next of ``m`` coordinates takes the ``k``-th value: a
-        multiset of m values of which c equal v has size * c / m orderings
-        that start with v."""
-        live = [(counts[:], size * counts[k] // m) for counts, size in live if counts[k]]
-        for counts, _ in live:
+    def _fix(live: list[tuple], k: int, m: int) -> list[tuple]:
+        """The orbits still live, with their value counts, member counts and
+        payloads, once the next of ``m`` coordinates takes the ``k``-th
+        value: a multiset of m values of which c equal v has size * c / m
+        orderings that start with v."""
+        live = [(counts[:], size * counts[k] // m, p) for counts, size, p in live if counts[k]]
+        for counts, _, _ in live:
             counts[k] -= 1
         return live
 
     def _unrank(self, index: int):
-        """The record of rank ``index``, 0 <= index < len.  Each coordinate
-        takes the least value whose members with the prefix so far, counted
-        over the orbits that still hold it, reach past ``index``."""
+        """The record of rank ``index``, 0 <= index < len, whose orbit is the
+        one left live.  Each coordinate takes the least value whose members
+        with the prefix so far, over the live orbits, reach past ``index``."""
         values, live, slots = self._tables
         out: list[int] = []
         for base, m in slots:
             for k, v in enumerate(values):
-                below = sum(size * counts[base + k] // m for counts, size in live)
+                below = sum(size * counts[base + k] // m for counts, size, _ in live)
                 if index < below:
                     break
                 index -= below
             out.append(v)
             live = self._fix(live, base + k, m)
-        state = tuple(out)
-        return self._record(state, self._orbits[_canon(self._groups, state)])
+        ((_, _, payload),) = live
+        return self._record(tuple(out), payload)
 
     def _rank(self, state: State) -> int:
         """The rank of the member ``state``: the inverse of ``_unrank``."""
@@ -510,7 +510,7 @@ class OrbitView(Sequence):
         rank = 0
         for (base, m), x in zip(slots, state):
             k = values.index(x)
-            rank += sum(size * counts[base + j] // m for j in range(k) for counts, size in live)
+            rank += sum(size * counts[base + j] // m for j in range(k) for counts, size, _ in live)
             live = self._fix(live, base + k, m)
         return rank
 
@@ -590,7 +590,8 @@ def potential_deadlocks(
     """
     hits = _hit_orbits(program, _requests_full, max_states)
     _guard_members(program, hits, max_states)
-    return list(OrbitView(program._groups, hits))
+    # ``iter``: no length hint, since the guard has just summed the orbit sizes
+    return list(iter(OrbitView(program._groups, hits)))
 
 
 @dataclass(frozen=True)
@@ -630,7 +631,7 @@ def find_deadlocks(
     candidates, paths, index = _deadlock_orbits(program, max_states, bounded=False)
     records = {orbit: paths.get(orbit) for orbit in candidates}
     view = OrbitView(program._groups, records, lambda *pair: pair, operator.itemgetter(0))
-    members = tuple(view)
+    members = tuple(iter(view))  # no length hint: the guards summed the sizes
     deadlocks: list[Deadlock] = []
     for state, path in members:
         if path is not None:
@@ -808,7 +809,7 @@ def program_deadlock_verdict(
     used = set().union(*(t.resources_used for t in program.threads))
     cutoff = deadlock_cutoff(program.caps.restrict(used))
     if program.n <= cutoff:
-        witnesses = tuple(_deadlock_states(program, max_states))
+        witnesses = tuple(iter(_deadlock_states(program, max_states)))  # no length hint
         if witnesses:
             return FamilyVerdict(
                 "deadlock-freedom",

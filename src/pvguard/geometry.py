@@ -71,11 +71,11 @@ class LatticePath:
 
         One pass keeps the point-use totals of the current state.  A unit step
         changes one coordinate, so only its new value is range-checked and
-        only its two point-use entries move the totals; any other step
-        re-checks and re-sums the whole next state.  A bad state raises at
-        once; a bad step, else the first bad edge, raises after the pass, so
-        faults are reported as by checking all states, then all steps, then
-        all edges."""
+        only its two point-use entries move the totals.  A bad state raises at
+        once.  At the first other step, that state and every later one are
+        checked with :func:`state_admissible` before the step raises; else the
+        first bad edge raises after the pass.  So faults are reported as by
+        checking all states, then all steps, then all edges."""
         states = self.states
         if not states:
             return
@@ -89,9 +89,9 @@ class LatticePath:
         totals = program.use_totals(prev)
         if any(t > cap for t, cap in zip(totals, kappa)):
             raise PvError(f"path visits inadmissible state {prev}")
-        bad_step = False
         bad_edge: Optional[tuple[State, int]] = None
-        for nxt in states[1:]:
+        rest = iter(states[1:])
+        for nxt in rest:
             diff = list(map(operator.sub, nxt, prev))
             if len(nxt) == n and diff.count(0) == n - 1 and 1 in diff:
                 c = diff.index(1)
@@ -109,14 +109,11 @@ class LatticePath:
                     if totals[r] > kappa[r]:
                         raise PvError(f"path visits inadmissible state {nxt}")
             else:
-                program.check_state(nxt)
-                totals = program.use_totals(nxt)
-                if any(t > cap for t, cap in zip(totals, kappa)):
-                    raise PvError(f"path visits inadmissible state {nxt}")
-                bad_step = True
+                for state in (nxt, *rest):
+                    if not state_admissible(program, state):
+                        raise PvError(f"path visits inadmissible state {state}")
+                raise ValueError("not a unit lattice step")
             prev = nxt
-        if bad_step:
-            raise ValueError("not a unit lattice step")
         if bad_edge is not None:
             state, coord = bad_edge
             raise PvError(f"path takes inadmissible edge {state} along {coord + 1}")
@@ -189,35 +186,27 @@ def guard_orbits(program: Program, max_states: int) -> None:
 def enumerate_dipaths(
     program: Program, limit: Optional[int] = None
 ) -> Iterator[LatticePath]:
-    """Yield every complete execution (⊥ to ⊤) in lexicographic step order.
+    """Yield every complete execution (⊥ to ⊤) in lexicographic step order,
+    lazily: one stack holds an iterator of :func:`successors` per state on
+    the path so far, so the first path comes without walking the rest.
 
     Raises :class:`SearchLimitExceeded` as soon as more than ``limit`` paths
     would be produced.
     """
     top = program.top
-    n = program.n
     count = 0
-    state = program.bottom
-    trail: list[State] = [state]
-    choice_stack: list[list[tuple[int, State]]] = [successors(program, state)]
-    index_stack = [0]
-    while choice_stack:
-        choices = choice_stack[-1]
-        idx = index_stack[-1]
-        if idx >= len(choices):
-            choice_stack.pop()
-            index_stack.pop()
+    trail: list[State] = [program.bottom]
+    stack = [iter(successors(program, program.bottom))]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
             trail.pop()
-            continue
-        index_stack[-1] += 1
-        _, nxt = choices[idx]
-        trail.append(nxt)
-        if nxt == top:
+        elif step[1] == top:
             count += 1
             if limit is not None and count > limit:
                 raise SearchLimitExceeded(limit, "enumerated paths")
-            yield LatticePath(tuple(trail))
-            trail.pop()
-            continue
-        choice_stack.append(successors(program, nxt))
-        index_stack.append(0)
+            yield LatticePath((*trail, top))
+        else:
+            trail.append(step[1])
+            stack.append(iter(successors(program, step[1])))

@@ -322,7 +322,8 @@ def local_choice_points(
     bounded by the symmetry-folded state count, the sweep also by its number
     of choice points."""
     records = _choice_point_orbits(program, max_states)
-    return list(OrbitView(program._groups, records, _choice_point, operator.attrgetter("state")))
+    view = OrbitView(program._groups, records, _choice_point, operator.attrgetter("state"))
+    return list(iter(view))  # no length hint: the guard summed the orbit sizes
 
 
 def lcp_cutoff(caps: CapacityMap) -> int:

@@ -8,13 +8,18 @@ agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import dataclasses
+import faulthandler
 import functools
 import itertools
 import operator
+import os
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
+
+import pytest
 
 from pvguard import (
     CapacityMap,
@@ -50,6 +55,31 @@ from pvguard.deadlock import (
 )
 from pvguard.geometry import DEFAULT_MAX_STATES, guard_grid
 from pvguard.serializability import _classes, _one_short
+
+
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    """Keep a copy of the terminal's stderr, taken while no test captures
+    output: the timeout's traceback goes there, because output captured
+    from a test is lost when the timeout exits the process."""
+    config.stash[_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def _per_test_timeout(request):
+    """End the run with exit status 1 and every thread's traceback once a
+    test has run for 300 s (the slowest takes about 11 s on a 2-core
+    machine), so a defect that loops forever fails the suite instead of
+    hanging it."""
+    faulthandler.dump_traceback_later(300, exit=True, file=request.config.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def make_caps(**caps: int) -> CapacityMap:

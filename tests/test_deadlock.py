@@ -28,7 +28,7 @@ from pvguard import (
     successors,
 )
 
-from pvguard import deadlock
+from pvguard import deadlock, serializability
 from pvguard.deadlock import _deadlock_orbits, _deadlock_states, _scatter_state
 from pvguard.geometry import LatticePath
 
@@ -763,6 +763,34 @@ def test_deadlocks_are_decided_once_per_orbit(monkeypatch):
     validations.clear()
     assert len(program_deadlock_verdict(program).witnesses) == 560
     assert len(validations) == 1
+
+
+def test_orbit_sizes_are_counted_once(monkeypatch):
+    # the guards sum the candidate orbits' sizes before anything is expanded;
+    # building the results must not sum them again (``len``'s length hint of
+    # ``list(view)`` would, once per orbit)
+    mixed = Program((T1, T1, T2, T2), K11)
+    # two copies are within the cut-off, so the verdict searches directly
+    pair = Program.power(Thread.from_text("Pa Pb Vb Va Pb Pa Va Vb"), 2, K11)
+    sizes, guarded = [], []
+    size = deadlock._orbit_size
+    monkeypatch.setattr(deadlock, "_orbit_size",
+                        lambda *args: sizes.append(1) or size(*args))
+    for module, name in [(deadlock, "_guard_members"), (deadlock, "_guard_paths"),
+                         (serializability, "_guard_members")]:
+        guard = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda prog, orbits, bound, guard=guard:
+                            guarded.append(len(orbits)) or guard(prog, orbits, bound))
+    for route, program, found in [
+        (potential_deadlocks, mixed, 16),
+        (local_choice_points, mixed, 26),
+        (lambda prog: find_deadlocks(prog).deadlocks, mixed, 16),
+        (lambda prog: program_deadlock_verdict(prog).witnesses, pair, 2),
+    ]:
+        sizes.clear()
+        guarded.clear()
+        assert len(route(program)) == found
+        assert guarded and len(sizes) == sum(guarded)
 
 
 def test_reachability_index_witness_targets_exact_state():

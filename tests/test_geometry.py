@@ -21,6 +21,7 @@ from pvguard import (
     state_admissible,
     successors,
 )
+from pvguard import geometry
 
 from conftest import (
     edge_admissible,
@@ -279,6 +280,24 @@ def test_enumerate_dipaths_frozen_counts():
         Program.power(PV, 2, make_caps(a=1)))) == 20
     assert sum(1 for _ in enumerate_dipaths(
         Program.power(PV, 2, make_caps(a=2)))) == 20
+
+
+def test_enumerate_dipaths_limit_and_laziness(monkeypatch):
+    # EX3 has 84 paths: a bound of k yields exactly k of them, then raises
+    everything = list(enumerate_dipaths(EX3))
+    for k in (0, 1, 5, 83):
+        paths = enumerate_dipaths(EX3, limit=k)
+        assert list(itertools.islice(paths, k)) == everything[:k]
+        with pytest.raises(SearchLimitExceeded, match="enumerated paths"):
+            next(paths)
+    assert list(enumerate_dipaths(EX3, limit=84)) == everything
+    # the first path asks for the successors of its own states only
+    calls = []
+    monkeypatch.setattr(geometry, "successors",
+                        lambda prog, state: calls.append(state) or successors(prog, state))
+    first = next(enumerate_dipaths(EX3))
+    assert first == everything[0]
+    assert calls == list(first.states[:-1])
 
 
 def test_enumerate_dipaths_lex_order_and_validity():
