@@ -25,6 +25,7 @@ from .core import (
 )
 from .deadlock import (
     _guard_paths,
+    _orbit_sizes,
     deadsharp_witness,
     family_deadlock_verdict,
     find_deadlocks,
@@ -178,7 +179,8 @@ def _cmd_family(args) -> int:
         if verdict.witnesses:
             # the verdict expands no state; the printed ones stay bounded as
             # the witness paths of `deadlocks` on the same instance
-            _guard_paths(verdict.program, verdict.witnesses.orbits, args.max_states)
+            sizes = _orbit_sizes(verdict.program, verdict.witnesses.orbits)
+            _guard_paths(sizes, args.max_states)
     else:
         verdict = family_serializability_verdict(thread, model.caps, args.max_states)
 

@@ -12,6 +12,7 @@ finished state (printed as ``⊤``).
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -155,12 +156,15 @@ class ActionSyntaxError(ValueError):
         self.offset = offset
 
 
+_TOKEN_RE = re.compile(r"\S+")
+
+
 def _scan_actions(text: str) -> Iterator[tuple[Action, int]]:
     """Yield each action of a whitespace-separated action string with the
     offset of its first token.  Both the fused form ``Pa`` and the spaced
     form ``P a`` are accepted; a malformed token raises
     :class:`ActionSyntaxError` when the scan reaches it."""
-    tokens = re.finditer(r"\S+", text)
+    tokens = _TOKEN_RE.finditer(text)
     for m in tokens:
         tok, at = m.group(), m.start()
         if tok[0] not in (ACQUIRE, RELEASE):
@@ -331,8 +335,9 @@ class Program:
     def __post_init__(self) -> None:
         if not self.threads:
             raise ValueError("a program needs at least one thread")
+        declared = set(self.caps.names)
         for t in self.threads:
-            if t.resources_used - set(self.caps.names):
+            if not t.resources_used <= declared:
                 raise InvalidThreadError(thread_violations(t.actions, self.caps))
 
     @classmethod
@@ -395,27 +400,44 @@ class Program:
         return tuple(self.caps[name] for name in self.resource_names)
 
     @cached_property
-    def _point_idx(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per thread, per position: indices of resources held at that point."""
+    def _index_tables(self) -> tuple[tuple, tuple]:
+        """``_point_idx`` and ``_request_idx``, built in one sweep over the
+        actions of each distinct thread (by identity) and shared by its
+        copies."""
         ri = self._res_index
-        return tuple(
-            tuple(tuple(sorted(ri[r] for r in t.point_use(p))) for p in range(t.top + 1))
-            for t in self.threads
-        )
+        tables: dict[int, tuple] = {}
+        for t in self.threads:
+            if id(t) in tables:
+                continue
+            held: list[int] = []
+            points: list[tuple[int, ...]] = [()]
+            requests: list[Optional[int]] = [None]
+            for act in t.actions:
+                r = ri[act.resource]
+                if act.kind == ACQUIRE:  # requested, not yet held, at its P
+                    points.append(tuple(held))
+                    requests.append(r)
+                    insort(held, r)
+                else:  # released at its V
+                    held.remove(r)
+                    points.append(tuple(held))
+                    requests.append(None)
+            tables[id(t)] = (*points, ()), (*requests, None)
+        point, request = zip(*(tables[id(t)] for t in self.threads))
+        return point, request
+
+    @cached_property
+    def _point_idx(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per thread, per position: indices of resources held at that point
+        (ascending), as :meth:`Thread.point_use` gives them."""
+        return self._index_tables[0]
 
     @cached_property
     def _request_idx(self) -> tuple[tuple[Optional[int], ...], ...]:
         """Per thread, per position: index of the resource the acquire there
         requests, or None (⊥, ⊤ and releases).  The segment out of a position
         holds what the point holds plus this resource."""
-        ri = self._res_index
-        return tuple(
-            tuple(
-                ri[act.resource] if act is not None and act.kind == ACQUIRE else None
-                for act in map(t.action_at, range(t.top + 1))
-            )
-            for t in self.threads
-        )
+        return self._index_tables[1]
 
     def check_state(self, state: State) -> None:
         if len(state) != self.n:

@@ -550,20 +550,27 @@ class OrbitView(Sequence):
         return f"OrbitView({self._len} records in {len(self._orbits)} orbits)"
 
 
-def _guard_paths(program: Program, orbits: Iterable[State], max_states: int) -> None:
+def _orbit_sizes(program: Program, orbits: Iterable[State]) -> dict[State, int]:
+    """Each orbit mapped to its size, for the guards below."""
+    groups = program._groups
+    return {orbit: _orbit_size(groups, orbit) for orbit in orbits}
+
+
+def _guard_paths(sizes: Mapping[State, int], max_states: int) -> None:
     """Raise :class:`SearchLimitExceeded` when the witness paths to the
-    concrete states of ``orbits`` hold more than ``max_states`` states; a
-    path to a state has its coordinate sum plus one states."""
-    size = sum(_orbit_size(program._groups, orbit) * (sum(orbit) + 1) for orbit in orbits)
+    concrete states of the orbits ``sizes`` counts (``_orbit_sizes``) hold
+    more than ``max_states`` states; a path to a state has its coordinate
+    sum plus one states."""
+    size = sum(count * (sum(orbit) + 1) for orbit, count in sizes.items())
     if size > max_states:
         raise SearchLimitExceeded(max_states, f"witness-path states ({size} needed)")
 
 
-def _guard_members(program: Program, orbits: Iterable[State], max_states: int) -> None:
+def _guard_members(sizes: Mapping[State, int], max_states: int) -> None:
     """Raise :class:`SearchLimitExceeded`, before anything is expanded, when
-    the candidate ``orbits`` stand for more than ``max_states`` concrete
-    states."""
-    size = sum(_orbit_size(program._groups, orbit) for orbit in orbits)
+    the candidate orbits ``sizes`` counts (``_orbit_sizes``) stand for more
+    than ``max_states`` concrete states."""
+    size = sum(sizes.values())
     if size > max_states:
         raise SearchLimitExceeded(max_states, f"concrete candidate states ({size} needed)")
 
@@ -589,7 +596,7 @@ def potential_deadlocks(
     ``max_states``.
     """
     hits = _hit_orbits(program, _requests_full, max_states)
-    _guard_members(program, hits, max_states)
+    _guard_members(_orbit_sizes(program, hits), max_states)
     # ``iter``: no length hint, since the guard has just summed the orbit sizes
     return list(iter(OrbitView(program._groups, hits)))
 
@@ -666,10 +673,11 @@ def _deadlock_orbits(
     visited.
     """
     hits = _hit_orbits(program, _requests_full, max_states)
+    sizes = _orbit_sizes(program, hits)
     admissible = [hit for hit in hits if state_admissible(program, hit)]
     if not bounded:
-        _guard_paths(program, admissible, max_states)
-    _guard_members(program, hits, max_states)
+        _guard_paths({hit: sizes[hit] for hit in admissible}, max_states)
+    _guard_members(sizes, max_states)
     targets = admissible if bounded else None
     index = ReachabilityIndex(program, max_states, targets=targets) if hits else None
     deadlocks: dict[State, LatticePath] = {}

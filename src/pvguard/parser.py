@@ -28,6 +28,9 @@ from .core import (
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 _PROGRAM_TOKEN_RE = re.compile(r"\s*([A-Za-z_]\w*|\^|\||\d+)")
+_RESOURCE_RE = re.compile(r"\s*resource\b")
+_RESOURCE_BODY_RE = re.compile(r"\s*([A-Za-z_]\w*)\s+cap\s+(\S+)\s*$")
+_DECLARATION_RE = re.compile(r"\s*(thread|program)\s+([A-Za-z_]\w*)\s*=\s*")
 
 
 @dataclass
@@ -39,13 +42,8 @@ class SourceModel:
     programs: dict[str, Program] = field(default_factory=dict)
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def _parse_resource_line(body: str, lineno: int, offset: int) -> tuple[str, int]:
-    m = re.match(r"\s*([A-Za-z_]\w*)\s+cap\s+(\S+)\s*$", body)
+    m = _RESOURCE_BODY_RE.match(body)
     if not m:
         raise ParseError("expected 'resource <name> cap <int>'", lineno, offset + 1)
     name, cap_text = m.group(1), m.group(2)
@@ -128,17 +126,19 @@ def _parse_program_expr(
 
 def parse_source(text: str) -> SourceModel:
     """Parse a complete source file into capacities, threads and programs."""
-    lines = text.splitlines()
-
     # Resources first: capacities are immutable per file and threads may be
-    # declared above the resource block in hand-written files.
-    resource_re = re.compile(r"\s*resource\b")
+    # declared above the resource block in hand-written files.  The same pass
+    # strips comments and keeps the other nonblank lines for the second.
     entries: list[tuple[str, int]] = []
     declared: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw)
-        m = resource_re.match(line)
+    declarations: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        if not line or line.isspace():
+            continue
+        m = _RESOURCE_RE.match(line)
         if not m:
+            declarations.append((lineno, line))
             continue
         name, cap = _parse_resource_line(line[m.end() :], lineno, m.end())
         if name in declared:
@@ -148,14 +148,10 @@ def parse_source(text: str) -> SourceModel:
     caps = CapacityMap(tuple(entries))
 
     model = SourceModel(caps=caps)
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw)
-        stripped = line.strip()
-        if not stripped or resource_re.match(line):
-            continue
-        m = re.match(r"\s*(thread|program)\s+([A-Za-z_]\w*)\s*=\s*", line)
+    for lineno, line in declarations:
+        m = _DECLARATION_RE.match(line)
         if not m:
-            word = stripped.split()[0]
+            word = line.split()[0]
             raise ParseError(f"unknown declaration {word!r}", lineno, line.index(word) + 1)
         keyword, name = m.group(1), m.group(2)
         body = line[m.end() :]

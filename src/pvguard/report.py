@@ -147,8 +147,94 @@ def envelope(command: str, source: bytes, result: dict, version: str) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring  # the C encoder when available
+_INFINITY = float("inf")
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False)`` plus a newline, without the pure-Python encoder
+    that ``indent`` selects in :mod:`json`: the pieces go into one list,
+    joined once.  Raises :class:`TypeError` on a value JSON cannot carry and
+    on a dict key that is not a string."""
+    pieces: list[str] = []
+    if isinstance(obj, (list, tuple, dict)):
+        _encode(obj, "\n", pieces.append)
+    else:
+        pieces.append(_scalar(obj))
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _scalar(value) -> str:
+    """JSON text of a value that is not a list, tuple or dict, as
+    :mod:`json` writes it (subclasses of int and float print as the base)."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode(obj, newline: str, add) -> None:
+    """Append the pieces of the list, tuple or dict ``obj`` through ``add``;
+    ``newline`` is the line break plus the indent of the line ``obj`` opens
+    on.  Strings and ints, the bulk of a report, are written inline; other
+    scalars go through :func:`_scalar`, containers recurse."""
+    inner = newline + "  "
+    comma = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            add("{}")
+            return
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            add(sep)
+            add(_encode_str(key))
+            add(": ")
+            sep = comma
+            if type(value) is str:
+                add(_encode_str(value))
+            elif type(value) is int:
+                add(int.__repr__(value))
+            elif isinstance(value, (list, tuple, dict)):
+                _encode(value, inner, add)
+            else:
+                add(_scalar(value))
+        add(newline + "}")
+        return
+    if not obj:
+        add("[]")
+        return
+    sep = "[" + inner
+    for value in obj:
+        add(sep)
+        sep = comma
+        if type(value) is str:
+            add(_encode_str(value))
+        elif type(value) is int:
+            add(int.__repr__(value))
+        elif isinstance(value, (list, tuple, dict)):
+            _encode(value, inner, add)
+        else:
+            add(_scalar(value))
+    add(newline + "]")
 
 
 def render_grid(

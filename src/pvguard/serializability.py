@@ -31,6 +31,7 @@ from .deadlock import (
     WitnessPlan,
     _guard_members,
     _hit_orbits,
+    _orbit_sizes,
     deadsharp_witness,
 )
 from .geometry import (
@@ -294,7 +295,7 @@ def _choice_point_orbits(program: Program, max_states: int) -> dict[State, _Orbi
     Bounded by the symmetry-folded state count, and by the concrete choice
     points before the search."""
     hits = _hit_orbits(program, _one_short, max_states)
-    _guard_members(program, hits, max_states)
+    _guard_members(_orbit_sizes(program, hits), max_states)
     index = ReachabilityIndex(program, max_states, targets=hits) if hits else None
     request = program._request_idx
     names = program.resource_names

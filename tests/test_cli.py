@@ -3,6 +3,10 @@ import codecs
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -623,3 +627,44 @@ def test_only_the_printed_format_is_rendered(capsys, corpus, monkeypatch, flags,
     for name in unused:
         monkeypatch.setattr(report, name, _raising)
     assert [call(capsys, [*argv, *flags]) for argv in corpus] == expected
+
+
+# Runs each call in-process and prints the exit codes and stdouts as JSON.
+_HASH_SEED_SCRIPT = """
+import contextlib, io, json, sys
+from pvguard.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_json_bytes_do_not_depend_on_the_hash_seed(capsys, tmp_path):
+    # sets and dicts of strings iterate in hash order, which the seed changes
+    # from process to process; the reruns above share one process and seed
+    argvs = []
+    for text, program, thread in ((EX3, "main", "T1"), (RING, "triple", "T"),
+                                  (WIT22, "triple", "W")):
+        f = tmp_path / f"{program}-{thread}.pv"
+        f.write_text(text)
+        for cmd in (("check",), ("deadlocks", program), ("deadlocks", program, "--potential"),
+                    ("lcp", program), ("classes", program),
+                    ("family", "deadlock", "--thread", thread),
+                    ("family", "serializability", "--thread", thread)):
+            argvs.append([cmd[0], str(f), *cmd[1:], "--json"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    # and this process, under whatever seed it has
+    runs.append([list(call(capsys, argv)[:2]) for argv in argvs])
+    assert all(code != 2 and out for code, out in runs[0])
+    assert runs[1] == runs[0] and runs[2] == runs[0] and runs[3] == runs[0]

@@ -250,3 +250,37 @@ def test_hold_intervals_partition_actions(text):
         k for spans in t.hold_intervals.values() for i, j in spans for k in (i, j)
     )
     assert endpoints == list(range(1, t.length + 1))
+
+
+@st.composite
+def mixed_programs(draw):
+    """Programs over one to three distinct threads: repeated copies,
+    interleaved groups (``T1 | T2 | T1``), an equal thread built twice,
+    resources declared but unused, declared in a shuffled order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    names = ["a", "b", "c", "d"]
+    distinct = [
+        " ".join(random_valid_actions(rng, names[: rng.randint(1, 3)], 2 * rng.randint(1, 5)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    built = [Thread.from_text(text) for text in distinct]
+    picks = draw(st.lists(st.integers(0, len(built) - 1), min_size=1, max_size=6))
+    threads = tuple(
+        Thread.from_text(distinct[k]) if draw(st.booleans()) else built[k] for k in picks
+    )
+    rng.shuffle(names)
+    return Program(threads, CapacityMap(tuple((r, rng.randint(1, 3)) for r in names)))
+
+
+@given(mixed_programs())
+@settings(max_examples=150)
+def test_index_tables_match_point_use_and_action_at(program):
+    index = {r: i for i, r in enumerate(program.caps.names)}
+    assert len(program._point_idx) == len(program._request_idx) == program.n
+    for t, point, request in zip(program.threads, program._point_idx, program._request_idx):
+        positions = range(t.top + 1)
+        assert point == tuple(tuple(sorted(index[r] for r in t.point_use(p))) for p in positions)
+        assert request == tuple(
+            index[act.resource] if act is not None and act.kind == "P" else None
+            for act in map(t.action_at, positions)
+        )

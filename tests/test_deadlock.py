@@ -766,9 +766,11 @@ def test_deadlocks_are_decided_once_per_orbit(monkeypatch):
 
 
 def test_orbit_sizes_are_counted_once(monkeypatch):
-    # the guards sum the candidate orbits' sizes before anything is expanded;
-    # building the results must not sum them again (``len``'s length hint of
-    # ``list(view)`` would, once per orbit)
+    # each candidate orbit's size is computed once, before anything is
+    # expanded, and feeds every guard; building the results must not sum the
+    # sizes again (``len``'s length hint of ``list(view)`` would, once per
+    # orbit), nor may the witness-path guard of ``find_deadlocks`` recount
+    # the admissible orbits
     mixed = Program((T1, T1, T2, T2), K11)
     # two copies are within the cut-off, so the verdict searches directly
     pair = Program.power(Thread.from_text("Pa Pb Vb Va Pb Pa Va Vb"), 2, K11)
@@ -779,18 +781,22 @@ def test_orbit_sizes_are_counted_once(monkeypatch):
     for module, name in [(deadlock, "_guard_members"), (deadlock, "_guard_paths"),
                          (serializability, "_guard_members")]:
         guard = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda prog, orbits, bound, guard=guard:
-                            guarded.append(len(orbits)) or guard(prog, orbits, bound))
-    for route, program, found in [
-        (potential_deadlocks, mixed, 16),
-        (local_choice_points, mixed, 26),
-        (lambda prog: find_deadlocks(prog).deadlocks, mixed, 16),
-        (lambda prog: program_deadlock_verdict(prog).witnesses, pair, 2),
+        monkeypatch.setattr(module, name, lambda counted, bound, guard=guard, name=name:
+                            guarded.append((name, len(counted))) or guard(counted, bound))
+    for route, program, found, guards in [
+        (potential_deadlocks, mixed, 16, {"_guard_members"}),
+        (local_choice_points, mixed, 26, {"_guard_members"}),
+        (lambda prog: find_deadlocks(prog).deadlocks, mixed, 16,
+         {"_guard_members", "_guard_paths"}),
+        (lambda prog: program_deadlock_verdict(prog).witnesses, pair, 2,
+         {"_guard_members"}),
     ]:
         sizes.clear()
         guarded.clear()
         assert len(route(program)) == found
-        assert guarded and len(sizes) == sum(guarded)
+        assert {name for name, _ in guarded} == guards
+        candidates = sum(n for name, n in guarded if name == "_guard_members")
+        assert candidates and len(sizes) == candidates
 
 
 def test_reachability_index_witness_targets_exact_state():
