@@ -11,6 +11,7 @@ of the resources the thread uses.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import operator
@@ -44,7 +45,9 @@ class ReachabilityIndex:
 
     Coordinates running identical threads are interchangeable, so the search
     runs over states with each identity group sorted ascending: one state per
-    orbit, i.e. a multiset of positions per group (the counter abstraction).
+    orbit, i.e. a multiset of positions per group, which the search keeps as
+    the group's count vector over positions (the counter abstraction: German
+    and Sistla, "Reasoning about systems with many processes", JACM 1992).
     Membership queries and witness paths for arbitrary concrete states are
     recovered by permuting within groups; the transition relation is
     invariant under such permutations, so the folding is exact.
@@ -95,24 +98,28 @@ class ReachabilityIndex:
         return _canon(self._groups, state)
 
     def _search(self) -> None:
-        """Breadth-first search over group-sorted states.
+        """Breadth-first search over orbits, each identity group keyed by its
+        count vector: how many of its copies stand at each position.
 
-        Every stored state is group-sorted, and its successors are built
-        sorted: of a run of equal values within a group only the first
-        coordinate is tried, and the step raises the run's last coordinate.
-        A parent is stored with the first coordinate of the run, the
-        coordinate a step in ascending order reaches the orbit by first.
-        Reached states are admissible (⊥ is, and an admissible edge ends in
-        one), so a step is blocked exactly when the resource it acquires is
-        full.  A successor is kept only at or below the ceiling (⊤ without
-        targets); it differs from its stored parent only in the raised
-        coordinate.  Every parent of a state below the ceiling is below it
-        too, so the ceiling cuts no path to such a state.
+        The copies of a group are ranked by position, rank r standing at
+        coordinate ``g[r]`` of the group ``g``, so an orbit's group-sorted
+        state and its codes are read off the counts.  The copies at one
+        position form a run; a step moves one copy of a run from x to x + 1,
+        which raises the run's last coordinate, so the code grows by that
+        coordinate's weight.  Runs are expanded in ascending order of their
+        first coordinate, the coordinate a step in ascending order reaches
+        the orbit by first, and a parent is stored with it.  Reached states
+        are admissible (⊥ is, and an admissible edge ends in one), so a step
+        is blocked exactly when the resource it acquires is full.  A
+        successor is kept only at or below the ceiling (⊤ without targets):
+        the ceiling ascends within a group, so a run steps iff its last copy
+        stands below its own.  Every parent of a state below the ceiling is
+        below it too, so the ceiling cuts no path to such a state.
 
-        States are keyed by their codes, so a step adds the raised
-        coordinate's weight to a code; each queued state carries its
-        point-use totals, which a step moves by the stepped thread's point
-        use before and after it.
+        Each queued state carries its free slots, per resource its capacity
+        less its point-use total, packed into one int with a field per
+        resource; a step adds its position's change, and is blocked when the
+        field of the resource it acquires is 0.
 
         With targets, a state in which some coordinate stands below its
         ceiling at a position that requests nothing (⊥ or a release) expands
@@ -122,73 +129,96 @@ class ReachabilityIndex:
         or at ⊤ it is taken later anyway; taking it first only lowers
         point-use totals on the way, so each such state below the ceiling
         stays reachable (a persistent set: Valmari, "Stubborn sets for
-        reduced state space generation", 1990).  If the coordinate is not the
-        first of its run, the run's first one stands at its ceiling at a
-        position that requests nothing, so no such state is reachable and the
-        state expands nothing.  The verdict routes never meet that case: the
+        reduced state space generation", 1990).  Within a run the copies
+        below their ceiling are the last ones, so each run offers one
+        candidate.  If the first such coordinate is not the first of its
+        run, the run's first one stands at its ceiling at a position that
+        requests nothing, so no such state is reachable and the state
+        expands nothing.  The verdict routes never meet that case: the
         ceiling of their targets stands at acquires or at ⊤.
         """
         program = self.program
         n = program.n
         kappa = program.kappa
-        point = program._point_idx
-        request = program._request_idx
+        shift = list(itertools.accumulate((k.bit_length() for k in kappa), initial=0))
+        field = [1 << s for s in shift]
         ceiling = self.ceiling
-        weight = self._weight
-        before = [-1] * n  # previous coordinate of the same group
-        after = [-1] * n  # next coordinate of the same group
+        # per group, its coordinates by rank and the positions below ⊤ as
+        # indices into the count vector, which holds every group's counts
+        # over positions 0..⊤ in a row; per index: the group's coordinates
+        # and their weights by rank, the field a step there must find above
+        # 0 (0 when it requests nothing), the step's change to the free
+        # slots, and the first rank whose ceiling lies above the position
+        blocks = []
+        ranks: list[tuple[int, ...]] = []
+        weights: list[list[int]] = []
+        gate: list[int] = []
+        delta: list[int] = []
+        above: list[int] = []
+        counts: list[int] = []
         for g in self._groups:
-            for a, b in zip(g, g[1:]):
-                before[b] = a
-                after[a] = b
-        coords = range(n)
+            top = program.tops[g[0]]
+            held = program._point_idx[g[0]]
+            blocks.append(range(len(counts), len(counts) + top))
+            lows = [ceiling[c] for c in g]
+            for x, r in enumerate(program._request_idx[g[0]][:top]):
+                ranks.append(g)
+                weights.append([self._weight[c] for c in g])
+                gate.append(0 if r is None else ((1 << kappa[r].bit_length()) - 1) << shift[r])
+                delta.append(
+                    sum(field[r] for r in held[x]) - sum(field[r] for r in held[x + 1])
+                )
+                above.append(bisect.bisect_right(lows, x))
+            # ⊤ never steps: its index only takes the copies that reach it
+            ranks.append(g)
+            weights.append([])
+            gate.append(0)
+            delta.append(0)
+            above.append(len(g))
+            counts += [len(g)] + [0] * top
+        order = [c for g in self._groups for c in g]
+        merge = order != sorted(order)  # runs of interleaved groups are merged
         reduced = self._reduced
         links = self._links
         links[0] = -1
-        start = program.bottom
-        queue: deque[tuple[State, int, list[int]]] = deque(
-            ((start, 0, program.use_totals(start)),)
-        )
+        free = sum(k << s for k, s in zip(kappa, shift))
+        queue: deque[tuple[list[int], int, int]] = deque(((counts, 0, free),))
         while queue:
-            state, code, totals = queue.popleft()
-            steps: Iterable[int] = coords
+            counts, code, free = queue.popleft()
+            # the runs that may step: (first coordinate, index, first rank,
+            # last rank + 1)
+            runs = []
+            for block in blocks:
+                lo = 0
+                for i in block:
+                    if counts[i]:
+                        hi = lo + counts[i]
+                        if hi > above[i] and (not gate[i] or free & gate[i]):
+                            runs.append((ranks[i][lo], i, lo, hi))
+                        lo = hi
+            if merge:
+                runs.sort()
             if reduced:
-                free = next(
-                    (
-                        c
-                        for c in coords
-                        if state[c] < ceiling[c] and request[c][state[c]] is None
-                    ),
-                    -1,
-                )
-                if free >= 0:
-                    steps = (free,)
-            for c in steps:
-                x = state[c]
-                b = before[c]
-                if b >= 0 and state[b] == x:
-                    continue
-                last = c
-                a = after[c]
-                while a >= 0 and state[a] == x:
-                    last = a
-                    a = after[a]
-                if x >= ceiling[last]:
-                    continue
-                r = request[c][x]
-                if r is not None and totals[r] >= kappa[r]:
-                    continue
-                key = code + weight[last]
+                first = n
+                for run in runs:
+                    f, i, lo, hi = run
+                    if f > first:
+                        break
+                    r = max(lo, above[i])
+                    if not gate[i] and r < hi and ranks[i][r] < first:
+                        first = ranks[i][r]
+                        pick = [run] if r == lo else []
+                if first < n:
+                    runs = pick
+            for f, i, lo, hi in runs:
+                key = code + weights[i][hi - 1]
                 if key in links:
                     continue
-                links[key] = code * n + c
-                moved = totals[:]
-                held = point[c]
-                for r in held[x]:
-                    moved[r] -= 1
-                for r in held[x + 1]:
-                    moved[r] += 1
-                queue.append((state[:last] + (x + 1,) + state[last + 1 :], key, moved))
+                links[key] = code * n + f
+                moved = counts[:]
+                moved[i] -= 1
+                moved[i + 1] += 1
+                queue.append((moved, key, free + delta[i]))
 
     @property
     def visited(self) -> int:
@@ -225,16 +255,20 @@ class ReachabilityIndex:
         code = self._code(state)
         if code not in self._links:
             return None
-        return self._onto(self._chain(code), state)
+        chain = self._chain(code)
+        return self._onto(chain, state, _by_value(self._groups, chain[-1]))
 
-    def _onto(self, chain: Sequence[State], state: State) -> LatticePath:
+    def _onto(
+        self, chain: Sequence[State], state: State, ends: Sequence[Sequence[int]]
+    ) -> LatticePath:
         """``chain``, a path ⊥ -> some state of the orbit of ``state``, with
         its coordinates permuted so that it ends at ``state``: equal values
-        within each identity group are paired in index order."""
-        end = chain[-1]
-        source = list(range(len(end)))  # coordinate of ``end`` feeding each one
-        for g in self._groups:
-            for i, j in zip(sorted(g, key=state.__getitem__), sorted(g, key=end.__getitem__)):
+        within each identity group are paired in index order.  ``ends`` is
+        ``_by_value`` of the chain's end, so a chain permuted onto every
+        member of its orbit sorts its end once."""
+        source = list(range(len(state)))  # coordinate of the end feeding each one
+        for starts, js in zip(_by_value(self._groups, state), ends):
+            for i, j in zip(starts, js):
                 source[i] = j
         if len(source) == 1:  # itemgetter of one item returns it bare
             return LatticePath(tuple(chain))
@@ -269,6 +303,12 @@ def _canon(groups: Sequence[Sequence[int]], state: State) -> State:
         for i, v in zip(g, sorted(out[i] for i in g)):
             out[i] = v
     return tuple(out)
+
+
+def _by_value(groups: Sequence[Sequence[int]], state: State) -> list[list[int]]:
+    """Each identity group's coordinates in ascending order of their values
+    in ``state``, ties in index order."""
+    return [sorted(g, key=state.__getitem__) for g in groups]
 
 
 def _distinct_permutations(groups: Sequence[Sequence[int]], orbit: State) -> Iterator[State]:
@@ -630,19 +670,24 @@ def find_deadlocks(
 
     The deadlocks are decided once per orbit (``_deadlock_orbits``), then
     the candidate orbits are expanded once, through an :class:`OrbitView`
-    whose records pair each state with its orbit's validated path (None off
-    the deadlock orbits).  Each deadlock's witness path is that path,
-    permuted onto it, and is validated.  The search covers the whole folded
+    whose records pair each state with its orbit's validated path and that
+    path's end sorted by group (None off the deadlock orbits).  Each
+    deadlock's witness path is that path, permuted onto it, and is
+    validated.  The search covers the whole folded
     space, so ``stats.visited`` counts every reachable orbit.
     """
     candidates, paths, index = _deadlock_orbits(program, max_states, bounded=False)
-    records = {orbit: paths.get(orbit) for orbit in candidates}
-    view = OrbitView(program._groups, records, lambda *pair: pair, operator.itemgetter(0))
+    groups = program._groups
+    records = dict.fromkeys(candidates)
+    for orbit, path in paths.items():
+        records[orbit] = (path.states, _by_value(groups, path.end))
+    view = OrbitView(groups, records, lambda *pair: pair, operator.itemgetter(0))
     members = tuple(iter(view))  # no length hint: the guards summed the sizes
     deadlocks: list[Deadlock] = []
-    for state, path in members:
-        if path is not None:
-            witness = index._onto(path.states, state)
+    for state, payload in members:
+        if payload is not None:
+            chain, ends = payload
+            witness = index._onto(chain, state, ends)
             assert witness.end == state
             witness.validate(program)
             deadlocks.append(Deadlock(state, witness))

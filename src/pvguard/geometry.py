@@ -57,13 +57,15 @@ class LatticePath:
         return self.states[-1]
 
     def steps(self) -> tuple[int, ...]:
-        """The coordinate moved at each step."""
+        """The coordinate moved at each step; raises :class:`ValueError`
+        unless both states of every step have the same length and exactly
+        one coordinate rises, by 1."""
         out = []
         for prev, nxt in zip(self.states, self.states[1:]):
-            moved = [i for i, (a, b) in enumerate(zip(prev, nxt)) if a != b]
-            if len(moved) != 1 or nxt[moved[0]] != prev[moved[0]] + 1:
+            diff = list(map(operator.sub, nxt, prev))
+            if len(nxt) != len(prev) or diff.count(0) != len(prev) - 1 or 1 not in diff:
                 raise ValueError("not a unit lattice step")
-            out.append(moved[0])
+            out.append(diff.index(1))
         return tuple(out)
 
     def validate(self, program: Program) -> None:

@@ -160,7 +160,7 @@ def parse_source(text: str) -> SourceModel:
             if name in model.threads:
                 raise ParseError(f"duplicate thread name {name!r}", lineno, 1)
             actions, columns = _parse_thread_actions(body, caps, lineno, offset)
-            bad = thread_violations(actions, caps)
+            bad = thread_violations(actions)  # unknown resources raised above
             if bad:
                 first = bad[0]
                 col = columns[first.position - 1] if first.position <= len(actions) else offset + 1

@@ -562,6 +562,45 @@ def test_reduced_search_matches_full_search(prog, seed):
                 reduced.witness(state)
 
 
+@st.composite
+def long_run_programs(draw):
+    """``T ^ 5``–``T ^ 6`` of a one- or two-pair thread, whose copies stand
+    in long runs of equal positions, and three distinct threads in an
+    interleaved thread order such as ``T U T V U T``."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    power = draw(st.booleans())
+    # two resources give more than three distinct threads of up to two pairs
+    resources = ["a", "b", "c"][: draw(st.integers(1 if power else 2, 3))]
+    caps = CapacityMap(tuple((r, draw(st.integers(1, 3))) for r in resources))
+    if power:
+        thread = random_thread(rng, resources, draw(st.integers(1, 2)))
+        return Program.power(thread, draw(st.integers(5, 6)), caps)
+    threads: list[Thread] = []
+    while len(threads) < 3:
+        t = random_thread(rng, resources, 2)
+        if t not in threads:
+            threads.append(t)
+    order = draw(st.sampled_from(["010210", "012012", "0120", "10201", "021120"]))
+    return Program(tuple(threads[int(k)] for k in order), caps)
+
+
+@given(long_run_programs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_search_order_on_long_runs_and_three_groups(prog, seed):
+    # runs of up to six equal positions, and the runs of three groups
+    # merged by their first coordinates: same orbits, order and parents
+    full = ReachabilityIndex(prog)
+    assert list(index_parents(full).items()) == list(sorted_orbit_parents(prog).items())
+    # targets the reduced search decides: every coordinate at an acquire or ⊤
+    stops = [set(t.acquire_positions) | {t.top} for t in prog.threads]
+    decided = [s for s in index_parents(full) if all(map(operator.contains, stops, s))]
+    rng = random.Random(seed)
+    targets = rng.sample(decided, min(len(decided), rng.randint(1, 3)))
+    reduced = ReachabilityIndex(prog, targets=targets)
+    expected = release_first_parents(prog, reduced.ceiling)
+    assert list(index_parents(reduced).items()) == list(expected.items())
+
+
 def test_queries_refuse_malformed_states():
     # a state of the wrong length or out of range is no state of the program
     index = ReachabilityIndex(EX3)
@@ -689,6 +728,18 @@ def test_release_first_search_stored_orbits(total, stored):
     _, paths, index = _deadlock_orbits(program, 10**18, bounded=True)
     assert index.visited == stored
     assert list(paths) == [sort_groups(program, plan.expected_state)]
+
+
+@pytest.mark.parametrize("total, stored", [(64, 31503), (128, 242347)])
+def test_release_first_search_to_the_ladder_deadlock(total, stored):
+    caps = ladder_caps(total)
+    plan = deadsharp_witness(caps)
+    program = Program.power(plan.thread, total, caps)
+    index = ReachabilityIndex(program, 10**18, targets=[plan.expected_state])
+    assert index.visited == stored
+    path = index.witness(plan.expected_state)
+    path.validate(program)
+    assert (path.start, path.end) == (program.bottom, plan.expected_state)
 
 
 def test_family_deadlock_verdict_at_capacity_sum_32():

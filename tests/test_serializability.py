@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pvguard import (
     CapacityMap,
     ChoicePoint,
+    LatticePath,
     Program,
     PvError,
     SearchLimitExceeded,
@@ -81,6 +82,19 @@ def test_interleaved_path_is_not_serial():
     p = path_from_steps(EX3, (0, 0), (0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
     assert not is_serial(p)
     assert serial_order(p) is None
+
+
+def test_steps_refuse_states_of_different_lengths():
+    # a step into a longer state used to pass as a unit step: zip compared
+    # only the common coordinates
+    with pytest.raises(ValueError, match="not a unit lattice step"):
+        LatticePath(((0, 0), (1, 0, 7), (2, 0))).steps()
+    with pytest.raises(ValueError, match="not a unit lattice step"):
+        is_serial(LatticePath(((0, 0), (1, 0), (2, 0, 9), (2, 1), (2, 2))))
+    for bad in (((0, 0), (1, 0), (1, 0)), ((0, 0), (2, 0)), ((0, 0), (1, 1)), ((1, 0), (0, 0))):
+        with pytest.raises(ValueError, match="not a unit lattice step"):
+            LatticePath(bad).steps()
+    assert LatticePath(((0, 0), (1, 0), (1, 1))).steps() == (0, 1)
 
 
 def test_serial_paths_always_valid():
