@@ -142,42 +142,29 @@ class ReachabilityIndex:
         kappa = program.kappa
         shift = list(itertools.accumulate((k.bit_length() for k in kappa), initial=0))
         field = [1 << s for s in shift]
-        ceiling = self.ceiling
-        # per group, its coordinates by rank and the positions below ⊤ as
-        # indices into the count vector, which holds every group's counts
-        # over positions 0..⊤ in a row; per index: the group's coordinates
-        # and their weights by rank, the field a step there must find above
-        # 0 (0 when it requests nothing), the step's change to the free
-        # slots, and the first rank whose ceiling lies above the position
-        blocks = []
-        ranks: list[tuple[int, ...]] = []
-        weights: list[list[int]] = []
-        gate: list[int] = []
-        delta: list[int] = []
-        above: list[int] = []
+        # the count vector holds every group's counts over positions 0..⊤ in
+        # a row; per group, the indices of its positions below ⊤; per such
+        # index: the group's coordinates and their weights by rank, the field
+        # a step there must find above 0 (0 when it requests nothing), the
+        # step's change to the free slots, and the first rank whose ceiling
+        # lies above the position
         counts: list[int] = []
+        blocks = []
+        table: list = []
         for g in self._groups:
             top = program.tops[g[0]]
             held = program._point_idx[g[0]]
+            weights = [self._weight[c] for c in g]
+            lows = [self.ceiling[c] for c in g]
             blocks.append(range(len(counts), len(counts) + top))
-            lows = [ceiling[c] for c in g]
-            for x, r in enumerate(program._request_idx[g[0]][:top]):
-                ranks.append(g)
-                weights.append([self._weight[c] for c in g])
-                gate.append(0 if r is None else ((1 << kappa[r].bit_length()) - 1) << shift[r])
-                delta.append(
-                    sum(field[r] for r in held[x]) - sum(field[r] for r in held[x + 1])
-                )
-                above.append(bisect.bisect_right(lows, x))
-            # ⊤ never steps: its index only takes the copies that reach it
-            ranks.append(g)
-            weights.append([])
-            gate.append(0)
-            delta.append(0)
-            above.append(len(g))
             counts += [len(g)] + [0] * top
+            for x, r in enumerate(program._request_idx[g[0]][:top]):
+                gate = 0 if r is None else field[r + 1] - field[r]  # r's field, all ones
+                change = sum(field[r] for r in held[x]) - sum(field[r] for r in held[x + 1])
+                table.append((g, weights, gate, change, bisect.bisect_right(lows, x)))
+            table.append(None)  # ⊤ never steps
         order = [c for g in self._groups for c in g]
-        merge = order != sorted(order)  # runs of interleaved groups are merged
+        merge = order != sorted(order)  # groups interleave
         reduced = self._reduced
         links = self._links
         links[0] = -1
@@ -186,39 +173,40 @@ class ReachabilityIndex:
         while queue:
             counts, code, free = queue.popleft()
             # the runs that may step: (first coordinate, index, first rank,
-            # last rank + 1)
+            # last rank + 1, table entry)
             runs = []
             for block in blocks:
                 lo = 0
                 for i in block:
                     if counts[i]:
                         hi = lo + counts[i]
-                        if hi > above[i] and (not gate[i] or free & gate[i]):
-                            runs.append((ranks[i][lo], i, lo, hi))
+                        g, _, gate, _, above = entry = table[i]
+                        if hi > above and (not gate or free & gate):
+                            runs.append((g[lo], i, lo, hi, entry))
                         lo = hi
             if merge:
                 runs.sort()
             if reduced:
                 first = n
                 for run in runs:
-                    f, i, lo, hi = run
+                    f, i, lo, hi, (g, _, gate, _, above) = run
                     if f > first:
                         break
-                    r = max(lo, above[i])
-                    if not gate[i] and r < hi and ranks[i][r] < first:
-                        first = ranks[i][r]
+                    r = max(lo, above)
+                    if not gate and r < hi and g[r] < first:
+                        first = g[r]
                         pick = [run] if r == lo else []
                 if first < n:
                     runs = pick
-            for f, i, lo, hi in runs:
-                key = code + weights[i][hi - 1]
+            for f, i, lo, hi, (_, weights, _, change, _) in runs:
+                key = code + weights[hi - 1]
                 if key in links:
                     continue
                 links[key] = code * n + f
                 moved = counts[:]
                 moved[i] -= 1
                 moved[i + 1] += 1
-                queue.append((moved, key, free + delta[i]))
+                queue.append((moved, key, free + change))
 
     @property
     def visited(self) -> int:
