@@ -192,7 +192,7 @@ class ReachabilityIndex:
                     f, i, lo, hi, (g, _, gate, _, above) = run
                     if f > first:
                         break
-                    r = max(lo, above)
+                    r = above if above > lo else lo
                     if not gate and r < hi and g[r] < first:
                         first = g[r]
                         pick = [run] if r == lo else []
