@@ -106,9 +106,13 @@ class ReachabilityIndex:
         state and its codes are read off the counts.  The copies at one
         position form a run; a step moves one copy of a run from x to x + 1,
         which raises the run's last coordinate, so the code grows by that
-        coordinate's weight.  Runs are expanded in ascending order of their
-        first coordinate, the coordinate a step in ascending order reaches
-        the orbit by first, and a parent is stored with it.  Reached states
+        coordinate's weight.  A state's new successors are stored in
+        ascending order of their runs' first coordinates, the coordinate a
+        step in ascending order reaches the orbit by first, each with its
+        parent and that coordinate.  The runs come in that order group by
+        group; where groups interleave, the new successors are sorted.
+        Distinct runs reach distinct orbits, so which successors are new
+        does not depend on the order the runs are tried in.  Reached states
         are admissible (⊥ is, and an admissible edge ends in one), so a step
         is blocked exactly when the resource it acquires is full.  A
         successor is kept only at or below the ceiling (⊤ without targets):
@@ -129,9 +133,10 @@ class ReachabilityIndex:
         or at ⊤ it is taken later anyway; taking it first only lowers
         point-use totals on the way, so each such state below the ceiling
         stays reachable (a persistent set: Valmari, "Stubborn sets for
-        reduced state space generation", 1990).  Within a run the copies
-        below their ceiling are the last ones, so each run offers one
-        candidate.  If the first such coordinate is not the first of its
+        reduced state space generation", 1990).  A first pass over the runs
+        finds that coordinate: within a run the copies below their ceiling
+        are the last ones, so each run offers one candidate.  If the first
+        such coordinate is not the first of its
         run, the run's first one stands at its ceiling at a position that
         requests nothing, so no such state is reachable and the state
         expands nothing.  The verdict routes never meet that case: the
@@ -170,38 +175,39 @@ class ReachabilityIndex:
         links[0] = -1
         free = sum(k << s for k, s in zip(kappa, shift))
         queue: deque[tuple[list[int], int, int]] = deque(((counts, 0, free),))
+        whole = [(block, 0) for block in blocks]  # (indices, rank of the first copy)
         while queue:
             counts, code, free = queue.popleft()
-            # the runs that may step: (first coordinate, index, first rank,
-            # last rank + 1, table entry)
-            runs = []
-            for block in blocks:
-                lo = 0
+            scan = whole
+            if reduced:
+                first = n
+                for block in blocks:
+                    lo = 0
+                    for i in block:
+                        if counts[i]:
+                            hi = lo + counts[i]
+                            g, _, gate, _, above = table[i]
+                            r = above if above > lo else lo
+                            if not gate and r < hi and g[r] < first:
+                                first = g[r]
+                                scan = [((i,), lo)] if r == lo else []
+                            lo = hi
+            # the new successors: (first coordinate of the run, code, index,
+            # change to the free slots)
+            fresh = []
+            for block, lo in scan:
                 for i in block:
                     if counts[i]:
                         hi = lo + counts[i]
-                        g, _, gate, _, above = entry = table[i]
+                        g, weights, gate, change, above = table[i]
                         if hi > above and (not gate or free & gate):
-                            runs.append((g[lo], i, lo, hi, entry))
+                            key = code + weights[hi - 1]
+                            if key not in links:
+                                fresh.append((g[lo], key, i, change))
                         lo = hi
             if merge:
-                runs.sort()
-            if reduced:
-                first = n
-                for run in runs:
-                    f, i, lo, hi, (g, _, gate, _, above) = run
-                    if f > first:
-                        break
-                    r = above if above > lo else lo
-                    if not gate and r < hi and g[r] < first:
-                        first = g[r]
-                        pick = [run] if r == lo else []
-                if first < n:
-                    runs = pick
-            for f, i, lo, hi, (_, weights, _, change, _) in runs:
-                key = code + weights[hi - 1]
-                if key in links:
-                    continue
+                fresh.sort()
+            for f, key, i, change in fresh:
                 links[key] = code * n + f
                 moved = counts[:]
                 moved[i] -= 1
@@ -658,11 +664,11 @@ def find_deadlocks(
 
     The deadlocks are decided once per orbit (``_deadlock_orbits``), then
     the candidate orbits are expanded once, through an :class:`OrbitView`
-    whose records pair each state with its orbit's validated path and that
-    path's end sorted by group (None off the deadlock orbits).  Each
-    deadlock's witness path is that path, permuted onto it, and is
-    validated.  The search covers the whole folded
-    space, so ``stats.visited`` counts every reachable orbit.
+    whose records pair each state with its orbit's validated path and the
+    ``_by_value`` order of that path's end (None off the deadlock orbits).
+    Each deadlock's witness path is that path, permuted onto it, and is
+    validated.  The search covers the whole folded space, so
+    ``stats.visited`` counts every reachable orbit.
     """
     candidates, paths, index = _deadlock_orbits(program, max_states, bounded=False)
     groups = program._groups
