@@ -85,8 +85,8 @@ def test_interleaved_path_is_not_serial():
 
 
 def test_steps_refuse_states_of_different_lengths():
-    # a step into a longer state used to pass as a unit step: zip compared
-    # only the common coordinates
+    # a step between states of different lengths is no unit step, even where
+    # their common coordinates differ in one unit
     with pytest.raises(ValueError, match="not a unit lattice step"):
         LatticePath(((0, 0), (1, 0, 7), (2, 0))).steps()
     with pytest.raises(ValueError, match="not a unit lattice step"):
