@@ -120,7 +120,9 @@ def test_dumps_non_string_keys(value):
 
 
 @pytest.mark.parametrize("value", [
-    object(), [object()], {"a": {1, 2}}, b"raw", {"a": [decimal.Decimal("1")]},
+    # repr(object()) holds a memory address; fixed ids keep the case names stable
+    pytest.param(object(), id="object()"), pytest.param([object()], id="[object()]"),
+    {"a": {1, 2}}, b"raw", {"a": [decimal.Decimal("1")]},
 ], ids=repr)
 def test_dumps_unknown_types_raise_type_error(value):
     with pytest.raises(TypeError):
