@@ -89,13 +89,22 @@ def _load_program(args) -> tuple[bytes, str, Program]:
 
 def _emit(args, command: str, source: bytes, result, text) -> None:
     """Print one rendering: ``result`` (the JSON result) and ``text`` (the
-    text lines) are zero-argument callables, and only the printed one runs."""
-    if args.json:
-        env = report.envelope(command, source, result(), __version__)
-        sys.stdout.write(report.dumps(env))
-    else:
-        for line in text():
-            print(line)
+    text lines) are zero-argument callables, and only the printed one runs.
+    A reader that closed stdout (``pvguard ... | head``) ends the printing
+    quietly, and the command keeps its exit code: stdout is pointed at
+    ``os.devnull``, so the flush at interpreter exit has nowhere to fail."""
+    try:
+        if args.json:
+            env = report.envelope(command, source, result(), __version__)
+            sys.stdout.write(report.dumps(env))
+        else:
+            for line in text():
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_check(args) -> int:

@@ -113,10 +113,12 @@ def dihomotopy_classes(
     by the coordinate: unions keeping the smaller root keep each set's least
     representative at its root, and a class needs only its root's index as
     its back pointer.  A level holds classes × threads slots, and one shared
-    -1 marks the roots.  Steps and squares are tabled once per end state,
-    keyed by its mixed-radix code and built from the parent table's carried
-    point-use totals; serial executions advance as a frontier of (class,
-    thread running its block) pairs.
+    -1 marks the roots.  Each level keys its end states by mixed-radix codes.
+    Steps and squares are tabled once per local configuration (per thread
+    what its next action requests, or ⊤, and the point-use totals), not once
+    per end state, and a new table starts from its parent's carried totals;
+    serial executions advance as a frontier of (class, thread running its
+    block) pairs.
 
     Raises the search limit signal as soon as the number of (class, step)
     pairs at some level, not its slots, exceeds ``limit``, and before the
@@ -145,29 +147,52 @@ def dihomotopy_classes(
 
 def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
     """The class DP of :func:`dihomotopy_classes`: the class count, the serial
-    classes, and per level each class's back pointer, its root's pair index."""
+    classes, and per level each class's back pointer, its root's pair index.
+
+    A step table depends only on the end state's local configuration: per
+    coordinate, the resource its next action requests, or a release, or ⊤,
+    plus the point-use totals.  The tables (totals, steps, squares) are kept
+    by configuration for this call only, so ``Program._steps`` runs once per
+    configuration reached.  A configuration's key is a mixed-radix integer,
+    so a step moves it by a delta tabled per coordinate and position: the
+    digit of coordinate c, of weight ``radix ** c``, is 0 at ⊥ or a release,
+    1 at ⊤ and 2 + r at an acquire of resource r; above them one digit of
+    radix n + 1 per resource holds its total (no thread holds a resource
+    twice)."""
     guard_grid(program, limit)
     n = program.n
     tops = program.tops
     point = program._point_idx
+    request = program._request_idx
     # end states as mixed-radix codes, the last coordinate least significant
     weight = tuple(
         itertools.accumulate((t + 1 for t in tops[:0:-1]), operator.mul, initial=1)
     )[::-1]
-    # per class: its end state's table (state, code, totals, steps, squares);
-    # reached states are admissible, as Program._steps needs
-    tabs = [(program.bottom, 0, *program._steps(program.bottom, True))]
+    # per coordinate and position, the configuration key's move on a step
+    radix = len(program.resource_names) + 2
+    held = [radix**n * (n + 1) ** r for r in range(radix - 2)]
+    delta = []
+    for c, (points, requests) in enumerate(zip(point, request)):
+        digits = [0 if r is None else r + 2 for r in requests[:-1]] + [1]  # ⊤ apart
+        keys = [d * radix**c + sum(held[r] for r in p) for d, p in zip(digits, points)]
+        delta.append([b - a for a, b in itertools.pairwise(keys)])
+    # per class: its end state's table (state, code, configuration key,
+    # (totals, steps, squares)); reached states are admissible, as
+    # Program._steps needs
+    configs = {0: program._steps(program.bottom, True)}
+    tabs = [(program.bottom, 0, 0, configs[0])]
+    pairs = len(configs[0][1])
     prev_tabs, cls = [], []  # two levels down: tables; one down: pair -> class * n
     links = []
     serial = {(0, -1)}  # (class * n, thread running its block)
     for _ in range(sum(tops)):
-        if sum(len(tab[3]) for tab in tabs) > limit:
+        if pairs > limit:
             raise SearchLimitExceeded(limit, "execution class pairs")
         # merge across admissible squares rooted two levels down; -1 marks a
         # root, a find halves its path, a union keeps the smaller root
         parent = [-1] * (len(tabs) * n)
         for base, tab in zip(range(0, len(cls), n), prev_tabs):
-            for i, j in tab[4]:
+            for i, j in tab[3][2]:
                 x = cls[base + i] + j
                 y = cls[base + j] + i
                 while (p := parent[x]) >= 0 and (q := parent[p]) >= 0:
@@ -183,8 +208,10 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
         # number the roots in index order, writing class * n into each used
         # slot; parent[p] < p is numbered first
         level: dict[int, tuple] = {}  # the next level's tables by code
-        new_tabs, link, k = [], array("q"), 0
-        for base, (state, code, totals, steps, _) in zip(range(0, len(parent), n), tabs):
+        new_tabs, link, k, pairs = [], array("q"), 0, 0
+        for base, (state, code, at, (totals, steps, _)) in zip(
+            range(0, len(parent), n), tabs
+        ):
             for c in steps:
                 p = base + c
                 if (q := parent[p]) >= 0:
@@ -193,17 +220,23 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
                 parent[p] = k
                 k += n
                 key = code + weight[c]
-                if key not in level:
+                tab = level.get(key)
+                if tab is None:
                     x = state[c]
-                    moved = totals[:]  # the stepping thread's point use moves
-                    for r in point[c][x]:
-                        moved[r] -= 1
-                    for r in point[c][x + 1]:
-                        moved[r] += 1
                     nxt = state[:c] + (x + 1,) + state[c + 1 :]
-                    level[key] = (nxt, key, *program._steps(nxt, True, moved))
-                new_tabs.append(level[key])
+                    to = at + delta[c][x]
+                    table = configs.get(to)
+                    if table is None:
+                        moved = totals[:]  # the stepping thread's point use moves
+                        for r in point[c][x]:
+                            moved[r] -= 1
+                        for r in point[c][x + 1]:
+                            moved[r] += 1
+                        configs[to] = table = program._steps(nxt, True, moved)
+                    level[key] = tab = (nxt, key, to, table)
+                new_tabs.append(tab)
                 link.append(p)
+                pairs += len(tab[3][1])
         # mid-block only t steps; between blocks the rest are at ⊥ or ⊤
         serial = {
             (parent[base + c], c)

@@ -1,0 +1,131 @@
+"""Mutation check: every recorded mutant must make its named tests fail.
+
+Run it as ``python tests/mutants.py``.  It needs only the standard library
+and pytest, and pytest does not collect it (its test files are
+``test_*.py``).
+
+Each mutant is data: the file it edits, an old text that must occur there
+exactly once, the new text, and the tests that must fail with it.  The
+script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, checks that the named tests pass on the unmutated copy, then
+applies one mutant at a time and runs its tests with ``pytest -x``.  It
+exits 1 when a mutant survives (its tests pass) or when an old text no
+longer occurs exactly once, so the list keeps up with the code.  A mutant
+that loops forever counts as caught through the suite's per-test timeout,
+which ends pytest with exit status 1 after 300 s; such mutants are left out
+of the list so that a run stays short.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SERIALIZABILITY = "src/pvguard/serializability.py"
+CLASS_TESTS = "tests/test_serializability.py::"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # the class DP's configuration key, which shares step tables between
+    # end states: each wrong key hands some end state another's table
+    Mutant(
+        "class-key-without-totals",
+        SERIALIZABILITY,
+        "held = [radix**n * (n + 1) ** r for r in range(radix - 2)]",
+        "held = [0] * (radix - 2)",
+        (CLASS_TESTS + "test_classes_match_level_dp_oracle_on_powers",),
+    ),
+    Mutant(
+        "class-key-top-as-release",
+        SERIALIZABILITY,
+        "for r in requests[:-1]] + [1]",
+        "for r in requests[:-1]] + [0]",
+        (CLASS_TESTS + "test_classes_match_level_dp_oracle_on_powers",),
+    ),
+    Mutant(
+        "class-key-of-parent-state",
+        SERIALIZABILITY,
+        "to = at + delta[c][x]",
+        "to = at",
+        (CLASS_TESTS + "test_classes_match_level_dp_oracle_on_powers",),
+    ),
+    # a y-side halving step that marks y a root, detaching it and its
+    # subtree, and goes on from its grandparent; of the oracle test's
+    # inputs only the four-thread program is split by it (81 classes, not 80)
+    Mutant(
+        "class-find-detaches-y",
+        SERIALIZABILITY,
+        "parent[y] = y = q",
+        "parent[y], y = -1, q",
+        (CLASS_TESTS + "test_classes_match_level_dp_oracle",),
+    ),
+)
+
+
+def pytest_run(tree: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    # no bytecode: a mutated module and its restored original may share a
+    # size and an mtime, and a cached .pyc of one would serve the other
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="pvguard-mutants-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", tree)
+
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        clean = pytest_run(tree, tests)
+        if clean.returncode != 0:
+            print(clean.stdout)
+            print("mutants: the named tests fail without a mutant")
+            return 1
+        for m in MUTANTS:
+            target = tree / m.path
+            original = target.read_text(encoding="utf-8")
+            found = original.count(m.old)
+            if found != 1:
+                print(f"{m.name}: STALE, the old text occurs {found} times in {m.path}")
+                failures.append(m.name)
+                continue
+            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                run = pytest_run(tree, m.tests)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            if run.returncode == 0:
+                print(f"{m.name}: SURVIVED {' '.join(m.tests)}")
+                failures.append(m.name)
+            else:
+                print(f"{m.name}: caught (pytest exit {run.returncode})")
+    print(f"mutants: {len(MUTANTS) - len(failures)} of {len(MUTANTS)} caught")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

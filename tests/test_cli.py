@@ -668,3 +668,34 @@ def test_json_bytes_do_not_depend_on_the_hash_seed(capsys, tmp_path):
     runs.append([list(call(capsys, argv)[:2]) for argv in argvs])
     assert all(code != 2 and out for code, out in runs[0])
     assert runs[1] == runs[0] and runs[2] == runs[0] and runs[3] == runs[0]
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "command, expected", [(("deadlock",), 1), (("serializability",), 4)],
+    ids=["deadlock", "serializability"],
+)
+def test_closed_stdout_ends_quietly(capsys, tmp_path, flags, command, expected):
+    # `pvguard family FILE deadlock | head -1`, with the reader gone before
+    # pvguard writes: the run keeps the analysis's exit code, not the input
+    # error's 2, and neither the CLI nor the interpreter's exit flush reports
+    # the broken pipe
+    code, source, _ = call(capsys, ["witness", "deadlock", "a:2", "b:2", "c:1"])
+    assert code == 0
+    f = tmp_path / "w221.pv"
+    f.write_text(source)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pvguard.cli", "family", str(f), *command, *flags],
+            env=dict(os.environ, PYTHONPATH=src), stdout=write,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == expected, done.stderr
+    assert "Broken pipe" not in done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert " finished in " in done.stderr

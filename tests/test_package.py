@@ -149,9 +149,10 @@ def test_folded_engines_skip_per_state_checks(monkeypatch):
 
 
 def test_class_dp_reads_per_state_tables(monkeypatch):
-    # the class DP tables steps and squares once per end state and follows
-    # serial executions as a frontier: no state re-check, successor list or
-    # serial-order enumeration, and no union-find of payloads
+    # the class DP tables steps and squares once per local configuration
+    # and follows serial executions as a frontier: no state re-check,
+    # successor list or serial-order enumeration, and no union-find of
+    # payloads
     def forbidden(*args, **kwargs):
         raise AssertionError("called from the class DP")
 

@@ -342,8 +342,11 @@ def test_classes_match_level_dp_oracle():
 
 
 def test_class_dp_carries_exact_totals(monkeypatch):
-    # every table after ⊥ is built from totals the DP moved along one step;
-    # they must be the end state's own totals
+    # every table after ⊥ is built from totals the DP moved along one step
+    # from the parent's configuration; they must be the end state's own
+    # totals.  Tables are built once per configuration, so the programs
+    # are three or four distinct threads over three resources, where few
+    # configurations repeat and the tables still cover 2,000 end states
     steps = Program._steps
     carried = []
 
@@ -356,10 +359,59 @@ def test_class_dp_carries_exact_totals(monkeypatch):
     monkeypatch.setattr(Program, "_steps", checked)
     rng = random.Random(16)
     for _ in range(40):
-        caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 2))))
-        prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 3), 2)
+        caps = CapacityMap(tuple((r, rng.randint(1, 2)) for r in "abc"))
+        prog = random_program(rng, ["a", "b", "c"], caps, rng.randint(3, 4), 2)
         dihomotopy_classes(prog)
     assert len(carried) >= 2_000, len(carried)
+
+
+def test_class_tables_live_for_one_call(monkeypatch):
+    # the tables are kept by local configuration for one call: Pa Va ^ 5
+    # has 1,024 end states but 3 ** 5 configurations (⊥ or a release, an
+    # acquire, ⊤ per thread; nothing is held at a point), and a second call
+    # on the same program builds every table again, so no table is cached
+    # on the program or in the module
+    steps = Program._steps
+    built = []
+
+    def counted(self, *args):
+        built.append(args[0])
+        return steps(self, *args)
+
+    monkeypatch.setattr(Program, "_steps", counted)
+    program = Program.power(PV, 5, make_caps(a=1))
+    first = dihomotopy_classes(program)
+    calls = len(built)
+    assert calls == 3**5
+    assert dihomotopy_classes(program) == first
+    assert len(built) == 2 * calls
+
+
+def test_classes_match_level_dp_oracle_on_powers():
+    # powers T ^ 3 and T ^ 4, where local configurations repeat across end
+    # states and share one step table, some with an empty thread among the
+    # copies, against the DP that tables every end state; whole reports, or
+    # the message of the bound that stops both
+    rng = random.Random(37)
+    empty = Thread.from_text("")
+    kinds = collections.Counter()
+    for _ in range(80):
+        resources = ["a", "b", "c"][: rng.randint(2, 3)]
+        caps = CapacityMap(tuple((r, rng.randint(1, 3)) for r in resources))
+        n = rng.randint(3, 4)
+        threads = [random_thread(rng, resources, 3 if n == 3 else 2)] * n
+        if rng.random() < 0.3:
+            threads.insert(rng.randint(0, n), empty)
+        prog = Program(tuple(threads), caps)
+        assert prog.grid_states() <= 20_000
+        limit = rng.choice([50, 500, 10**8])
+        expected = capped_outcome(prog, limit)
+        assert class_outcome(dihomotopy_classes, prog, limit) == expected
+        kinds.update({f"κ={k}" for _, k in caps.entries})
+        kinds["empty"] += empty in threads
+        kinds["bound" if isinstance(expected, str) else "report"] += 1
+    assert min(kinds[k] for k in ("κ=1", "κ=2", "κ=3", "empty", "bound")) >= 10, kinds
+    assert kinds["report"] >= 30, kinds
 
 
 def largest_level_pairs(program):
