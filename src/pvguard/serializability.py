@@ -11,10 +11,12 @@ Two decision routes are implemented:
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from array import array
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 from .core import (
@@ -107,6 +109,16 @@ def dihomotopy_classes(
     representative of a class extends the least representative of one of
     its prefix classes.
 
+    A silent step (⊥ to the first acquire, a release to an acquire, the last
+    release to ⊤) requests nothing and keeps the point use, so it is never
+    blocked and forms an admissible square with every step beside it: a
+    path's class is fixed by the class of its other steps.  So the DP runs
+    on run ends, where every thread has taken its pending silent steps, with
+    one level per non-silent step.  A least representative is the least
+    run-end one with the silent steps put back greedily: at each step the
+    least thread whose next step is silent, or the run-end path's next
+    thread once it stands at its run end.  That map keeps the path order.
+
     Each level numbers its classes in lexicographic order of their least
     representatives, and the pair (class k, coordinate c) has index
     ``k * n + c``, so a pair's index sorts like that representative followed
@@ -120,23 +132,40 @@ def dihomotopy_classes(
     serial executions advance as a frontier of (class, thread running its
     block) pairs.
 
-    Raises the search limit signal as soon as the number of (class, step)
-    pairs at some level, not its slots, exceeds ``limit``, and before the
-    representatives are built when their states, the class count times the
-    path length, exceed it.
+    Raises the search limit signal when the (class, step) pairs of some
+    level of the DP over all states exceed ``limit`` (a run-end level may
+    hold classes of several such levels, so it may hold more pairs), and
+    before the representatives are built when their states, the class count
+    times the path length, exceed it.
     """
     count, covered, links = _classes(program, limit)
     n = program.n
     size = count * (sum(program.tops) + 1)
     if size > limit:
         raise SearchLimitExceeded(limit, f"representative path states ({size} needed)")
+    silent = _silent(program)
+    first = sum(1 << c for c in range(n) if silent[c][0])
     representatives = []
     for k in range(count):
-        steps = []
+        contracted = [n]  # n: no thread left to step, every silent step goes
         for link in reversed(links):
             k, c = divmod(link[k], n)
-            steps.append(c)
-        representatives.append(path_from_steps(program, program.bottom, tuple(reversed(steps))))
+            contracted.append(c)
+        # put the silent steps back: before the contracted path's next step
+        # d, every pending silent step of a thread up to d, least first; a
+        # silent step ends a run, so its thread is then at its run end
+        pos, pending, steps = [0] * n, first, []
+        for d in reversed(contracted):
+            while low := pending & ((2 << d) - 1):
+                c = (low & -low).bit_length() - 1
+                pos[c] += 1
+                pending ^= 1 << c
+                steps.append(c)
+            if d < n:
+                pos[d] += 1
+                pending |= silent[d][pos[d]] << d
+                steps.append(d)
+        representatives.append(path_from_steps(program, program.bottom, tuple(steps)))
     return ClassReport(
         class_count=count,
         representatives=tuple(representatives),
@@ -145,9 +174,47 @@ def dihomotopy_classes(
     )
 
 
+def _silent(program: Program) -> list[list[bool]]:
+    """Per thread and position, whether the step out of it is silent: it
+    requests nothing and keeps the point use (⊥ or a release before an
+    acquire or ⊤).  ⊤ has no step.  A silent step ends at an acquire or at
+    ⊤, whose step is not silent, so a run of silent steps has at most two
+    positions."""
+    return [
+        [r is None and p == q for r, p, q in zip(requests, points, points[1:])] + [False]
+        for points, requests in zip(program._point_idx, program._request_idx)
+    ]
+
+
+def _full_pairs(full: list[int], tabs: list[tuple], silent: list[list[bool]]) -> None:
+    """Add to ``full[m]`` the (class, step) pairs of level m of the DP over
+    all states that the classes ``tabs`` of one run-end level stand for.
+
+    A class at run end r stands for one class at each state of the box of
+    r's runs: each coordinate at its run end or, where a silent step leads
+    there, one before it, from where it takes that step.  With k coordinates
+    that can be set back, e of them and E in all stepping at r, setting back
+    j of them gives C(k, j) states on level sum(r) - j with
+    E C(k, j) + (k - e) C(k - 1, j - 1) steps in all."""
+    many = collections.Counter(tab[1] for tab in tabs)
+    for state, key, _, (_, steps, _) in {tab[1]: tab for tab in tabs}.values():
+        lifts = [silent[c][x - 1] for c, x in enumerate(state)]  # x > 0: ⊥ is no run end
+        k = sum(lifts)
+        e = sum(lifts[c] for c in steps)
+        m = sum(state)
+        full[m] += many[key] * len(steps)
+        for j in range(1, k + 1):
+            full[m - j] += many[key] * (len(steps) * comb(k, j) + (k - e) * comb(k - 1, j - 1))
+
+
 def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
-    """The class DP of :func:`dihomotopy_classes`: the class count, the serial
-    classes, and per level each class's back pointer, its root's pair index.
+    """The class DP of :func:`dihomotopy_classes` over run ends: the class
+    count, the serial classes, and per level (one per non-silent step) each
+    class's back pointer, its root's pair index.
+
+    A step moves thread c from run end x to the run end of x + 1, which has
+    the point of x + 1; on a run-end state every step ``Program._steps``
+    lists is non-silent.
 
     A step table depends only on the end state's local configuration: per
     coordinate, the resource its next action requests, or a release, or ⊤,
@@ -158,36 +225,61 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
     digit of coordinate c, of weight ``radix ** c``, is 0 at ⊥ or a release,
     1 at ⊤ and 2 + r at an acquire of resource r; above them one digit of
     radix n + 1 per resource holds its total (no thread holds a resource
-    twice)."""
+    twice).
+
+    A class stands for at most n steps at each of at most 2 ** n states, so
+    while the classes so far times n times 2 ** n stay within ``limit`` no
+    level of the DP over all states exceeds it; past that, every class is
+    counted exactly by :func:`_full_pairs`."""
     guard_grid(program, limit)
     n = program.n
     tops = program.tops
     point = program._point_idx
     request = program._request_idx
+    silent = _silent(program)
     # end states as mixed-radix codes, the last coordinate least significant
     weight = tuple(
         itertools.accumulate((t + 1 for t in tops[:0:-1]), operator.mul, initial=1)
     )[::-1]
-    # per coordinate and position, the configuration key's move on a step
+    # per coordinate and run end x below ⊤, a step's (code move, run end
+    # reached, configuration key move)
     radix = len(program.resource_names) + 2
     held = [radix**n * (n + 1) ** r for r in range(radix - 2)]
-    delta = []
-    for c, (points, requests) in enumerate(zip(point, request)):
+    moves, start, at = [], [], 0
+    for c, (points, requests, quiet) in enumerate(zip(point, request, silent)):
         digits = [0 if r is None else r + 2 for r in requests[:-1]] + [1]  # ⊤ apart
         keys = [d * radix**c + sum(held[r] for r in p) for d, p in zip(digits, points)]
-        delta.append([b - a for a, b in itertools.pairwise(keys)])
+        end = [x + q for x, q in enumerate(quiet)]  # a silent step ends a run
+        moves.append(
+            [(weight[c] * (y - x), y, keys[y] - keys[x]) for x, y in enumerate(end[1:])]
+        )
+        start.append(end[0])
+        at += keys[end[0]]
+    bottom = tuple(start)
+    code = sum(map(operator.mul, bottom, weight))
     # per class: its end state's table (state, code, configuration key,
     # (totals, steps, squares)); reached states are admissible, as
     # Program._steps needs
-    configs = {0: program._steps(program.bottom, True)}
-    tabs = [(program.bottom, 0, 0, configs[0])]
-    pairs = len(configs[0][1])
+    configs = {at: program._steps(bottom, True)}
+    tabs = [(bottom, code, at, configs[at])]
     prev_tabs, cls = [], []  # two levels down: tables; one down: pair -> class * n
     links = []
     serial = {(0, -1)}  # (class * n, thread running its block)
-    for _ in range(sum(tops)):
-        if pairs > limit:
-            raise SearchLimitExceeded(limit, "execution class pairs")
+    levels = sum(quiet.count(False) - 1 for quiet in silent)
+    full = [0] * (sum(tops) + 1)  # the uncontracted DP's pairs per level
+    most = 2**n  # states a run-end state stands for, at most
+    total, unseen = 0, []  # the classes so far; levels not counted exactly
+    for depth in range(levels + 1):
+        total += len(tabs)
+        unseen.append(tabs)
+        if total * n > limit // most:  # the cheap bound may not hold: count
+            for level in unseen:
+                _full_pairs(full, level, silent)
+            unseen.clear()
+            if max(full) > limit:
+                raise SearchLimitExceeded(limit, "execution class pairs")
+        if depth == levels:
+            break
         # merge across admissible squares rooted two levels down; -1 marks a
         # root, a find halves its path, a union keeps the smaller root
         parent = [-1] * (len(tabs) * n)
@@ -208,7 +300,7 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
         # number the roots in index order, writing class * n into each used
         # slot; parent[p] < p is numbered first
         level: dict[int, tuple] = {}  # the next level's tables by code
-        new_tabs, link, k, pairs = [], array("q"), 0, 0
+        new_tabs, link, k = [], array("q"), 0
         for base, (state, code, at, (totals, steps, _)) in zip(
             range(0, len(parent), n), tabs
         ):
@@ -219,25 +311,27 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
                     continue
                 parent[p] = k
                 k += n
-                key = code + weight[c]
+                x = state[c]
+                move = moves[c][x]
+                key = code + move[0]
                 tab = level.get(key)
                 if tab is None:
-                    x = state[c]
-                    nxt = state[:c] + (x + 1,) + state[c + 1 :]
-                    to = at + delta[c][x]
+                    _, y, shift = move
+                    nxt = state[:c] + (y,) + state[c + 1 :]
+                    to = at + shift
                     table = configs.get(to)
                     if table is None:
                         moved = totals[:]  # the stepping thread's point use moves
                         for r in point[c][x]:
                             moved[r] -= 1
-                        for r in point[c][x + 1]:
+                        for r in point[c][y]:
                             moved[r] += 1
                         configs[to] = table = program._steps(nxt, True, moved)
                     level[key] = tab = (nxt, key, to, table)
                 new_tabs.append(tab)
                 link.append(p)
-                pairs += len(tab[3][1])
-        # mid-block only t steps; between blocks the rest are at ⊥ or ⊤
+        # mid-block only t steps; between blocks the rest are at their first
+        # run end or ⊤
         serial = {
             (parent[base + c], c)
             for base, t in serial
@@ -264,7 +358,9 @@ def kappa1_pair_serializable(
     The serial executions realise exactly the two uniform schedules (one copy
     last everywhere), so the pair is serializable iff no mixed schedule is
     feasible, which is what the class count decides.  ``max_states`` bounds
-    the class DP's grid and pairs per level as in :func:`dihomotopy_classes`;
+    the class DP's grid and the (class, step) pairs per level of the DP over
+    all states, as in :func:`dihomotopy_classes`, although the DP runs on
+    run ends, where one level may hold classes of several of those levels;
     no representatives are built.
     """
     used = thread.resources_used

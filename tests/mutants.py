@@ -59,9 +59,37 @@ MUTANTS = (
     Mutant(
         "class-key-of-parent-state",
         SERIALIZABILITY,
-        "to = at + delta[c][x]",
+        "to = at + shift",
         "to = at",
         (CLASS_TESTS + "test_classes_match_level_dp_oracle_on_powers",),
+    ),
+    # the run ends: a release before a release is not silent, since it
+    # changes the point use that other threads' steps and squares read
+    Mutant(
+        "class-silent-without-point-check",
+        SERIALIZABILITY,
+        "r is None and p == q for",
+        "r is None and True for",
+        (CLASS_TESTS + "test_classes_match_level_dp_oracle",),
+    ),
+    # the cheap pair bound without its per-class factor 2 ** n: it then
+    # rules out limits that a level of the DP over all states exceeds
+    Mutant(
+        "class-cheap-bound-per-class-factor",
+        SERIALIZABILITY,
+        "total * n > limit // most",
+        "total * n > limit",
+        (CLASS_TESTS + "test_class_pair_bound_is_exact",),
+    ),
+    # the representatives' silent steps put back only for the stepping
+    # thread: a smaller thread's pending silent step then waits behind a
+    # non-silent step, and the path is not its class's least
+    Mutant(
+        "class-lift-out-of-turn",
+        SERIALIZABILITY,
+        "pending & ((2 << d) - 1)",
+        "pending & (1 << d)",
+        (CLASS_TESTS + "test_classes_match_enumeration_oracle",),
     ),
     # a y-side halving step that marks y a root, detaching it and its
     # subtree, and goes on from its grandparent; of the oracle test's
@@ -71,6 +99,15 @@ MUTANTS = (
         SERIALIZABILITY,
         "parent[y] = y = q",
         "parent[y], y = -1, q",
+        (CLASS_TESTS + "test_classes_match_level_dp_oracle",),
+    ),
+    # a y-side find that marks y a root and stops, leaving the rest of its
+    # old set apart
+    Mutant(
+        "class-find-stops-at-y",
+        SERIALIZABILITY,
+        "parent[y] = y = q",
+        "parent[y] = -1",
         (CLASS_TESTS + "test_classes_match_level_dp_oracle",),
     ),
 )

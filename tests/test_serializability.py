@@ -32,6 +32,7 @@ from pvguard import (
 
 from pvguard import deadlock, serializability
 
+import conftest
 from conftest import (
     connectivity_serializable,
     dihomotopy_classes_by_enumeration,
@@ -344,9 +345,10 @@ def test_classes_match_level_dp_oracle():
 def test_class_dp_carries_exact_totals(monkeypatch):
     # every table after ⊥ is built from totals the DP moved along one step
     # from the parent's configuration; they must be the end state's own
-    # totals.  Tables are built once per configuration, so the programs
-    # are three or four distinct threads over three resources, where few
-    # configurations repeat and the tables still cover 2,000 end states
+    # totals.  Tables are built once per configuration of a run-end state,
+    # so the programs are three or four distinct threads of up to three
+    # acquire/release pairs over three resources, where few configurations
+    # repeat and the tables still cover 2,000 end states
     steps = Program._steps
     carried = []
 
@@ -360,17 +362,17 @@ def test_class_dp_carries_exact_totals(monkeypatch):
     rng = random.Random(16)
     for _ in range(40):
         caps = CapacityMap(tuple((r, rng.randint(1, 2)) for r in "abc"))
-        prog = random_program(rng, ["a", "b", "c"], caps, rng.randint(3, 4), 2)
+        prog = random_program(rng, ["a", "b", "c"], caps, rng.randint(3, 4), 3)
         dihomotopy_classes(prog)
     assert len(carried) >= 2_000, len(carried)
 
 
 def test_class_tables_live_for_one_call(monkeypatch):
     # the tables are kept by local configuration for one call: Pa Va ^ 5
-    # has 1,024 end states but 3 ** 5 configurations (⊥ or a release, an
-    # acquire, ⊤ per thread; nothing is held at a point), and a second call
-    # on the same program builds every table again, so no table is cached
-    # on the program or in the module
+    # has 1,024 end states, but the DP runs on run ends, where each thread
+    # stands at its acquire or at ⊤ (nothing is held at a point), so it
+    # builds 2 ** 5 tables; a second call on the same program builds every
+    # table again, so no table is cached on the program or in the module
     steps = Program._steps
     built = []
 
@@ -382,7 +384,7 @@ def test_class_tables_live_for_one_call(monkeypatch):
     program = Program.power(PV, 5, make_caps(a=1))
     first = dihomotopy_classes(program)
     calls = len(built)
-    assert calls == 3**5
+    assert calls == 2**5
     assert dihomotopy_classes(program) == first
     assert len(built) == 2 * calls
 
@@ -450,6 +452,54 @@ def test_class_pair_bound_is_exact(program):
     assert str(exc.value) == (
         f"instance exceeds the configured bound of {limit - 1} execution class pairs"
     )
+
+
+def test_class_pair_bound_is_exact_over_run_ends(monkeypatch):
+    # the DP runs on run ends but bounds the pairs of the DP over all
+    # states, per level: T ^ 3 and three random threads at κ ∈ {1, 2},
+    # each program with a release before a release (V → V, a step that is
+    # not silent) besides the silent steps from ⊥ and from releases, at
+    # every limit from three below to three above the oracle's largest
+    # level, and at 10^8.  The grid guard is off on both sides, so the
+    # pair bound binds below the grid size too.  Near the largest level the
+    # cheap bound (classes times n times 2 ** n) cannot rule the limit out,
+    # so every class is counted exactly, and at 10^8 it can, so none is
+    for module in (serializability, conftest):
+        monkeypatch.setattr(module, "guard_grid", lambda program, limit: None)
+    counted = []
+    full_pairs = serializability._full_pairs
+
+    def counting(*args):
+        counted.append(args)
+        return full_pairs(*args)
+
+    monkeypatch.setattr(serializability, "_full_pairs", counting)
+
+    def nested(thread):
+        return any(a.kind == b.kind == "V" for a, b in itertools.pairwise(thread.actions))
+
+    rng = random.Random(38)
+    routes = collections.Counter()
+    programs = 0
+    while programs < 24:
+        caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 2))))
+        if programs % 2:
+            prog = Program.power(random_thread(rng, ["a", "b"], 3), 3, caps)
+        else:
+            prog = Program(tuple(random_thread(rng, ["a", "b"], 3) for _ in range(3)), caps)
+        if not any(map(nested, prog.threads)):
+            continue
+        programs += 1
+        most = largest_level_pairs(prog)
+        for limit in (*range(most - 3, most + 4), 10**8):
+            counted.clear()
+            outcome = class_outcome(dihomotopy_classes, prog, limit)
+            assert outcome == capped_outcome(prog, limit), (prog, limit)
+            stopped = isinstance(outcome, str) and outcome.endswith("class pairs")
+            assert stopped == (limit < most)
+            routes["exact" if counted else "cheap", stopped] += 1
+    assert routes["cheap", False] == 24, routes
+    assert min(routes["exact", True], routes["exact", False]) >= 24 * 3, routes
 
 
 def test_class_representative_bound_is_exact():
