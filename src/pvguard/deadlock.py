@@ -56,11 +56,11 @@ class ReachabilityIndex:
     every state.  ``targets``, the states the caller will query, select the
     reduced search of the verdict routes: it stays at or below the
     componentwise maximum of their group-sorted forms, the *ceiling* (a
-    monotone path to a state never leaves the states below it), and expands
-    release-first (see ``_search``), so it decides only the states at or
-    below the ceiling where every coordinate stands at an acquire or at ⊤.
-    A query about any other state, or a malformed one, raises
-    :class:`ValueError`.
+    monotone path to a state never leaves the states below it), and takes
+    each release together with the acquire before it (see ``_search``), so
+    it decides only the states at or below the ceiling where every
+    coordinate stands at an acquire or at ⊤.  A query about any other state,
+    or a malformed one, raises :class:`ValueError`.
     """
 
     def __init__(
@@ -73,7 +73,7 @@ class ReachabilityIndex:
         guard_orbits(program, max_states)
         self.program = program
         self._groups = program._groups
-        self._group_of = {i: g for g in self._groups for i in g}
+        self._group_of: dict[int, tuple] = {}  # per coordinate: group, step ends
         if targets is None:
             self.ceiling = program.tops
         else:
@@ -104,114 +104,108 @@ class ReachabilityIndex:
         The copies of a group are ranked by position, rank r standing at
         coordinate ``g[r]`` of the group ``g``, so an orbit's group-sorted
         state and its codes are read off the counts.  The copies at one
-        position form a run; a step moves one copy of a run from x to x + 1,
-        which raises the run's last coordinate, so the code grows by that
-        coordinate's weight.  A state's new successors are stored in
-        ascending order of their runs' first coordinates, the coordinate a
-        step in ascending order reaches the orbit by first, each with its
-        parent and that coordinate.  The runs come in that order group by
-        group; where groups interleave, the new successors are sorted.
-        Distinct runs reach distinct orbits, so which successors are new
-        does not depend on the order the runs are tried in.  Reached states
-        are admissible (⊥ is, and an admissible edge ends in one), so a step
-        is blocked exactly when the resource it acquires is full.  A
-        successor is kept only at or below the ceiling (⊤ without targets):
-        the ceiling ascends within a group, so a run steps iff its last copy
-        stands below its own.  Every parent of a state below the ceiling is
-        below it too, so the ceiling cuts no path to such a state.
+        position form a run; a step moves one copy of a run from x to the
+        step's end y, which raises the run's last coordinate, so the code
+        grows by that coordinate's weight times y - x.  A state's new
+        successors are stored in ascending order of their runs' first
+        coordinates, the coordinate a step in ascending order reaches the
+        orbit by first, each with its parent and that coordinate.  The runs
+        come in that order group by group; where groups interleave, the new
+        successors are sorted.  Distinct runs reach distinct orbits, so which
+        successors are new does not depend on the order the runs are tried
+        in.  Reached states are admissible (⊥ is, and an admissible edge ends
+        in one), so a step is blocked exactly when the resource it acquires
+        is full.  A successor is kept only at or below the ceiling (⊤ without
+        targets): the ceiling ascends within a group, so a run steps iff its
+        last copy's ceiling is at least y.  Every parent of a state below the
+        ceiling is below it too, so the ceiling cuts no path to such a state.
 
         Each queued state carries its free slots, per resource its capacity
         less its point-use total, packed into one int with a field per
-        resource; a step adds its position's change, and is blocked when the
+        resource; a step adds the change from x to y, and is blocked when the
         field of the resource it acquires is 0.
 
-        With targets, a state in which some coordinate stands below its
-        ceiling at a position that requests nothing (⊥ or a release) expands
-        only the first such coordinate's step.  That step is
-        always enabled, disables no other step and commutes with every step,
-        and on a path to a state where every coordinate stands at an acquire
-        or at ⊤ it is taken later anyway; taking it first only lowers
-        point-use totals on the way, so each such state below the ceiling
-        stays reachable (a persistent set: Valmari, "Stubborn sets for
-        reduced state space generation", 1990).  A first pass over the runs
-        finds that coordinate: within a run the copies below their ceiling
-        are the last ones, so each run offers one candidate.  If the first
-        such coordinate is not the first of its
-        run, the run's first one stands at its ceiling at a position that
-        requests nothing, so no such state is reachable and the state
-        expands nothing.  The verdict routes never meet that case: the
-        ceiling of their targets stands at acquires or at ⊤.
+        Without targets y = x + 1.  With targets a step out of an acquire
+        goes on through the releases after it to the next acquire or ⊤, and
+        while some group has a copy at ⊥ that may step, only the first such
+        group's ⊥ run steps.  A release or ⊥ step is always enabled, disables
+        no step, commutes with every step and is taken on every path to a
+        state where every coordinate stands at an acquire or at ⊤; taking it
+        at once only lowers point-use totals on the way, so each such state
+        at or below the ceiling stays reachable (persistent sets: Godefroid,
+        LNCS 1032, 1996), and no stored state has a coordinate at a release.
         """
         program = self.program
         n = program.n
         kappa = program.kappa
+        reduced = self._reduced
         shift = list(itertools.accumulate((k.bit_length() for k in kappa), initial=0))
         field = [1 << s for s in shift]
         # the count vector holds every group's counts over positions 0..⊤ in
         # a row; per group, the indices of its positions below ⊤; per such
-        # index: the group's coordinates and their weights by rank, the field
-        # a step there must find above 0 (0 when it requests nothing), the
-        # step's change to the free slots, and the first rank whose ceiling
-        # lies above the position
+        # index: the group's coordinates, the code move by rank, the field a
+        # step there must find above 0 (0 when it requests nothing), the
+        # step's change to the free slots, the first rank whose ceiling lies
+        # at or above the step's end y, and y - x
         counts: list[int] = []
         blocks = []
         table: list = []
         for g in self._groups:
             top = program.tops[g[0]]
             held = program._point_idx[g[0]]
+            request = program._request_idx[g[0]]
             weights = [self._weight[c] for c in g]
             lows = [self.ceiling[c] for c in g]
             blocks.append(range(len(counts), len(counts) + top))
             counts += [len(g)] + [0] * top
-            for x, r in enumerate(program._request_idx[g[0]][:top]):
+            ends = list(range(1, top + 1))
+            for x in range(top - 2, -1, -1):
+                if reduced and request[x + 1] is None:  # on through a release
+                    ends[x] = ends[x + 1]
+            self._group_of.update(dict.fromkeys(g, (g, ends)))
+            moves = {1: weights}  # code moves by rank, per distance stepped
+            for x, (r, y) in enumerate(zip(request, ends)):
+                if y - x not in moves:
+                    moves[y - x] = [w * (y - x) for w in weights]
                 gate = 0 if r is None else field[r + 1] - field[r]  # r's field, all ones
-                change = sum(field[r] for r in held[x]) - sum(field[r] for r in held[x + 1])
-                table.append((g, weights, gate, change, bisect.bisect_right(lows, x)))
+                change = sum(field[r] for r in held[x]) - sum(field[r] for r in held[y])
+                table.append((g, moves[y - x], gate, change, bisect.bisect_left(lows, y), y - x))
             table.append(None)  # ⊤ never steps
         order = [c for g in self._groups for c in g]
         merge = order != sorted(order)  # groups interleave
-        reduced = self._reduced
+        bottoms = [block.start for block in blocks] if reduced else []
         links = self._links
         links[0] = -1
         free = sum(k << s for k, s in zip(kappa, shift))
         queue: deque[tuple[list[int], int, int]] = deque(((counts, 0, free),))
-        whole = [(block, 0) for block in blocks]  # (indices, rank of the first copy)
         while queue:
             counts, code, free = queue.popleft()
-            scan = whole
-            if reduced:
-                first = n
-                for block in blocks:
-                    lo = 0
-                    for i in block:
-                        if counts[i]:
-                            hi = lo + counts[i]
-                            g, _, gate, _, above = table[i]
-                            r = above if above > lo else lo
-                            if not gate and r < hi and g[r] < first:
-                                first = g[r]
-                                scan = [((i,), lo)] if r == lo else []
-                            lo = hi
+            scan = blocks
+            for b in bottoms:
+                if counts[b] > table[b][4]:  # the ⊥ run steps
+                    scan = (range(b, b + 1),)
+                    break
             # the new successors: (first coordinate of the run, code, index,
-            # change to the free slots)
+            # change to the free slots, distance stepped)
             fresh = []
-            for block, lo in scan:
+            for block in scan:
+                lo = 0
                 for i in block:
                     if counts[i]:
                         hi = lo + counts[i]
-                        g, weights, gate, change, above = table[i]
+                        g, moves, gate, change, above, jump = table[i]
                         if hi > above and (not gate or free & gate):
-                            key = code + weights[hi - 1]
+                            key = code + moves[hi - 1]
                             if key not in links:
-                                fresh.append((g[lo], key, i, change))
+                                fresh.append((g[lo], key, i, change, jump))
                         lo = hi
             if merge:
                 fresh.sort()
-            for f, key, i, change in fresh:
+            for f, key, i, change, jump in fresh:
                 links[key] = code * n + f
                 moved = counts[:]
                 moved[i] -= 1
-                moved[i + 1] += 1
+                moved[i + jump] += 1
                 queue.append((moved, key, free + change))
 
     @property
@@ -237,7 +231,7 @@ class ReachabilityIndex:
             ):
                 raise ValueError(
                     f"state {state} has a coordinate at neither an acquire nor ⊤, "
-                    "which the release-first search does not decide"
+                    "which the reduced search does not decide"
                 )
         return sum(map(operator.mul, target, self._weight))
 
@@ -271,7 +265,7 @@ class ReachabilityIndex:
     def _chain(self, code: int) -> list[State]:
         """A concrete admissible path ⊥ -> some state of the orbit coded
         ``code``, replaying the stored parents (group-sorted already) from
-        ⊥."""
+        ⊥, each stored step as unit steps up to its end."""
         n = self.program.n
         chain: list[tuple[int, int]] = []  # (value, coordinate) per step
         while code:
@@ -284,9 +278,10 @@ class ReachabilityIndex:
         concrete = [start]
         q = list(start)
         for value, coord in chain:
-            d = next(i for i in group_of[coord] if q[i] == value)
-            q[d] += 1
-            concrete.append(tuple(q))
+            g, ends = group_of[coord]
+            d = next(i for i in g if q[i] == value)
+            for q[d] in range(value + 1, ends[value] + 1):
+                concrete.append(tuple(q))
         return concrete
 
 

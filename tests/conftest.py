@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import pytest
+from hypothesis import Phase, settings
 
 from pvguard import (
     CapacityMap,
@@ -56,6 +57,12 @@ from pvguard.deadlock import (
 from pvguard.geometry import DEFAULT_MAX_STATES, guard_grid
 from pvguard.serializability import _classes, _one_short
 
+
+# Generation and shrinking, without the explain phase: on a failing
+# property it may replay the failure for longer than the per-test timeout
+# below, which then ends the run before pytest lists the failures.
+settings.register_profile("pvguard", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("pvguard")
 
 _STDERR = pytest.StashKey[int]()
 
@@ -460,25 +467,32 @@ def sorted_orbit_parents(program: Program) -> dict[State, tuple[State, int]]:
 
 
 def release_first_parents(program: Program, ceiling: State) -> dict[State, tuple[State, int]]:
-    """``sorted_orbit_parents`` kept at or below ``ceiling`` and reduced
-    release-first: where some coordinate stands below its ceiling at ⊥ or at
-    a release, only the first such coordinate's step is taken."""
+    """``sorted_orbit_parents`` kept at or below ``ceiling`` and reduced: a
+    coordinate that steps keeps stepping through the releases after it, to
+    the next acquire or ⊤, and while some group has a coordinate at ⊥ whose
+    step stays at or below the ceiling, only the first such group's ⊥ steps
+    are taken."""
     start = program.bottom
     threads = program.threads
+    groups = identity_groups(program)
     parents: dict[State, tuple[State, int]] = {start: (start, -1)}
     queue: deque[State] = deque((start,))
     while queue:
         state = queue.popleft()
-        free = [
-            i
-            for i, (t, x, top) in enumerate(zip(threads, state, ceiling))
-            if x < top and (t.action_at(x) is None or t.action_at(x).kind == RELEASE)
-        ]
+        moves = []
         for coord, nxt in successors(program, state):
-            if free and coord != free[0]:
-                continue
+            t = threads[coord]
+            while nxt[coord] < t.top and t.action_at(nxt[coord]).kind == RELEASE:
+                nxt = dict(successors(program, nxt))[coord]
             key = sort_groups(program, nxt)
-            if key not in parents and all(map(operator.le, key, ceiling)):
+            if all(map(operator.le, key, ceiling)):
+                moves.append((coord, key))
+        at_bottom = [[c for c, _ in moves if c in g and state[c] == 0] for g in groups]
+        first = next((cs for cs in at_bottom if cs), None)
+        for coord, key in moves:
+            if first and coord not in first:
+                continue
+            if key not in parents:
                 parents[key] = (state, coord)
                 queue.append(key)
     return parents

@@ -28,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SERIALIZABILITY = "src/pvguard/serializability.py"
 CLASS_TESTS = "tests/test_serializability.py::"
+DEADLOCK = "src/pvguard/deadlock.py"
+SEARCH_TESTS = "tests/test_deadlock.py::"
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,39 @@ MUTANTS = (
         "parent[y] = y = q",
         "parent[y] = -1",
         (CLASS_TESTS + "test_classes_match_level_dp_oracle",),
+    ),
+    # the reduced search: a copy must be able to step onto its own ceiling
+    Mutant(
+        "search-ceiling-strict",
+        DEADLOCK,
+        "bisect.bisect_left(lows, y)",
+        "bisect.bisect_right(lows, y)",
+        (SEARCH_TESTS + "test_reduced_search_matches_full_search",),
+    ),
+    # a step out of an acquire that goes through one release only, so a
+    # copy may stop at the next one
+    Mutant(
+        "search-release-run-cut-short",
+        DEADLOCK,
+        "ends[x] = ends[x + 1]",
+        "ends[x] = x + 2",
+        (SEARCH_TESTS + "test_reduced_search_stores_only_what_it_decides",),
+    ),
+    # every ⊥ run steps at once: same flags, more stored orbits
+    Mutant(
+        "search-bottom-rule-dropped",
+        DEADLOCK,
+        "bottoms = [block.start for block in blocks] if reduced else []",
+        "bottoms = []",
+        (SEARCH_TESTS + "test_release_first_search_stored_orbits",),
+    ),
+    # a step that acquires a full resource
+    Mutant(
+        "search-gate-ignored",
+        DEADLOCK,
+        "if hi > above and (not gate or free & gate):",
+        "if hi > above:",
+        (SEARCH_TESTS + "test_orbit_search_matches_sorting_oracle",),
     ),
 )
 

@@ -965,7 +965,7 @@ def test_family_choice_points_expand_no_state(monkeypatch):
 
 
 def test_choice_point_flags_come_from_the_release_first_search(monkeypatch):
-    # the (3,3,2) witness at 9 copies: the flag search stores 852 orbits,
+    # the (3,3,2) witness at 9 copies: the flag search stores 294 orbits,
     # where the full search below the same ceiling stores 16,820 and the
     # whole folded space holds 101,388
     built = []
@@ -980,7 +980,7 @@ def test_choice_point_flags_come_from_the_release_first_search(monkeypatch):
     program = Program.power(sharpserializable_witness(caps).thread, lcp_cutoff(caps), caps)
     records = serializability._choice_point_orbits(program, 10**8)
     (index,) = built
-    assert index.visited == 852
+    assert index.visited == 294
     full = deadlock.ReachabilityIndex(program)
     assert full.visited == 101388
     flags = [reachable for _, _, reachable in records.values()]
