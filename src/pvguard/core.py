@@ -3,7 +3,9 @@
 A PV thread is a finite sequence of P (acquire) and V (release) actions on
 named resources with fixed capacities.  A program runs several threads in
 parallel.  This module owns the data types plus the resource-use bookkeeping
-(hold intervals, point use, segment use) that every analysis builds on.
+(hold intervals, point use) that every analysis builds on.  Segment use, what
+a thread holds while it moves, is the step rule of ``Program._steps``; its
+definition from the hold intervals is a test oracle.
 
 Positions in a thread of length l are integers 0..l+1: position 0 is the
 start (printed as ``⊥``), positions 1..l sit on the actions, and l+1 is the
@@ -16,7 +18,7 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 ACQUIRE = "P"
 RELEASE = "V"
@@ -111,11 +113,6 @@ class CapacityMap:
             if not isinstance(cap, int) or cap < 1:
                 raise ValueError(f"capacity of {name!r} must be an integer >= 1")
             seen.add(name)
-
-    @classmethod
-    def of(cls, mapping: Mapping[str, int] | Iterable[tuple[str, int]]) -> "CapacityMap":
-        items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        return cls(tuple((str(k), int(v)) for k, v in items))
 
     @cached_property
     def _table(self) -> dict[str, int]:
@@ -266,16 +263,6 @@ class Thread:
                     held[p].add(res)
         return tuple(frozenset(s) for s in held)
 
-    @cached_property
-    def _segment_sets(self) -> tuple[frozenset[str], ...]:
-        # edge p -> p+1 holds r iff i <= p < j for some hold interval (i, j)
-        held: list[set[str]] = [set() for _ in range(self.top)]
-        for res, spans in self.hold_intervals.items():
-            for i, j in spans:
-                for p in range(i, j):
-                    held[p].add(res)
-        return tuple(frozenset(s) for s in held)
-
     def point_use(self, position: int) -> frozenset[str]:
         """Resources held while standing at an integer position.
 
@@ -286,28 +273,10 @@ class Thread:
             raise ValueError(f"position {position} out of range 0..{self.top}")
         return self._point_sets[position]
 
-    def segment_use(self, position: int) -> frozenset[str]:
-        """Resources held while traversing the edge position -> position+1.
-
-        Traversing the edge out of a P action counts as holding the resource;
-        the edge out of the matching V does not.
-        """
-        if not 0 <= position <= self.length:
-            raise ValueError(f"segment start {position} out of range 0..{self.length}")
-        return self._segment_sets[position]
-
     def action_at(self, position: int) -> Optional[Action]:
         if 1 <= position <= self.length:
             return self.actions[position - 1]
         return None
-
-    def label(self, position: int) -> str:
-        """Human-readable marker for a position, e.g. ``"2:Pb"``, ``"⊤"``."""
-        if position == 0:
-            return BOTTOM_LABEL
-        if position == self.top:
-            return TOP_LABEL
-        return f"{position}:{self.actions[position - 1].mnemonic}"
 
     def __str__(self) -> str:
         return " ".join(a.mnemonic for a in self.actions)

@@ -80,7 +80,7 @@ class ReachabilityIndex:
             orbits = []
             for state in targets:
                 program.check_state(state)
-                orbits.append(self.canon(state))
+                orbits.append(_canon(self._groups, state))
             self.ceiling = tuple(map(max, zip(program.bottom, *orbits)))
         self._reduced = targets is not None
         # states at or below the ceiling as mixed-radix codes, the last
@@ -93,9 +93,6 @@ class ReachabilityIndex:
         # coordinate its step is taken by (-1 for ⊥)
         self._links: dict[int, int] = {}
         self._search()
-
-    def canon(self, state: State) -> State:
-        return _canon(self._groups, state)
 
     def _search(self) -> None:
         """Breadth-first search over orbits, each identity group keyed by its
@@ -218,7 +215,7 @@ class ReachabilityIndex:
         coordinate stands at an acquire or at ⊤: the states the search
         decides."""
         self.program.check_state(state)
-        target = self.canon(state)
+        target = _canon(self._groups, state)
         if any(map(operator.gt, target, self.ceiling)):
             raise ValueError(
                 f"state {state} lies outside the search ceiling {self.ceiling}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import Program, PvError, SearchLimitExceeded, State
 
@@ -30,13 +30,6 @@ class ForbiddenRectangle:
 
     resource: str
     legs: tuple[tuple[int, tuple[int, int]], ...]
-
-    def contains_state(self, state: State) -> bool:
-        return all(a < state[c] < b for c, (a, b) in self.legs)
-
-    @property
-    def leg_coords(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.legs)
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,8 @@ class LatticePath:
         return tuple(out)
 
     def validate(self, program: Program) -> None:
-        """Raise unless every state is admissible and every step edge-admissible.
+        """Raise unless the path has a state, every state is admissible and
+        every step edge-admissible.
 
         One pass keeps the point-use totals of the current state.  A unit step
         changes one coordinate, so only its new value is range-checked and
@@ -80,7 +74,7 @@ class LatticePath:
         checking all states, then all steps, then all edges."""
         states = self.states
         if not states:
-            return
+            raise ValueError("a path needs at least one state")
         kappa = program.kappa
         tops = program.tops
         point = program._point_idx
@@ -121,7 +115,7 @@ class LatticePath:
             raise PvError(f"path takes inadmissible edge {state} along {coord + 1}")
 
 
-def path_from_steps(program: Program, start: State, steps: tuple[int, ...]) -> LatticePath:
+def path_from_steps(start: State, steps: Iterable[int]) -> LatticePath:
     states = [start]
     cur = list(start)
     for c in steps:

@@ -165,7 +165,7 @@ def dihomotopy_classes(
                 pos[d] += 1
                 pending |= silent[d][pos[d]] << d
                 steps.append(d)
-        representatives.append(path_from_steps(program, program.bottom, tuple(steps)))
+        representatives.append(path_from_steps(program.bottom, steps))
     return ClassReport(
         class_count=count,
         representatives=tuple(representatives),

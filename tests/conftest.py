@@ -158,6 +158,33 @@ def two_group_program(
 
 
 # ---------------------------------------------------------------------------
+# definitions from the hold intervals: segment use and rectangle membership
+
+
+def segment_use(thread: Thread, position: int) -> frozenset[str]:
+    """Resources held while traversing the edge position -> position+1: the
+    edge p -> p+1 holds r iff i <= p < j for a hold interval (i, j) of r, so
+    the edge out of a P action holds its resource and the edge out of the
+    matching V does not."""
+    if not 0 <= position <= thread.length:
+        raise ValueError(f"segment start {position} out of range 0..{thread.length}")
+    return frozenset(
+        res
+        for res, spans in thread.hold_intervals.items()
+        if any(i <= position < j for i, j in spans)
+    )
+
+
+def rectangle_contains(rect: ForbiddenRectangle, state: State) -> bool:
+    """The box is open: each leg coordinate lies strictly inside its interval."""
+    return all(a < state[c] < b for c, (a, b) in rect.legs)
+
+
+def leg_coords(rect: ForbiddenRectangle) -> tuple[int, ...]:
+    return tuple(c for c, _ in rect.legs)
+
+
+# ---------------------------------------------------------------------------
 # per-state tests: the one-state forms of the library's sweeps and tables
 
 
@@ -252,7 +279,7 @@ def serial_path(program: Program, order: tuple[int, ...]) -> LatticePath:
     steps: list[int] = []
     for c in order:
         steps += [c] * program.tops[c]
-    return path_from_steps(program, program.bottom, steps)
+    return path_from_steps(program.bottom, steps)
 
 
 def connectivity_serializable(
@@ -558,6 +585,8 @@ def concrete_family_deadlock_verdict(
 def validate_three_pass(path: LatticePath, program: Program) -> None:
     """``LatticePath.validate`` by three passes over the path: every state
     (range, then admissibility), then every step, then every edge."""
+    if not path.states:
+        raise ValueError("a path needs at least one state")
     for state in path.states:
         program.check_state(state)
         totals = program.use_totals(state)
@@ -594,7 +623,7 @@ class ExtendedRectangle:
 
 def extended_rectangle(rect: ForbiddenRectangle, s: int) -> ExtendedRectangle:
     """Extend every leg of the rectangle down to 0 except the chosen one."""
-    if s not in rect.leg_coords:
+    if s not in leg_coords(rect):
         raise ValueError(f"coordinate {s} is not a leg of {rect}")
     kept = next(leg for leg in rect.legs if leg[0] == s)
     lowered = tuple((c, b) for c, (_, b) in rect.legs if c != s)
@@ -621,7 +650,7 @@ def schedules(program: Program) -> list[Schedule]:
     rects = forbidden_rectangles(program)
     return [
         Schedule(tuple(zip(rects, combo)))
-        for combo in itertools.product(*[r.leg_coords for r in rects])
+        for combo in itertools.product(*[leg_coords(r) for r in rects])
     ]
 
 
@@ -734,7 +763,7 @@ def dihomotopy_classes_by_enumeration(
     reps = sorted(least.values())
     return ClassReport(
         class_count=len(reps),
-        representatives=tuple(path_from_steps(program, program.bottom, r) for r in reps),
+        representatives=tuple(path_from_steps(program.bottom, r) for r in reps),
         serial_classes_covered=len(serial_roots),
         serializable=len(reps) == len(serial_roots),
     )
@@ -851,7 +880,7 @@ def level_dp_classes(
     assert all(e == program.top for e in ends)
     class_count = len(ends)
     representatives = tuple(
-        path_from_steps(program, program.bottom, steps) for steps in reps
+        path_from_steps(program.bottom, steps) for steps in reps
     )
 
     serial_ids = set()

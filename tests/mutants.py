@@ -30,6 +30,10 @@ SERIALIZABILITY = "src/pvguard/serializability.py"
 CLASS_TESTS = "tests/test_serializability.py::"
 DEADLOCK = "src/pvguard/deadlock.py"
 SEARCH_TESTS = "tests/test_deadlock.py::"
+VIEW_TEST = SEARCH_TESTS + "test_orbit_view_matches_brute_force_on_interleaved_groups"
+RECORD_TEST = CLASS_TESTS + "test_family_choice_point_view_matches_concrete_routes"
+REPORT = "src/pvguard/report.py"
+CORE = "src/pvguard/core.py"
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,91 @@ MUTANTS = (
         "if hi > above and (not gate or free & gate):",
         "if hi > above:",
         (SEARCH_TESTS + "test_orbit_search_matches_sorting_oracle",),
+    ),
+    # the witness-path guard refusing a bound its paths fit exactly
+    Mutant(
+        "guard-paths-at-the-bound",
+        DEADLOCK,
+        'if size > max_states:\n        raise SearchLimitExceeded(max_states, f"witness-path',
+        'if size >= max_states:\n        raise SearchLimitExceeded(max_states, f"witness-path',
+        (SEARCH_TESTS + "test_find_deadlocks_bounds_witness_paths",),
+    ),
+    # the sub-program enumerator taking each group's last indices first
+    Mutant(
+        "subprograms-last-indices",
+        DEADLOCK,
+        "for r, i in enumerate(g)}",
+        "for r, i in enumerate(g[::-1])}",
+        (SEARCH_TESTS + "test_subprogram_indices_are_the_sorted_count_vectors",),
+    ),
+    # the orbit view: unranking, ranking, reversal, ``count`` and ``in``
+    Mutant(
+        "view-values-descending",
+        DEADLOCK,
+        "values = sorted(set().union(*self._orbits))",
+        "values = sorted(set().union(*self._orbits), reverse=True)",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-rank-one-value-too-many",
+        DEADLOCK,
+        "for j in range(k) for counts",
+        "for j in range(k + 1) for counts",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-reversed-not-reversing",
+        DEADLOCK,
+        "return map(self._unrank, reversed(range(self._len)))",
+        "return map(self._unrank, range(self._len))",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-count-always-one",
+        DEADLOCK,
+        "return int(item in self)",
+        "return 1",
+        (RECORD_TEST,),
+    ),
+    Mutant(
+        "view-in-without-record",
+        DEADLOCK,
+        "if orbit not in self._orbits or self._record(state, self._orbits[orbit]) != item:",
+        "if orbit not in self._orbits:",
+        (RECORD_TEST,),
+    ),
+    # the encoder: JSON's spelling of NaN, and keys in sorted order
+    Mutant(
+        "encoder-lowercase-nan",
+        REPORT,
+        'return "NaN"',
+        'return "nan"',
+        ("tests/test_report.py::test_dumps_matches_json_on_edge_values",),
+    ),
+    Mutant(
+        "encoder-unsorted-keys",
+        REPORT,
+        "for key, value in sorted(obj.items()):",
+        "for key, value in obj.items():",
+        ("tests/test_report.py::test_dumps_matches_json_on_edge_values",),
+    ),
+    # the per-thread index tables: the point of a P holds what was held
+    # before it, and each point lists its resources in ascending order
+    Mutant(
+        "index-point-after-acquire",
+        CORE,
+        "points.append(tuple(held))\n                    requests.append(r)\n"
+        "                    insort(held, r)",
+        "insort(held, r)\n                    points.append(tuple(held))\n"
+        "                    requests.append(r)",
+        ("tests/test_core.py::test_index_tables_match_point_use_and_action_at",),
+    ),
+    Mutant(
+        "index-unsorted-append",
+        CORE,
+        "insort(held, r)",
+        "held.append(r)",
+        ("tests/test_core.py::test_index_tables_match_point_use_and_action_at",),
     ),
 )
 

@@ -15,7 +15,7 @@ from pvguard import (
     thread_violations,
 )
 
-from conftest import make_caps, random_valid_actions
+from conftest import make_caps, random_valid_actions, segment_use
 
 
 def test_parse_actions_forms():
@@ -85,7 +85,7 @@ def test_point_and_segment_use():
         [],
     ]
     # on the move, the acquire position already counts
-    assert [sorted(t.segment_use(p)) for p in range(5)] == [
+    assert [sorted(segment_use(t, p)) for p in range(5)] == [
         [],
         ["a"],
         ["a", "b"],
@@ -98,7 +98,9 @@ def test_point_use_empty_at_ends():
     t = Thread.from_text("Pa Va")
     assert t.point_use(0) == frozenset()
     assert t.point_use(t.top) == frozenset()
-    assert t.segment_use(0) == frozenset()
+    assert segment_use(t, 0) == frozenset()
+    with pytest.raises(ValueError, match="out of range"):
+        segment_use(t, t.top)
 
 
 def test_action_at_positions():
@@ -114,13 +116,6 @@ def test_acquire_positions():
     assert t.acquire_positions == (1, 2, 4, 6)
 
 
-def test_labels():
-    t = Thread.from_text("Pa Va")
-    assert t.label(0) == "⊥"
-    assert t.label(1) == "1:Pa"
-    assert t.label(3) == "⊤"
-
-
 def test_capacity_map_basics():
     caps = CapacityMap((("a", 2), ("b", 1)))
     assert caps["a"] == 2 and caps["b"] == 1
@@ -128,7 +123,6 @@ def test_capacity_map_basics():
     assert caps.total() == 3
     assert "a" in caps and "z" not in caps
     assert caps.restrict(["b"]).items() == (("b", 1),)
-    assert CapacityMap.of({"a": 2})["a"] == 2
 
 
 def test_capacity_map_rejects_bad_entries():
@@ -229,7 +223,7 @@ def test_segment_use_matches_running_recursion(text):
             held.add(act.resource)
         if act is not None and act.kind == "V":
             held.discard(act.resource)
-        assert t.segment_use(p) == frozenset(held)
+        assert segment_use(t, p) == frozenset(held)
 
 
 @given(valid_action_texts())
@@ -237,8 +231,8 @@ def test_segment_use_matches_running_recursion(text):
 def test_point_use_within_segment_use(text):
     t = Thread.from_text(text)
     for p in range(t.top):
-        assert t.point_use(p) <= t.segment_use(p)
-        assert t.point_use(p + 1) <= t.segment_use(p)
+        assert t.point_use(p) <= segment_use(t, p)
+        assert t.point_use(p + 1) <= segment_use(t, p)
 
 
 @given(valid_action_texts())

@@ -26,11 +26,14 @@ from pvguard import geometry
 from conftest import (
     edge_admissible,
     extended_rectangle,
+    leg_coords,
     make_caps,
     naive_count_dipaths,
     random_program,
     reachable,
     reachable_states,
+    rectangle_contains,
+    segment_use,
     square_admissible,
     validate_three_pass,
 )
@@ -69,12 +72,12 @@ def test_rectangle_membership():
     assert rect.legs == ((0, (1, 2)), (1, (1, 2)))
     # the open box (1,2)x(1,2) holds no integer state at all
     assert not any(
-        rect.contains_state((x, y)) for x in range(4) for y in range(4)
+        rectangle_contains(rect, (x, y)) for x in range(4) for y in range(4)
     )
     # nor, with leg 1 kept open, the unit edge from (1, 1) along leg 0:
     # leg 1 only touches 1
     assert extended_rectangle(rect, 1).meets_edge((1, 1), 0) is False
-    assert rect.leg_coords == (0, 1)
+    assert leg_coords(rect) == (0, 1)
 
 
 def test_state_admissibility_fig_square():
@@ -164,6 +167,9 @@ def test_lattice_path_validate_messages():
         LatticePath(over).validate(Program.power(T1, 2, make_caps(a=1, b=1)))
     with pytest.raises(ValueError, match="^not a unit lattice step$"):
         LatticePath(((0, 0), (1, 1))).validate(EX3)
+    # a path without states has no start or end: malformed, like a bad step
+    with pytest.raises(ValueError, match="^a path needs at least one state$"):
+        LatticePath(()).validate(EX3)
     prog = Program((Thread.from_text("Pa Pb Vb Va"), Thread.from_text("Pa Va")),
                    make_caps(a=1, b=1))
     edge = ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
@@ -269,7 +275,7 @@ def test_validate_matches_three_pass_oracle():
 
 
 def test_path_from_steps():
-    p = path_from_steps(EX3, (0, 0), (0, 0, 1, 1))
+    p = path_from_steps((0, 0), (0, 0, 1, 1))
     assert p.end == (2, 2)
     assert p.steps() == (0, 0, 1, 1)
 
@@ -326,7 +332,7 @@ def test_admissible_iff_outside_every_rectangle():
         prog = random_program(rng, ["a", "b"], caps, rng.randint(2, 3), 2)
         rects = forbidden_rectangles(prog)
         for state in itertools.product(*(range(t + 1) for t in prog.tops)):
-            inside = any(r.contains_state(state) for r in rects)
+            inside = any(rectangle_contains(r, state) for r in rects)
             assert inside != state_admissible(prog, state)
 
 
@@ -375,7 +381,7 @@ def test_edge_and_square_rules_match_segment_use():
         def use(state, moving):
             out = {r: 0 for r in caps.names}
             for c, (t, x) in enumerate(zip(prog.threads, state)):
-                for r in t.segment_use(x) if c in moving else t.point_use(x):
+                for r in segment_use(t, x) if c in moving else t.point_use(x):
                     out[r] += 1
             return out
 

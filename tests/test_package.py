@@ -32,15 +32,18 @@ NOT_EXPORTED = {
     "is_potential_deadlock",
     "lcp_definition_check",
     "lcp_to_potential_deadlock",
+    "leg_coords",
     "level_dp_classes",
     "path_obeys",
     "path_schedule",
     "potential_deadlock_certificate",
     "reachable",
     "reachable_states",
+    "rectangle_contains",
     "scatter_state",
     "schedule_feasible",
     "schedules",
+    "segment_use",
     "serial_orders",
     "serial_path",
     "square_admissible",
@@ -59,23 +62,44 @@ def test_oracles_are_not_exported():
         assert not hasattr(pvguard, name), name
 
 
-def loaded_names(tree: ast.AST) -> set[str]:
-    """The names a module reads: bare names and attribute names."""
+def loaded_names(tree: ast.AST, attributes_only: bool = False) -> set[str]:
+    """The names a module reads: attribute names, and bare names unless
+    ``attributes_only``."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def exported_members(tree: ast.AST) -> set[tuple[str, str]]:
+    """(class, member) for each non-dunder function or property defined in
+    the body of an exported class."""
+    return {
+        (cls.name, fn.name)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in pvguard.__all__
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
     }
 
 
 def test_every_export_has_a_user():
     # every public name is read by the package beyond its own definition and
-    # __init__, or by a demo
-    used = set()
+    # __init__, or by a demo; every member of an exported class is read as an
+    # attribute there (a bare name is no read of a member: demo 02 has a
+    # local ``label``), so members only tests read live in tests/conftest.py
+    used, attributes, members = set(), set(), set()
     for path in [*PACKAGE.glob("*.py"), *DEMOS]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.name != "__init__.py":
-            used |= loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+            used |= loaded_names(tree)
+        attributes |= loaded_names(tree, attributes_only=True)
+        members |= exported_members(tree)
     assert sorted(set(pvguard.__all__) - used) == []
+    assert sorted(f"{c}.{m}" for c, m in members if m not in attributes) == []
 
 
 def test_demos_are_present():
@@ -134,7 +158,7 @@ def test_folded_engines_skip_per_state_checks(monkeypatch):
         raise AssertionError("called from a folded engine")
 
     monkeypatch.setattr(Program, "check_state", forbidden)
-    # the group sort behind ReachabilityIndex.canon and the view's ``in``
+    # the group sort behind the index's state queries and the view's ``in``
     monkeypatch.setattr(deadlock, "_canon", forbidden)
     for module in (geometry, deadlock, serializability):
         # raising=False: serializability does not import it

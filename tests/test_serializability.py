@@ -80,7 +80,7 @@ def test_serial_order_detection():
 def test_interleaved_path_is_not_serial():
     from pvguard import path_from_steps
 
-    p = path_from_steps(EX3, (0, 0), (0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
+    p = path_from_steps((0, 0), (0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
     assert not is_serial(p)
     assert serial_order(p) is None
 
