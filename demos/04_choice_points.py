@@ -42,7 +42,8 @@ up = set(potential_deadlocks(Program.power(plan.thread, plan.instance_n + 1, cap
 
 
 def lifted(cp):
-    holder = next(x for x in cp.state if cp.resource in plan.thread.point_use(x))
+    spans = plan.thread.hold_intervals[cp.resource]
+    holder = next(x for x in cp.state if any(i < x < j for i, j in spans))
     return (holder,) + cp.state
 
 

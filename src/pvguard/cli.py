@@ -22,6 +22,7 @@ from .core import (
     Program,
     PvError,
     SearchLimitExceeded,
+    _NAME,
 )
 from .deadlock import (
     _guard_paths,
@@ -265,7 +266,7 @@ def _cmd_lcp(args) -> int:
     return EXIT_VIOLATION if cps else EXIT_OK
 
 
-_CAP_TOKEN = re.compile(r"^([A-Za-z_]\w*):(\d+)$")
+_CAP_TOKEN = re.compile(rf"^({_NAME}):(\d+)$")
 
 
 def _parse_caps(tokens: Sequence[str]) -> CapacityMap:

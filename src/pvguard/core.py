@@ -3,9 +3,9 @@
 A PV thread is a finite sequence of P (acquire) and V (release) actions on
 named resources with fixed capacities.  A program runs several threads in
 parallel.  This module owns the data types plus the resource-use bookkeeping
-(hold intervals, point use) that every analysis builds on.  Segment use, what
-a thread holds while it moves, is the step rule of ``Program._steps``; its
-definition from the hold intervals is a test oracle.
+(hold intervals, index tables) that every analysis builds on.  Point use is the
+``Program._point_idx`` table, segment use the step rule of ``Program._steps``;
+their definitions from the hold intervals are test oracles.
 
 Positions in a thread of length l are integers 0..l+1: position 0 is the
 start (printed as ``⊥``), positions 1..l sit on the actions, and l+1 is the
@@ -25,6 +25,8 @@ RELEASE = "V"
 
 BOTTOM_LABEL = "⊥"  # ⊥
 TOP_LABEL = "⊤"  # ⊤
+
+_NAME = r"[A-Za-z_]\w*"  # resource, thread and program names in a source file
 
 
 class PvError(Exception):
@@ -106,11 +108,11 @@ class CapacityMap:
     def __post_init__(self) -> None:
         seen = set()
         for name, cap in self.entries:
-            if not name:
-                raise ValueError("resource name must be nonempty")
+            if not isinstance(name, str) or not re.fullmatch(_NAME, name):
+                raise ValueError(f"resource name {name!r} must match {_NAME}")
             if name in seen:
                 raise ValueError(f"duplicate resource {name!r}")
-            if not isinstance(cap, int) or cap < 1:
+            if type(cap) is not int or cap < 1:
                 raise ValueError(f"capacity of {name!r} must be an integer >= 1")
             seen.add(name)
 
@@ -249,30 +251,6 @@ class Thread:
     def resources_used(self) -> frozenset[str]:
         return frozenset(a.resource for a in self.actions)
 
-    @cached_property
-    def acquire_positions(self) -> tuple[int, ...]:
-        return tuple(p for p, a in enumerate(self.actions, start=1) if a.kind == ACQUIRE)
-
-    @cached_property
-    def _point_sets(self) -> tuple[frozenset[str], ...]:
-        # position p holds r iff i < p < j for some hold interval (i, j)
-        held: list[set[str]] = [set() for _ in range(self.top + 1)]
-        for res, spans in self.hold_intervals.items():
-            for i, j in spans:
-                for p in range(i + 1, j):
-                    held[p].add(res)
-        return tuple(frozenset(s) for s in held)
-
-    def point_use(self, position: int) -> frozenset[str]:
-        """Resources held while standing at an integer position.
-
-        The count is 0 at both endpoints of a hold interval: a resource is
-        requested but not yet held at its P action, and released at its V.
-        """
-        if not 0 <= position <= self.top:
-            raise ValueError(f"position {position} out of range 0..{self.top}")
-        return self._point_sets[position]
-
     def action_at(self, position: int) -> Optional[Action]:
         if 1 <= position <= self.length:
             return self.actions[position - 1]
@@ -280,6 +258,12 @@ class Thread:
 
     def __str__(self) -> str:
         return " ".join(a.mnemonic for a in self.actions)
+
+
+def _check_declared(thread: Thread, caps: CapacityMap) -> None:
+    """Raise :class:`InvalidThreadError` if ``thread`` uses an undeclared resource."""
+    if not thread.resources_used <= caps._table.keys():
+        raise InvalidThreadError(thread_violations(thread.actions, caps))
 
 
 def single_access(thread: Thread) -> bool:
@@ -304,10 +288,8 @@ class Program:
     def __post_init__(self) -> None:
         if not self.threads:
             raise ValueError("a program needs at least one thread")
-        declared = set(self.caps.names)
         for t in self.threads:
-            if not t.resources_used <= declared:
-                raise InvalidThreadError(thread_violations(t.actions, self.caps))
+            _check_declared(t, self.caps)
 
     @classmethod
     def power(cls, thread: Thread, n: int, caps: CapacityMap) -> "Program":
@@ -361,10 +343,6 @@ class Program:
         return self.caps.names
 
     @cached_property
-    def _res_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.resource_names)}
-
-    @cached_property
     def kappa(self) -> tuple[int, ...]:
         return tuple(self.caps[name] for name in self.resource_names)
 
@@ -373,7 +351,7 @@ class Program:
         """``_point_idx`` and ``_request_idx``, built in one sweep over the
         actions of each distinct thread (by identity) and shared by its
         copies."""
-        ri = self._res_index
+        ri = {name: i for i, name in enumerate(self.resource_names)}
         tables: dict[int, tuple] = {}
         for t in self.threads:
             if id(t) in tables:
@@ -397,8 +375,7 @@ class Program:
 
     @cached_property
     def _point_idx(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per thread, per position: indices of resources held at that point
-        (ascending), as :meth:`Thread.point_use` gives them."""
+        """Per thread, per position: indices of the resources held there, ascending."""
         return self._index_tables[0]
 
     @cached_property

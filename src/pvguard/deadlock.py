@@ -29,6 +29,7 @@ from .core import (
     SearchLimitExceeded,
     State,
     Thread,
+    _check_declared,
     single_access,
 )
 from .geometry import (
@@ -369,8 +370,8 @@ def _hit_orbits(
     order = [i for g in groups for i in g]
     leads = {g[0] for g in groups}  # a group's first coordinate has no lower bound
     options = [
-        [(p, request[i][p]) for p in t.acquire_positions] + [(t.top, None)]
-        for i, t in enumerate(program.threads)
+        [(p, r) for p, r in enumerate(request[i]) if r is not None] + [(top, None)]
+        for i, top in enumerate(program.tops)
     ]
     totals = [0] * len(kappa)
     requests: list[Optional[int]] = [None] * n
@@ -786,9 +787,10 @@ def family_deadlock_verdict(
     deadlocks are decided per orbit and never expanded: ``witnesses`` is an
     :class:`OrbitView`, so neither its states nor their witness paths are
     counted against ``max_states``.
+    Raises :class:`InvalidThreadError` on an undeclared resource.
     """
-    used = caps.restrict(thread.resources_used)
-    cutoff = deadlock_cutoff(used)
+    _check_declared(thread, caps)
+    cutoff = deadlock_cutoff(caps.restrict(thread.resources_used))
     if single_access(thread):
         return FamilyVerdict(
             "deadlock-freedom",

@@ -38,6 +38,10 @@ class LatticePath:
 
     states: tuple[State, ...]
 
+    def __post_init__(self) -> None:
+        if not self.states:
+            raise ValueError("a path needs at least one state")
+
     def __len__(self) -> int:
         return len(self.states)
 
@@ -62,8 +66,7 @@ class LatticePath:
         return tuple(out)
 
     def validate(self, program: Program) -> None:
-        """Raise unless the path has a state, every state is admissible and
-        every step edge-admissible.
+        """Raise unless every state is admissible and every step edge-admissible.
 
         One pass keeps the point-use totals of the current state.  A unit step
         changes one coordinate, so only its new value is range-checked and
@@ -73,8 +76,6 @@ class LatticePath:
         first bad edge raises after the pass.  So faults are reported as by
         checking all states, then all steps, then all edges."""
         states = self.states
-        if not states:
-            raise ValueError("a path needs at least one state")
         kappa = program.kappa
         tops = program.tops
         point = program._point_idx

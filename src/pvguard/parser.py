@@ -22,15 +22,16 @@ from .core import (
     ParseError,
     Program,
     Thread,
+    _NAME,
     _scan_actions,
     thread_violations,
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_]\w*")
-_PROGRAM_TOKEN_RE = re.compile(r"\s*([A-Za-z_]\w*|\^|\||\d+)")
+_NAME_RE = re.compile(_NAME)
+_PROGRAM_TOKEN_RE = re.compile(rf"\s*({_NAME}|\^|\||\d+)")
 _RESOURCE_RE = re.compile(r"\s*resource\b")
-_RESOURCE_BODY_RE = re.compile(r"\s*([A-Za-z_]\w*)\s+cap\s+(\S+)\s*$")
-_DECLARATION_RE = re.compile(r"\s*(thread|program)\s+([A-Za-z_]\w*)\s*=\s*")
+_RESOURCE_BODY_RE = re.compile(rf"\s*({_NAME})\s+cap\s+(\S+)\s*$")
+_DECLARATION_RE = re.compile(rf"\s*(thread|program)\s+({_NAME})\s*=\s*")
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .core import (
     SearchLimitExceeded,
     State,
     Thread,
+    _check_declared,
 )
 from .deadlock import (
     FamilyVerdict,
@@ -361,15 +362,17 @@ def kappa1_pair_serializable(
     the class DP's grid and the (class, step) pairs per level of the DP over
     all states, as in :func:`dihomotopy_classes`, although the DP runs on
     run ends, where one level may hold classes of several of those levels;
-    no representatives are built.
+    no representatives are built.  An undeclared resource raises
+    :class:`InvalidThreadError`, as in :class:`Program`.
     """
     used = thread.resources_used
     if not used:
         raise ValueError("thread uses no resources; the pair test needs contention")
+    pair = Program.power(thread, 2, caps)
     for r in used:
         if caps[r] != 1:
             raise ValueError(f"pair test requires capacity 1, got κ({r})={caps[r]}")
-    count, covered, _ = _classes(Program.power(thread, 2, caps), max_states)
+    count, covered, _ = _classes(pair, max_states)
     return count == covered
 
 
@@ -507,10 +510,10 @@ def family_serializability_verdict(
     inconclusive with per-size analysis suggested.  The choice points are
     decided per orbit (``_choice_point_orbits``) and never expanded:
     ``choice_points`` is an :class:`OrbitView` of :class:`ChoicePoint`
-    records.
+    records.  Raises :class:`InvalidThreadError` on an undeclared resource.
     """
-    used = caps.restrict(thread.resources_used) if thread.resources_used else None
-    if used is None:
+    _check_declared(thread, caps)
+    if not thread.resources_used:
         return FamilyVerdict(
             "serializability",
             "yes",
@@ -519,7 +522,7 @@ def family_serializability_verdict(
             "the thread touches no resources, so all interleavings are "
             "equivalent to a serial run",
         )
-    values = {used[r] for r in used.names}
+    values = {caps[r] for r in thread.resources_used}
     if values == {1}:
         try:
             ok = kappa1_pair_serializable(thread, caps, max_states)
@@ -544,8 +547,8 @@ def family_serializability_verdict(
             "a non-serial schedule of the pair is feasible",
             manifests_at_n=2,
         )
+    cutoff = lcp_cutoff(caps.restrict(thread.resources_used))
     if all(v >= 2 for v in values):
-        cutoff = lcp_cutoff(used)
         program = Program.power(thread, cutoff, caps)
         try:
             records = _choice_point_orbits(program, max_states)
@@ -575,7 +578,6 @@ def family_serializability_verdict(
             choice_points=cps,
             program=program,
         )
-    cutoff = lcp_cutoff(used)
     return FamilyVerdict(
         "serializability",
         "inconclusive",

@@ -158,7 +158,22 @@ def two_group_program(
 
 
 # ---------------------------------------------------------------------------
-# definitions from the hold intervals: segment use and rectangle membership
+# definitions from the hold intervals: point use, segment use and rectangle
+# membership
+
+
+def point_use(thread: Thread, position: int) -> frozenset[str]:
+    """Resources held while standing at an integer position: p holds r iff
+    i < p < j for a hold interval (i, j) of r.  The count is 0 at both
+    endpoints of a hold interval: a resource is requested but not yet held
+    at its P action, and released at its V."""
+    if not 0 <= position <= thread.top:
+        raise ValueError(f"position {position} out of range 0..{thread.top}")
+    return frozenset(
+        res
+        for res, spans in thread.hold_intervals.items()
+        if any(i < position < j for i, j in spans)
+    )
 
 
 def segment_use(thread: Thread, position: int) -> frozenset[str]:
@@ -255,7 +270,7 @@ def lcp_to_potential_deadlock(program: Program, cp: ChoicePoint) -> State:
     if any(program.caps[r] < 2 for t in program.threads for r in t.resources_used):
         raise ValueError("construction needs every used κ >= 2")
     for k, pos in enumerate(cp.state):
-        if cp.resource in program.threads[k].point_use(pos):
+        if cp.resource in point_use(program.threads[k], pos):
             if is_potential_deadlock(_copy_in_front(program, k), (pos,) + cp.state):
                 return (pos,) + cp.state
     raise PvError(f"no holder of {cp.resource} at {cp.state} yields a potential deadlock")
@@ -348,7 +363,7 @@ def naive_potential_deadlocks(program: Program) -> set[State]:
             continue
         for r in requested:
             requested[r] = sum(
-                r in t.point_use(state[c]) for c, t in enumerate(program.threads)
+                r in point_use(t, state[c]) for c, t in enumerate(program.threads)
             )
         if all(requested[r] == program.caps[r] for r in requested):
             out.add(state)
@@ -585,8 +600,6 @@ def concrete_family_deadlock_verdict(
 def validate_three_pass(path: LatticePath, program: Program) -> None:
     """``LatticePath.validate`` by three passes over the path: every state
     (range, then admissibility), then every step, then every edge."""
-    if not path.states:
-        raise ValueError("a path needs at least one state")
     for state in path.states:
         program.check_state(state)
         totals = program.use_totals(state)

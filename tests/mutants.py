@@ -34,6 +34,10 @@ VIEW_TEST = SEARCH_TESTS + "test_orbit_view_matches_brute_force_on_interleaved_g
 RECORD_TEST = CLASS_TESTS + "test_family_choice_point_view_matches_concrete_routes"
 REPORT = "src/pvguard/report.py"
 CORE = "src/pvguard/core.py"
+GEOMETRY = "src/pvguard/geometry.py"
+CLI = "src/pvguard/cli.py"
+SWEEP_TEST = SEARCH_TESTS + "test_potential_matches_naive_sweep"
+VALIDATE_TEST = "tests/test_geometry.py::test_validate_matches_three_pass_oracle"
 
 
 @dataclass(frozen=True)
@@ -200,6 +204,146 @@ MUTANTS = (
         "if orbit not in self._orbits or self._record(state, self._orbits[orbit]) != item:",
         "if orbit not in self._orbits:",
         (RECORD_TEST,),
+    ),
+    # the candidate sweep: copies of a group may share a position, each
+    # group's first coordinate starts afresh, and a request may fill its
+    # resource exactly
+    Mutant(
+        "sweep-positions-strictly-increasing",
+        DEADLOCK,
+        "range(0 if i in leads else lo, len(opts))",
+        "range(0 if i in leads else lo + 1, len(opts))",
+        (SWEEP_TEST,),
+    ),
+    Mutant(
+        "sweep-no-group-leads",
+        DEADLOCK,
+        "leads = {g[0] for g in groups}",
+        "leads = set()",
+        (SWEEP_TEST,),
+    ),
+    Mutant(
+        "sweep-request-below-capacity",
+        DEADLOCK,
+        "totals[req] <= kappa[req]",
+        "totals[req] < kappa[req]",
+        (SWEEP_TEST,),
+    ),
+    # the guards: each count is exact, and each bound admits what it counts
+    Mutant(
+        "guard-paths-without-the-start-state",
+        DEADLOCK,
+        "count * (sum(orbit) + 1)",
+        "count * sum(orbit)",
+        (SEARCH_TESTS + "test_find_deadlocks_bounds_witness_paths",),
+    ),
+    Mutant(
+        "guard-members-at-the-bound",
+        DEADLOCK,
+        'if size > max_states:\n        raise SearchLimitExceeded(max_states, f"concrete',
+        'if size >= max_states:\n        raise SearchLimitExceeded(max_states, f"concrete',
+        (SEARCH_TESTS + "test_potential_deadlocks_bound_counts_concrete_states",),
+    ),
+    Mutant(
+        "cli-family-print-cap-removed",
+        CLI,
+        "_guard_paths(sizes, args.max_states)",
+        "pass",
+        ("tests/test_cli.py::test_family_deadlock_print_bound_is_exact",),
+    ),
+    Mutant(
+        "subprogram-count-short-slice",
+        DEADLOCK,
+        "coeffs[max(0, m - len(g)) : m + 1]",
+        "coeffs[max(0, m - len(g) + 1) : m + 1]",
+        (SEARCH_TESTS + "test_subprogram_indices_are_the_sorted_count_vectors",),
+    ),
+    Mutant(
+        "subprogram-bound-at-the-count",
+        DEADLOCK,
+        "if count > max_states:",
+        "if count >= max_states:",
+        (SEARCH_TESTS + "test_program_verdict_bounds_the_subprogram_count",),
+    ),
+    Mutant(
+        "orbit-states-one-value-short",
+        CORE,
+        "comb(self.tops[g[0]] + len(g), len(g))",
+        "comb(self.tops[g[0]] + len(g) - 1, len(g))",
+        (SEARCH_TESTS + "test_orbit_states_counts_multisets",),
+    ),
+    # the orbit view: membership, permutations, unranking slots, ``==``,
+    # ``len``, iteration order and ``index``'s range
+    Mutant(
+        "view-in-without-length-check",
+        DEADLOCK,
+        "if not isinstance(state, tuple) or len(state) != sum(map(len, self._groups)):",
+        "if not isinstance(state, tuple):",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-in-sorts-whole-state",
+        DEADLOCK,
+        "orbit = _canon(self._groups, state)",
+        "orbit = tuple(sorted(state))",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "permutations-reverse-stepping-group-only",
+        DEADLOCK,
+        "tails = [[q for q in g if q > i] for g in groups]",
+        "tails = [[q for q in g if q > i] for g in groups if i in g]",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-copies-left-of-whole-group",
+        DEADLOCK,
+        "slots[i] = (k * len(values), len(g) - r)",
+        "slots[i] = (k * len(values), len(g))",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-eq-ignores-length",
+        DEADLOCK,
+        "return size == self._len and all(map(operator.eq, self, other))",
+        "return all(map(operator.eq, self, other))",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-len-counts-orbits",
+        DEADLOCK,
+        "return sum(_orbit_size(self._groups, orbit) for orbit in self._orbits)",
+        "return len(self._orbits)",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-iteration-chained",
+        DEADLOCK,
+        "return heapq.merge(*members, key=self._key)",
+        "return itertools.chain(*members)",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-index-ignores-start-stop",
+        DEADLOCK,
+        "if rank in range(self._len)[start:stop]:",
+        "if rank in range(self._len):",
+        (SEARCH_TESTS + "test_family_witness_view_indexes_without_expanding",),
+    ),
+    # the path validator: a step onto a full resource, and a step past ⊤
+    Mutant(
+        "validate-edge-admits-full-resource",
+        GEOMETRY,
+        "if r is not None and totals[r] >= kappa[r]:",
+        "if r is not None and totals[r] > kappa[r]:",
+        ("tests/test_geometry.py::test_lattice_path_validate_messages",),
+    ),
+    Mutant(
+        "validate-step-past-top-unchecked",
+        GEOMETRY,
+        "if x >= tops[c]:",
+        "if x > tops[c]:",
+        (VALIDATE_TEST,),
     ),
     # the encoder: JSON's spelling of NaN, and keys in sorted order
     Mutant(

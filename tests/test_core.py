@@ -10,12 +10,15 @@ from pvguard import (
     InvalidThreadError,
     Program,
     Thread,
+    family_deadlock_verdict,
+    family_serializability_verdict,
+    kappa1_pair_serializable,
     parse_actions,
     single_access,
     thread_violations,
 )
 
-from conftest import make_caps, random_valid_actions, segment_use
+from conftest import make_caps, point_use, random_valid_actions, segment_use
 
 
 def test_parse_actions_forms():
@@ -76,7 +79,7 @@ def test_point_and_segment_use():
     t = Thread.from_text("Pa Pb Vb Va")
     # a held strictly between acquire 1 and release 4; b's open span (2,3)
     # contains no integer position at all, it is only held on the move
-    assert [sorted(t.point_use(p)) for p in range(6)] == [
+    assert [sorted(point_use(t, p)) for p in range(6)] == [
         [],
         [],
         ["a"],
@@ -96,8 +99,10 @@ def test_point_and_segment_use():
 
 def test_point_use_empty_at_ends():
     t = Thread.from_text("Pa Va")
-    assert t.point_use(0) == frozenset()
-    assert t.point_use(t.top) == frozenset()
+    assert point_use(t, 0) == frozenset()
+    assert point_use(t, t.top) == frozenset()
+    with pytest.raises(ValueError, match="out of range"):
+        point_use(t, t.top + 1)
     assert segment_use(t, 0) == frozenset()
     with pytest.raises(ValueError, match="out of range"):
         segment_use(t, t.top)
@@ -111,11 +116,6 @@ def test_action_at_positions():
     assert t.action_at(5) is None
 
 
-def test_acquire_positions():
-    t = Thread.from_text("Pa Pb Va Pc Vb Pa Vc Va")
-    assert t.acquire_positions == (1, 2, 4, 6)
-
-
 def test_capacity_map_basics():
     caps = CapacityMap((("a", 2), ("b", 1)))
     assert caps["a"] == 2 and caps["b"] == 1
@@ -126,12 +126,43 @@ def test_capacity_map_basics():
 
 
 def test_capacity_map_rejects_bad_entries():
-    with pytest.raises(ValueError):
-        CapacityMap((("a", 0),))
-    with pytest.raises(ValueError):
-        CapacityMap((("a", 1), ("a", 2)))
-    with pytest.raises(ValueError):
-        CapacityMap((("", 1),))
+    # and anything else a source file cannot declare: a bool is an int, but
+    # no source declares one, and names follow the parser's pattern
+    for entries in [
+        (("a", 0),),
+        (("a", 1), ("a", 2)),
+        (("", 1),),
+        (("a", True), ("b", 1)),
+        (("a", 1.0),),
+        (("1a", 1),),
+        (("a-b", 1),),
+        (("a b", 1),),
+        ((1, 1),),
+    ]:
+        with pytest.raises(ValueError):
+            CapacityMap(entries)
+
+
+@pytest.mark.parametrize(
+    "route, text, entries",
+    [
+        (family_deadlock_verdict, "Pa Va Pb Vb", (("c", 1),)),  # single access
+        (family_deadlock_verdict, "Pa Pb Vb Va Pa Va", (("a", 1),)),
+        (family_serializability_verdict, "Pa Pb Vb Va Pa Va", (("a", 1),)),
+        (family_serializability_verdict, "Pa Pb Vb Va Pc Vc", (("a", 1), ("b", 2))),
+        (family_serializability_verdict, "Pb Vb", (("a", 2),)),
+        (kappa1_pair_serializable, "Pa Pb Vb Va Pa Va", (("a", 1),)),
+    ],
+    ids=["deadlock-single-access", "deadlock", "serializability-unit",
+         "serializability-mixed", "serializability-none-declared", "pair-test"],
+)
+def test_family_routes_refuse_undeclared_resources_as_program_does(route, text, entries):
+    thread, caps = Thread.from_text(text), CapacityMap(entries)
+    with pytest.raises(InvalidThreadError) as built:
+        Program((thread,), caps)
+    with pytest.raises(InvalidThreadError) as routed:
+        route(thread, caps)
+    assert routed.value.violations == built.value.violations
 
 
 def test_program_shape():
@@ -231,8 +262,8 @@ def test_segment_use_matches_running_recursion(text):
 def test_point_use_within_segment_use(text):
     t = Thread.from_text(text)
     for p in range(t.top):
-        assert t.point_use(p) <= segment_use(t, p)
-        assert t.point_use(p + 1) <= segment_use(t, p)
+        assert point_use(t, p) <= segment_use(t, p)
+        assert point_use(t, p + 1) <= segment_use(t, p)
 
 
 @given(valid_action_texts())
@@ -273,7 +304,7 @@ def test_index_tables_match_point_use_and_action_at(program):
     assert len(program._point_idx) == len(program._request_idx) == program.n
     for t, point, request in zip(program.threads, program._point_idx, program._request_idx):
         positions = range(t.top + 1)
-        assert point == tuple(tuple(sorted(index[r] for r in t.point_use(p))) for p in positions)
+        assert point == tuple(tuple(sorted(index[r] for r in point_use(t, p))) for p in positions)
         assert request == tuple(
             index[act.resource] if act is not None and act.kind == "P" else None
             for act in map(t.action_at, positions)

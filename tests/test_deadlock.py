@@ -174,6 +174,14 @@ def test_potential_deadlocks_bound_counts_concrete_states():
     with pytest.raises(SearchLimitExceeded) as e:
         potential_deadlocks(prog)
     assert "concrete candidate states (133024320 needed)" in str(e.value)
+    # the bound is exact: the (2,2) chain at 8 copies folds to 6,435 states
+    # and has 6,720 potential deadlocks
+    caps = make_caps(a=2, b=2)
+    prog = Program.power(deadsharp_witness(caps).thread, 8, caps)
+    assert prog.orbit_states() == 6435
+    with pytest.raises(SearchLimitExceeded, match=r"concrete candidate states \(6720 needed\)"):
+        potential_deadlocks(prog, max_states=6719)
+    assert len(potential_deadlocks(prog, max_states=6720)) == 6720
 
 
 def test_find_deadlocks_bounds_witness_paths():
@@ -529,6 +537,11 @@ def test_orbit_search_matches_sorting_oracle(prog):
     assert index.visited == len({sort_groups(prog, s) for s in reachable_states(prog)})
 
 
+def acquires_and_top(t):
+    """The positions of a thread's acquires, and ⊤."""
+    return {p for p, act in enumerate(t.actions, start=1) if act.kind == "P"} | {t.top}
+
+
 @given(folding_programs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=120, deadline=None)
 def test_reduced_search_matches_full_search(prog, seed):
@@ -542,7 +555,7 @@ def test_reduced_search_matches_full_search(prog, seed):
     reduced = ReachabilityIndex(prog, targets=targets)
     ceiling = tuple(map(max, zip(prog.bottom, *(sort_groups(prog, t) for t in targets))))
     assert reduced.ceiling == ceiling
-    stops = [set(t.acquire_positions) | {t.top} for t in prog.threads]
+    stops = [acquires_and_top(t) for t in prog.threads]
     for state in grid:
         if all(map(operator.le, sort_groups(prog, state), ceiling)) and all(
             map(operator.contains, stops, state)
@@ -592,7 +605,7 @@ def test_search_order_on_long_runs_and_three_groups(prog, seed):
     full = ReachabilityIndex(prog)
     assert list(index_parents(full).items()) == list(sorted_orbit_parents(prog).items())
     # targets the reduced search decides: every coordinate at an acquire or ⊤
-    stops = [set(t.acquire_positions) | {t.top} for t in prog.threads]
+    stops = [acquires_and_top(t) for t in prog.threads]
     decided = [s for s in index_parents(full) if all(map(operator.contains, stops, s))]
     rng = random.Random(seed)
     targets = rng.sample(decided, min(len(decided), rng.randint(1, 3)))
@@ -685,7 +698,7 @@ def test_reduced_search_stores_only_what_it_decides(prog, seed):
     # a step out of an acquire goes on through the releases after it, so
     # every stored orbit stands at ⊥, an acquire or ⊤ in each coordinate
     rng = random.Random(seed)
-    stops = [sorted(set(t.acquire_positions) | {t.top}) for t in prog.threads]
+    stops = [sorted(acquires_and_top(t)) for t in prog.threads]
     targets = [tuple(map(rng.choice, stops)) for _ in range(rng.randint(1, 3))]
     index = ReachabilityIndex(prog, targets=targets)
     stops = [set(s) | {0} for s in stops]

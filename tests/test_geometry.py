@@ -29,6 +29,7 @@ from conftest import (
     leg_coords,
     make_caps,
     naive_count_dipaths,
+    point_use,
     random_program,
     reachable,
     reachable_states,
@@ -167,9 +168,9 @@ def test_lattice_path_validate_messages():
         LatticePath(over).validate(Program.power(T1, 2, make_caps(a=1, b=1)))
     with pytest.raises(ValueError, match="^not a unit lattice step$"):
         LatticePath(((0, 0), (1, 1))).validate(EX3)
-    # a path without states has no start or end: malformed, like a bad step
+    # a path without states has no start or end, so none can be built
     with pytest.raises(ValueError, match="^a path needs at least one state$"):
-        LatticePath(()).validate(EX3)
+        LatticePath(())
     prog = Program((Thread.from_text("Pa Pb Vb Va"), Thread.from_text("Pa Va")),
                    make_caps(a=1, b=1))
     edge = ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
@@ -262,9 +263,9 @@ def test_validate_matches_three_pass_oracle():
             states.append(state)
         if how != "none":
             states = mutate(rng, program, states, how)
-        path = LatticePath(tuple(states))
-        got = outcome(lambda: path.validate(program))
-        assert got == outcome(lambda: validate_three_pass(path, program))
+        # a deleted state may empty the walk, which the constructor refuses
+        got = outcome(lambda: LatticePath(tuple(states)).validate(program))
+        assert got == outcome(lambda: validate_three_pass(LatticePath(tuple(states)), program))
         seen[got[1].split(" (")[0] if got[0] == "PvError" else got[0]] += 1
 
     check()
@@ -381,7 +382,7 @@ def test_edge_and_square_rules_match_segment_use():
         def use(state, moving):
             out = {r: 0 for r in caps.names}
             for c, (t, x) in enumerate(zip(prog.threads, state)):
-                for r in segment_use(t, x) if c in moving else t.point_use(x):
+                for r in segment_use(t, x) if c in moving else point_use(t, x):
                     out[r] += 1
             return out
 

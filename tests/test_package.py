@@ -36,6 +36,7 @@ NOT_EXPORTED = {
     "level_dp_classes",
     "path_obeys",
     "path_schedule",
+    "point_use",
     "potential_deadlock_certificate",
     "reachable",
     "reachable_states",

@@ -1,6 +1,17 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pvguard import ParseError, parse_actions, parse_source
+from pvguard import (
+    CapacityMap,
+    ParseError,
+    Program,
+    deadsharp_witness,
+    parse_actions,
+    parse_source,
+    report,
+    sharpserializable_witness,
+)
 
 GOOD = """\
 # two crossing lock orders
@@ -157,3 +168,34 @@ def test_action_token_errors(line, column, reason):
         with pytest.raises(ValueError) as exc:
             parse_actions(body)
         assert str(exc.value) == reason
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.from_regex(r"[A-Za-z_]\w*", fullmatch=True), st.text(max_size=3)),
+            st.one_of(st.integers(-1, 3), st.booleans()),
+        ),
+        min_size=2,
+        max_size=3,
+    )
+)
+@example([("a", True), ("b", 1)])
+@example([("1a", 1), ("b", 1)])
+@example([("a-b", 1), ("b", 1)])
+@settings(max_examples=150, deadline=None)
+def test_witness_sources_of_every_capacity_map_parse_back(entries):
+    """Whatever ``CapacityMap`` accepts, a source file can declare: the
+    witness sources built from it parse back to the same capacities and
+    the same ``main`` program."""
+    try:
+        caps = CapacityMap(tuple(entries))
+    except ValueError:
+        return
+    plans = [deadsharp_witness(caps)]
+    if all(cap >= 2 for _, cap in caps.items()):
+        plans.append(sharpserializable_witness(caps))
+    for plan in plans:
+        model = parse_source(report.witness_source(plan))
+        assert model.caps == caps
+        assert model.programs["main"] == Program.power(plan.thread, plan.instance_n, caps)
