@@ -22,7 +22,7 @@ from .core import (
     Program,
     PvError,
     SearchLimitExceeded,
-    _NAME,
+    _NAME_RE,
 )
 from .deadlock import (
     _guard_paths,
@@ -266,7 +266,7 @@ def _cmd_lcp(args) -> int:
     return EXIT_VIOLATION if cps else EXIT_OK
 
 
-_CAP_TOKEN = re.compile(rf"^({_NAME}):(\d+)$")
+_CAP_TOKEN = re.compile(rf"^({_NAME_RE.pattern}):(\d+)$")
 
 
 def _parse_caps(tokens: Sequence[str]) -> CapacityMap:

@@ -26,7 +26,7 @@ RELEASE = "V"
 BOTTOM_LABEL = "⊥"  # ⊥
 TOP_LABEL = "⊤"  # ⊤
 
-_NAME = r"[A-Za-z_]\w*"  # resource, thread and program names in a source file
+_NAME_RE = re.compile(r"[A-Za-z_]\w*")  # resource, thread and program names
 
 
 class PvError(Exception):
@@ -108,8 +108,8 @@ class CapacityMap:
     def __post_init__(self) -> None:
         seen = set()
         for name, cap in self.entries:
-            if not isinstance(name, str) or not re.fullmatch(_NAME, name):
-                raise ValueError(f"resource name {name!r} must match {_NAME}")
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+                raise ValueError(f"resource name {name!r} must match {_NAME_RE.pattern}")
             if name in seen:
                 raise ValueError(f"duplicate resource {name!r}")
             if type(cap) is not int or cap < 1:

@@ -22,12 +22,12 @@ from .core import (
     ParseError,
     Program,
     Thread,
-    _NAME,
+    _NAME_RE,
     _scan_actions,
     thread_violations,
 )
 
-_NAME_RE = re.compile(_NAME)
+_NAME = _NAME_RE.pattern
 _PROGRAM_TOKEN_RE = re.compile(rf"\s*({_NAME}|\^|\||\d+)")
 _RESOURCE_RE = re.compile(r"\s*resource\b")
 _RESOURCE_BODY_RE = re.compile(rf"\s*({_NAME})\s+cap\s+(\S+)\s*$")
