@@ -126,8 +126,9 @@ def test_capacity_map_basics():
 
 
 def test_capacity_map_rejects_bad_entries():
-    # and anything else a source file cannot declare: a bool is an int, but
-    # no source declares one, and names follow the parser's pattern
+    # a zero, a duplicate, and anything a source file cannot declare: a bool
+    # is an int, but no source declares one, and names follow the parser's
+    # pattern
     for entries in [
         (("a", 0),),
         (("a", 1), ("a", 2)),
