@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -49,10 +50,6 @@ EXIT_OVERFLOW = 3
 EXIT_INCONCLUSIVE = 4
 
 
-class _InputError(Exception):
-    pass
-
-
 def _read_source(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
@@ -70,14 +67,14 @@ def _pick(defs: dict, kind: str, name: Optional[str], none_hint: str, several_hi
     if name is not None:
         if name not in defs:
             known = ", ".join(sorted(defs)) or "none"
-            raise _InputError(f"no {kind} named {name!r} (defined: {known})")
+            raise ValueError(f"no {kind} named {name!r} (defined: {known})")
         return name, defs[name]
     if len(defs) == 1:
         return next(iter(defs.items()))
     if not defs:
-        raise _InputError(f"source defines no {kind}{none_hint}")
+        raise ValueError(f"source defines no {kind}{none_hint}")
     known = ", ".join(sorted(defs))
-    raise _InputError(f"several {kind}s defined ({known}); pick one{several_hint}")
+    raise ValueError(f"several {kind}s defined ({known}); pick one{several_hint}")
 
 
 def _load_program(args) -> tuple[bytes, str, Program]:
@@ -108,6 +105,13 @@ def _emit(args, command: str, source: bytes, result, text) -> None:
         os.close(devnull)
 
 
+def _count_text(count: int) -> str:
+    try:  # past the interpreter's limit on int-to-str digits, the magnitude
+        return str(count)
+    except ValueError:
+        return f"about 10^{math.log10(count):.0f}"
+
+
 def _cmd_check(args) -> int:
     raw, model = _load(args.file)
 
@@ -132,7 +136,7 @@ def _cmd_check(args) -> int:
         for nm, t in model.threads.items():
             yield f"  thread {nm}: {t} ({t.length} actions)"
         for nm, p in model.programs.items():
-            yield f"  program {nm}: {p.n} thread(s), {p.grid_states()} grid states"
+            yield f"  program {nm}: {p.n} thread(s), {_count_text(p.grid_states())} grid states"
 
     _emit(args, "check", raw, result, text)
     return EXIT_OK
@@ -274,23 +278,17 @@ def _parse_caps(tokens: Sequence[str]) -> CapacityMap:
     for tok in tokens:
         m = _CAP_TOKEN.match(tok)
         if m is None:
-            raise _InputError(f"capacity {tok!r} not of the form name:count")
+            raise ValueError(f"capacity {tok!r} not of the form name:count")
         entries.append((m.group(1), int(m.group(2))))
-    try:
-        return CapacityMap(tuple(entries))
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    return CapacityMap(tuple(entries))
 
 
 def _cmd_witness(args) -> int:
     caps = _parse_caps(args.capacities)
-    try:
-        if args.kind == "deadlock":
-            plan = deadsharp_witness(caps)
-        else:
-            plan = sharpserializable_witness(caps)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    if args.kind == "deadlock":
+        plan = deadsharp_witness(caps)
+    else:
+        plan = sharpserializable_witness(caps)
     source = report.witness_source(plan)
     caps_str = ",".join(f"{r}:{caps[r]}" for r in caps.names)
     _emit(
@@ -405,7 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, InvalidThreadError) as exc:
         print(f"pvguard: {getattr(args, 'file', '')}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (_InputError, OSError, ValueError, PvError) as exc:
+    except (OSError, ValueError, PvError) as exc:
         print(f"pvguard: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

@@ -2,9 +2,9 @@
 
 The language is line oriented, UTF-8, with ``#`` comments:
 
-    resource <name> cap <int>          # capacity >= 1
+    resource <name> cap <int>          # capacity >= 1, decimal digits
     thread <Name> = <tok> <tok> ...    # tok = P<name> | V<name>; "P a" also ok
-    program <Name> = <T>(^<k>)? ( '|' <T>(^<k>)? )*
+    program <Name> = <T>(^<k>)? ( '|' <T>(^<k>)? )*    # at most 10,000 threads
 
 Resource declarations may appear anywhere in the file; threads and programs
 must be declared before they are referenced.  Errors carry 1-based line and
@@ -32,6 +32,7 @@ _PROGRAM_TOKEN_RE = re.compile(rf"\s*({_NAME}|\^|\||\d+)")
 _RESOURCE_RE = re.compile(r"\s*resource\b")
 _RESOURCE_BODY_RE = re.compile(rf"\s*({_NAME})\s+cap\s+(\S+)\s*$")
 _DECLARATION_RE = re.compile(rf"\s*(thread|program)\s+({_NAME})\s*=\s*")
+_MAX_THREADS = 10_000  # threads of one program: a source cannot ask for unbounded memory
 
 
 @dataclass
@@ -48,13 +49,22 @@ def _parse_resource_line(body: str, lineno: int, offset: int) -> tuple[str, int]
     if not m:
         raise ParseError("expected 'resource <name> cap <int>'", lineno, offset + 1)
     name, cap_text = m.group(1), m.group(2)
-    if not cap_text.isdigit() or int(cap_text) < 1:
+    col = offset + m.start(2) + 1
+    cap = _decimal(cap_text, lineno, col) if cap_text.isdecimal() else 0
+    if cap < 1:
         raise ParseError(
-            f"capacity of {name!r} must be an integer >= 1, got {cap_text!r}",
-            lineno,
-            offset + m.start(2) + 1,
+            f"capacity of {name!r} must be an integer >= 1, got {cap_text!r}", lineno, col
         )
-    return name, int(cap_text)
+    return name, cap
+
+
+def _decimal(text: str, lineno: int, col: int) -> int:
+    """The value of the decimal digits ``text``; a ParseError past the
+    interpreter's limit on the digits of an int read from a string."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"number {text[:8]}... has {len(text)} digits", lineno, col) from None
 
 
 def _parse_thread_actions(
@@ -108,12 +118,15 @@ def _parse_program_expr(
             if m2 and m2.group(1) == "^":
                 pos = m2.end()
                 m3 = _PROGRAM_TOKEN_RE.match(body, pos)
-                if not m3 or not m3.group(1).isdigit():
+                if not m3 or not m3.group(1).isdecimal():
                     raise ParseError("expected an integer after '^'", lineno, offset + pos + 1)
-                count = int(m3.group(1))
+                col = offset + m3.start(1) + 1
+                count = _decimal(m3.group(1), lineno, col)
                 if count < 1:
-                    raise ParseError("copy count must be >= 1", lineno, offset + m3.start(1) + 1)
+                    raise ParseError("copy count must be >= 1", lineno, col)
                 pos = m3.end()
+            if len(threads) + count > _MAX_THREADS:
+                raise ParseError(f"a program has at most {_MAX_THREADS} threads", lineno, col)
             threads.extend([current] * count)
             expect_name = False
         else:

@@ -36,6 +36,8 @@ REPORT = "src/pvguard/report.py"
 CORE = "src/pvguard/core.py"
 GEOMETRY = "src/pvguard/geometry.py"
 CLI = "src/pvguard/cli.py"
+PARSER = "src/pvguard/parser.py"
+CLI_TESTS = "tests/test_cli.py::"
 SWEEP_TEST = SEARCH_TESTS + "test_potential_matches_naive_sweep"
 VALIDATE_TEST = "tests/test_geometry.py::test_validate_matches_three_pass_oracle"
 
@@ -249,7 +251,7 @@ MUTANTS = (
         CLI,
         "_guard_paths(sizes, args.max_states)",
         "pass",
-        ("tests/test_cli.py::test_family_deadlock_print_bound_is_exact",),
+        (CLI_TESTS + "test_family_deadlock_print_bound_is_exact",),
     ),
     Mutant(
         "subprogram-count-short-slice",
@@ -377,6 +379,83 @@ MUTANTS = (
         "insort(held, r)",
         "held.append(r)",
         ("tests/test_core.py::test_index_tables_match_point_use_and_action_at",),
+    ),
+    # the orbit view's unranking: over every live orbit, and each fixed
+    # value taken out of the counts that rank the next coordinates
+    Mutant(
+        "view-unrank-one-orbit",
+        DEADLOCK,
+        "values, live, slots = self._tables\n        out: list[int] = []",
+        "values, live, slots = self._tables\n        live = live[:1]\n        out: list[int] = []",
+        (VIEW_TEST,),
+    ),
+    Mutant(
+        "view-fixed-value-kept",
+        DEADLOCK,
+        "counts[k] -= 1",
+        "pass",
+        (VIEW_TEST,),
+    ),
+    # the choice-point records: contenders read from the state itself, ``==``
+    # comparing payloads, the reachable flag from the search, and the
+    # concrete choice points bounded before they are listed
+    Mutant(
+        "choice-point-contenders-from-sorted-state",
+        SERIALIZABILITY,
+        "map(operator.contains, wanted, state))",
+        "map(operator.contains, wanted, sorted(state)))",
+        (CLASS_TESTS + "test_choice_points_match_naive_sweep",),
+    ),
+    Mutant(
+        "view-eq-orbit-keys-without-payloads",
+        DEADLOCK,
+        "and other._orbits == self._orbits",
+        "and other._orbits.keys() == self._orbits.keys()",
+        (RECORD_TEST,),
+    ),
+    Mutant(
+        "choice-points-without-reachability",
+        SERIALIZABILITY,
+        "index.is_reachable(o)",
+        "True",
+        (CLASS_TESTS + "test_choice_point_flags_match_a_reachability_oracle",),
+    ),
+    Mutant(
+        "choice-points-unguarded",
+        SERIALIZABILITY,
+        "    _guard_members(_orbit_sizes(program, hits), max_states)\n",
+        "",
+        (CLASS_TESTS + "test_choice_points_bound_is_exact_on_a_listable_instance",),
+    ),
+    # the front end: decimal capacities, the thread bound at its value, the
+    # grid size past the int-to-str limit, and library errors as exit 2
+    Mutant(
+        "parser-capacity-isdigit",
+        PARSER,
+        "cap_text.isdecimal()",
+        "cap_text.isdigit()",
+        ("tests/test_parser.py::test_capacity_takes_decimal_digits_only",),
+    ),
+    Mutant(
+        "parser-thread-bound-off-by-one",
+        PARSER,
+        "if len(threads) + count > _MAX_THREADS:",
+        "if len(threads) + count >= _MAX_THREADS:",
+        ("tests/test_parser.py::test_program_at_the_thread_bound_parses",),
+    ),
+    Mutant(
+        "cli-check-size-fallback-removed",
+        CLI,
+        "{_count_text(p.grid_states())}",
+        "{p.grid_states()}",
+        (CLI_TESTS + "test_check_states_a_grid_past_the_digit_limit_as_its_magnitude",),
+    ),
+    Mutant(
+        "cli-main-without-value-error",
+        CLI,
+        "except (OSError, ValueError, PvError) as exc:",
+        "except (OSError, PvError) as exc:",
+        (CLI_TESTS + "test_family_needs_thread_name_when_ambiguous",),
     ),
 )
 

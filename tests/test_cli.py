@@ -1,16 +1,24 @@
 import argparse
 import codecs
+import collections
 import hashlib
+import io
 import itertools
 import json
 import os
+import random
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pvguard import Program, cli, deadlock, report
+from conftest import make_caps, random_program
+from pvguard import ParseError, Program, cli, deadlock, deadsharp_witness, parse_source, report
 from pvguard.cli import main
 
 EX3 = """\
@@ -109,6 +117,46 @@ def test_missing_file(capsys):
     code, out, err = run(capsys, "check", "/nonexistent/x.pv")
     assert code == 2
     assert "pvguard:" in err
+
+
+def test_superscript_capacity_is_a_located_input_error(capsys, tmp_path):
+    f = tmp_path / "sup.pv"
+    f.write_text("resource a cap \u00b2\n", encoding="utf-8")
+    code, out, err = run(capsys, "deadlocks", str(f))
+    assert (code, out) == (2, "")
+    assert f"pvguard: {f}: line 1, column 16: capacity of 'a' must be an integer >= 1" in err
+
+
+def _address_space_1gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_copy_count_is_refused_before_allocating(tmp_path):
+    # a child under a 1 GiB address-space limit: without the thread bound the
+    # parser's list of copies raises MemoryError, a traceback and exit 1
+    f = tmp_path / "huge.pv"
+    f.write_text("resource a cap 1\nthread T = Pa Va\nprogram main = T ^ 1000000000\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "pvguard.cli", "deadlocks", str(f)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60, preexec_fn=_address_space_1gib,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "line 3, column 20: a program has at most 10000 threads" in done.stderr
+
+
+def test_check_states_a_grid_past_the_digit_limit_as_its_magnitude(capsys, tmp_path):
+    # 4 ** 7000 has 4,215 digits and prints in full; 4 ** 7200 has 4,335, past
+    # the interpreter's default limit of 4,300 for ``str`` of an int
+    f = tmp_path / "big.pv"
+    f.write_text("resource a cap 1\nthread T = Pa Va\n"
+                 "program small = T ^ 7000\nprogram large = T ^ 7200\n")
+    code, out, _ = run(capsys, "check", str(f))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2] == f"  program small: 7000 thread(s), {4 ** 7000} grid states"
+    assert lines[-1] == "  program large: 7200 thread(s), about 10^4335 grid states"
 
 
 def test_deadlocks_text_report_and_grid(capsys, ex3):
@@ -699,3 +747,62 @@ def test_closed_stdout_ends_quietly(capsys, tmp_path, flags, command, expected):
     assert "Broken pipe" not in done.stderr
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
     assert " finished in " in done.stderr
+
+
+# -- fuzzed sources: every fault is a located input error ---------------------
+
+FUZZ_CHARS = "0123456789\u00b2^|#= \x0b\nPVabT\u00e9\u00df\u03bb\u0416"
+
+
+def program_source(program: Program) -> str:
+    """A source declaring ``program`` as ``main``, one term per distinct
+    thread."""
+    names: dict = {}
+    for t in program.threads:
+        names.setdefault(t, f"T{len(names)}")
+    counts = collections.Counter(program.threads)
+    return "\n".join(
+        [f"resource {r} cap {program.caps[r]}" for r in program.caps.names]
+        + [f"thread {nm} = {t}" for t, nm in names.items()]
+        + ["program main = " + " | ".join(f"{names[t]} ^ {k}" for t, k in counts.items())]
+    ) + "\n"
+
+
+@st.composite
+def mutated_sources(draw) -> str:
+    """A witness source or a random program's source with a few characters
+    inserted, replaced or deleted; copy counts stay at a few digits."""
+    kappa = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    caps = make_caps(**dict(zip("abc", kappa)))
+    if draw(st.booleans()):
+        text = report.witness_source(deadsharp_witness(caps))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        n = rng.randint(1, 4)
+        text = program_source(random_program(rng, list(caps.names), caps, n, 3, rng.random() < 0.5))
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(chars)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            chars.insert(at, draw(st.sampled_from(FUZZ_CHARS)))
+        elif at < len(chars):
+            chars[at : at + 1] = [draw(st.sampled_from(FUZZ_CHARS))] if edit == "replace" else []
+    return "".join(chars)
+
+
+def test_every_source_fault_is_a_located_input_error(capsys, monkeypatch):
+    @given(st.one_of(mutated_sources(), st.text()))
+    @example("resource a cap \u00b2\n")
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def check(text):
+        try:
+            parse_source(text)
+        except ParseError:
+            pass
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        code = main(["check", "-"])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and re.search(r"line \d+, column \d+: ", err)), err
+
+    check()

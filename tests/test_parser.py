@@ -67,6 +67,46 @@ def test_zero_capacity_rejected():
     assert "must be an integer >= 1" in str(e)
 
 
+def test_capacity_takes_decimal_digits_only():
+    # ``isdigit`` is true for superscripts, which ``int`` refuses
+    e = err("resource a cap \u00b2\n")
+    assert str(e) == "line 1, column 16: capacity of 'a' must be an integer >= 1, got '\u00b2'"
+    # any decimal digits are a capacity, as they are for ``int``
+    assert parse_source("resource a cap \u0663\n").caps["a"] == 3
+
+
+def test_numbers_past_the_int_digit_limit_are_located():
+    digits = "9" * 5000
+    e = err(f"resource a cap {digits}\n")
+    assert (e.line, e.column) == (1, 16) and "has 5000 digits" in e.reason
+    e = err(f"resource a cap 1\nthread T = Pa Va\nprogram m = T ^ {digits}\n")
+    assert (e.line, e.column) == (3, 17) and "has 5000 digits" in e.reason
+
+
+POWER = "resource a cap 1\nthread T = Pa Va\nprogram m = "
+
+
+@pytest.mark.parametrize(
+    "expr,column",
+    [
+        ("T ^ 10001", 17),
+        ("T ^ 99999", 17),
+        ("T ^ 9999 | T | T", 28),
+        ("T | T ^ 9999 | T", 28),
+        ("T ^ 5000 | T ^ 5001", 28),
+    ],
+)
+def test_program_thread_bound(expr, column):
+    # the bound is checked before a term's copies are built
+    e = err(POWER + expr + "\n")
+    assert (e.line, e.column) == (3, column)
+    assert e.reason == "a program has at most 10000 threads"
+
+
+def test_program_at_the_thread_bound_parses():
+    assert parse_source(POWER + "T ^ 9999 | T\n").programs["m"].n == 10000
+
+
 def test_unknown_resource_in_thread():
     e = err("thread T = Pa Va\n")
     assert "unknown resource 'a'" in str(e)

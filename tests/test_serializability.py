@@ -661,6 +661,21 @@ def test_choice_points_are_reachable_and_admissible_here():
         assert reachable(prog, cp.state) is not None
 
 
+def test_choice_point_flags_match_a_reachability_oracle():
+    # crossing lock orders: where each thread holds its first lock and
+    # requests d, the state is admissible, but every way into it passes a
+    # state where both threads hold a or both hold b
+    caps = make_caps(a=1, b=1, d=1)
+    prog = Program(
+        (Thread.from_text("Pa Pb Vb Pd Vd Va"), Thread.from_text("Pb Pa Va Pd Vd Vb")), caps
+    )
+    cps = local_choice_points(prog)
+    assert [(c.state, c.resource, c.reachable) for c in cps] == [
+        ((1, 2), "a", True), ((2, 1), "b", True), ((4, 4), "d", False)
+    ]
+    assert [c.reachable for c in cps] == [reachable(prog, c.state) is not None for c in cps]
+
+
 def test_definition_check_agrees_with_combinatorial_test():
     rng = random.Random(37)
     for _ in range(12):
@@ -751,6 +766,17 @@ def test_choice_points_bound_counts_concrete_states():
     v = family_serializability_verdict(deadsharp_witness(caps).thread, caps)
     assert (v.verdict, v.rule) == ("inconclusive", "search-limit")
     assert "concrete candidate states" in v.detail
+
+
+def test_choice_points_bound_is_exact_on_a_listable_instance():
+    # the (2,2) deadlock chain at 8 copies: 6,435 folded states, 10,752
+    # concrete choice points, so the sweep and the search fit either bound
+    prog = Program.power(deadsharp_witness(K22).thread, 8, K22)
+    assert prog.orbit_states() == 6435
+    with pytest.raises(SearchLimitExceeded) as e:
+        local_choice_points(prog, 10751)
+    assert "concrete candidate states (10752 needed)" in str(e.value)
+    assert len(local_choice_points(prog, 10752)) == 10752
 
 
 def test_definition_check_rejects_forbidden_states():
