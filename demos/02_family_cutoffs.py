@@ -26,7 +26,7 @@ v = family_deadlock_verdict(ring, caps)
 print(f"deadlock-free for every n?  {v.verdict}")
 print(f"  decided by rule {v.rule!r} at cut-off {v.cutoff}")
 if v.manifests_at_n:
-    print(f"  first failure at n = {v.manifests_at_n}, e.g. state {v.witnesses[0]}")
+    print(f"  first failure at n = {v.manifests_at_n}, e.g. state {next(iter(v.witnesses))}")
 print()
 
 print("The cut-off is the capacity sum. Below it everything is clean:")
@@ -57,4 +57,4 @@ mixed = Program(tuple(map(Thread.from_text, texts)), CapacityMap((("a", 1), ("b"
 v = program_deadlock_verdict(mixed)
 print(f"  {' | '.join(map(str, mixed.threads))} at a:1 b:1")
 print(f"  deadlock-free?  {v.verdict} ({v.rule}, cut-off {v.cutoff}): {v.detail}")
-print(f"  witness {v.witnesses[0]}")
+print(f"  witness {next(iter(v.witnesses))}")

@@ -190,13 +190,14 @@ def _cmd_family(args) -> int:
     name, thread = _pick(model.threads, "thread", args.thread, "", " with --thread")
     if args.property == "deadlock":
         verdict = family_deadlock_verdict(thread, model.caps, args.max_states)
-        if verdict.witnesses:
-            # the verdict expands no state; the printed ones stay bounded as
-            # the witness paths of `deadlocks` on the same instance
-            sizes = _orbit_sizes(verdict.program, verdict.witnesses.orbits)
-            _guard_paths(sizes, args.max_states)
+        shown = verdict.witnesses
     else:
         verdict = family_serializability_verdict(thread, model.caps, args.max_states)
+        shown = verdict.choice_points
+    if shown:
+        # the verdict expands no state; the printed ones stay bounded as the
+        # witness paths to them would be in `deadlocks` on the same instance
+        _guard_paths(_orbit_sizes(verdict.program, shown.orbits), args.max_states)
 
     def result():
         return {

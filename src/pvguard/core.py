@@ -27,6 +27,7 @@ BOTTOM_LABEL = "⊥"  # ⊥
 TOP_LABEL = "⊤"  # ⊤
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")  # resource, thread and program names
+_MAX_THREADS = 10_000  # threads of one program: no input can ask for unbounded memory
 
 
 class PvError(Exception):
@@ -293,8 +294,12 @@ class Program:
 
     @classmethod
     def power(cls, thread: Thread, n: int, caps: CapacityMap) -> "Program":
+        """``n`` copies of ``thread``; raises :class:`SearchLimitExceeded`
+        past ``_MAX_THREADS`` copies, before any is built."""
         if n < 1:
             raise ValueError("thread copy count must be >= 1")
+        if n > _MAX_THREADS:
+            raise SearchLimitExceeded(_MAX_THREADS, f"threads ({n} needed)")
         return cls((thread,) * n, caps)
 
     @property

@@ -16,7 +16,7 @@ import heapq
 import itertools
 import operator
 from collections import Counter, deque
-from collections.abc import KeysView, Mapping, Sequence
+from collections.abc import Collection, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
@@ -29,6 +29,7 @@ from .core import (
     SearchLimitExceeded,
     State,
     Thread,
+    _MAX_THREADS,
     _check_declared,
     single_access,
 )
@@ -405,7 +406,7 @@ def _same_state(state: State, payload: object) -> State:
     return state
 
 
-class OrbitView(Sequence):
+class OrbitView(Collection):
     """One record per concrete state of some orbits of a program, in
     ascending state order, without expanding them.
 
@@ -416,19 +417,14 @@ class OrbitView(Sequence):
     records are states.
 
     ``len`` sums the orbit sizes on first use, so it raises
-    :class:`OverflowError` past ``sys.maxsize`` records, where indexing and
-    slicing still work; a view is true iff it holds an orbit.  ``in`` sorts
-    a record's state within groups, looks it up among the orbits and
-    compares the one record it stands for.  Iteration merges each orbit's
-    distinct permutations, which come out sorted.  Indexing and slicing
-    unrank each index from multinomial counts over the orbits, coordinate by
-    coordinate within its group, tabled on first use, so they build only the
-    records they return, at O(n · values · orbits) each; ``reversed``
-    unranks from the end, one record at a time; ``index`` ranks the item the
-    same way, and ``count`` is ``in``.  ``==`` and ``hash`` behave as on the
-    sorted tuple the view stands for.  ``hash``, and ``==`` against anything
-    but a view with the same groups, orbits, payloads and ``record``, build
-    every record on each call.
+    :class:`OverflowError` past ``sys.maxsize`` records; a view is true iff
+    it holds an orbit.  ``in`` sorts a record's state within groups, looks
+    it up among the orbits and compares the one record it stands for.
+    Iteration merges each orbit's distinct permutations, which come out
+    sorted, so the first record costs one permutation per orbit.  ``==``
+    and ``hash`` behave as on the sorted tuple the view stands for.
+    ``hash``, and ``==`` against anything but a view with the same groups,
+    orbits, payloads and ``record``, build every record on each call.
     """
 
     def __init__(
@@ -447,25 +443,6 @@ class OrbitView(Sequence):
     def _len(self) -> int:
         return sum(_orbit_size(self._groups, orbit) for orbit in self._orbits)
 
-    @cached_property
-    def _tables(self) -> tuple[list[int], list[tuple], list[tuple[int, int]]]:
-        """The values any orbit holds; per orbit how often each group holds
-        each value, group after group, how many states it stands for, and its
-        payload; and per coordinate its slot: its group's offset into those
-        counts and how many copies of the group are left from it on."""
-        groups = self._groups
-        values = sorted(set().union(*self._orbits))
-        counts = []
-        for orbit, payload in self._orbits.items():
-            held = [[orbit[i] for i in g] for g in groups]
-            size = _orbit_size(groups, orbit)
-            counts.append(([h.count(v) for h in held for v in values], size, payload))
-        slots = [(0, 0)] * sum(map(len, groups))
-        for k, g in enumerate(groups):
-            for r, i in enumerate(g):
-                slots[i] = (k * len(values), len(g) - r)
-        return values, counts, slots
-
     @property
     def orbits(self) -> KeysView[State]:
         return self._orbits.keys()
@@ -476,21 +453,15 @@ class OrbitView(Sequence):
     def __bool__(self) -> bool:
         return bool(self._orbits)
 
-    def _state(self, item: object) -> Optional[State]:
-        """The state ``item`` names if it is a member, else None."""
+    def __contains__(self, item: object) -> bool:
         try:
             state = item if self._key is None else self._key(item)
             if not isinstance(state, tuple) or len(state) != sum(map(len, self._groups)):
-                return None
+                return False
             orbit = _canon(self._groups, state)
-            if orbit not in self._orbits or self._record(state, self._orbits[orbit]) != item:
-                return None
+            return orbit in self._orbits and self._record(state, self._orbits[orbit]) == item
         except (AttributeError, TypeError):  # no state, or unorderable values
-            return None
-        return state
-
-    def __contains__(self, item: object) -> bool:
-        return self._state(item) is not None
+            return False
 
     def __iter__(self) -> Iterator:
         groups = self._groups
@@ -499,63 +470,6 @@ class OrbitView(Sequence):
             for orbit, payload in self._orbits.items()
         ]
         return heapq.merge(*members, key=self._key)
-
-    def __reversed__(self) -> Iterator:
-        return map(self._unrank, reversed(range(self._len)))
-
-    @staticmethod
-    def _fix(live: list[tuple], k: int, m: int) -> list[tuple]:
-        """The orbits still live, with their value counts, member counts and
-        payloads, once the next of ``m`` coordinates takes the ``k``-th
-        value: a multiset of m values of which c equal v has size * c / m
-        orderings that start with v."""
-        live = [(counts[:], size * counts[k] // m, p) for counts, size, p in live if counts[k]]
-        for counts, _, _ in live:
-            counts[k] -= 1
-        return live
-
-    def _unrank(self, index: int):
-        """The record of rank ``index``, 0 <= index < len, whose orbit is the
-        one left live.  Each coordinate takes the least value whose members
-        with the prefix so far, over the live orbits, reach past ``index``."""
-        values, live, slots = self._tables
-        out: list[int] = []
-        for base, m in slots:
-            for k, v in enumerate(values):
-                below = sum(size * counts[base + k] // m for counts, size, _ in live)
-                if index < below:
-                    break
-                index -= below
-            out.append(v)
-            live = self._fix(live, base + k, m)
-        ((_, _, payload),) = live
-        return self._record(tuple(out), payload)
-
-    def _rank(self, state: State) -> int:
-        """The rank of the member ``state``: the inverse of ``_unrank``."""
-        values, live, slots = self._tables
-        rank = 0
-        for (base, m), x in zip(slots, state):
-            k = values.index(x)
-            rank += sum(size * counts[base + j] // m for j in range(k) for counts, size, _ in live)
-            live = self._fix(live, base + k, m)
-        return rank
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._unrank, range(self._len)[index]))
-        return self._unrank(range(self._len)[index])
-
-    def index(self, item: object, start: int = 0, stop: Optional[int] = None) -> int:
-        state = self._state(item)
-        if state is not None:
-            rank = self._rank(state)
-            if rank in range(self._len)[start:stop]:
-                return rank
-        raise ValueError(f"{item!r} is not in the view")
-
-    def count(self, item: object) -> int:
-        return int(item in self)
 
     def __eq__(self, other: object) -> bool:
         if (
@@ -758,11 +672,10 @@ class FamilyVerdict:
     "inconclusive"), sorted by state.  The family verdicts keep both as a
     lazy :class:`OrbitView`, over the deadlock orbits and the choice-point
     orbits: ``len`` builds no state, ``in`` at most one, ``==`` none
-    between two views over the same orbits and records, indexing, slicing
-    and ``reversed`` only the ones they return, ``index`` and ``count`` at
-    most one, and iteration and ``hash`` every one.  Their states are states
-    of ``program``, the instance the verdict searched; verdicts that search
-    none, and the pair test, leave it None.
+    between two views over the same orbits and records, the first item
+    (``next(iter(...))``) one per orbit, and iteration and ``hash`` every
+    one.  Their states are states of ``program``, the instance the verdict
+    searched; verdicts that search none, and the pair test, leave it None.
     """
 
     property_name: str  # "deadlock-freedom" | "serializability"
@@ -770,9 +683,9 @@ class FamilyVerdict:
     cutoff: int
     rule: str
     detail: str
-    witnesses: Sequence[State] = ()
+    witnesses: Collection[State] = ()
     manifests_at_n: Optional[int] = None
-    choice_points: Sequence = ()
+    choice_points: Collection = ()
     program: Optional[Program] = field(default=None, compare=False, repr=False)
 
 
@@ -786,7 +699,8 @@ def family_deadlock_verdict(
     that many, and extra finished copies never unblock anything.  The
     deadlocks are decided per orbit and never expanded: ``witnesses`` is an
     :class:`OrbitView`, so neither its states nor their witness paths are
-    counted against ``max_states``.
+    counted against ``max_states``.  A cut-off past the thread bound of a
+    program is inconclusive ("search-limit"), with no instance built.
     Raises :class:`InvalidThreadError` on an undeclared resource.
     """
     _check_declared(thread, caps)
@@ -800,8 +714,9 @@ def family_deadlock_verdict(
             "every resource is acquired at most once, so no copy count can "
             "close a waiting cycle",
         )
-    program = Program.power(thread, cutoff, caps)
+    program = None  # past the thread bound no instance is built
     try:
+        program = Program.power(thread, cutoff, caps)
         witnesses = _deadlock_states(program, max_states)
     except SearchLimitExceeded as exc:
         return FamilyVerdict(
@@ -960,12 +875,15 @@ def deadsharp_witness(caps: CapacityMap) -> WitnessPlan:
 
     The thread chains the resources so each copy can stop holding one
     resource while requesting the next, and the second acquisition of the
-    first resource closes the cycle.
+    first resource closes the cycle.  Raises :class:`ValueError`, before
+    building anything, when M passes the thread bound of a program.
     """
     names = caps.names
     k = len(names)
     thread = Thread.from_text(" ".join(_chain_actions(names)))
     cutoff = caps.total()
+    if cutoff > _MAX_THREADS:
+        raise ValueError(f"the witness needs {cutoff} threads; a program has at most {_MAX_THREADS}")
     # Block vector: κ(r_k) copies stand at the second P of r_1 (position 2k),
     # then κ(r_{i-1}) copies stand at position 2i-2 for i = 2..k.
     blocks: list[int] = []

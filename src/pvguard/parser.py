@@ -22,6 +22,7 @@ from .core import (
     ParseError,
     Program,
     Thread,
+    _MAX_THREADS,
     _NAME_RE,
     _scan_actions,
     thread_violations,
@@ -32,7 +33,6 @@ _PROGRAM_TOKEN_RE = re.compile(rf"\s*({_NAME}|\^|\||\d+)")
 _RESOURCE_RE = re.compile(r"\s*resource\b")
 _RESOURCE_BODY_RE = re.compile(rf"\s*({_NAME})\s+cap\s+(\S+)\s*$")
 _DECLARATION_RE = re.compile(rf"\s*(thread|program)\s+({_NAME})\s*=\s*")
-_MAX_THREADS = 10_000  # threads of one program: a source cannot ask for unbounded memory
 
 
 @dataclass

@@ -474,22 +474,24 @@ def sharpserializable_witness(caps: CapacityMap) -> WitnessPlan:
     The thread is the tight deadlock chain of :func:`deadsharp_witness` with
     one extra acquire/release of the first resource appended, and the state
     is that chain's deadlock with one copy fewer at the second acquire of the
-    first resource, which leaves the last resource one holder short.
+    first resource, which leaves the last resource one holder short.  That is
+    the chain's deadlock at one less capacity of the last resource, whose
+    plan also bounds the instance by the thread bound of a program.
     """
     names = caps.names
-    chain = deadsharp_witness(caps)
     for r in names:
         if caps[r] < 2:
             raise ValueError(f"the construction needs κ >= 2, got κ({r})={caps[r]}")
-    cutoff = lcp_cutoff(caps)
+    last = names[-1]
+    chain = deadsharp_witness(CapacityMap(caps.items()[:-1] + ((last, caps[last] - 1),)))
     return WitnessPlan(
         kind="choice-point",
         thread=Thread.from_text(f"{chain.thread} P{names[0]} V{names[0]}"),
         caps=caps,
-        cutoff=cutoff,
-        instance_n=cutoff - 2,
-        expected_state=chain.expected_state[1:],
-        expected_resource=names[-1],
+        cutoff=lcp_cutoff(caps),
+        instance_n=chain.instance_n,
+        expected_state=chain.expected_state,
+        expected_resource=last,
     )
 
 
@@ -510,7 +512,9 @@ def family_serializability_verdict(
     inconclusive with per-size analysis suggested.  The choice points are
     decided per orbit (``_choice_point_orbits``) and never expanded:
     ``choice_points`` is an :class:`OrbitView` of :class:`ChoicePoint`
-    records.  Raises :class:`InvalidThreadError` on an undeclared resource.
+    records.  A cut-off past the thread bound of a program is inconclusive
+    ("search-limit"), with no instance built.  Raises
+    :class:`InvalidThreadError` on an undeclared resource.
     """
     _check_declared(thread, caps)
     if not thread.resources_used:
@@ -549,8 +553,9 @@ def family_serializability_verdict(
         )
     cutoff = lcp_cutoff(caps.restrict(thread.resources_used))
     if all(v >= 2 for v in values):
-        program = Program.power(thread, cutoff, caps)
+        program = None  # past the thread bound no instance is built
         try:
+            program = Program.power(thread, cutoff, caps)
             records = _choice_point_orbits(program, max_states)
             cps = OrbitView(program._groups, records, _choice_point, operator.attrgetter("state"))
         except SearchLimitExceeded as exc:

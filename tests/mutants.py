@@ -171,40 +171,12 @@ MUTANTS = (
         "for r, i in enumerate(g[::-1])}",
         (SEARCH_TESTS + "test_subprogram_indices_are_the_sorted_count_vectors",),
     ),
-    # the orbit view: unranking, ranking, reversal, ``count`` and ``in``
-    Mutant(
-        "view-values-descending",
-        DEADLOCK,
-        "values = sorted(set().union(*self._orbits))",
-        "values = sorted(set().union(*self._orbits), reverse=True)",
-        (VIEW_TEST,),
-    ),
-    Mutant(
-        "view-rank-one-value-too-many",
-        DEADLOCK,
-        "for j in range(k) for counts",
-        "for j in range(k + 1) for counts",
-        (VIEW_TEST,),
-    ),
-    Mutant(
-        "view-reversed-not-reversing",
-        DEADLOCK,
-        "return map(self._unrank, reversed(range(self._len)))",
-        "return map(self._unrank, range(self._len))",
-        (VIEW_TEST,),
-    ),
-    Mutant(
-        "view-count-always-one",
-        DEADLOCK,
-        "return int(item in self)",
-        "return 1",
-        (RECORD_TEST,),
-    ),
+    # the orbit view's ``in``: it compares the record the state stands for
     Mutant(
         "view-in-without-record",
         DEADLOCK,
-        "if orbit not in self._orbits or self._record(state, self._orbits[orbit]) != item:",
-        "if orbit not in self._orbits:",
+        "return orbit in self._orbits and self._record(state, self._orbits[orbit]) == item",
+        "return orbit in self._orbits",
         (RECORD_TEST,),
     ),
     # the candidate sweep: copies of a group may share a position, each
@@ -249,9 +221,16 @@ MUTANTS = (
     Mutant(
         "cli-family-print-cap-removed",
         CLI,
-        "_guard_paths(sizes, args.max_states)",
-        "pass",
+        "shown = verdict.witnesses",
+        "shown = ()",
         (CLI_TESTS + "test_family_deadlock_print_bound_is_exact",),
+    ),
+    Mutant(
+        "cli-family-choice-point-print-cap-removed",
+        CLI,
+        "shown = verdict.choice_points",
+        "shown = ()",
+        (CLI_TESTS + "test_family_serializability_print_bound_is_exact",),
     ),
     Mutant(
         "subprogram-count-short-slice",
@@ -274,8 +253,8 @@ MUTANTS = (
         "comb(self.tops[g[0]] + len(g) - 1, len(g))",
         (SEARCH_TESTS + "test_orbit_states_counts_multisets",),
     ),
-    # the orbit view: membership, permutations, unranking slots, ``==``,
-    # ``len``, iteration order and ``index``'s range
+    # the orbit view: membership, permutations, ``==``, ``len`` and
+    # iteration order
     Mutant(
         "view-in-without-length-check",
         DEADLOCK,
@@ -298,13 +277,6 @@ MUTANTS = (
         (VIEW_TEST,),
     ),
     Mutant(
-        "view-copies-left-of-whole-group",
-        DEADLOCK,
-        "slots[i] = (k * len(values), len(g) - r)",
-        "slots[i] = (k * len(values), len(g))",
-        (VIEW_TEST,),
-    ),
-    Mutant(
         "view-eq-ignores-length",
         DEADLOCK,
         "return size == self._len and all(map(operator.eq, self, other))",
@@ -324,13 +296,6 @@ MUTANTS = (
         "return heapq.merge(*members, key=self._key)",
         "return itertools.chain(*members)",
         (VIEW_TEST,),
-    ),
-    Mutant(
-        "view-index-ignores-start-stop",
-        DEADLOCK,
-        "if rank in range(self._len)[start:stop]:",
-        "if rank in range(self._len):",
-        (SEARCH_TESTS + "test_family_witness_view_indexes_without_expanding",),
     ),
     # the path validator: a step onto a full resource, and a step past ⊤
     Mutant(
@@ -380,22 +345,6 @@ MUTANTS = (
         "held.append(r)",
         ("tests/test_core.py::test_index_tables_match_point_use_and_action_at",),
     ),
-    # the orbit view's unranking: over every live orbit, and each fixed
-    # value taken out of the counts that rank the next coordinates
-    Mutant(
-        "view-unrank-one-orbit",
-        DEADLOCK,
-        "values, live, slots = self._tables\n        out: list[int] = []",
-        "values, live, slots = self._tables\n        live = live[:1]\n        out: list[int] = []",
-        (VIEW_TEST,),
-    ),
-    Mutant(
-        "view-fixed-value-kept",
-        DEADLOCK,
-        "counts[k] -= 1",
-        "pass",
-        (VIEW_TEST,),
-    ),
     # the choice-point records: contenders read from the state itself, ``==``
     # comparing payloads, the reachable flag from the search, and the
     # concrete choice points bounded before they are listed
@@ -427,8 +376,9 @@ MUTANTS = (
         "",
         (CLASS_TESTS + "test_choice_points_bound_is_exact_on_a_listable_instance",),
     ),
-    # the front end: decimal capacities, the thread bound at its value, the
-    # grid size past the int-to-str limit, and library errors as exit 2
+    # the front end: decimal capacities, the thread bound at its value in the
+    # parser, ``Program.power`` and the witness constructors, the grid size
+    # past the int-to-str limit, and library errors as exit 2
     Mutant(
         "parser-capacity-isdigit",
         PARSER,
@@ -442,6 +392,20 @@ MUTANTS = (
         "if len(threads) + count > _MAX_THREADS:",
         "if len(threads) + count >= _MAX_THREADS:",
         ("tests/test_parser.py::test_program_at_the_thread_bound_parses",),
+    ),
+    Mutant(
+        "power-thread-bound-off-by-one",
+        CORE,
+        "if n > _MAX_THREADS:",
+        "if n >= _MAX_THREADS:",
+        ("tests/test_core.py::test_power_bounds_the_copy_count",),
+    ),
+    Mutant(
+        "witness-thread-bound-off-by-one",
+        DEADLOCK,
+        "if cutoff > _MAX_THREADS:",
+        "if cutoff >= _MAX_THREADS:",
+        (CLI_TESTS + "test_witness_at_the_thread_bound_parses_back",),
     ),
     Mutant(
         "cli-check-size-fallback-removed",

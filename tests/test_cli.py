@@ -131,19 +131,47 @@ def _address_space_1gib():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_huge_copy_count_is_refused_before_allocating(tmp_path):
-    # a child under a 1 GiB address-space limit: without the thread bound the
-    # parser's list of copies raises MemoryError, a traceback and exit 1
-    f = tmp_path / "huge.pv"
-    f.write_text("resource a cap 1\nthread T = Pa Va\nprogram main = T ^ 1000000000\n")
+def _run_in_1gib(*argv):
+    """``python -m pvguard.cli *argv`` in a child under a 1 GiB address-space
+    limit, where an input that asks for unbounded memory fails safely."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "pvguard.cli", "deadlocks", str(f)],
+    return subprocess.run(
+        [sys.executable, "-m", "pvguard.cli", *argv],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=60, preexec_fn=_address_space_1gib,
     )
+
+
+def test_huge_copy_count_is_refused_before_allocating(tmp_path):
+    # without the thread bound the parser's list of copies raises
+    # MemoryError, a traceback and exit 1
+    f = tmp_path / "huge.pv"
+    f.write_text("resource a cap 1\nthread T = Pa Va\nprogram main = T ^ 1000000000\n")
+    done = _run_in_1gib("deadlocks", str(f))
     assert done.returncode == 2, done.stderr
     assert "line 3, column 20: a program has at most 10000 threads" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("family", "{}", "deadlock"), 4, "10000 threads (2000000000 needed)"),
+        (("family", "{}", "serializability"), 4, "10000 threads (2000000001 needed)"),
+        (("witness", "deadlock", "a:1000000000", "b:1"), 2,
+         "the witness needs 1000000001 threads; a program has at most 10000"),
+    ],
+    ids=["family-deadlock", "family-serializability", "witness-deadlock"],
+)
+def test_capacity_sums_past_the_thread_bound_build_no_instance(tmp_path, argv, code, message):
+    # without the bound the cut-off instance of 2e9 copies (or the witness's
+    # 1e9-coordinate state) raises MemoryError, a traceback and exit 1
+    f = tmp_path / "wide.pv"
+    f.write_text("resource a cap 1000000000\nresource b cap 1000000000\n"
+                 "thread T = Pa Pb Va Pa Vb Va\n")
+    done = _run_in_1gib(*(arg.format(f) for arg in argv))
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    assert message in done.stdout + done.stderr
 
 
 def test_check_states_a_grid_past_the_digit_limit_as_its_magnitude(capsys, tmp_path):
@@ -464,6 +492,61 @@ def test_family_deadlock_refuses_to_print_rung_16(capsys, tmp_path, monkeypatch)
         code, out, err = run(capsys, "family", src, "deadlock", *flags)
         assert (code, out) == (3, "")
         assert "witness-path states (127135008 needed)" in err
+
+
+def test_family_serializability_print_bound_is_exact(capsys, tmp_path):
+    # the (2,2) choice-point witness: 540 choice points whose witness paths
+    # would hold 11,520 states.  At that bound the output is the one printed
+    # before choice points were bounded (digests of those bytes); one below,
+    # printing is refused
+    src, _ = generated_witness(capsys, tmp_path, "lcp", (2, 2))
+    digests = {
+        (): "6fc9657f3a5d575e4e70ca7b977135a0e8eb53d5c7056e4ac7065f82ddbd9e34",
+        ("--json",): "44827c0b9fa185b21cc6ce141c2995db7568525f53d0375af0400ebb9e8c9cb8",
+    }
+    for flags, digest in digests.items():
+        argv = ("family", src, "serializability", "--max-states")
+        code, out, _ = run(capsys, *argv, "11520", *flags)
+        assert code == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, out, err = run(capsys, *argv, "11519", *flags)
+        assert (code, out) == (3, "")
+        assert "witness-path states (11520 needed)" in err
+
+
+def test_family_serializability_refuses_to_print_444(capsys, tmp_path, monkeypatch):
+    # 24,324,300 choice points in 18 orbits at the default bound, whose
+    # witness paths would hold 1,435,133,700 states: the refusal comes before
+    # any state is expanded
+    src, _ = generated_witness(capsys, tmp_path, "lcp", (4, 4, 4))
+
+    def fail(*args):
+        raise AssertionError("a concrete state was expanded")
+
+    monkeypatch.setattr(deadlock, "_distinct_permutations", fail)
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "family", src, "serializability", *flags)
+        assert (code, out) == (3, "")
+        assert "witness-path states (1435133700 needed)" in err
+
+
+@pytest.mark.parametrize(
+    "kind, largest, past",
+    [("deadlock", ("a:5000", "b:5000"), ("a:5001", "b:5000")),
+     ("lcp", ("a:5001", "b:5000"), ("a:5001", "b:5001"))],
+)
+def test_witness_at_the_thread_bound_parses_back(capsys, tmp_path, kind, largest, past):
+    # the largest witness instances have 10,000 threads, and `check` reads
+    # their source back; one more thread is refused
+    code, out, _ = run(capsys, "witness", kind, *largest)
+    assert code == 0 and "program main = T^10000" in out
+    f = tmp_path / "w.pv"
+    f.write_text(out)
+    code, out, _ = run(capsys, "check", str(f))
+    assert code == 0 and "program main: 10000 thread(s)" in out
+    code, out, err = run(capsys, "witness", kind, *past)
+    assert (code, out) == (2, "")
+    assert "the witness needs 10001 threads; a program has at most 10000" in err
 
 
 def test_witness_json_mode(capsys):

@@ -9,6 +9,7 @@ from pvguard import (
     CapacityMap,
     InvalidThreadError,
     Program,
+    SearchLimitExceeded,
     Thread,
     family_deadlock_verdict,
     family_serializability_verdict,
@@ -180,6 +181,21 @@ def test_program_rejects_unknown_resource():
     t = Thread.from_text("Pa Va")
     with pytest.raises(InvalidThreadError):
         Program.power(t, 2, make_caps(b=1))
+
+
+def test_power_bounds_the_copy_count():
+    # the parser's thread bound: 10,000 copies are built, one more is
+    # refused before the tuple of copies is; the family verdicts read that as
+    # a cut-off instance too large to search, and build none
+    t = Thread.from_text("Pa Pb Va Pa Vb Va")
+    assert Program.power(t, 10_000, make_caps(a=1, b=1)).n == 10_000
+    with pytest.raises(SearchLimitExceeded, match=r"10000 threads \(10001 needed\)"):
+        Program.power(t, 10_001, make_caps(a=1, b=1))
+    caps = make_caps(a=5_000, b=5_001)
+    for route in (family_deadlock_verdict, family_serializability_verdict):
+        v = route(t, caps)
+        assert (v.verdict, v.rule, v.program) == ("inconclusive", "search-limit", None)
+        assert v.detail.endswith("10000 threads (%d needed)" % v.cutoff)
 
 
 def test_check_state_bounds():

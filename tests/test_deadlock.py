@@ -1,6 +1,5 @@
 import collections
 import itertools
-import math
 import operator
 import random
 
@@ -238,58 +237,32 @@ def test_family_deadlock_verdict_expands_no_state(monkeypatch, entries, max_stat
     assert plan.expected_state[1:] not in v.witnesses
 
 
-def _rank_in_orbit(state):
-    """The number of distinct orderings of ``state``'s values that precede it
-    lexicographically."""
-    counts = collections.Counter(state)
-    rank = 0
-    for m, x in zip(range(len(state), 0, -1), state):
-        for v in sorted(counts):
-            if v >= x:
-                break
-            if counts[v]:
-                counts[v] -= 1
-                rest = math.factorial(m - 1)
-                for c in counts.values():
-                    rest //= math.factorial(c)
-                rank += rest
-                counts[v] += 1
-        counts[x] -= 1
-    return rank
+def test_family_witness_view_first_record_draws_one_permutation_per_orbit(monkeypatch):
+    # ladder rung 16: 2,018,016 witnesses in one orbit; the first record is
+    # the orbit itself, and iteration has drawn one permutation of it
+    drawn = collections.Counter()
+    permutations = deadlock._distinct_permutations
 
+    def counted(groups, orbit):
+        for state in permutations(groups, orbit):
+            drawn[orbit] += 1
+            yield state
 
-def test_family_witness_view_indexes_without_expanding(monkeypatch):
-    # ladder rung 16: 2,018,016 witnesses in one orbit; indexing unranks
-    def fail(*args):
-        raise AssertionError("a concrete state was expanded")
-
-    monkeypatch.setattr(deadlock, "_distinct_permutations", fail)
+    monkeypatch.setattr(deadlock, "_distinct_permutations", counted)
     caps = make_caps(a=6, b=5, c=5)
     plan = deadsharp_witness(caps)
     w = family_deadlock_verdict(plan.thread, caps).witnesses
     assert len(w) == 2018016
-    (orbit,) = w.orbits
-    assert w[0] == orbit and w[-1] == orbit[::-1] and w[-2018016] == w[0]
-    middle = w[1009005:1009009]
-    assert [_rank_in_orbit(state) for state in middle] == list(range(1009005, 1009009))
-    assert all(state in w for state in middle)
-    assert w[1009006] == middle[1] and w[1009005:1009013:3] == (middle[0], middle[3], w[1009011])
-    assert [w.index(state) for state in middle] == list(range(1009005, 1009009))
-    assert w.index(w[-1]) == 2018015 and w.count(middle[0]) == 1
-    with pytest.raises(ValueError):
-        w.index(middle[0], 1009006)
-    with pytest.raises(IndexError):
-        w[2018016]
+    assert next(iter(w)) == min(w.orbits)
+    assert dict(drawn) == dict.fromkeys(w.orbits, 1)
 
 
 def test_orbit_view_past_sys_maxsize():
     # one orbit of 25 distinct values stands for 25! records: len() raises,
-    # but truth, indexing, reversed and == do not
+    # but truth and == do not
     groups = (tuple(range(25)),)
     v = deadlock.OrbitView(groups, {tuple(range(25)): None})
     assert v and not deadlock.OrbitView(groups, {})
-    assert v[0] == tuple(range(25)) and v[-1] == tuple(range(24, -1, -1))
-    assert next(reversed(v)) == v[-1]
     assert v != deadlock.OrbitView(groups, {tuple(range(1, 26)): None})
     with pytest.raises(OverflowError):
         len(v)
@@ -313,38 +286,11 @@ def test_orbit_view_matches_brute_force_on_interleaved_groups():
         size = len(expected)
         assert tuple(view) == expected and len(view) == size
         assert view == expected and expected == view and view != expected[:-1]
-        assert [view[i] for i in range(-size, size)] == list(expected) * 2
-        for sl in (slice(1, 4), slice(-3, None), slice(None, None, -1), slice(5, 1, -2)):
-            assert view[sl] == expected[sl]
-        assert tuple(reversed(view)) == expected[::-1]
-        assert [view.index(state) for state in expected] == list(range(size))
         members = set(expected)
         others = [tuple(rng.randint(0, t) for t in prog.tops) for _ in range(20)]
         others += [expected[0][:-1], expected[0] + (0,), ()]
         for state in others:
             assert (state in view) == (state in members)
-            if state not in members:
-                with pytest.raises(ValueError):
-                    view.index(state)
-        with pytest.raises(IndexError):
-            view[size]
-
-
-def test_family_witness_view_indexes_like_the_sorted_tuple():
-    for total in range(2, 9):
-        k = 2 if total == 2 else 3
-        caps = CapacityMap(tuple(zip("abc", (total // k + (i < total % k) for i in range(k)))))
-        plan = deadsharp_witness(caps)
-        w = family_deadlock_verdict(plan.thread, caps).witnesses
-        expected = concrete_family_deadlock_verdict(plan.thread, caps).witnesses
-        assert [w[i] for i in range(len(w))] == list(expected)
-        assert [w[i] for i in range(-len(w), 0)] == list(expected)
-        assert [w.index(state) for state in expected] == list(range(len(w)))
-        assert tuple(reversed(w)) == expected[::-1]
-        n = len(expected)
-        for sl in (slice(0, n // 4), slice(n // 3, n // 3 + 3), slice(None, n // 5, 2),
-                   slice(n - 2, 1, -3), slice(None), slice(None, None, -1)):
-            assert w[sl] == expected[sl]
 
 
 @st.composite
@@ -397,10 +343,6 @@ def test_family_witness_view_matches_concrete_route():
         assert w != expected[:-1] and w != expected + expected[:1] and w != list(expected)
         assert w != expected[:-1] + ((-1,) * len(expected[0]),)
         rng = random.Random(seed)
-        for i in (0, -1, len(expected) // 2, rng.randrange(len(expected))):
-            assert w[i] == expected[i]
-        for sl in (slice(1, 4), slice(None, None, -1), slice(-3, None), slice(5, 2)):
-            assert w[sl] == expected[sl]
         assert list(w) == list(expected) and hash(w) == hash(expected)
         members = set(expected)
         assert all(state in w for state in rng.sample(expected, min(len(expected), 50)))

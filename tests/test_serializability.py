@@ -928,10 +928,6 @@ def test_family_choice_point_view_matches_concrete_routes():
         assert listed == expected
         assert [cp.reachable for cp in listed] == [cp.reachable for cp in full]
         rng = random.Random(seed)
-        for i in (0, -1, len(expected) // 2, rng.randrange(len(expected))):
-            assert view[i] == expected[i]
-        for sl in (slice(1, 4), slice(-3, None), slice(None, None, -1)):
-            assert view[sl] == expected[sl]
         assert view != expected[:-1] and view != list(expected)
         records = serializability._choice_point_orbits(v.program, 10**8)
         by_state = operator.attrgetter("state")
@@ -939,17 +935,13 @@ def test_family_choice_point_view_matches_concrete_routes():
         assert view == deadlock.OrbitView(groups, records, serializability._choice_point, by_state)
         flipped = {o: (res, wanted, not reach) for o, (res, wanted, reach) in records.items()}
         assert view != deadlock.OrbitView(groups, flipped, serializability._choice_point, by_state)
-        assert tuple(reversed(view)) == expected[::-1]
         for cp in rng.sample(expected, min(len(expected), 30)):
             assert cp in view
-            assert view.index(cp) == expected.index(cp) and view.count(cp) == 1
             flipped = dataclasses.replace(cp, reachable=not cp.reachable)
             fewer = dataclasses.replace(cp, contenders=cp.contenders[1:])
             other = dataclasses.replace(cp, resource="b" if cp.resource == "a" else "a")
             for item in (flipped, fewer, other, cp.state, None):
-                assert item not in view and view.count(item) == 0
-                with pytest.raises(ValueError):
-                    view.index(item)
+                assert item not in view
         tops = v.program.tops
         members = set(expected)
         for _ in range(30):
@@ -987,7 +979,6 @@ def test_family_choice_points_expand_no_state(monkeypatch):
     assert resource == plan.expected_resource
     assert ChoicePoint(state, resource, contenders, True) in v.choice_points
     assert ChoicePoint(state, resource, contenders, False) not in v.choice_points
-    assert v.choice_points[0].state == min(v.choice_points.orbits)
 
 
 def test_choice_point_flags_come_from_the_release_first_search(monkeypatch):
