@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import re
 import sys
@@ -24,6 +23,7 @@ from .core import (
     PvError,
     SearchLimitExceeded,
     _NAME_RE,
+    _count_text,
 )
 from .deadlock import (
     _guard_paths,
@@ -103,13 +103,6 @@ def _emit(args, command: str, source: bytes, result, text) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-
-
-def _count_text(count: int) -> str:
-    try:  # past the interpreter's limit on int-to-str digits, the magnitude
-        return str(count)
-    except ValueError:
-        return f"about 10^{math.log10(count):.0f}"
 
 
 def _cmd_check(args) -> int:

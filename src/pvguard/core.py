@@ -17,7 +17,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, log10
 from typing import Iterable, Iterator, Optional, Sequence
 
 ACQUIRE = "P"
@@ -59,6 +59,13 @@ class SearchLimitExceeded(PvError):
         super().__init__(f"instance exceeds the configured bound of {limit} {what}")
         self.limit = limit
         self.what = what
+
+
+def _count_text(count: int) -> str:
+    try:  # past the interpreter's limit on int-to-str digits, the magnitude
+        return str(count)
+    except ValueError:
+        return f"about 10^{log10(count):.0f}"
 
 
 @dataclass(frozen=True)
@@ -299,7 +306,7 @@ class Program:
         if n < 1:
             raise ValueError("thread copy count must be >= 1")
         if n > _MAX_THREADS:
-            raise SearchLimitExceeded(_MAX_THREADS, f"threads ({n} needed)")
+            raise SearchLimitExceeded(_MAX_THREADS, f"threads ({_count_text(n)} needed)")
         return cls((thread,) * n, caps)
 
     @property

@@ -31,6 +31,7 @@ from .core import (
     Thread,
     _MAX_THREADS,
     _check_declared,
+    _count_text,
     single_access,
 )
 from .geometry import (
@@ -344,62 +345,64 @@ def _orbit_size(groups: Sequence[Sequence[int]], state: State) -> int:
 
 def _hit_orbits(
     program: Program,
-    leaf: Callable[[Sequence[int], list[int], list[Optional[int]]], object],
+    leaf: Callable[[Sequence[int], list[int], list[int]], object],
     max_states: int,
 ) -> dict[State, object]:
     """The candidate sweep shared by potential deadlocks and local choice
     points, over orbits: the group-sorted states other than ⊤ whose
     coordinates each stand at an acquire or at ⊤ and on which
-    ``leaf(kappa, totals, requests)`` is truthy, each mapped to that value,
-    in sweep order.  Bounded by the symmetry-folded state count
-    (``guard_orbits``).
+    ``leaf(kappa, totals, asks)`` is not None, each mapped to that value,
+    in ascending order of their positions group by group.  Bounded by the
+    symmetry-folded state count (``guard_orbits``).
 
-    Within each identity group the sweep places only non-decreasing
-    positions, and takes the product across groups.  It keeps the point-use
-    totals and, per coordinate, the requested resource index (None at ⊤).  A
-    requested resource never sheds holders as later coordinates are placed,
-    so a branch is pruned once its request is over capacity.  Whether the
-    leaf is truthy must not depend on the order of coordinates within a
-    group.
+    An orbit is a count vector per identity group over the acquire
+    positions of its thread, ⊤ taking the copies left over, since it holds
+    and requests nothing.  A stack holds the count of each slot (group,
+    position) so far, group by group, largest first; the point-use totals
+    and the requesters per resource (``asks``) move by whole counts.  No
+    copy holds a resource at an acquire of it, and a resource never sheds
+    holders as later slots fill, so a slot whose resource is over capacity
+    gets no copies.  The group-sorted state is built only at a hit.
     """
     guard_orbits(program, max_states)
-    n = program.n
     kappa = program.kappa
-    request = program._request_idx
-    point = program._point_idx
     groups = program._groups
-    order = [i for g in groups for i in g]
-    leads = {g[0] for g in groups}  # a group's first coordinate has no lower bound
-    options = [
-        [(p, r) for p, r in enumerate(request[i]) if r is not None] + [(top, None)]
-        for i, top in enumerate(program.tops)
+    slots = [  # per acquire position of a group's thread: group, position, request, holds
+        (k, p, r, program._point_idx[g[0]][p])
+        for k, g in enumerate(groups)
+        for p, r in enumerate(program._request_idx[g[0]])
+        if r is not None
     ]
-    totals = [0] * len(kappa)
-    requests: list[Optional[int]] = [None] * n
-    state = [0] * n
+    left = [len(g) for g in groups]  # per group, the copies at ⊤
+    totals, asks = [0] * len(kappa), [0] * len(kappa)
+    counts: list[int] = []  # the stack: per slot so far, its copies
     hits: dict[State, object] = {}
-
-    def visit(k: int, lo: int, requested: int) -> None:
-        if k == n:
-            if requested and (value := leaf(kappa, totals, requests)):  # ⊤ is never one
-                hits[tuple(state)] = value
-            return
-        i = order[k]
-        opts = options[i]
-        for j in range(0 if i in leads else lo, len(opts)):
-            pos, req = opts[j]
-            add = point[i][pos]
-            for r in add:
-                totals[r] += 1
-            if req is None or totals[req] <= kappa[req]:
-                state[i] = pos
-                requests[i] = req
-                visit(k + 1, j, requested + (req is not None))
-            for r in add:
-                totals[r] -= 1
-
-    visit(0, 0, 0)
-    return hits
+    while True:
+        while len(counts) < len(slots):  # each further slot takes all it may
+            k, _, r, held = slots[len(counts)]
+            c = left[k] if totals[r] <= kappa[r] else 0
+            counts.append(c)
+            left[k] -= c
+            asks[r] += c
+            for s in held:
+                totals[s] += c
+        if any(asks) and (value := leaf(kappa, totals, asks)) is not None:  # ⊤ is never one
+            state = list(program.tops)
+            ranks = [iter(g) for g in groups]  # each group's coordinates, lowest first
+            for (k, p, _, _), c in zip(slots, counts):
+                for i in itertools.islice(ranks[k], c):
+                    state[i] = p
+            hits[tuple(state)] = value
+        while counts and not counts[-1]:
+            counts.pop()
+        if not counts:
+            return hits
+        k, _, r, held = slots[len(counts) - 1]  # one copy of the last slot to ⊤
+        counts[-1] -= 1
+        left[k] += 1
+        asks[r] -= 1
+        for s in held:
+            totals[s] -= 1
 
 
 def _same_state(state: State, payload: object) -> State:
@@ -504,7 +507,7 @@ def _guard_paths(sizes: Mapping[State, int], max_states: int) -> None:
     sum plus one states."""
     size = sum(count * (sum(orbit) + 1) for orbit, count in sizes.items())
     if size > max_states:
-        raise SearchLimitExceeded(max_states, f"witness-path states ({size} needed)")
+        raise SearchLimitExceeded(max_states, f"witness-path states ({_count_text(size)} needed)")
 
 
 def _guard_members(sizes: Mapping[State, int], max_states: int) -> None:
@@ -513,14 +516,13 @@ def _guard_members(sizes: Mapping[State, int], max_states: int) -> None:
     than ``max_states`` concrete states."""
     size = sum(sizes.values())
     if size > max_states:
-        raise SearchLimitExceeded(max_states, f"concrete candidate states ({size} needed)")
+        needed = _count_text(size)
+        raise SearchLimitExceeded(max_states, f"concrete candidate states ({needed} needed)")
 
 
-def _requests_full(
-    kappa: Sequence[int], totals: list[int], requests: list[Optional[int]]
-) -> bool:
-    """Every requested resource is at full point-use capacity."""
-    return all(r is None or totals[r] == kappa[r] for r in requests)
+def _requests_full(kappa: Sequence[int], totals: list[int], asks: list[int]) -> Optional[bool]:
+    """True when every requested resource is at full capacity, else None."""
+    return True if all(t == cap for t, cap, ask in zip(totals, kappa, asks) if ask) else None
 
 
 def potential_deadlocks(
@@ -782,7 +784,7 @@ def program_deadlock_verdict(
         )
     count = _subprogram_count(program._groups, cutoff)
     if count > max_states:
-        raise SearchLimitExceeded(max_states, f"sub-programs ({count} needed)")
+        raise SearchLimitExceeded(max_states, f"sub-programs ({_count_text(count)} needed)")
     for indices in _subprogram_indices(program._groups, cutoff):
         sub = Program(tuple(program.threads[i] for i in indices), program.caps)
         found = _deadlock_states(sub, max_states)
@@ -812,26 +814,28 @@ def program_deadlock_verdict(
 def _subprogram_indices(groups: Sequence[Sequence[int]], size: int) -> Iterator[tuple[int, ...]]:
     """One index tuple per vector of per-group counts summing to ``size``,
     taking each group's first indices, in lexicographic order.  An index is
-    taken only after its group's earlier ones; a branch ends once the groups
-    still open cannot fill it."""
+    taken only after its group's earlier ones; the picks are kept on a list,
+    and the last is taken back once the groups still open cannot fill it."""
     place = {i: (k, r) for k, g in enumerate(groups) for r, i in enumerate(g)}
     taken = [0] * len(groups)
-
-    def extend(picked: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        if len(picked) == size:
-            yield picked
-            return
-        for i in range(start, len(place)):
-            open_ = sum(len(g) - t for g, t in zip(groups, taken) if t < len(g) and g[t] >= i)
-            if open_ < size - len(picked):
-                return
+    picked: list[int] = []
+    i = 0  # the next index to try
+    while True:
+        need = size - len(picked)
+        if not need:
+            yield tuple(picked)
+        elif sum(len(g) - t for g, t in zip(groups, taken) if t < len(g) and g[t] >= i) >= need:
             k, r = place[i]
             if r == taken[k]:
                 taken[k] += 1
-                yield from extend(picked + (i,), i + 1)
-                taken[k] -= 1
-
-    return extend((), 0)
+                picked.append(i)
+            i += 1
+            continue
+        if not picked:
+            return
+        i = picked.pop()
+        taken[place[i][0]] -= 1
+        i += 1
 
 
 def _subprogram_count(groups: Sequence[Sequence[int]], size: int) -> int:

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import Program, PvError, SearchLimitExceeded, State
+from .core import Program, PvError, SearchLimitExceeded, State, _count_text
 
 DEFAULT_MAX_STATES = 10**8
 
@@ -177,7 +177,7 @@ def guard_orbits(program: Program, max_states: int) -> None:
     identical threads (:meth:`Program.orbit_states`)."""
     size = program.orbit_states()
     if size > max_states:
-        raise SearchLimitExceeded(max_states, f"symmetry-folded states ({size} needed)")
+        raise SearchLimitExceeded(max_states, f"symmetry-folded states ({_count_text(size)} needed)")
 
 
 def enumerate_dipaths(

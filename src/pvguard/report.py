@@ -178,7 +178,11 @@ def _scalar(value) -> str:
     if value is False:
         return "false"
     if isinstance(value, int):
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:  # past the int-to-str digit limit, which decimal does not apply
+            from decimal import Decimal
+            return str(Decimal(int(value)))
     if isinstance(value, float):
         if value != value:
             return "NaN"
@@ -212,7 +216,10 @@ def _encode(obj, newline: str, add) -> None:
             if type(value) is str:
                 add(_encode_str(value))
             elif type(value) is int:
-                add(int.__repr__(value))
+                try:
+                    add(int.__repr__(value))
+                except ValueError:  # past the int-to-str digit limit
+                    add(_scalar(value))
             elif isinstance(value, (list, tuple, dict)):
                 _encode(value, inner, add)
             else:
@@ -229,7 +236,10 @@ def _encode(obj, newline: str, add) -> None:
         if type(value) is str:
             add(_encode_str(value))
         elif type(value) is int:
-            add(int.__repr__(value))
+            try:
+                add(int.__repr__(value))
+            except ValueError:  # past the int-to-str digit limit
+                add(_scalar(value))
         elif isinstance(value, (list, tuple, dict)):
             _encode(value, inner, add)
         else:

@@ -26,6 +26,7 @@ from .core import (
     State,
     Thread,
     _check_declared,
+    _count_text,
 )
 from .deadlock import (
     FamilyVerdict,
@@ -143,7 +144,7 @@ def dihomotopy_classes(
     n = program.n
     size = count * (sum(program.tops) + 1)
     if size > limit:
-        raise SearchLimitExceeded(limit, f"representative path states ({size} needed)")
+        raise SearchLimitExceeded(limit, f"representative path states ({_count_text(size)} needed)")
     silent = _silent(program)
     first = sum(1 << c for c in range(n) if silent[c][0])
     representatives = []
@@ -392,25 +393,19 @@ class ChoicePoint:
     reachable: bool
 
 
-def _one_short(
-    kappa: Sequence[int], totals: list[int], requests: list[Optional[int]]
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """The choice-point leaf: (contended resource index, contenders) or None.
+def _one_short(kappa: Sequence[int], totals: list[int], asks: list[int]) -> Optional[int]:
+    """The choice-point leaf: the contended resource index, or None.
 
     Every resource is within capacity; exactly one requested resource is one
     holder short with at least two requesters; every other requested
     resource is full.
     """
-    if any(tot > cap for tot, cap in zip(totals, kappa)):
+    if any(map(operator.gt, totals, kappa)):
         return None
-    short = {r for r in requests if r is not None and totals[r] != kappa[r]}
-    if len(short) != 1:
-        return None
-    (r,) = short
-    contenders = tuple(i for i, q in enumerate(requests) if q == r)
-    if totals[r] != kappa[r] - 1 or len(contenders) < 2:
-        return None
-    return r, contenders
+    short = [r for r, ask in enumerate(asks) if ask and totals[r] != kappa[r]]
+    if len(short) == 1 and totals[short[0]] == kappa[short[0]] - 1 and asks[short[0]] >= 2:
+        return short[0]
+    return None
 
 
 # what the members of a choice-point orbit share: the contended resource, per
@@ -435,7 +430,7 @@ def _choice_point_orbits(program: Program, max_states: int) -> dict[State, _Orbi
         tuple(frozenset(p for p, q in enumerate(req) if q == r) for req in request)
         for r in range(len(names))
     ]
-    return {o: (names[r], wanted[r], index.is_reachable(o)) for o, (r, _) in hits.items()}
+    return {o: (names[r], wanted[r], index.is_reachable(o)) for o, r in hits.items()}
 
 
 def _choice_point(state: State, record: _OrbitRecord) -> ChoicePoint:

@@ -51,11 +51,10 @@ from pvguard.core import RELEASE
 from pvguard.deadlock import (
     _deadlock_orbits,
     _deadlock_states,
-    _requests_full,
     _scatter_state,
 )
 from pvguard.geometry import DEFAULT_MAX_STATES, guard_grid
-from pvguard.serializability import _classes, _one_short
+from pvguard.serializability import _classes
 
 
 # Generation and shrinking, without the explain phase: on a failing
@@ -231,13 +230,14 @@ def _requests(program: Program, state: State) -> Optional[list[Optional[int]]]:
 
 
 def is_potential_deadlock(program: Program, state: State) -> bool:
-    """Check the potential-deadlock conditions at one state."""
+    """Check the potential-deadlock conditions at one state: it is not ⊤,
+    every unfinished thread stands at an acquire, and every requested
+    resource is at full point-use capacity."""
     requests = _requests(program, state)
-    return (
-        requests is not None
-        and state != program.top
-        and _requests_full(program.kappa, program.use_totals(state), requests)
-    )
+    if requests is None or state == program.top:
+        return False
+    totals = program.use_totals(state)
+    return all(totals[r] == program.kappa[r] for r in requests if r is not None)
 
 
 def is_local_choice_point(
@@ -253,8 +253,18 @@ def is_local_choice_point(
     requests = _requests(program, state)
     if requests is None:
         return None
-    hit = _one_short(program.kappa, program.use_totals(state), requests)
-    return (program.resource_names[hit[0]], hit[1]) if hit else None
+    kappa = program.kappa
+    totals = program.use_totals(state)
+    if any(t > k for t, k in zip(totals, kappa)):
+        return None
+    short = {r for r in requests if r is not None and totals[r] != kappa[r]}
+    if len(short) != 1:
+        return None
+    (r,) = short
+    contenders = tuple(i for i, q in enumerate(requests) if q == r)
+    if totals[r] != kappa[r] - 1 or len(contenders) < 2:
+        return None
+    return program.resource_names[r], contenders
 
 
 def lcp_to_potential_deadlock(program: Program, cp: ChoicePoint) -> State:

@@ -171,6 +171,14 @@ MUTANTS = (
         "for r, i in enumerate(g[::-1])}",
         (SEARCH_TESTS + "test_subprogram_indices_are_the_sorted_count_vectors",),
     ),
+    # the sub-program stack: a pop hands the group's copy back
+    Mutant(
+        "subprograms-taken-kept-on-pop",
+        DEADLOCK,
+        "        taken[place[i][0]] -= 1\n",
+        "",
+        (SEARCH_TESTS + "test_subprogram_indices_are_the_sorted_count_vectors",),
+    ),
     # the orbit view's ``in``: it compares the record the state stands for
     Mutant(
         "view-in-without-record",
@@ -179,29 +187,47 @@ MUTANTS = (
         "return orbit in self._orbits",
         (RECORD_TEST,),
     ),
-    # the candidate sweep: copies of a group may share a position, each
-    # group's first coordinate starts afresh, and a request may fill its
-    # resource exactly
+    # the candidate sweep over count vectors: a slot whose resource is
+    # exactly full still takes copies, ⊤ (no copy requesting) is no hit, and
+    # a backtrack hands the copy and its request back
     Mutant(
-        "sweep-positions-strictly-increasing",
+        "sweep-prune-at-capacity",
         DEADLOCK,
-        "range(0 if i in leads else lo, len(opts))",
-        "range(0 if i in leads else lo + 1, len(opts))",
+        "c = left[k] if totals[r] <= kappa[r] else 0",
+        "c = left[k] if totals[r] < kappa[r] else 0",
         (SWEEP_TEST,),
     ),
     Mutant(
-        "sweep-no-group-leads",
+        "sweep-top-a-hit",
         DEADLOCK,
-        "leads = {g[0] for g in groups}",
-        "leads = set()",
+        "if any(asks) and (value := leaf(",
+        "if (value := leaf(",
         (SWEEP_TEST,),
     ),
     Mutant(
-        "sweep-request-below-capacity",
+        "sweep-copy-kept-on-backtrack",
         DEADLOCK,
-        "totals[req] <= kappa[req]",
-        "totals[req] < kappa[req]",
+        "counts[-1] -= 1\n        left[k] += 1\n",
+        "counts[-1] -= 1\n",
         (SWEEP_TEST,),
+    ),
+    Mutant(
+        "sweep-request-kept-on-backtrack",
+        DEADLOCK,
+        "asks[r] -= 1",
+        "asks[r] -= 0",
+        (
+            SEARCH_TESTS + "test_potential_deadlock_allows_unrequested_overflow",
+            CLASS_TESTS + "test_choice_points_match_naive_sweep",
+        ),
+    ),
+    # the choice-point leaf: one requester of the short resource is no choice
+    Mutant(
+        "choice-point-one-requester",
+        SERIALIZABILITY,
+        "asks[short[0]] >= 2",
+        "asks[short[0]] >= 1",
+        (CLASS_TESTS + "test_choice_points_match_naive_sweep",),
     ),
     # the guards: each count is exact, and each bound admits what it counts
     Mutant(
@@ -214,8 +240,8 @@ MUTANTS = (
     Mutant(
         "guard-members-at-the-bound",
         DEADLOCK,
-        'if size > max_states:\n        raise SearchLimitExceeded(max_states, f"concrete',
-        'if size >= max_states:\n        raise SearchLimitExceeded(max_states, f"concrete',
+        "if size > max_states:\n        needed = _count_text(size)",
+        "if size >= max_states:\n        needed = _count_text(size)",
         (SEARCH_TESTS + "test_potential_deadlocks_bound_counts_concrete_states",),
     ),
     Mutant(

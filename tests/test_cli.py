@@ -187,6 +187,74 @@ def test_check_states_a_grid_past_the_digit_limit_as_its_magnitude(capsys, tmp_p
     assert lines[-1] == "  program large: 7200 thread(s), about 10^4335 grid states"
 
 
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (("deadlocks", "{}", "--potential"), 0, "program main: 0 potential deadlock(s)\n", ""),
+        (("deadlocks", "{}"), 0,
+         "program main: 0 deadlock(s), 0 candidate(s), 0 state(s) visited\n", ""),
+        (("lcp", "{}"), 3, "", "concrete candidate states ("),
+    ],
+    ids=["potential", "deadlocks", "lcp"],
+)
+def test_two_thousand_copies_end_without_a_traceback(tmp_path, argv, code, stdout, stderr):
+    # past about 990 threads the candidate sweep recursed past the
+    # interpreter's limit: a RecursionError, a traceback and exit 1, the
+    # code of a violation, once the bound let the sweep run
+    f = tmp_path / "many.pv"
+    f.write_text("resource a cap 1\nthread T = Pa Va\nprogram main = T ^ 2000\n")
+    done = _run_in_1gib(*(arg.format(f) for arg in argv), "--max-states", "10000000000")
+    assert (done.returncode, done.stdout) == (code, stdout), done.stderr
+    assert "Traceback" not in done.stderr
+    assert stderr in done.stderr
+
+
+@pytest.fixture(scope="module")
+def distinct_7200(tmp_path_factory):
+    """7,200 distinct one-resource threads: 4 ** 7200 folded states, whose
+    4,335 digits pass the interpreter's int-to-str limit of 4,300."""
+    lines = [f"resource r{i} cap 1" for i in range(7200)]
+    lines += [f"thread T{i} = Pr{i} Vr{i}" for i in range(7200)]
+    lines.append("program main = " + " | ".join(f"T{i}" for i in range(7200)))
+    f = tmp_path_factory.mktemp("wide") / "distinct.pv"
+    f.write_text("\n".join(lines) + "\n")
+    return str(f)
+
+
+@pytest.mark.parametrize(
+    "argv", [("deadlocks", "{}"), ("deadlocks", "{}", "--potential"), ("lcp", "{}")],
+    ids=["deadlocks", "potential", "lcp"],
+)
+def test_bound_message_states_a_count_past_the_digit_limit(distinct_7200, argv):
+    # the count went through ``str``: exit 2 with "Exceeds the limit (4300
+    # digits) for integer string conversion" instead of the bound's exit 3
+    done = _run_in_1gib(*(arg.format(distinct_7200) for arg in argv))
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert (
+        "pvguard: instance exceeds the configured bound of 100000000 "
+        "symmetry-folded states (about 10^4335 needed)\n"
+    ) in done.stderr
+
+
+def test_json_carries_a_grid_count_past_the_digit_limit(tmp_path):
+    # stats.grid_states is 4 ** 10000, 6,021 digits: the encoder's ``repr``
+    # raised ValueError, exit 2; the exact integer is written instead
+    f = tmp_path / "wide.pv"
+    f.write_text("resource a cap 1\nthread T = Pa Va\nprogram main = T ^ 10000\n")
+    done = _run_in_1gib("deadlocks", str(f), "--json", "--max-states", "1000000000000")
+    assert done.returncode == 0, done.stderr
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit to lift")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # only to read the number back here
+    try:
+        stats = json.loads(done.stdout)["result"]["stats"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert stats["grid_states"] == 4 ** 10000
+    assert stats["threads"] == 10000
+
+
 def test_deadlocks_text_report_and_grid(capsys, ex3):
     code, out, err = run(capsys, "deadlocks", ex3)
     assert code == 1

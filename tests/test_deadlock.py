@@ -977,6 +977,17 @@ def test_program_verdict_bounds_the_subprogram_count(monkeypatch):
     assert len(calls) == 66
 
 
+def test_program_verdict_past_the_recursion_limit():
+    # 1,500 copies at a:1000: the one sub-program of 1,000 copies folds to
+    # C(1003, 3) = 167,668,501 states; the recursive sub-program enumerator
+    # and sweep ended in a RecursionError at both bounds
+    prog = Program.power(Thread.from_text("Pa Va"), 1500, make_caps(a=1000))
+    with pytest.raises(SearchLimitExceeded, match=r"folded states \(167668501 needed\)"):
+        program_deadlock_verdict(prog)
+    v = program_deadlock_verdict(prog, max_states=10**9)
+    assert (v.verdict, v.rule) == ("yes", "subprogram-cutoff")
+
+
 def test_program_verdict_matches_combination_loop():
     # random programs of two or three groups of identical threads against the
     # loop over all index tuples: the same first deadlocked sub-program, so

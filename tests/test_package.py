@@ -149,6 +149,38 @@ def test_one_breadth_first_search():
     assert loops == ["deadlock.ReachabilityIndex._search"]
 
 
+def calls_itself(fn) -> bool:
+    """Does ``fn`` call its own name, bare or, in a method, through
+    ``self`` or ``cls``?"""
+    for call in ast.walk(fn):
+        if isinstance(call, ast.Call):
+            f = call.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                return True
+    return False
+
+
+def test_no_function_calls_itself():
+    # the candidate sweep, the sub-program enumerator and the path walker
+    # keep their choices on explicit stacks, so no thread count ends in a
+    # RecursionError; report._encode recurses once per level of nesting of
+    # a report, which pvguard's own report shapes fix
+    recursive = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and calls_itself(fn):
+                recursive.append(f"{path.stem}.{fn.name}")
+    assert recursive == ["report._encode"]
+
+
 def test_folded_engines_skip_per_state_checks(monkeypatch):
     # the search and both sieves build group-sorted states themselves: no
     # state re-check, no successor list, no re-sorting of successors
