@@ -27,7 +27,6 @@ from .core import (
 )
 from .deadlock import (
     _guard_paths,
-    _orbit_sizes,
     deadsharp_witness,
     family_deadlock_verdict,
     find_deadlocks,
@@ -190,7 +189,7 @@ def _cmd_family(args) -> int:
     if shown:
         # the verdict expands no state; the printed ones stay bounded as the
         # witness paths to them would be in `deadlocks` on the same instance
-        _guard_paths(_orbit_sizes(verdict.program, shown.orbits), args.max_states)
+        _guard_paths(shown._orbits, args.max_states)
 
     def result():
         return {

@@ -15,11 +15,11 @@ import bisect
 import heapq
 import itertools
 import operator
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Collection, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import factorial
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
@@ -331,29 +331,17 @@ def _distinct_permutations(groups: Sequence[Sequence[int]], orbit: State) -> Ite
         a[i], a[j] = a[j], a[i]
 
 
-def _orbit_size(groups: Sequence[Sequence[int]], state: State) -> int:
-    """Concrete states in the orbit of ``state``: per identity group, the
-    multinomial count of the orderings of its values (1 for a group of one)."""
-    size = 1
-    for g in groups:
-        if len(g) > 1:
-            size *= factorial(len(g))
-            for count in Counter(state[i] for i in g).values():
-                size //= factorial(count)
-    return size
-
-
 def _hit_orbits(
     program: Program,
     leaf: Callable[[Sequence[int], list[int], list[int]], object],
     max_states: int,
-) -> dict[State, object]:
+) -> dict[State, tuple[int, object]]:
     """The candidate sweep shared by potential deadlocks and local choice
     points, over orbits: the group-sorted states other than ⊤ whose
     coordinates each stand at an acquire or at ⊤ and on which
-    ``leaf(kappa, totals, asks)`` is not None, each mapped to that value,
-    in ascending order of their positions group by group.  Bounded by the
-    symmetry-folded state count (``guard_orbits``).
+    ``leaf(kappa, totals, asks)`` is not None, each mapped to its size and
+    that value, in ascending order of their positions group by group.
+    Bounded by the symmetry-folded state count (``guard_orbits``).
 
     An orbit is a count vector per identity group over the acquire
     positions of its thread, ⊤ taking the copies left over, since it holds
@@ -362,7 +350,10 @@ def _hit_orbits(
     and the requesters per resource (``asks``) move by whole counts.  No
     copy holds a resource at an acquire of it, and a resource never sheds
     holders as later slots fill, so a slot whose resource is over capacity
-    gets no copies.  The group-sorted state is built only at a hit.
+    gets no copies.  The group-sorted state is built only at a hit, and
+    with it the orbit's size, its concrete states: slot by slot, the ways to
+    choose the slot's copies among its group's copies not yet placed.  No
+    other code computes an orbit's size; every bound and ``len`` reads it.
     """
     guard_orbits(program, max_states)
     kappa = program.kappa
@@ -376,7 +367,7 @@ def _hit_orbits(
     left = [len(g) for g in groups]  # per group, the copies at ⊤
     totals, asks = [0] * len(kappa), [0] * len(kappa)
     counts: list[int] = []  # the stack: per slot so far, its copies
-    hits: dict[State, object] = {}
+    hits: dict[State, tuple[int, object]] = {}
     while True:
         while len(counts) < len(slots):  # each further slot takes all it may
             k, _, r, held = slots[len(counts)]
@@ -389,10 +380,14 @@ def _hit_orbits(
         if any(asks) and (value := leaf(kappa, totals, asks)) is not None:  # ⊤ is never one
             state = list(program.tops)
             ranks = [iter(g) for g in groups]  # each group's coordinates, lowest first
+            unplaced = [len(g) for g in groups]
+            size = 1
             for (k, p, _, _), c in zip(slots, counts):
+                size *= comb(unplaced[k], c)
+                unplaced[k] -= c
                 for i in itertools.islice(ranks[k], c):
                     state[i] = p
-            hits[tuple(state)] = value
+            hits[tuple(state)] = size, value
         while counts and not counts[-1]:
             counts.pop()
         if not counts:
@@ -414,12 +409,13 @@ class OrbitView(Collection):
     ascending state order, without expanding them.
 
     ``groups`` are the program's identity groups (``Program._groups``);
-    ``orbits`` maps each orbit (each group's values ascending) to a payload,
-    and ``record(state, payload)`` builds a member's record, by default the
+    ``orbits`` maps each orbit (each group's values ascending) to its size,
+    as the sweep (``_hit_orbits``) counted it, and a payload, and
+    ``record(state, payload)`` builds a member's record, by default the
     state itself.  ``key`` reads a record's state, and is None when the
     records are states.
 
-    ``len`` sums the orbit sizes on first use, so it raises
+    ``len`` sums the given orbit sizes on first use, so it raises
     :class:`OverflowError` past ``sys.maxsize`` records; a view is true iff
     it holds an orbit.  ``in`` sorts a record's state within groups, looks
     it up among the orbits and compares the one record it stands for.
@@ -433,7 +429,7 @@ class OrbitView(Collection):
     def __init__(
         self,
         groups: Sequence[Sequence[int]],
-        orbits: Mapping[State, object],
+        orbits: Mapping[State, tuple[int, object]],
         record: Callable[[State, object], object] = _same_state,
         key: Optional[Callable[[object], State]] = None,
     ):
@@ -444,7 +440,7 @@ class OrbitView(Collection):
 
     @cached_property
     def _len(self) -> int:
-        return sum(_orbit_size(self._groups, orbit) for orbit in self._orbits)
+        return sum(size for size, _ in self._orbits.values())
 
     @property
     def orbits(self) -> KeysView[State]:
@@ -462,7 +458,7 @@ class OrbitView(Collection):
             if not isinstance(state, tuple) or len(state) != sum(map(len, self._groups)):
                 return False
             orbit = _canon(self._groups, state)
-            return orbit in self._orbits and self._record(state, self._orbits[orbit]) == item
+            return orbit in self._orbits and self._record(state, self._orbits[orbit][1]) == item
         except (AttributeError, TypeError):  # no state, or unorderable values
             return False
 
@@ -470,7 +466,7 @@ class OrbitView(Collection):
         groups = self._groups
         members = [
             map(self._record, _distinct_permutations(groups, orbit), itertools.repeat(payload))
-            for orbit, payload in self._orbits.items()
+            for orbit, (_, payload) in self._orbits.items()
         ]
         return heapq.merge(*members, key=self._key)
 
@@ -494,27 +490,21 @@ class OrbitView(Collection):
         return f"OrbitView({self._len} records in {len(self._orbits)} orbits)"
 
 
-def _orbit_sizes(program: Program, orbits: Iterable[State]) -> dict[State, int]:
-    """Each orbit mapped to its size, for the guards below."""
-    groups = program._groups
-    return {orbit: _orbit_size(groups, orbit) for orbit in orbits}
-
-
-def _guard_paths(sizes: Mapping[State, int], max_states: int) -> None:
+def _guard_paths(orbits: Mapping[State, tuple[int, object]], max_states: int) -> None:
     """Raise :class:`SearchLimitExceeded` when the witness paths to the
-    concrete states of the orbits ``sizes`` counts (``_orbit_sizes``) hold
-    more than ``max_states`` states; a path to a state has its coordinate
-    sum plus one states."""
-    size = sum(count * (sum(orbit) + 1) for orbit, count in sizes.items())
+    concrete states of ``orbits``, each mapped to its size and a payload,
+    hold more than ``max_states`` states; a path to a state has its
+    coordinate sum plus one states."""
+    size = sum(count * (sum(orbit) + 1) for orbit, (count, _) in orbits.items())
     if size > max_states:
         raise SearchLimitExceeded(max_states, f"witness-path states ({_count_text(size)} needed)")
 
 
-def _guard_members(sizes: Mapping[State, int], max_states: int) -> None:
+def _guard_members(orbits: Mapping[State, tuple[int, object]], max_states: int) -> None:
     """Raise :class:`SearchLimitExceeded`, before anything is expanded, when
-    the candidate orbits ``sizes`` counts (``_orbit_sizes``) stand for more
-    than ``max_states`` concrete states."""
-    size = sum(sizes.values())
+    the candidate ``orbits``, each mapped to its size and a payload, stand
+    for more than ``max_states`` concrete states."""
+    size = sum(count for count, _ in orbits.values())
     if size > max_states:
         needed = _count_text(size)
         raise SearchLimitExceeded(max_states, f"concrete candidate states ({needed} needed)")
@@ -539,7 +529,7 @@ def potential_deadlocks(
     ``max_states``.
     """
     hits = _hit_orbits(program, _requests_full, max_states)
-    _guard_members(_orbit_sizes(program, hits), max_states)
+    _guard_members(hits, max_states)
     # ``iter``: no length hint, since the guard has just summed the orbit sizes
     return list(iter(OrbitView(program._groups, hits)))
 
@@ -581,9 +571,9 @@ def find_deadlocks(
     """
     candidates, paths, index = _deadlock_orbits(program, max_states, bounded=False)
     groups = program._groups
-    records = dict.fromkeys(candidates)
+    records = {orbit: (size, None) for orbit, (size, _) in candidates.items()}
     for orbit, path in paths.items():
-        records[orbit] = (path.states, _by_value(groups, path.end))
+        records[orbit] = candidates[orbit][0], (path.states, _by_value(groups, path.end))
     view = OrbitView(groups, records, lambda *pair: pair, operator.itemgetter(0))
     members = tuple(iter(view))  # no length hint: the guards summed the sizes
     deadlocks: list[Deadlock] = []
@@ -606,26 +596,27 @@ def find_deadlocks(
 
 def _deadlock_orbits(
     program: Program, max_states: int, bounded: bool
-) -> tuple[dict[State, object], dict[State, LatticePath], Optional[ReachabilityIndex]]:
-    """The potential-deadlock orbits, the deadlock orbits among them, each
-    mapped to its validated witness path, and the reachability index (None
-    without candidates).  Permuting identical copies leaves the program
-    unchanged, so being admissible, reachable and without successors are
-    orbit properties, decided once per orbit.
+) -> tuple[dict[State, tuple[int, object]], dict[State, LatticePath], Optional[ReachabilityIndex]]:
+    """The potential-deadlock orbits, each mapped to its size and leaf value
+    (``_hit_orbits``), the deadlock orbits among them, each mapped to its
+    validated witness path, and the reachability index (None without
+    candidates).  Permuting identical copies leaves the program unchanged,
+    so being admissible, reachable and without successors are orbit
+    properties, decided once per orbit.
 
     Bounded by the symmetry-folded state count, then, before the search, by
     the concrete candidates and, without ``bounded``, by the states of the
-    witness paths to the admissible candidates, both counted on the orbits.
+    witness paths to the admissible candidates, both summed from the sizes
+    the sweep counted.
     With ``bounded`` the caller builds no witness paths, and the index takes
     the admissible orbits as its targets: same deadlocks, fewer orbits
     visited.
     """
     hits = _hit_orbits(program, _requests_full, max_states)
-    sizes = _orbit_sizes(program, hits)
-    admissible = [hit for hit in hits if state_admissible(program, hit)]
+    admissible = {hit: entry for hit, entry in hits.items() if state_admissible(program, hit)}
     if not bounded:
-        _guard_paths({hit: sizes[hit] for hit in admissible}, max_states)
-    _guard_members(sizes, max_states)
+        _guard_paths(admissible, max_states)
+    _guard_members(hits, max_states)
     targets = admissible if bounded else None
     index = ReachabilityIndex(program, max_states, targets=targets) if hits else None
     deadlocks: dict[State, LatticePath] = {}
@@ -644,8 +635,8 @@ def _deadlock_states(program: Program, max_states: int) -> OrbitView:
     """The deadlocks of the program, as a sorted :class:`OrbitView` over
     their orbits, without witness paths: the search stops at the ceiling of
     the candidates."""
-    _, orbits, _ = _deadlock_orbits(program, max_states, bounded=True)
-    return OrbitView(program._groups, dict.fromkeys(orbits))
+    hits, orbits, _ = _deadlock_orbits(program, max_states, bounded=True)
+    return OrbitView(program._groups, {orbit: hits[orbit] for orbit in orbits})
 
 
 def _scatter_state(

@@ -35,7 +35,6 @@ from .deadlock import (
     WitnessPlan,
     _guard_members,
     _hit_orbits,
-    _orbit_sizes,
     deadsharp_witness,
 )
 from .geometry import (
@@ -413,16 +412,19 @@ def _one_short(kappa: Sequence[int], totals: list[int], asks: list[int]) -> Opti
 _OrbitRecord = tuple[str, tuple[frozenset[int], ...], bool]
 
 
-def _choice_point_orbits(program: Program, max_states: int) -> dict[State, _OrbitRecord]:
+def _choice_point_orbits(
+    program: Program, max_states: int
+) -> dict[State, tuple[int, _OrbitRecord]]:
     """The choice-point orbits from the acquire-state sweep shared with
-    potential deadlocks (``deadlock._hit_orbits``), each mapped to its
-    record.  Permuting identical copies keeps a choice point one, with the
-    same resource and reachability, so the leaf is read once per orbit, and
-    the flags come from one forward search up to the ceiling of the orbits.
+    potential deadlocks (``deadlock._hit_orbits``), each mapped to the size
+    the sweep counted and its record.  Permuting identical copies keeps a
+    choice point one, with the same resource and reachability, so the leaf
+    is read once per orbit, and the flags come from one forward search up to
+    the ceiling of the orbits.
     Bounded by the symmetry-folded state count, and by the concrete choice
     points before the search."""
     hits = _hit_orbits(program, _one_short, max_states)
-    _guard_members(_orbit_sizes(program, hits), max_states)
+    _guard_members(hits, max_states)
     index = ReachabilityIndex(program, max_states, targets=hits) if hits else None
     request = program._request_idx
     names = program.resource_names
@@ -430,7 +432,9 @@ def _choice_point_orbits(program: Program, max_states: int) -> dict[State, _Orbi
         tuple(frozenset(p for p, q in enumerate(req) if q == r) for req in request)
         for r in range(len(names))
     ]
-    return {o: (names[r], wanted[r], index.is_reachable(o)) for o, r in hits.items()}
+    return {
+        o: (size, (names[r], wanted[r], index.is_reachable(o))) for o, (size, r) in hits.items()
+    }
 
 
 def _choice_point(state: State, record: _OrbitRecord) -> ChoicePoint:

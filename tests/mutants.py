@@ -183,7 +183,7 @@ MUTANTS = (
     Mutant(
         "view-in-without-record",
         DEADLOCK,
-        "return orbit in self._orbits and self._record(state, self._orbits[orbit]) == item",
+        "return orbit in self._orbits and self._record(state, self._orbits[orbit][1]) == item",
         "return orbit in self._orbits",
         (RECORD_TEST,),
     ),
@@ -220,6 +220,15 @@ MUTANTS = (
             SEARCH_TESTS + "test_potential_deadlock_allows_unrequested_overflow",
             CLASS_TESTS + "test_choice_points_match_naive_sweep",
         ),
+    ),
+    # the orbit size, counted at a hit: the copies of a group placed at one
+    # slot are no longer there to choose at its next
+    Mutant(
+        "sweep-size-unplaced-kept",
+        DEADLOCK,
+        "                unplaced[k] -= c\n",
+        "",
+        (SEARCH_TESTS + "test_sweep_sizes_match_orbit_members",),
     ),
     # the choice-point leaf: one requester of the short resource is no choice
     Mutant(
@@ -312,7 +321,7 @@ MUTANTS = (
     Mutant(
         "view-len-counts-orbits",
         DEADLOCK,
-        "return sum(_orbit_size(self._groups, orbit) for orbit in self._orbits)",
+        "return sum(size for size, _ in self._orbits.values())",
         "return len(self._orbits)",
         (VIEW_TEST,),
     ),
@@ -398,7 +407,7 @@ MUTANTS = (
     Mutant(
         "choice-points-unguarded",
         SERIALIZABILITY,
-        "    _guard_members(_orbit_sizes(program, hits), max_states)\n",
+        "    _guard_members(hits, max_states)\n",
         "",
         (CLASS_TESTS + "test_choice_points_bound_is_exact_on_a_listable_instance",),
     ),

@@ -23,6 +23,7 @@ from pvguard import (
     find_deadlocks,
     kappa1_pair_serializable,
     local_choice_points,
+    program_deadlock_verdict,
     sharpserializable_witness,
     state_admissible,
 )
@@ -120,32 +121,39 @@ def test_criterion_02_ring_thread_and_family_cutoff(capsys, tmp_path):
 
 
 def test_criterion_03_deadlock_cutoff_sharpness():
+    # every capacity map over two to four resources with capacity sum at
+    # most 12: the chain deadlocks at M = Σκ copies, at the predicted state,
+    # and not at M - 1; where Σκ <= 4 the naive oracle agrees at every copy
+    # count up to M
     started = time.perf_counter()
     capmaps = [
-        make_caps(a=1, b=1),
-        make_caps(a=2, b=1),
-        make_caps(a=1, b=2),
-        make_caps(a=2, b=2),
-        make_caps(a=3, b=1),
-        make_caps(a=1, b=3),
-        make_caps(a=1, b=1, c=1),
-        make_caps(a=2, b=1, c=1),
-        make_caps(a=1, b=2, c=1),
-        make_caps(a=1, b=1, c=2),
+        CapacityMap(tuple(zip("abcd", kappa)))
+        for k in (2, 3, 4)
+        for kappa in itertools.product(range(1, 12), repeat=k)
+        if sum(kappa) <= 12
     ]
-    assert all(caps.total() <= 4 for caps in capmaps)
+    assert len(capmaps) == 781
+    naive = 0
     for caps in capmaps:
         plan = deadsharp_witness(caps)
         m = plan.cutoff
         assert m == caps.total()
-        hit = naive_deadlock_states(Program.power(plan.thread, m, caps))
-        assert plan.expected_state in hit
-        for n in range(1, m):
-            assert naive_deadlock_states(
-                Program.power(plan.thread, n, caps)) == set()
+        verdict = family_deadlock_verdict(plan.thread, caps)
+        assert (verdict.verdict, verdict.manifests_at_n) == ("no", m)
+        assert plan.expected_state in verdict.witnesses
+        below = program_deadlock_verdict(Program.power(plan.thread, m - 1, caps))
+        assert below.verdict == "yes"
+        if m <= 4:
+            assert naive_deadlock_states(verdict.program) == set(verdict.witnesses)
+            for n in range(1, m):
+                assert naive_deadlock_states(
+                    Program.power(plan.thread, n, caps)) == set()
+            naive += 1
+    assert naive == 11
     elapsed = time.perf_counter() - started
-    assert elapsed < 60.0
-    report(3, f"10 capacity maps sharp at their cut-off, {elapsed:.2f}s")
+    assert elapsed < 120.0
+    report(3, f"781 capacity maps sharp at their cut-off, {naive} of them "
+              f"against the naive oracle, {elapsed:.2f}s")
 
 
 def test_criterion_04_factorial_classes():

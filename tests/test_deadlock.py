@@ -1,5 +1,7 @@
 import collections
 import itertools
+import json
+import math
 import operator
 import random
 
@@ -17,6 +19,7 @@ from pvguard import (
     deadlock_cutoff,
     deadsharp_witness,
     family_deadlock_verdict,
+    family_serializability_verdict,
     find_deadlocks,
     local_choice_points,
     potential_deadlocks,
@@ -27,7 +30,7 @@ from pvguard import (
     successors,
 )
 
-from pvguard import deadlock, serializability
+from pvguard import cli, deadlock, serializability
 from pvguard.deadlock import _deadlock_orbits, _deadlock_states, _scatter_state
 from pvguard.geometry import LatticePath
 
@@ -148,6 +151,28 @@ def test_potential_matches_naive_sweep():
     assert hits == 12
 
 
+def test_sweep_sizes_match_orbit_members():
+    # the size the sweep counts for each hit, a product of binomials of its
+    # counts, against its orbit's members by brute force, on mixed programs:
+    # two interleaved identity groups and a lone thread, both leaves
+    rng = random.Random(29)
+    checked = collections.Counter()
+    for _ in range(400):
+        caps = CapacityMap((("a", rng.randint(1, 2)), ("b", rng.randint(1, 3))))
+        pair = two_group_program(rng, ["a", "b"], caps, (rng.randint(2, 4), rng.randint(2, 3)), 2)
+        threads = [*pair.threads, random_thread(rng, ["a", "b"], 2)]
+        rng.shuffle(threads)
+        prog = Program(tuple(threads), caps)
+        for leaf in (deadlock._requests_full, serializability._one_short):
+            for orbit, (size, _) in deadlock._hit_orbits(prog, leaf, 10**8).items():
+                assert size == len(orbit_members(prog, [orbit])), (prog, orbit)
+                # a group split over two acquires is where the counts multiply
+                split = any(len({orbit[i] for i in g} - {prog.tops[g[0]]}) > 1
+                            for g in prog._groups)
+                checked[leaf.__name__, split] += 1
+    assert min(checked.values()) >= 20 and len(checked) == 4, checked
+
+
 def test_potential_deadlocks_respect_the_bound():
     caps = make_caps(a=4, b=4, c=2)
     plan = deadsharp_witness(caps)
@@ -258,12 +283,12 @@ def test_family_witness_view_first_record_draws_one_permutation_per_orbit(monkey
 
 
 def test_orbit_view_past_sys_maxsize():
-    # one orbit of 25 distinct values stands for 25! records: len() raises,
-    # but truth and == do not
+    # one orbit of 25 distinct values stands for 25! records (past what
+    # ``orbit_members`` can list): len() raises, but truth and == do not
     groups = (tuple(range(25)),)
-    v = deadlock.OrbitView(groups, {tuple(range(25)): None})
+    v = deadlock.OrbitView(groups, {tuple(range(25)): (math.factorial(25), None)})
     assert v and not deadlock.OrbitView(groups, {})
-    assert v != deadlock.OrbitView(groups, {tuple(range(1, 26)): None})
+    assert v != deadlock.OrbitView(groups, {tuple(range(1, 26)): (math.factorial(25), None)})
     with pytest.raises(OverflowError):
         len(v)
 
@@ -281,7 +306,8 @@ def test_orbit_view_matches_brute_force_on_interleaved_groups():
             sort_groups(prog, tuple(rng.randint(0, t) for t in prog.tops))
             for _ in range(rng.randint(1, 4))
         }
-        view = deadlock.OrbitView(prog._groups, dict.fromkeys(orbits))
+        sizes = {orbit: (len(orbit_members(prog, [orbit])), None) for orbit in orbits}
+        view = deadlock.OrbitView(prog._groups, sizes)
         expected = tuple(orbit_members(prog, orbits))
         size = len(expected)
         assert tuple(view) == expected and len(view) == size
@@ -786,38 +812,76 @@ def test_deadlocks_are_decided_once_per_orbit(monkeypatch):
     assert len(validations) == 1
 
 
-def test_orbit_sizes_are_counted_once(monkeypatch):
-    # each candidate orbit's size is computed once, before anything is
-    # expanded, and feeds every guard; building the results must not sum the
-    # sizes again (``len``'s length hint of ``list(view)`` would, once per
-    # orbit), nor may the witness-path guard of ``find_deadlocks`` recount
-    # the admissible orbits
+def test_orbit_sizes_are_counted_once(monkeypatch, capsys, tmp_path):
+    # each candidate orbit's size is computed once, in the sweep, from its
+    # counts (``comb``); every guard, ``len``, the family details and the
+    # print bound of ``pvguard family`` read that size.  The sweep is
+    # wrapped to report each size twice over, so a reader that recounted an
+    # orbit would show its true size, and no ``comb`` may run once the sweep
+    # has returned
     mixed = Program((T1, T1, T2, T2), K11)
     # two copies are within the cut-off, so the verdict searches directly
     pair = Program.power(Thread.from_text("Pa Pb Vb Va Pb Pa Va Vb"), 2, K11)
-    sizes, guarded = [], []
-    size = deadlock._orbit_size
-    monkeypatch.setattr(deadlock, "_orbit_size",
-                        lambda *args: sizes.append(1) or size(*args))
+    admissible = sum(state_admissible(mixed, s) for s in potential_deadlocks(mixed))
+    computed, swept, guarded = [], [], []
+    comb, sweep = deadlock.comb, deadlock._hit_orbits
+    monkeypatch.setattr(deadlock, "comb", lambda *args: computed.append(1) or comb(*args))
+
+    def doubled(*args):
+        hits = sweep(*args)
+        swept.append(len(computed))
+        return {orbit: (2 * size, value) for orbit, (size, value) in hits.items()}
+
+    monkeypatch.setattr(deadlock, "_hit_orbits", doubled)
+    monkeypatch.setattr(serializability, "_hit_orbits", doubled)
     for module, name in [(deadlock, "_guard_members"), (deadlock, "_guard_paths"),
-                         (serializability, "_guard_members")]:
+                         (serializability, "_guard_members"), (cli, "_guard_paths")]:
         guard = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda counted, bound, guard=guard, name=name:
-                            guarded.append((name, len(counted))) or guard(counted, bound))
-    for route, program, found, guards in [
-        (potential_deadlocks, mixed, 16, {"_guard_members"}),
-        (local_choice_points, mixed, 26, {"_guard_members"}),
-        (lambda prog: find_deadlocks(prog).deadlocks, mixed, 16,
-         {"_guard_members", "_guard_paths"}),
-        (lambda prog: program_deadlock_verdict(prog).witnesses, pair, 2,
-         {"_guard_members"}),
+        monkeypatch.setattr(module, name, lambda orbits, bound, guard=guard, name=name:
+                            guarded.append((name, sum(s for s, _ in orbits.values())))
+                            or guard(orbits, bound))
+    chain_caps = make_caps(a=3, b=3, c=2)
+    chain = deadsharp_witness(chain_caps).thread
+    lcp_caps = make_caps(a=2, b=2)
+    lcp = sharpserializable_witness(lcp_caps).thread
+    source = tmp_path / "chain.pv"
+    source.write_text(f"resource a cap 3\nresource b cap 3\nresource c cap 2\nthread T = {chain}\n")
+
+    def family_deadlock():
+        v = family_deadlock_verdict(chain, chain_caps)
+        assert v.detail.startswith(f"{len(v.witnesses)} deadlock(s)")
+        return v.witnesses
+
+    def family_serializability():
+        v = family_serializability_verdict(lcp, lcp_caps)
+        assert v.detail.startswith(f"{len(v.choice_points)} local choice point(s)")
+        return v.choice_points
+
+    def family_command():
+        assert cli.main(["family", str(source), "deadlock", "--json"]) == 1
+        return json.loads(capsys.readouterr().out)["result"]["witnesses"]
+
+    # per route: the states it lists, and per guard the sizes it summed,
+    # which are the sweep's, twice over
+    for route, found, guards in [
+        (lambda: potential_deadlocks(mixed), 16, [("_guard_members", 32)]),
+        (lambda: local_choice_points(mixed), 26, [("_guard_members", 52)]),
+        (lambda: find_deadlocks(mixed).deadlocks, 16,
+         [("_guard_paths", 2 * admissible), ("_guard_members", 32)]),
+        (lambda: program_deadlock_verdict(pair).witnesses, 2, [("_guard_members", 4)]),
+        (family_deadlock, 560, [("_guard_members", 2 * 560)]),
+        (family_serializability, 540, [("_guard_members", 2 * 540)]),
+        (family_command, 560, [("_guard_members", 2 * 560), ("_guard_paths", 2 * 560)]),
     ]:
-        sizes.clear()
+        computed.clear()
+        swept.clear()
         guarded.clear()
-        assert len(route(program)) == found
-        assert {name for name, _ in guarded} == guards
-        candidates = sum(n for name, n in guarded if name == "_guard_members")
-        assert candidates and len(sizes) == candidates
+        listed = route()
+        assert len(tuple(listed)) == found
+        if isinstance(listed, deadlock.OrbitView):
+            assert len(listed) == 2 * found
+        assert guarded == guards
+        assert len(swept) == 1 and 0 < swept[0] == len(computed)
 
 
 def test_reachability_index_witness_targets_exact_state():
