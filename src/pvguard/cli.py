@@ -189,7 +189,7 @@ def _cmd_family(args) -> int:
     if shown:
         # the verdict expands no state; the printed ones stay bounded as the
         # witness paths to them would be in `deadlocks` on the same instance
-        _guard_paths(shown._orbits, args.max_states)
+        _guard_paths(shown, args.max_states)
 
     def result():
         return {

@@ -490,11 +490,15 @@ class OrbitView(Collection):
         return f"OrbitView({self._len} records in {len(self._orbits)} orbits)"
 
 
-def _guard_paths(orbits: Mapping[State, tuple[int, object]], max_states: int) -> None:
+def _guard_paths(
+    orbits: OrbitView | Mapping[State, tuple[int, object]], max_states: int
+) -> None:
     """Raise :class:`SearchLimitExceeded` when the witness paths to the
-    concrete states of ``orbits``, each mapped to its size and a payload,
-    hold more than ``max_states`` states; a path to a state has its
-    coordinate sum plus one states."""
+    concrete states of ``orbits``, a view or a map of each orbit to its
+    size and a payload, hold more than ``max_states`` states; a path to a
+    state has its coordinate sum plus one states."""
+    if isinstance(orbits, OrbitView):
+        orbits = orbits._orbits
     size = sum(count * (sum(orbit) + 1) for orbit, (count, _) in orbits.items())
     if size > max_states:
         raise SearchLimitExceeded(max_states, f"witness-path states ({_count_text(size)} needed)")
