@@ -166,11 +166,13 @@ class ActionSyntaxError(ValueError):
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _scan_actions(text: str) -> Iterator[tuple[Action, int]]:
+def _scan_actions(text: str, built: dict[str, Action]) -> Iterator[tuple[Action, int]]:
     """Yield each action of a whitespace-separated action string with the
     offset of its first token.  Both the fused form ``Pa`` and the spaced
     form ``P a`` are accepted; a malformed token raises
-    :class:`ActionSyntaxError` when the scan reaches it."""
+    :class:`ActionSyntaxError` when the scan reaches it.  ``built`` maps
+    each action's mnemonic to the action, so a caller that scans several
+    strings builds each distinct action once."""
     tokens = _TOKEN_RE.finditer(text)
     for m in tokens:
         tok, at = m.group(), m.start()
@@ -181,12 +183,15 @@ def _scan_actions(text: str) -> Iterator[tuple[Action, int]]:
             if res is None:
                 raise ActionSyntaxError(f"dangling {tok!r} without a resource name", at)
             tok += res.group()
-        yield Action(tok[0], tok[1:]), at
+        action = built.get(tok)
+        if action is None:
+            action = built[tok] = Action(tok[0], tok[1:])
+        yield action, at
 
 
 def parse_actions(text: str) -> tuple[Action, ...]:
     """Parse an action string such as ``"Pa Pb Vb Va"`` or ``"P a V a"``."""
-    return tuple(action for action, _ in _scan_actions(text))
+    return tuple(action for action, _ in _scan_actions(text, {}))
 
 
 def thread_violations(

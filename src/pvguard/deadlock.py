@@ -334,6 +334,7 @@ def _distinct_permutations(groups: Sequence[Sequence[int]], orbit: State) -> Ite
 def _hit_orbits(
     program: Program,
     leaf: Callable[[Sequence[int], list[int], list[int]], object],
+    short: int,
     max_states: int,
 ) -> dict[State, tuple[int, object]]:
     """The candidate sweep shared by potential deadlocks and local choice
@@ -341,19 +342,28 @@ def _hit_orbits(
     coordinates each stand at an acquire or at ⊤ and on which
     ``leaf(kappa, totals, asks)`` is not None, each mapped to its size and
     that value, in ascending order of their positions group by group.
-    Bounded by the symmetry-folded state count (``guard_orbits``).
+    ``leaf`` takes only states whose requested resources are each within
+    capacity and at most ``short`` below it.  Bounded by the
+    symmetry-folded state count (``guard_orbits``).
 
     An orbit is a count vector per identity group over the acquire
     positions of its thread, ⊤ taking the copies left over, since it holds
     and requests nothing.  A stack holds the count of each slot (group,
     position) so far, group by group, largest first; the point-use totals
     and the requesters per resource (``asks``) move by whole counts.  No
-    copy holds a resource at an acquire of it, and a resource never sheds
-    holders as later slots fill, so a slot whose resource is over capacity
-    gets no copies.  The group-sorted state is built only at a hit, and
-    with it the orbit's size, its concrete states: slot by slot, the ways to
-    choose the slot's copies among its group's copies not yet placed.  No
-    other code computes an orbit's size; every bound and ``len`` reads it.
+    copy holds a resource at an acquire of it, and totals and requests only
+    grow as later slots fill, so the walk takes only counts that can still
+    end in a hit: a slot whose resource is over capacity gets no copies, a
+    slot holding a requested resource at most its free room, and a count
+    ends its branch when a requested resource that its slot holds or
+    requests stays more than ``short`` below capacity even with every copy
+    that a later slot holding it could still take.  Each slot's later
+    holders are tabled in one backward pass over the slots, and a node
+    checks only its slot's resources.  The group-sorted state is built
+    only at a hit, and with it the orbit's size, its concrete states: slot
+    by slot, the ways to choose the slot's copies among its group's copies
+    not yet placed.  No other code computes an orbit's size; every bound
+    and ``len`` reads it.
     """
     guard_orbits(program, max_states)
     kappa = program.kappa
@@ -364,40 +374,66 @@ def _hit_orbits(
         for p, r in enumerate(program._request_idx[g[0]])
         if r is not None
     ]
+    # per slot, for the resource it requests and each it holds: the total
+    # that resource needs once the slot is filled, less what later groups'
+    # copies may still add, and whether a later slot of the group holds it
+    needs: list[tuple[tuple[int, int, bool], ...]] = []
+    later = [0] * len(kappa)  # per resource, the copies of later groups that may hold it
+    own: set[int] = set()  # the resources held by later slots of the group
+    group = None
+    for k, _, r, held in reversed(slots):
+        if k != group:  # the group passed becomes a later group
+            for s in own:
+                later[s] += len(groups[group])
+            own, group = set(), k
+        needs.append(tuple((s, kappa[s] - short - later[s], s in own) for s in (r, *held)))
+        own.update(held)
+    needs.reverse()
     left = [len(g) for g in groups]  # per group, the copies at ⊤
     totals, asks = [0] * len(kappa), [0] * len(kappa)
     counts: list[int] = []  # the stack: per slot so far, its copies
     hits: dict[State, tuple[int, object]] = {}
+    dead = False  # whether no hit lies below the count on top of the stack
     while True:
-        while len(counts) < len(slots):  # each further slot takes all it may
+        if not dead and len(counts) < len(slots):  # the next slot takes all it may
             k, _, r, held = slots[len(counts)]
             c = left[k] if totals[r] <= kappa[r] else 0
+            for s in held:
+                if asks[s] and kappa[s] - totals[s] < c:
+                    c = kappa[s] - totals[s]
             counts.append(c)
             left[k] -= c
             asks[r] += c
             for s in held:
                 totals[s] += c
-        if any(asks) and (value := leaf(kappa, totals, asks)) is not None:  # ⊤ is never one
-            state = list(program.tops)
-            ranks = [iter(g) for g in groups]  # each group's coordinates, lowest first
-            unplaced = [len(g) for g in groups]
-            size = 1
-            for (k, p, _, _), c in zip(slots, counts):
-                size *= comb(unplaced[k], c)
-                unplaced[k] -= c
-                for i in itertools.islice(ranks[k], c):
-                    state[i] = p
-            hits[tuple(state)] = size, value
-        while counts and not counts[-1]:
-            counts.pop()
-        if not counts:
-            return hits
-        k, _, r, held = slots[len(counts) - 1]  # one copy of the last slot to ⊤
-        counts[-1] -= 1
-        left[k] += 1
-        asks[r] -= 1
-        for s in held:
-            totals[s] -= 1
+        else:
+            # ⊤, which requests nothing, is never one
+            if not dead and any(asks) and (value := leaf(kappa, totals, asks)) is not None:
+                state = list(program.tops)
+                ranks = [iter(g) for g in groups]  # each group's coordinates, lowest first
+                unplaced = [len(g) for g in groups]
+                size = 1
+                for (k, p, _, _), c in zip(slots, counts):
+                    size *= comb(unplaced[k], c)
+                    unplaced[k] -= c
+                    for i in itertools.islice(ranks[k], c):
+                        state[i] = p
+                hits[tuple(state)] = size, value
+            while counts and not counts[-1]:
+                counts.pop()
+            if not counts:
+                return hits
+            k, _, r, held = slots[len(counts) - 1]  # one copy of the last slot to ⊤
+            counts[-1] -= 1
+            left[k] += 1
+            asks[r] -= 1
+            for s in held:
+                totals[s] -= 1
+        dead = False  # a requested resource that even the copies left cannot fill
+        for s, need, own_later in needs[len(counts) - 1]:
+            if asks[s] and totals[s] + (left[k] if own_later else 0) < need:
+                dead = True
+                break
 
 
 def _same_state(state: State, payload: object) -> State:
@@ -532,7 +568,7 @@ def potential_deadlocks(
     symmetry-folded state space, or the number of results, exceeds
     ``max_states``.
     """
-    hits = _hit_orbits(program, _requests_full, max_states)
+    hits = _hit_orbits(program, _requests_full, 0, max_states)
     _guard_members(hits, max_states)
     # ``iter``: no length hint, since the guard has just summed the orbit sizes
     return list(iter(OrbitView(program._groups, hits)))
@@ -616,7 +652,7 @@ def _deadlock_orbits(
     the admissible orbits as its targets: same deadlocks, fewer orbits
     visited.
     """
-    hits = _hit_orbits(program, _requests_full, max_states)
+    hits = _hit_orbits(program, _requests_full, 0, max_states)
     admissible = {hit: entry for hit, entry in hits.items() if state_admissible(program, hit)}
     if not bounded:
         _guard_paths(admissible, max_states)

@@ -68,13 +68,14 @@ def _decimal(text: str, lineno: int, col: int) -> int:
 
 
 def _parse_thread_actions(
-    body: str, caps: CapacityMap, lineno: int, offset: int
+    body: str, caps: CapacityMap, lineno: int, offset: int, built: dict[str, Action]
 ) -> tuple[list[Action], list[int]]:
-    """The actions of a thread body plus the column of each."""
+    """The actions of a thread body plus the column of each; ``built`` holds
+    the actions the source has built so far (``_scan_actions``)."""
     actions: list[Action] = []
     columns: list[int] = []
     try:
-        for action, at in _scan_actions(body):
+        for action, at in _scan_actions(body, built):
             col = offset + at + 1
             if action.resource not in caps:
                 raise ParseError(f"unknown resource {action.resource!r}", lineno, col)
@@ -162,6 +163,7 @@ def parse_source(text: str) -> SourceModel:
     caps = CapacityMap(tuple(entries))
 
     model = SourceModel(caps=caps)
+    built: dict[str, Action] = {}  # each distinct action of this source, built once
     for lineno, line in declarations:
         m = _DECLARATION_RE.match(line)
         if not m:
@@ -173,7 +175,7 @@ def parse_source(text: str) -> SourceModel:
         if keyword == "thread":
             if name in model.threads:
                 raise ParseError(f"duplicate thread name {name!r}", lineno, 1)
-            actions, columns = _parse_thread_actions(body, caps, lineno, offset)
+            actions, columns = _parse_thread_actions(body, caps, lineno, offset, built)
             bad = thread_violations(actions)  # unknown resources raised above
             if bad:
                 first = bad[0]

@@ -423,7 +423,7 @@ def _choice_point_orbits(
     the ceiling of the orbits.
     Bounded by the symmetry-folded state count, and by the concrete choice
     points before the search."""
-    hits = _hit_orbits(program, _one_short, max_states)
+    hits = _hit_orbits(program, _one_short, 1, max_states)
     _guard_members(hits, max_states)
     index = ReachabilityIndex(program, max_states, targets=hits) if hits else None
     request = program._request_idx

@@ -39,6 +39,7 @@ CLI = "src/pvguard/cli.py"
 PARSER = "src/pvguard/parser.py"
 CLI_TESTS = "tests/test_cli.py::"
 SWEEP_TEST = SEARCH_TESTS + "test_potential_matches_naive_sweep"
+BRUTE_FORCE_TEST = SEARCH_TESTS + "test_sweep_matches_brute_force_over_the_grid"
 VALIDATE_TEST = "tests/test_geometry.py::test_validate_matches_three_pass_oracle"
 
 
@@ -200,14 +201,14 @@ MUTANTS = (
     Mutant(
         "sweep-top-a-hit",
         DEADLOCK,
-        "if any(asks) and (value := leaf(",
-        "if (value := leaf(",
+        "and any(asks) and (value := leaf(",
+        "and (value := leaf(",
         (SWEEP_TEST,),
     ),
     Mutant(
         "sweep-copy-kept-on-backtrack",
         DEADLOCK,
-        "counts[-1] -= 1\n        left[k] += 1\n",
+        "counts[-1] -= 1\n            left[k] += 1\n",
         "counts[-1] -= 1\n",
         (SWEEP_TEST,),
     ),
@@ -221,14 +222,56 @@ MUTANTS = (
             CLASS_TESTS + "test_choice_points_match_naive_sweep",
         ),
     ),
+    # the bounds of the walk: a slot holding a requested resource takes at
+    # most its free room (one more hands the leaf a resource over capacity;
+    # one less can leave a count below zero, which never pops, so that
+    # mutant is left out); what a requested resource may still gain counts
+    # the copies of later groups and those of its own group left at ⊤; and
+    # choice points allow one resource one short
+    Mutant(
+        "sweep-cap-past-the-room",
+        DEADLOCK,
+        "                    c = kappa[s] - totals[s]\n",
+        "                    c = kappa[s] - totals[s] + 1\n",
+        (BRUTE_FORCE_TEST,),
+    ),
+    Mutant(
+        "sweep-room-without-later-groups",
+        DEADLOCK,
+        "later[s] += len(groups[group])",
+        "later[s] += 0",
+        (BRUTE_FORCE_TEST,),
+    ),
+    Mutant(
+        "sweep-room-without-own-copies",
+        DEADLOCK,
+        "totals[s] + (left[k] if own_later else 0) < need",
+        "totals[s] < need",
+        (SWEEP_TEST,),
+    ),
+    Mutant(
+        "sweep-choice-point-allowance",
+        SERIALIZABILITY,
+        "_hit_orbits(program, _one_short, 1, max_states)",
+        "_hit_orbits(program, _one_short, 0, max_states)",
+        (CLASS_TESTS + "test_choice_points_match_naive_sweep",),
+    ),
     # the orbit size, counted at a hit: the copies of a group placed at one
     # slot are no longer there to choose at its next
     Mutant(
         "sweep-size-unplaced-kept",
         DEADLOCK,
-        "                unplaced[k] -= c\n",
+        "                    unplaced[k] -= c\n",
         "",
         (SEARCH_TESTS + "test_sweep_sizes_match_orbit_members",),
+    ),
+    # the parser builds each distinct action of a source once
+    Mutant(
+        "parser-action-built-per-token",
+        CORE,
+        "action = built[tok] = Action(tok[0], tok[1:])",
+        "action = Action(tok[0], tok[1:])",
+        ("tests/test_parser.py::test_each_distinct_action_is_built_once_per_source",),
     ),
     # the choice-point leaf: one requester of the short resource is no choice
     Mutant(

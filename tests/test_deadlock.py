@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,9 @@ from conftest import (
     concrete_family_deadlock_verdict,
     full_search_choice_points,
     full_search_deadlock_witnesses,
+    identity_groups,
     index_parents,
+    is_local_choice_point,
     is_potential_deadlock,
     make_caps,
     naive_deadlock_states,
@@ -163,14 +166,98 @@ def test_sweep_sizes_match_orbit_members():
         threads = [*pair.threads, random_thread(rng, ["a", "b"], 2)]
         rng.shuffle(threads)
         prog = Program(tuple(threads), caps)
-        for leaf in (deadlock._requests_full, serializability._one_short):
-            for orbit, (size, _) in deadlock._hit_orbits(prog, leaf, 10**8).items():
+        for leaf, short in ((deadlock._requests_full, 0), (serializability._one_short, 1)):
+            for orbit, (size, _) in deadlock._hit_orbits(prog, leaf, short, 10**8).items():
                 assert size == len(orbit_members(prog, [orbit])), (prog, orbit)
                 # a group split over two acquires is where the counts multiply
                 split = any(len({orbit[i] for i in g} - {prog.tops[g[0]]}) > 1
                             for g in prog._groups)
                 checked[leaf.__name__, split] += 1
     assert min(checked.values()) >= 20 and len(checked) == 4, checked
+
+
+@st.composite
+def sweep_programs(draw):
+    """Mixed programs for the sweep: two or three identity groups,
+    interleaved in thread order, plus a lone thread, five threads at most;
+    one to three resources of capacity 1-3.  A thread is random, or on two
+    or more resources a deadlock chain (``deadsharp_witness``) over a
+    shuffled resource order, so that some programs have potential
+    deadlocks."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    resources = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    caps = CapacityMap(tuple((r, draw(st.integers(1, 3))) for r in resources))
+    copies = [draw(st.integers(2, 3))]
+    for _ in range(draw(st.integers(1, 2))):
+        if sum(copies) < 4:
+            copies.append(draw(st.integers(1, 4 - sum(copies))))
+    threads = []
+    for n in copies + [1]:
+        if len(resources) > 1 and rng.random() < 0.6:
+            order = rng.sample(resources, rng.randint(2, len(resources)))
+            t = Thread.from_text(" ".join(deadlock._chain_actions(order)))
+        else:
+            t = random_thread(rng, resources, 2)
+        threads += [t] * n
+    rng.shuffle(threads)
+    return Program(tuple(threads), caps)
+
+
+def brute_force_hits(prog):
+    """The hits of the candidate sweep for both leaves by brute force: every
+    grid state whose identity groups are sorted and that passes the
+    single-state oracle, in ascending order of its values group by group,
+    each with its orbit's size from its members and its leaf value (True,
+    or the contended resource's index).  Potential deadlocks first, then
+    choice points."""
+    groups = identity_groups(prog)
+    order = [i for g in groups for i in g]
+    stops = [acquires_and_top(t) for t in prog.threads]
+    deadlocks, choice_points = [], []
+    for state in itertools.product(*(range(t + 1) for t in prog.tops)):
+        # both oracles need every coordinate at an acquire or at ⊤
+        if not all(map(operator.contains, stops, state)) or sort_groups(prog, state) != state:
+            continue
+        size = len(orbit_members(prog, [state]))
+        if is_potential_deadlock(prog, state):
+            deadlocks.append((state, (size, True)))
+        if (found := is_local_choice_point(prog, state)) is not None:
+            choice_points.append((state, (size, prog.resource_names.index(found[0]))))
+    for hits in (deadlocks, choice_points):
+        hits.sort(key=lambda hit: [hit[0][i] for i in order])
+    return deadlocks, choice_points
+
+
+def within_bounds(leaf, short):
+    """``leaf``, checking first that every requested resource is within
+    capacity and at most ``short`` below it."""
+    def checked(kappa, totals, asks):
+        assert all(cap - short <= t <= cap for t, cap, ask in zip(totals, kappa, asks) if ask)
+        return leaf(kappa, totals, asks)
+    return checked
+
+
+def test_sweep_matches_brute_force_over_the_grid():
+    # the walk skips only count vectors that cannot end in a hit, so it
+    # keeps every hit, its order, its size and its leaf value; and it
+    # hands its leaf only vectors within the bounds it walks by
+    seen = collections.Counter()
+
+    @given(sweep_programs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def check(prog):
+        leaves = ((deadlock._requests_full, 0), (serializability._one_short, 1))
+        for (leaf, short), expected in zip(leaves, brute_force_hits(prog)):
+            hits = deadlock._hit_orbits(prog, within_bounds(leaf, short), short, 10**8)
+            got = list(hits.items())
+            assert got == expected
+            seen[leaf.__name__] += bool(got)
+            seen["several orbits"] += len(got) > 1
+
+    check()
+    # about a fifth of the draws have potential deadlocks, two thirds
+    # choice points
+    assert min(seen.values()) >= 10, seen
 
 
 def test_potential_deadlocks_respect_the_bound():
@@ -745,6 +832,39 @@ def test_family_deadlock_verdict_at_capacity_sum_32():
     verdict = family_deadlock_verdict(plan.thread, caps, max_states=10**18)
     assert verdict.verdict == "no"
     assert plan.expected_state in verdict.witnesses
+
+
+@pytest.mark.parametrize("total", [64, 128])
+def test_sweep_at_ladder_sum(total):
+    # the deadlock sweep on the ladder witness at its cut-off finds exactly
+    # the plan's orbit; it walks only the count vectors that can still fill
+    # every requested resource, so it ends well under a second
+    caps = ladder_caps(total)
+    plan = deadsharp_witness(caps)
+    program = Program.power(plan.thread, total, caps)
+    started = time.process_time()
+    hits = deadlock._hit_orbits(program, deadlock._requests_full, 0, 10**18)
+    assert time.process_time() - started < 1
+    size = math.factorial(total) // math.prod(math.factorial(caps[r]) for r in caps)
+    assert hits == {tuple(sorted(plan.expected_state)): (size, True)}
+
+
+def test_choice_point_sweep_on_the_444_witness():
+    # the choice-point sweep on the (4,4,4) witness at the cut-off of the
+    # family route holds the plan's orbit, padded with copies at ⊤, with
+    # the contended resource
+    caps = make_caps(a=4, b=4, c=4)
+    plan = sharpserializable_witness(caps)
+    n = serializability.lcp_cutoff(caps)
+    program = Program.power(plan.thread, n, caps)
+    started = time.process_time()
+    hits = deadlock._hit_orbits(program, serializability._one_short, 1, 10**18)
+    assert time.process_time() - started < 1
+    orbit = tuple(sorted(plan.expected_state)) + (plan.thread.top,) * (n - plan.instance_n)
+    size = math.factorial(n)
+    for count in collections.Counter(orbit).values():
+        size //= math.factorial(count)
+    assert hits[orbit] == (size, program.resource_names.index(plan.expected_resource))
 
 
 def release_first_index():

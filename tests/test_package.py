@@ -200,7 +200,7 @@ def test_folded_engines_skip_per_state_checks(monkeypatch):
     assert len(pvguard.potential_deadlocks(program)) == 560
     # ReachabilityIndex checks and sorts its targets, so the choice-point
     # sweep is read without the flag search
-    hits = deadlock._hit_orbits(program, serializability._one_short, DEFAULT_MAX_STATES)
+    hits = deadlock._hit_orbits(program, serializability._one_short, 1, DEFAULT_MAX_STATES)
     view = deadlock.OrbitView(program._groups, hits)
     assert len(tuple(view)) == len(view) == 8960
 

@@ -12,6 +12,7 @@ from pvguard import (
     report,
     sharpserializable_witness,
 )
+from pvguard import core
 
 GOOD = """\
 # two crossing lock orders
@@ -52,6 +53,24 @@ def err(src: str) -> ParseError:
     with pytest.raises(ParseError) as e:
         parse_source(src)
     return e.value
+
+
+def test_each_distinct_action_is_built_once_per_source(monkeypatch):
+    # a source's threads share one action per mnemonic, fused or spaced,
+    # so the dataclass's checks run at most twice per resource; a second
+    # parse builds its own actions, so nothing is kept between calls
+    built = []
+    post_init = core.Action.__post_init__
+    monkeypatch.setattr(core.Action, "__post_init__",
+                        lambda action: built.append(action) or post_init(action))
+    first = parse_source(GOOD + "thread T3 = P a V a P b V b\n")
+    assert sorted(map(str, built)) == ["Pa", "Pb", "Va", "Vb"]
+    t1, t2, t3 = (first.threads[name].actions for name in ("T1", "T2", "T3"))
+    assert t1[0] is t2[1] is t3[0] and t1[3] is t2[2] is t3[1]
+    second = parse_source(GOOD)
+    assert len(built) == 8
+    assert second.threads == {name: first.threads[name] for name in ("T1", "T2")}
+    assert second.threads["T1"].actions[0] is not t1[0]
 
 
 def test_invalid_thread_position_reported():
