@@ -301,8 +301,8 @@ class Program:
     def __post_init__(self) -> None:
         if not self.threads:
             raise ValueError("a program needs at least one thread")
-        for t in self.threads:
-            _check_declared(t, self.caps)
+        for g in self._groups:
+            _check_declared(self.threads[g[0]], self.caps)
 
     @classmethod
     def power(cls, thread: Thread, n: int, caps: CapacityMap) -> "Program":
@@ -339,10 +339,15 @@ class Program:
     @cached_property
     def _groups(self) -> tuple[tuple[int, ...], ...]:
         """Coordinates running identical threads, in ascending order, one
-        group per distinct thread in order of first appearance."""
+        group per distinct thread in order of first appearance.  Copies of
+        one object are grouped by identity, so only distinct objects compare
+        their actions."""
         groups: dict[tuple[Action, ...], list[int]] = {}
+        by_object: dict[int, list[int]] = {}
         for i, t in enumerate(self.threads):
-            groups.setdefault(t.actions, []).append(i)
+            if (g := by_object.get(id(t))) is None:
+                g = by_object[id(t)] = groups.setdefault(t.actions, [])
+            g.append(i)
         return tuple(tuple(g) for g in groups.values())
 
     def orbit_states(self) -> int:
@@ -366,17 +371,14 @@ class Program:
     @cached_property
     def _index_tables(self) -> tuple[tuple, tuple]:
         """``_point_idx`` and ``_request_idx``, built in one sweep over the
-        actions of each distinct thread (by identity) and shared by its
-        copies."""
+        actions of each identity group's thread and shared by its copies."""
         ri = {name: i for i, name in enumerate(self.resource_names)}
-        tables: dict[int, tuple] = {}
-        for t in self.threads:
-            if id(t) in tables:
-                continue
+        point, request = [None] * self.n, [None] * self.n
+        for g in self._groups:
             held: list[int] = []
             points: list[tuple[int, ...]] = [()]
             requests: list[Optional[int]] = [None]
-            for act in t.actions:
+            for act in self.threads[g[0]].actions:
                 r = ri[act.resource]
                 if act.kind == ACQUIRE:  # requested, not yet held, at its P
                     points.append(tuple(held))
@@ -386,9 +388,10 @@ class Program:
                     held.remove(r)
                     points.append(tuple(held))
                     requests.append(None)
-            tables[id(t)] = (*points, ()), (*requests, None)
-        point, request = zip(*(tables[id(t)] for t in self.threads))
-        return point, request
+            tables = (*points, ()), (*requests, None)
+            for i in g:
+                point[i], request[i] = tables
+        return tuple(point), tuple(request)
 
     @cached_property
     def _point_idx(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -406,6 +409,8 @@ class Program:
         if len(state) != self.n:
             raise ValueError(f"state has {len(state)} coordinates, program has {self.n}")
         for i, (x, top) in enumerate(zip(state, self.tops)):
+            if type(x) is not int:  # bool too: True would read as 1
+                raise ValueError(f"coordinate {i + 1} value {x!r} is not an integer")
             if not 0 <= x <= top:
                 raise ValueError(f"coordinate {i + 1} value {x} out of range 0..{top}")
 

@@ -38,7 +38,6 @@ from .geometry import (
     DEFAULT_MAX_STATES,
     LatticePath,
     guard_orbits,
-    state_admissible,
     successors,
 )
 
@@ -550,9 +549,11 @@ def _guard_members(orbits: Mapping[State, tuple[int, object]], max_states: int) 
         raise SearchLimitExceeded(max_states, f"concrete candidate states ({needed} needed)")
 
 
-def _requests_full(kappa: Sequence[int], totals: list[int], asks: list[int]) -> Optional[bool]:
-    """True when every requested resource is at full capacity, else None."""
-    return True if all(t == cap for t, cap, ask in zip(totals, kappa, asks) if ask) else None
+def _admissible(kappa: Sequence[int], totals: list[int], asks: list[int]) -> bool:
+    """The potential-deadlock leaf: whether every resource is within
+    capacity.  The sweep hands it only states whose requested resources are
+    all full, which are the potential deadlocks."""
+    return all(map(operator.le, totals, kappa))
 
 
 def potential_deadlocks(
@@ -568,7 +569,7 @@ def potential_deadlocks(
     symmetry-folded state space, or the number of results, exceeds
     ``max_states``.
     """
-    hits = _hit_orbits(program, _requests_full, 0, max_states)
+    hits = _hit_orbits(program, _admissible, 0, max_states)
     _guard_members(hits, max_states)
     # ``iter``: no length hint, since the guard has just summed the orbit sizes
     return list(iter(OrbitView(program._groups, hits)))
@@ -637,12 +638,12 @@ def find_deadlocks(
 def _deadlock_orbits(
     program: Program, max_states: int, bounded: bool
 ) -> tuple[dict[State, tuple[int, object]], dict[State, LatticePath], Optional[ReachabilityIndex]]:
-    """The potential-deadlock orbits, each mapped to its size and leaf value
-    (``_hit_orbits``), the deadlock orbits among them, each mapped to its
-    validated witness path, and the reachability index (None without
-    candidates).  Permuting identical copies leaves the program unchanged,
-    so being admissible, reachable and without successors are orbit
-    properties, decided once per orbit.
+    """The potential-deadlock orbits, each mapped to its size and whether it
+    is admissible (``_hit_orbits``), the deadlock orbits among them, each
+    mapped to its validated witness path, and the reachability index (None
+    without candidates).  Permuting identical copies leaves the program
+    unchanged, so being admissible, reachable and without successors are
+    orbit properties, decided once per orbit.
 
     Bounded by the symmetry-folded state count, then, before the search, by
     the concrete candidates and, without ``bounded``, by the states of the
@@ -652,8 +653,8 @@ def _deadlock_orbits(
     the admissible orbits as its targets: same deadlocks, fewer orbits
     visited.
     """
-    hits = _hit_orbits(program, _requests_full, 0, max_states)
-    admissible = {hit: entry for hit, entry in hits.items() if state_admissible(program, hit)}
+    hits = _hit_orbits(program, _admissible, 0, max_states)
+    admissible = {hit: entry for hit, entry in hits.items() if entry[1]}
     if not bounded:
         _guard_paths(admissible, max_states)
     _guard_members(hits, max_states)
@@ -787,17 +788,18 @@ def program_deadlock_verdict(
 ) -> FamilyVerdict:
     """Deadlock-freedom of one fixed program.
 
-    Small programs are searched directly.  Larger ones reduce to their
-    sub-programs of cut-off size: any deadlock restricts to the threads not
-    yet finished, and at most capacity-sum many threads can block each other.
+    Small programs, and those that use no resource, are searched directly.
+    Larger ones reduce to their sub-programs of cut-off size: any deadlock
+    restricts to the threads not yet finished, and at most capacity-sum many
+    threads can block each other.
     A sub-program is a choice of how many threads to take from each group of
     identical ones (``Program._groups``), taken at the group's first indices
     (``_subprogram_indices``).  Raises :class:`SearchLimitExceeded` before
     any search when there are more than ``max_states`` sub-programs.
     """
-    used = set().union(*(t.resources_used for t in program.threads))
+    used = set().union(*(program.threads[g[0]].resources_used for g in program._groups))
     cutoff = deadlock_cutoff(program.caps.restrict(used))
-    if program.n <= cutoff:
+    if program.n <= cutoff or not cutoff:
         witnesses = tuple(iter(_deadlock_states(program, max_states)))  # no length hint
         if witnesses:
             return FamilyVerdict(

@@ -407,9 +407,9 @@ def _one_short(kappa: Sequence[int], totals: list[int], asks: list[int]) -> Opti
     return None
 
 
-# what the members of a choice-point orbit share: the contended resource, per
-# coordinate the positions that request it, and the reachable flag
-_OrbitRecord = tuple[str, tuple[frozenset[int], ...], bool]
+# what the members of a choice-point orbit share: the contended resource, its
+# index, the program's request table and the reachable flag
+_OrbitRecord = tuple[str, int, tuple[tuple[Optional[int], ...], ...], bool]
 
 
 def _choice_point_orbits(
@@ -428,21 +428,17 @@ def _choice_point_orbits(
     index = ReachabilityIndex(program, max_states, targets=hits) if hits else None
     request = program._request_idx
     names = program.resource_names
-    wanted = [
-        tuple(frozenset(p for p, q in enumerate(req) if q == r) for req in request)
-        for r in range(len(names))
-    ]
     return {
-        o: (size, (names[r], wanted[r], index.is_reachable(o))) for o, (size, r) in hits.items()
+        o: (size, (names[r], r, request, index.is_reachable(o))) for o, (size, r) in hits.items()
     }
 
 
 def _choice_point(state: State, record: _OrbitRecord) -> ChoicePoint:
     """The choice point at ``state`` of an orbit's record: its contenders
     are the coordinates that stand at a position requesting the resource."""
-    resource, wanted, reachable = record
-    contenders = itertools.compress(range(len(state)), map(operator.contains, wanted, state))
-    return ChoicePoint(state, resource, tuple(contenders), reachable)
+    resource, r, request, reachable = record
+    asked = map(operator.getitem, request, state)
+    return ChoicePoint(state, resource, tuple(c for c, q in enumerate(asked) if q == r), reachable)
 
 
 def local_choice_points(

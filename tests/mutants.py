@@ -249,6 +249,15 @@ MUTANTS = (
         "totals[s] < need",
         (SWEEP_TEST,),
     ),
+    # the deadlock leaf: a potential deadlock may hold an unrequested
+    # resource over capacity, and the search must not target it
+    Mutant(
+        "deadlock-leaf-always-admissible",
+        DEADLOCK,
+        "return all(map(operator.le, totals, kappa))",
+        "return True",
+        (SEARCH_TESTS + "test_potential_deadlock_allows_unrequested_overflow",),
+    ),
     Mutant(
         "sweep-choice-point-allowance",
         SERIALIZABILITY,
@@ -316,6 +325,13 @@ MUTANTS = (
         "coeffs[max(0, m - len(g)) : m + 1]",
         "coeffs[max(0, m - len(g) + 1) : m + 1]",
         (SEARCH_TESTS + "test_subprogram_indices_are_the_sorted_count_vectors",),
+    ),
+    Mutant(
+        "program-verdict-resource-free-to-subprograms",
+        DEADLOCK,
+        "if program.n <= cutoff or not cutoff:",
+        "if program.n <= cutoff:",
+        (SEARCH_TESTS + "test_program_verdict_with_resource_free_threads_matches_find_deadlocks",),
     ),
     Mutant(
         "subprogram-bound-at-the-count",
@@ -423,14 +439,38 @@ MUTANTS = (
         "held.append(r)",
         ("tests/test_core.py::test_index_tables_match_point_use_and_action_at",),
     ),
+    # thread identity, decided once: equal threads built as distinct objects
+    # form one group, and every coordinate of a group gets its tables
+    Mutant(
+        "groups-by-object-only",
+        CORE,
+        "groups.setdefault(t.actions, [])",
+        "groups.setdefault(id(t), [])",
+        ("tests/test_core.py::test_groups_and_tables_of_equal_distinct_threads",),
+    ),
+    Mutant(
+        "index-tables-to-the-first-coordinate-only",
+        CORE,
+        "for i in g:\n                point[i], request[i] = tables",
+        "for i in g[:1]:\n                point[i], request[i] = tables",
+        ("tests/test_core.py::test_index_tables_match_point_use_and_action_at",),
+    ),
+    # a state's coordinates are ints: a bool passes ``isinstance(x, int)``
+    Mutant(
+        "check-state-admits-bools",
+        CORE,
+        "if type(x) is not int:",
+        "if not isinstance(x, int):",
+        ("tests/test_core.py::test_non_integer_coordinates_are_value_errors",),
+    ),
     # the choice-point records: contenders read from the state itself, ``==``
     # comparing payloads, the reachable flag from the search, and the
     # concrete choice points bounded before they are listed
     Mutant(
         "choice-point-contenders-from-sorted-state",
         SERIALIZABILITY,
-        "map(operator.contains, wanted, state))",
-        "map(operator.contains, wanted, sorted(state)))",
+        "asked = map(operator.getitem, request, state)",
+        "asked = map(operator.getitem, request, sorted(state))",
         (CLASS_TESTS + "test_choice_points_match_naive_sweep",),
     ),
     Mutant(

@@ -9,17 +9,22 @@ from pvguard import (
     CapacityMap,
     InvalidThreadError,
     Program,
+    ReachabilityIndex,
     SearchLimitExceeded,
     Thread,
     family_deadlock_verdict,
     family_serializability_verdict,
     kappa1_pair_serializable,
     parse_actions,
+    parse_source,
     single_access,
+    state_admissible,
+    successors,
     thread_violations,
 )
+from pvguard import core
 
-from conftest import make_caps, point_use, random_valid_actions, segment_use
+from conftest import identity_groups, make_caps, point_use, random_valid_actions, segment_use
 
 
 def test_parse_actions_forms():
@@ -207,6 +212,30 @@ def test_check_state_bounds():
         p.check_state((0,))
 
 
+@pytest.mark.parametrize("value", [1.0, 1.5, True, False, "1", None])
+@pytest.mark.parametrize("coordinate", [0, 1])
+def test_non_integer_coordinates_are_value_errors(value, coordinate):
+    # every public function that takes a state names the bad coordinate;
+    # a bool would silently read as 0 or 1, a float as the int it equals
+    p = Program.power(Thread.from_text("Pa Va"), 2, make_caps(a=1))
+    state = [0, 0]
+    state[coordinate] = value
+    state = tuple(state)
+    message = f"coordinate {coordinate + 1} value {value!r} is not an integer"
+    calls = (
+        p.check_state,
+        lambda s: state_admissible(p, s),
+        lambda s: successors(p, s),
+        lambda s: ReachabilityIndex(p).is_reachable(s),
+        lambda s: ReachabilityIndex(p).witness(s),
+        lambda s: ReachabilityIndex(p, targets=[s]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as e:
+            call(state)
+        assert str(e.value) == message
+
+
 def test_use_totals():
     t = Thread.from_text("Pa Pb Vb Va")
     p = Program.power(t, 2, make_caps(a=1, b=1))
@@ -314,15 +343,81 @@ def mixed_programs(draw):
     return Program(threads, CapacityMap(tuple((r, rng.randint(1, 3)) for r in names)))
 
 
-@given(mixed_programs())
-@settings(max_examples=150)
-def test_index_tables_match_point_use_and_action_at(program):
+def tables_by_oracle(program, t):
+    """The point and request tables of ``t`` from the point-use oracle and
+    :meth:`Thread.action_at`, with resources as indices into ``program``."""
     index = {r: i for i, r in enumerate(program.caps.names)}
+    positions = range(t.top + 1)
+    point = tuple(tuple(sorted(index[r] for r in point_use(t, p))) for p in positions)
+    request = tuple(
+        index[act.resource] if act is not None and act.kind == "P" else None
+        for act in map(t.action_at, positions)
+    )
+    return point, request
+
+
+def assert_groups_and_tables(program):
+    groups = program._groups
+    assert groups == tuple(map(tuple, identity_groups(program)))
     assert len(program._point_idx) == len(program._request_idx) == program.n
-    for t, point, request in zip(program.threads, program._point_idx, program._request_idx):
-        positions = range(t.top + 1)
-        assert point == tuple(tuple(sorted(index[r] for r in point_use(t, p))) for p in positions)
-        assert request == tuple(
-            index[act.resource] if act is not None and act.kind == "P" else None
-            for act in map(t.action_at, positions)
-        )
+    for g in groups:
+        for i in g:
+            expected = tables_by_oracle(program, program.threads[i])
+            assert (program._point_idx[i], program._request_idx[i]) == expected
+            # every coordinate of a group shares its group's tables
+            assert program._point_idx[i] is program._point_idx[g[0]]
+            assert program._request_idx[i] is program._request_idx[g[0]]
+
+
+def test_groups_and_tables_of_equal_distinct_threads():
+    # the parser builds one object per declared thread, so equal threads
+    # declared under two names are distinct objects, grouped as one
+    m = parse_source(
+        "resource a cap 1\nresource b cap 2\n"
+        "thread T = Pa Va\nthread U = Pa Va\nthread W = Pb Pa Va Vb\n"
+        "program main = T ^ 2 | W | U | T | W ^ 2 | U\n"
+    )
+    program = m.programs["main"]
+    assert m.threads["T"] is not m.threads["U"] and m.threads["T"] == m.threads["U"]
+    assert program._groups == ((0, 1, 3, 4, 7), (2, 5, 6))
+    assert_groups_and_tables(program)
+
+
+def test_index_tables_match_point_use_and_action_at():
+    # one shared object, equal but distinct objects, interleaved groups
+    seen = set()
+
+    @given(mixed_programs())
+    @settings(max_examples=150, derandomize=True)
+    def check(program):
+        assert_groups_and_tables(program)
+        for g in program._groups:
+            objects = {id(program.threads[i]) for i in g}
+            if len(objects) < len(g):
+                seen.add("shared object")
+            if len(objects) > 1:
+                seen.add("equal distinct objects")
+        if any(b[0] < a[-1] for a, b in zip(program._groups, program._groups[1:])):
+            seen.add("interleaved")
+
+    check()
+    assert seen == {"shared object", "equal distinct objects", "interleaved"}
+
+
+def test_power_hashes_each_action_once_and_checks_one_thread(monkeypatch):
+    # 10,000 copies of one object: the groups hash that object's actions
+    # once, the tables are built once, and its resources are checked once
+    t = Thread.from_text("Pa Pb Va Pc Vb Pa Vc Va")
+    hashes = []
+    action_hash = Action.__hash__
+    monkeypatch.setattr(Action, "__hash__", lambda a: hashes.append(a) or action_hash(a))
+    checked = []
+    check_declared = core._check_declared
+    monkeypatch.setattr(
+        core, "_check_declared", lambda t, caps: checked.append(t) or check_declared(t, caps)
+    )
+    program = Program.power(t, 10_000, make_caps(a=2, b=1, c=1))
+    assert program._groups == (tuple(range(10_000)),)
+    assert len(program._point_idx) == len(program._request_idx) == 10_000
+    assert len(hashes) <= len(t.actions)
+    assert checked == [t]

@@ -130,6 +130,8 @@ def test_potential_deadlock_allows_unrequested_overflow():
     assert not state_admissible(prog, state)
     assert state in potential_deadlocks(prog)
     assert state not in {d.state for d in find_deadlocks(prog).deadlocks}
+    # the sweep's leaf flags it, so the search never targets it
+    assert deadlock._hit_orbits(prog, deadlock._admissible, 0, 10**8)[state] == (1, False)
 
 
 def test_potential_matches_naive_sweep():
@@ -166,7 +168,7 @@ def test_sweep_sizes_match_orbit_members():
         threads = [*pair.threads, random_thread(rng, ["a", "b"], 2)]
         rng.shuffle(threads)
         prog = Program(tuple(threads), caps)
-        for leaf, short in ((deadlock._requests_full, 0), (serializability._one_short, 1)):
+        for leaf, short in ((deadlock._admissible, 0), (serializability._one_short, 1)):
             for orbit, (size, _) in deadlock._hit_orbits(prog, leaf, short, 10**8).items():
                 assert size == len(orbit_members(prog, [orbit])), (prog, orbit)
                 # a group split over two acquires is where the counts multiply
@@ -207,9 +209,9 @@ def brute_force_hits(prog):
     """The hits of the candidate sweep for both leaves by brute force: every
     grid state whose identity groups are sorted and that passes the
     single-state oracle, in ascending order of its values group by group,
-    each with its orbit's size from its members and its leaf value (True,
-    or the contended resource's index).  Potential deadlocks first, then
-    choice points."""
+    each with its orbit's size from its members and its leaf value (whether
+    it is admissible, or the contended resource's index).  Potential
+    deadlocks first, then choice points."""
     groups = identity_groups(prog)
     order = [i for g in groups for i in g]
     stops = [acquires_and_top(t) for t in prog.threads]
@@ -220,7 +222,7 @@ def brute_force_hits(prog):
             continue
         size = len(orbit_members(prog, [state]))
         if is_potential_deadlock(prog, state):
-            deadlocks.append((state, (size, True)))
+            deadlocks.append((state, (size, state_admissible(prog, state))))
         if (found := is_local_choice_point(prog, state)) is not None:
             choice_points.append((state, (size, prog.resource_names.index(found[0]))))
     for hits in (deadlocks, choice_points):
@@ -246,7 +248,7 @@ def test_sweep_matches_brute_force_over_the_grid():
     @given(sweep_programs())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def check(prog):
-        leaves = ((deadlock._requests_full, 0), (serializability._one_short, 1))
+        leaves = ((deadlock._admissible, 0), (serializability._one_short, 1))
         for (leaf, short), expected in zip(leaves, brute_force_hits(prog)):
             hits = deadlock._hit_orbits(prog, within_bounds(leaf, short), short, 10**8)
             got = list(hits.items())
@@ -843,7 +845,7 @@ def test_sweep_at_ladder_sum(total):
     plan = deadsharp_witness(caps)
     program = Program.power(plan.thread, total, caps)
     started = time.process_time()
-    hits = deadlock._hit_orbits(program, deadlock._requests_full, 0, 10**18)
+    hits = deadlock._hit_orbits(program, deadlock._admissible, 0, 10**18)
     assert time.process_time() - started < 1
     size = math.factorial(total) // math.prod(math.factorial(caps[r]) for r in caps)
     assert hits == {tuple(sorted(plan.expected_state)): (size, True)}
@@ -1088,6 +1090,31 @@ def test_program_verdict_subprogram_clean():
     v = program_deadlock_verdict(prog)
     assert v.rule == "subprogram-cutoff"
     assert v.verdict == "yes"
+
+
+@pytest.mark.parametrize(
+    "picks,verdict,rule",
+    [
+        ("EE", "yes", "direct-search"),
+        ("EEEEE", "yes", "direct-search"),
+        ("TEE", "yes", "subprogram-cutoff"),
+        ("ETE", "yes", "subprogram-cutoff"),
+        ("TTEE", "yes", "subprogram-cutoff"),
+        ("TUEE", "no", "subprogram-cutoff"),
+        ("ETUE", "no", "subprogram-cutoff"),
+    ],
+)
+def test_program_verdict_with_resource_free_threads_matches_find_deadlocks(picks, verdict, rule):
+    # the empty thread uses no resource: a program of empty threads has
+    # cut-off 0 and no sub-program of that size, so it is searched directly;
+    # mixed with threads that use resources it takes the sub-program route
+    threads = {"E": Thread.from_actions([]), "T": T1, "U": T2}
+    prog = Program(tuple(threads[c] for c in picks), K11)
+    v = program_deadlock_verdict(prog)
+    assert (v.verdict, v.rule) == (verdict, rule)
+    deadlocks = {d.state for d in find_deadlocks(prog).deadlocks}
+    assert (verdict == "no") == bool(deadlocks)
+    assert set(v.witnesses) <= deadlocks
 
 
 def count_vectors(program, total):

@@ -934,8 +934,8 @@ def test_family_choice_point_view_matches_concrete_routes():
         groups = v.program._groups
         assert view == deadlock.OrbitView(groups, records, serializability._choice_point, by_state)
         flipped = {
-            o: (size, (res, wanted, not reach))
-            for o, (size, (res, wanted, reach)) in records.items()
+            o: (size, (res, r, request, not reach))
+            for o, (size, (res, r, request, reach)) in records.items()
         }
         assert view != deadlock.OrbitView(groups, flipped, serializability._choice_point, by_state)
         for cp in rng.sample(expected, min(len(expected), 30)):
@@ -1003,7 +1003,7 @@ def test_choice_point_flags_come_from_the_release_first_search(monkeypatch):
     assert index.visited == 294
     full = deadlock.ReachabilityIndex(program)
     assert full.visited == 101388
-    flags = [reachable for _, (_, _, reachable) in records.values()]
+    flags = [reachable for _, (_, _, _, reachable) in records.values()]
     assert flags == list(map(full.is_reachable, records)) and any(flags)
 
 
