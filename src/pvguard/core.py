@@ -68,6 +68,13 @@ def _count_text(count: int) -> str:
         return f"about 10^{log10(count):.0f}"
 
 
+def _bound(limit: int, count: int, what: str) -> None:
+    """Raise :class:`SearchLimitExceeded` when ``count`` of ``what`` exceeds
+    ``limit``; the one check, and message, of every counted cap."""
+    if count > limit:
+        raise SearchLimitExceeded(limit, f"{what} ({_count_text(count)} needed)")
+
+
 @dataclass(frozen=True)
 class Action:
     kind: str  # ACQUIRE or RELEASE
@@ -308,10 +315,11 @@ class Program:
     def power(cls, thread: Thread, n: int, caps: CapacityMap) -> "Program":
         """``n`` copies of ``thread``; raises :class:`SearchLimitExceeded`
         past ``_MAX_THREADS`` copies, before any is built."""
+        if type(n) is not int:  # bool too: True would read as 1
+            raise ValueError(f"thread copy count {n!r} is not an integer")
         if n < 1:
             raise ValueError("thread copy count must be >= 1")
-        if n > _MAX_THREADS:
-            raise SearchLimitExceeded(_MAX_THREADS, f"threads ({_count_text(n)} needed)")
+        _bound(_MAX_THREADS, n, "threads")
         return cls((thread,) * n, caps)
 
     @property

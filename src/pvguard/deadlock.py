@@ -30,8 +30,8 @@ from .core import (
     State,
     Thread,
     _MAX_THREADS,
+    _bound,
     _check_declared,
-    _count_text,
     single_access,
 )
 from .geometry import (
@@ -535,18 +535,14 @@ def _guard_paths(
     if isinstance(orbits, OrbitView):
         orbits = orbits._orbits
     size = sum(count * (sum(orbit) + 1) for orbit, (count, _) in orbits.items())
-    if size > max_states:
-        raise SearchLimitExceeded(max_states, f"witness-path states ({_count_text(size)} needed)")
+    _bound(max_states, size, "witness-path states")
 
 
 def _guard_members(orbits: Mapping[State, tuple[int, object]], max_states: int) -> None:
     """Raise :class:`SearchLimitExceeded`, before anything is expanded, when
     the candidate ``orbits``, each mapped to its size and a payload, stand
     for more than ``max_states`` concrete states."""
-    size = sum(count for count, _ in orbits.values())
-    if size > max_states:
-        needed = _count_text(size)
-        raise SearchLimitExceeded(max_states, f"concrete candidate states ({needed} needed)")
+    _bound(max_states, sum(count for count, _ in orbits.values()), "concrete candidate states")
 
 
 def _admissible(kappa: Sequence[int], totals: list[int], asks: list[int]) -> bool:
@@ -815,9 +811,7 @@ def program_deadlock_verdict(
         return FamilyVerdict(
             "deadlock-freedom", "yes", cutoff, "direct-search", "no deadlocks", program=program
         )
-    count = _subprogram_count(program._groups, cutoff)
-    if count > max_states:
-        raise SearchLimitExceeded(max_states, f"sub-programs ({_count_text(count)} needed)")
+    _bound(max_states, _subprogram_count(program._groups, cutoff), "sub-programs")
     for indices in _subprogram_indices(program._groups, cutoff):
         sub = Program(tuple(program.threads[i] for i in indices), program.caps)
         found = _deadlock_states(sub, max_states)

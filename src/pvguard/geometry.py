@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import Program, PvError, SearchLimitExceeded, State, _count_text
+from .core import Program, PvError, SearchLimitExceeded, State, _bound
 
 DEFAULT_MAX_STATES = 10**8
 
@@ -74,13 +74,18 @@ class LatticePath:
         once.  At the first other step, that state and every later one are
         checked with :func:`state_admissible` before the step raises; else the
         first bad edge raises after the pass.  So faults are reported as by
-        checking all states, then all steps, then all edges."""
+        checking all states, then all steps, then all edges.  Unless the path
+        holds n ints per state, its states are checked first: a unit step does
+        not tell 1.0 or True from 1."""
         states = self.states
         kappa = program.kappa
         tops = program.tops
         point = program._point_idx
         request = program._request_idx
         n = program.n
+        coords = itertools.chain.from_iterable(states)
+        if operator.countOf(map(type, coords), int) != n * len(states):
+            _check_states(program, states)
         prev = states[0]
         program.check_state(prev)
         totals = program.use_totals(prev)
@@ -106,9 +111,7 @@ class LatticePath:
                     if totals[r] > kappa[r]:
                         raise PvError(f"path visits inadmissible state {nxt}")
             else:
-                for state in (nxt, *rest):
-                    if not state_admissible(program, state):
-                        raise PvError(f"path visits inadmissible state {state}")
+                _check_states(program, (nxt, *rest))
                 raise ValueError("not a unit lattice step")
             prev = nxt
         if bad_edge is not None:
@@ -157,6 +160,13 @@ def state_admissible(program: Program, state: State) -> bool:
     return all(tot <= cap for tot, cap in zip(totals, program.kappa))
 
 
+def _check_states(program: Program, states: Iterable[State]) -> None:
+    """Raise at the first of ``states`` that is malformed or inadmissible."""
+    for state in states:
+        if not state_admissible(program, state):
+            raise PvError(f"path visits inadmissible state {state}")
+
+
 def successors(program: Program, state: State) -> list[tuple[int, State]]:
     """Admissible one-step moves from ``state`` in ascending coordinate order."""
     program.check_state(state)
@@ -175,9 +185,7 @@ def guard_grid(program: Program, max_states: int) -> None:
 def guard_orbits(program: Program, max_states: int) -> None:
     """Bound of the symmetry-folded engines: the grid states up to permuting
     identical threads (:meth:`Program.orbit_states`)."""
-    size = program.orbit_states()
-    if size > max_states:
-        raise SearchLimitExceeded(max_states, f"symmetry-folded states ({_count_text(size)} needed)")
+    _bound(max_states, program.orbit_states(), "symmetry-folded states")
 
 
 def enumerate_dipaths(

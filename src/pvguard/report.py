@@ -197,42 +197,26 @@ def _scalar(value) -> str:
 def _encode(obj, newline: str, add) -> None:
     """Append the pieces of the list, tuple or dict ``obj`` through ``add``;
     ``newline`` is the line break plus the indent of the line ``obj`` opens
-    on.  Strings and ints, the bulk of a report, are written inline; other
+    on.  One loop writes the items of both, a dict's each after its key.
+    Strings and ints, the bulk of a report, are written inline; other
     scalars go through :func:`_scalar`, containers recurse."""
+    keyed = isinstance(obj, dict)
+    items, brackets = (sorted(obj.items()), "{}") if keyed else (obj, "[]")
+    if not items:
+        add(brackets)
+        return
     inner = newline + "  "
     comma = "," + inner
-    if isinstance(obj, dict):
-        if not obj:
-            add("{}")
-            return
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            add(sep)
-            add(_encode_str(key))
-            add(": ")
-            sep = comma
-            if type(value) is str:
-                add(_encode_str(value))
-            elif type(value) is int:
-                try:
-                    add(int.__repr__(value))
-                except ValueError:  # past the int-to-str digit limit
-                    add(_scalar(value))
-            elif isinstance(value, (list, tuple, dict)):
-                _encode(value, inner, add)
-            else:
-                add(_scalar(value))
-        add(newline + "}")
-        return
-    if not obj:
-        add("[]")
-        return
-    sep = "[" + inner
-    for value in obj:
+    sep = brackets[0] + inner
+    for value in items:
         add(sep)
         sep = comma
+        if keyed:
+            key, value = value
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            add(_encode_str(key))
+            add(": ")
         if type(value) is str:
             add(_encode_str(value))
         elif type(value) is int:
@@ -244,7 +228,7 @@ def _encode(obj, newline: str, add) -> None:
             _encode(value, inner, add)
         else:
             add(_scalar(value))
-    add(newline + "]")
+    add(newline + brackets[1])
 
 
 def render_grid(

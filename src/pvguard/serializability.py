@@ -25,8 +25,8 @@ from .core import (
     SearchLimitExceeded,
     State,
     Thread,
+    _bound,
     _check_declared,
-    _count_text,
 )
 from .deadlock import (
     FamilyVerdict,
@@ -141,9 +141,7 @@ def dihomotopy_classes(
     """
     count, covered, links = _classes(program, limit)
     n = program.n
-    size = count * (sum(program.tops) + 1)
-    if size > limit:
-        raise SearchLimitExceeded(limit, f"representative path states ({_count_text(size)} needed)")
+    _bound(limit, count * (sum(program.tops) + 1), "representative path states")
     silent = _silent(program)
     first = sum(1 << c for c in range(n) if silent[c][0])
     representatives = []
@@ -412,15 +410,14 @@ def _one_short(kappa: Sequence[int], totals: list[int], asks: list[int]) -> Opti
 _OrbitRecord = tuple[str, int, tuple[tuple[Optional[int], ...], ...], bool]
 
 
-def _choice_point_orbits(
-    program: Program, max_states: int
-) -> dict[State, tuple[int, _OrbitRecord]]:
-    """The choice-point orbits from the acquire-state sweep shared with
-    potential deadlocks (``deadlock._hit_orbits``), each mapped to the size
-    the sweep counted and its record.  Permuting identical copies keeps a
-    choice point one, with the same resource and reachability, so the leaf
-    is read once per orbit, and the flags come from one forward search up to
-    the ceiling of the orbits.
+def _choice_point_orbits(program: Program, max_states: int) -> OrbitView:
+    """The choice points of ``program`` as an :class:`OrbitView` of
+    :class:`ChoicePoint` records: the orbits from the acquire-state sweep
+    shared with potential deadlocks (``deadlock._hit_orbits``), each mapped
+    to the size the sweep counted and its record.  Permuting identical
+    copies keeps a choice point one, with the same resource and
+    reachability, so the leaf is read once per orbit, and the flags come
+    from one forward search up to the ceiling of the orbits.
     Bounded by the symmetry-folded state count, and by the concrete choice
     points before the search."""
     hits = _hit_orbits(program, _one_short, 1, max_states)
@@ -428,9 +425,10 @@ def _choice_point_orbits(
     index = ReachabilityIndex(program, max_states, targets=hits) if hits else None
     request = program._request_idx
     names = program.resource_names
-    return {
+    records = {
         o: (size, (names[r], r, request, index.is_reachable(o))) for o, (size, r) in hits.items()
     }
+    return OrbitView(program._groups, records, _choice_point, operator.attrgetter("state"))
 
 
 def _choice_point(state: State, record: _OrbitRecord) -> ChoicePoint:
@@ -444,13 +442,11 @@ def _choice_point(state: State, record: _OrbitRecord) -> ChoicePoint:
 def local_choice_points(
     program: Program, max_states: int = DEFAULT_MAX_STATES
 ) -> list[ChoicePoint]:
-    """All local choice points, in state order: the orbits of
-    ``_choice_point_orbits`` expanded through an :class:`OrbitView`, each
-    built from its orbit's record.  Both the sweep and the search are
-    bounded by the symmetry-folded state count, the sweep also by its number
-    of choice points."""
-    records = _choice_point_orbits(program, max_states)
-    view = OrbitView(program._groups, records, _choice_point, operator.attrgetter("state"))
+    """All local choice points, in state order: the view of
+    ``_choice_point_orbits`` expanded, each built from its orbit's record.
+    Both the sweep and the search are bounded by the symmetry-folded state
+    count, the sweep also by its number of choice points."""
+    view = _choice_point_orbits(program, max_states)
     return list(iter(view))  # no length hint: the guard summed the orbit sizes
 
 
@@ -551,8 +547,7 @@ def family_serializability_verdict(
         program = None  # past the thread bound no instance is built
         try:
             program = Program.power(thread, cutoff, caps)
-            records = _choice_point_orbits(program, max_states)
-            cps = OrbitView(program._groups, records, _choice_point, operator.attrgetter("state"))
+            cps = _choice_point_orbits(program, max_states)
         except SearchLimitExceeded as exc:
             return FamilyVerdict(
                 "serializability", "inconclusive", cutoff, "search-limit", str(exc),

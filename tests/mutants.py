@@ -156,14 +156,6 @@ MUTANTS = (
         "if hi > above:",
         (SEARCH_TESTS + "test_orbit_search_matches_sorting_oracle",),
     ),
-    # the witness-path guard refusing a bound its paths fit exactly
-    Mutant(
-        "guard-paths-at-the-bound",
-        DEADLOCK,
-        'if size > max_states:\n        raise SearchLimitExceeded(max_states, f"witness-path',
-        'if size >= max_states:\n        raise SearchLimitExceeded(max_states, f"witness-path',
-        (SEARCH_TESTS + "test_find_deadlocks_bounds_witness_paths",),
-    ),
     # the sub-program enumerator taking each group's last indices first
     Mutant(
         "subprograms-last-indices",
@@ -299,13 +291,6 @@ MUTANTS = (
         (SEARCH_TESTS + "test_find_deadlocks_bounds_witness_paths",),
     ),
     Mutant(
-        "guard-members-at-the-bound",
-        DEADLOCK,
-        "if size > max_states:\n        needed = _count_text(size)",
-        "if size >= max_states:\n        needed = _count_text(size)",
-        (SEARCH_TESTS + "test_potential_deadlocks_bound_counts_concrete_states",),
-    ),
-    Mutant(
         "cli-family-print-cap-removed",
         CLI,
         "shown = verdict.witnesses",
@@ -332,13 +317,6 @@ MUTANTS = (
         "if program.n <= cutoff or not cutoff:",
         "if program.n <= cutoff:",
         (SEARCH_TESTS + "test_program_verdict_with_resource_free_threads_matches_find_deadlocks",),
-    ),
-    Mutant(
-        "subprogram-bound-at-the-count",
-        DEADLOCK,
-        "if count > max_states:",
-        "if count >= max_states:",
-        (SEARCH_TESTS + "test_program_verdict_bounds_the_subprogram_count",),
     ),
     Mutant(
         "orbit-states-one-value-short",
@@ -406,6 +384,15 @@ MUTANTS = (
         "if x > tops[c]:",
         (VALIDATE_TEST,),
     ),
+    # a later state's coordinates typed only through their differences
+    Mutant(
+        "validate-without-the-type-scan",
+        GEOMETRY,
+        "        if operator.countOf(map(type, coords), int) != n * len(states):\n"
+        "            _check_states(program, states)\n",
+        "",
+        (VALIDATE_TEST, "tests/test_core.py::test_non_integer_coordinates_are_value_errors"),
+    ),
     # the encoder: JSON's spelling of NaN, and keys in sorted order
     Mutant(
         "encoder-lowercase-nan",
@@ -417,8 +404,8 @@ MUTANTS = (
     Mutant(
         "encoder-unsorted-keys",
         REPORT,
-        "for key, value in sorted(obj.items()):",
-        "for key, value in obj.items():",
+        '(sorted(obj.items()), "{}")',
+        '(obj.items(), "{}")',
         ("tests/test_report.py::test_dumps_matches_json_on_edge_values",),
     ),
     # the per-thread index tables: the point of a P holds what was held
@@ -511,12 +498,27 @@ MUTANTS = (
         "if len(threads) + count >= _MAX_THREADS:",
         ("tests/test_parser.py::test_program_at_the_thread_bound_parses",),
     ),
+    # the one check of a counted cap refusing a count that fits its bound
+    # exactly: the threads of a power, the witness paths, the concrete
+    # candidates and the sub-programs each have an exact-bound test
     Mutant(
-        "power-thread-bound-off-by-one",
+        "counted-cap-at-the-bound",
         CORE,
-        "if n > _MAX_THREADS:",
-        "if n >= _MAX_THREADS:",
-        ("tests/test_core.py::test_power_bounds_the_copy_count",),
+        "if count > limit:",
+        "if count >= limit:",
+        (
+            "tests/test_core.py::test_power_bounds_the_copy_count",
+            SEARCH_TESTS + "test_find_deadlocks_bounds_witness_paths",
+            SEARCH_TESTS + "test_potential_deadlocks_bound_counts_concrete_states",
+            SEARCH_TESTS + "test_program_verdict_bounds_the_subprogram_count",
+        ),
+    ),
+    Mutant(
+        "power-admits-bools",
+        CORE,
+        "if type(n) is not int:",
+        "if not isinstance(n, int):",
+        ("tests/test_core.py::test_power_takes_an_integer_copy_count",),
     ),
     Mutant(
         "witness-thread-bound-off-by-one",

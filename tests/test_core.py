@@ -8,6 +8,7 @@ from pvguard import (
     Action,
     CapacityMap,
     InvalidThreadError,
+    LatticePath,
     Program,
     ReachabilityIndex,
     SearchLimitExceeded,
@@ -203,6 +204,17 @@ def test_power_bounds_the_copy_count():
         assert v.detail.endswith("10000 threads (%d needed)" % v.cutoff)
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_power_takes_an_integer_copy_count(n):
+    # the rule of check_state and CapacityMap: True would build one thread,
+    # and 2.0 failed inside the tuple product
+    t = Thread.from_text("Pa Va")
+    with pytest.raises(ValueError, match=f"^thread copy count {n!r} is not an integer$"):
+        Program.power(t, n, make_caps(a=1))
+    with pytest.raises(ValueError, match="^thread copy count must be >= 1$"):
+        Program.power(t, 0, make_caps(a=1))
+
+
 def test_check_state_bounds():
     t = Thread.from_text("Pa Va")
     p = Program.power(t, 2, make_caps(a=1))
@@ -229,6 +241,9 @@ def test_non_integer_coordinates_are_value_errors(value, coordinate):
         lambda s: ReachabilityIndex(p).is_reachable(s),
         lambda s: ReachabilityIndex(p).witness(s),
         lambda s: ReachabilityIndex(p, targets=[s]),
+        # after a first state that is fine: a unit step does not tell 1.0
+        # or True from 1, nor 0.0 or False from 0
+        lambda s: LatticePath((p.bottom, s)).validate(p),
     )
     for call in calls:
         with pytest.raises(ValueError) as e:

@@ -207,9 +207,12 @@ def outcome(fn) -> tuple[str, str]:
 
 def mutate(rng: random.Random, program: Program, states: list, how: str) -> list:
     """One fault at a random state: a coordinate bumped by one, dropped or
-    added, the state deleted, or a value out of range."""
+    added, the state deleted, a value out of range, or, past the first
+    state, a value of another type that equals it."""
     states = list(states)
     k = rng.randrange(len(states))
+    if how == "type":
+        k = rng.randrange(1, len(states)) if len(states) > 1 else 0
     s = list(states[k])
     c = rng.randrange(len(s))
     if how == "bump":
@@ -223,6 +226,8 @@ def mutate(rng: random.Random, program: Program, states: list, how: str) -> list
         return states
     elif how == "range":
         s[c] = rng.choice([-1, program.tops[c] + 1])
+    elif how == "type":  # 1.0 == 1 and True == 1
+        s[c] = rng.choice([float(s[c]), bool(s[c])]) if s[c] in (0, 1) else float(s[c])
     states[k] = tuple(s)
     return states
 
@@ -235,7 +240,7 @@ def test_validate_matches_three_pass_oracle():
     @given(
         st.integers(0, 2**32 - 1),
         # half the paths are left as walked
-        st.sampled_from(["none"] * 5 + ["bump", "drop", "add", "delete", "range"]),
+        st.sampled_from(["none"] * 6 + ["bump", "drop", "add", "delete", "range", "type"]),
     )
     @settings(max_examples=600, deadline=None, derandomize=True)
     def check(seed, how):
@@ -267,12 +272,14 @@ def test_validate_matches_three_pass_oracle():
         got = outcome(lambda: LatticePath(tuple(states)).validate(program))
         assert got == outcome(lambda: validate_three_pass(LatticePath(tuple(states)), program))
         seen[got[1].split(" (")[0] if got[0] == "PvError" else got[0]] += 1
+        seen["not an integer"] += got[1].endswith("is not an integer")
 
     check()
     # both capacity faults occur, so agreement on them is not vacuous
     assert seen["path visits inadmissible state"] >= 10
     assert seen["path takes inadmissible edge"] >= 10
     assert seen["ValueError"] >= 10 and seen["ok"] >= 10
+    assert seen["not an integer"] >= 10
 
 
 def test_path_from_steps():

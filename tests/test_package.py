@@ -149,6 +149,30 @@ def test_one_breadth_first_search():
     assert loops == ["deadlock.ReachabilityIndex._search"]
 
 
+def test_one_counted_cap_check():
+    # a cap message that says how many were needed is built in core._bound,
+    # the one comparison of a counted cap; the caps that print no count
+    # (grid states, enumerated paths, execution class pairs) raise directly
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "SearchLimitExceeded"
+                    and any(
+                        isinstance(text, ast.Constant) and "needed" in str(text.value)
+                        for arg in call.args for text in ast.walk(arg)
+                    )
+                ):
+                    builders.add(f"{path.stem}.{fn.name}")
+    assert sorted(builders) == ["core._bound"]
+
+
 def calls_itself(fn) -> bool:
     """Does ``fn`` call its own name, bare or, in a method, through
     ``self`` or ``cls``?"""

@@ -2,6 +2,7 @@
 import decimal
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -60,13 +61,38 @@ def test_dumps_matches_json(value):
     assert report.dumps(value) == reference(value)
 
 
+def unlimited_reference(obj) -> str:
+    """``reference`` with the interpreter's int-to-str digit limit lifted:
+    ``dumps`` writes every digit of an int past it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10: no limit
+        return reference(obj)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return reference(obj)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+BIG = 10**5000  # past the default digit limit of 4,300
+NON_STR_KEY = {1: "int key"}  # json writes the key as a string; dumps refuses it
+
+
 @pytest.mark.parametrize("value", [
     *EDGE_FLOATS, True, False, None, 0, -1, 2**100, -(2**100), "", TRICKY,
     [], (), {}, [[]], {"": {}}, [(), [()], {"a": []}],
     {"b": 1, "a": [1.0, "x", None], "é": {"z": True, "y": (2, -0.0)}},
+    pytest.param(BIG, id="10**5000"), pytest.param(-BIG, id="-10**5000"), NON_STR_KEY,
 ], ids=repr)
 def test_dumps_matches_json_on_edge_values(value):
-    assert report.dumps(value) == reference(value)
+    # one loop writes a dict's values and a list's items: each value goes
+    # alone, first and later in a dict, and first and later in a list
+    for obj in (value, {"a": value, "b": value}, [value, value]):
+        if value is NON_STR_KEY:
+            with pytest.raises(TypeError, match="keys must be str, not int"):
+                report.dumps(obj)
+        else:
+            assert report.dumps(obj) == unlimited_reference(obj)
 
 
 class Tagged(int):

@@ -929,7 +929,7 @@ def test_family_choice_point_view_matches_concrete_routes():
         assert [cp.reachable for cp in listed] == [cp.reachable for cp in full]
         rng = random.Random(seed)
         assert view != expected[:-1] and view != list(expected)
-        records = serializability._choice_point_orbits(v.program, 10**8)
+        records = serializability._choice_point_orbits(v.program, 10**8)._orbits
         by_state = operator.attrgetter("state")
         groups = v.program._groups
         assert view == deadlock.OrbitView(groups, records, serializability._choice_point, by_state)
@@ -998,7 +998,7 @@ def test_choice_point_flags_come_from_the_release_first_search(monkeypatch):
     monkeypatch.setattr(serializability, "ReachabilityIndex", Spy)
     caps = make_caps(a=3, b=3, c=2)
     program = Program.power(sharpserializable_witness(caps).thread, lcp_cutoff(caps), caps)
-    records = serializability._choice_point_orbits(program, 10**8)
+    records = serializability._choice_point_orbits(program, 10**8)._orbits
     (index,) = built
     assert index.visited == 294
     full = deadlock.ReachabilityIndex(program)
