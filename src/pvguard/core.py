@@ -414,6 +414,8 @@ class Program:
         return self._index_tables[1]
 
     def check_state(self, state: State) -> None:
+        if not isinstance(state, tuple):
+            raise ValueError(f"state of type {type(state).__name__} is not a tuple")
         if len(state) != self.n:
             raise ValueError(f"state has {len(state)} coordinates, program has {self.n}")
         for i, (x, top) in enumerate(zip(state, self.tops)):

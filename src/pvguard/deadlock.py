@@ -50,9 +50,11 @@ class ReachabilityIndex:
     orbit, i.e. a multiset of positions per group, which the search keeps as
     the group's count vector over positions (the counter abstraction: German
     and Sistla, "Reasoning about systems with many processes", JACM 1992).
-    Membership queries and witness paths for arbitrary concrete states are
-    recovered by permuting within groups; the transition relation is
-    invariant under such permutations, so the folding is exact.
+    Each reached orbit stores its parent and the step that reached it, which
+    a witness chain replays from ⊥.  Membership queries and witness paths
+    for arbitrary concrete states are recovered by permuting within groups;
+    the transition relation is invariant under such permutations, so the
+    folding is exact.
 
     Without ``targets`` the search covers the whole folded space and decides
     every state.  ``targets``, the states the caller will query, select the
@@ -75,7 +77,6 @@ class ReachabilityIndex:
         guard_orbits(program, max_states)
         self.program = program
         self._groups = program._groups
-        self._group_of: dict[int, tuple] = {}  # per coordinate: group, step ends
         if targets is None:
             self.ceiling = program.tops
         else:
@@ -85,14 +86,14 @@ class ReachabilityIndex:
                 orbits.append(_canon(self._groups, state))
             self.ceiling = tuple(map(max, zip(program.bottom, *orbits)))
         self._reduced = targets is not None
-        # states at or below the ceiling as mixed-radix codes, the last
-        # coordinate least significant; ⊥ is code 0
-        self._radix = tuple(c + 1 for c in self.ceiling)
+        # states at or below the ceiling as mixed-radix codes, radix the
+        # ceiling plus one, the last coordinate least significant; ⊥ is code 0
         self._weight = tuple(
-            itertools.accumulate(self._radix[:0:-1], operator.mul, initial=1)
+            itertools.accumulate((c + 1 for c in self.ceiling[:0:-1]), operator.mul, initial=1)
         )[::-1]
-        # per reached code, in discovery order: parent code * n + the
-        # coordinate its step is taken by (-1 for ⊥)
+        self._entries: list = []  # per count-vector index: its step (group, x, y); None at ⊤
+        # per reached code, in discovery order: parent code * len(entries)
+        # + the entry of its step (-1 for ⊥)
         self._links: dict[int, int] = {}
         self._search()
 
@@ -108,7 +109,8 @@ class ReachabilityIndex:
         grows by that coordinate's weight times y - x.  A state's new
         successors are stored in ascending order of their runs' first
         coordinates, the coordinate a step in ascending order reaches the
-        orbit by first, each with its parent and that coordinate.  The runs
+        orbit by first, each with its parent and its step's entry (group, x,
+        y), which moves the group's first copy at x.  The runs
         come in that order group by group; where groups interleave, the new
         successors are sorted.  Distinct runs reach distinct orbits, so which
         successors are new does not depend on the order the runs are tried
@@ -135,7 +137,6 @@ class ReachabilityIndex:
         LNCS 1032, 1996), and no stored state has a coordinate at a release.
         """
         program = self.program
-        n = program.n
         kappa = program.kappa
         reduced = self._reduced
         shift = list(itertools.accumulate((k.bit_length() for k in kappa), initial=0))
@@ -149,6 +150,7 @@ class ReachabilityIndex:
         counts: list[int] = []
         blocks = []
         table: list = []
+        entries = self._entries
         for g in self._groups:
             top = program.tops[g[0]]
             held = program._point_idx[g[0]]
@@ -161,7 +163,6 @@ class ReachabilityIndex:
             for x in range(top - 2, -1, -1):
                 if reduced and request[x + 1] is None:  # on through a release
                     ends[x] = ends[x + 1]
-            self._group_of.update(dict.fromkeys(g, (g, ends)))
             moves = {1: weights}  # code moves by rank, per distance stepped
             for x, (r, y) in enumerate(zip(request, ends)):
                 if y - x not in moves:
@@ -169,12 +170,15 @@ class ReachabilityIndex:
                 gate = 0 if r is None else field[r + 1] - field[r]  # r's field, all ones
                 change = sum(field[r] for r in held[x]) - sum(field[r] for r in held[y])
                 table.append((g, moves[y - x], gate, change, bisect.bisect_left(lows, y), y - x))
+                entries.append((g, x, y))
             table.append(None)  # ⊤ never steps
+            entries.append(None)
         order = [c for g in self._groups for c in g]
         merge = order != sorted(order)  # groups interleave
         bottoms = [block.start for block in blocks] if reduced else []
         links = self._links
         links[0] = -1
+        width = len(entries)
         free = sum(k << s for k, s in zip(kappa, shift))
         queue: deque[tuple[list[int], int, int]] = deque(((counts, 0, free),))
         while queue:
@@ -201,7 +205,7 @@ class ReachabilityIndex:
             if merge:
                 fresh.sort()
             for f, key, i, change, jump in fresh:
-                links[key] = code * n + f
+                links[key] = code * width + i
                 moved = counts[:]
                 moved[i] -= 1
                 moved[i + jump] += 1
@@ -242,20 +246,18 @@ class ReachabilityIndex:
         code = self._code(state)
         if code not in self._links:
             return None
-        chain = self._chain(code)
-        return self._onto(chain, state, _by_value(self._groups, chain[-1]))
+        return self._onto(self._chain(code), state)
 
-    def _onto(
-        self, chain: Sequence[State], state: State, ends: Sequence[Sequence[int]]
-    ) -> LatticePath:
+    def _onto(self, chain: Sequence[State], state: State) -> LatticePath:
         """``chain``, a path ⊥ -> some state of the orbit of ``state``, with
-        its coordinates permuted so that it ends at ``state``: equal values
-        within each identity group are paired in index order.  ``ends`` is
-        ``_by_value`` of the chain's end, so a chain permuted onto every
-        member of its orbit sorts its end once."""
+        its coordinates permuted so that it ends at ``state``: each identity
+        group's coordinates, in ascending order of their values in ``state``
+        and in the chain's end, ties in index order, are paired in turn.  A
+        group-sorted end's order is the group itself, so an orbit's chain and
+        that chain permuted onto the orbit map onto a state alike."""
         source = list(range(len(state)))  # coordinate of the end feeding each one
-        for starts, js in zip(_by_value(self._groups, state), ends):
-            for i, j in zip(starts, js):
+        for g in self._groups:
+            for i, j in zip(sorted(g, key=state.__getitem__), sorted(g, key=chain[-1].__getitem__)):
                 source[i] = j
         if len(source) == 1:  # itemgetter of one item returns it bare
             return LatticePath(tuple(chain))
@@ -263,23 +265,19 @@ class ReachabilityIndex:
 
     def _chain(self, code: int) -> list[State]:
         """A concrete admissible path ⊥ -> some state of the orbit coded
-        ``code``, replaying the stored parents (group-sorted already) from
-        ⊥, each stored step as unit steps up to its end."""
-        n = self.program.n
-        chain: list[tuple[int, int]] = []  # (value, coordinate) per step
+        ``code``: the step entries stored with its ancestors, replayed from ⊥,
+        each moving the first copy of its group standing at its x as unit
+        steps up to its y."""
+        entries = self._entries
+        steps = []
         while code:
-            code, coord = divmod(self._links[code], n)
-            chain.append(((code // self._weight[coord]) % self._radix[coord], coord))
-        chain.reverse()
-
-        group_of = self._group_of
-        start = self.program.bottom
-        concrete = [start]
-        q = list(start)
-        for value, coord in chain:
-            g, ends = group_of[coord]
-            d = next(i for i in g if q[i] == value)
-            for q[d] in range(value + 1, ends[value] + 1):
+            code, i = divmod(self._links[code], len(entries))
+            steps.append(entries[i])
+        q = list(self.program.bottom)
+        concrete = [tuple(q)]
+        for g, x, y in reversed(steps):
+            d = next(i for i in g if q[i] == x)
+            for q[d] in range(x + 1, y + 1):
                 concrete.append(tuple(q))
         return concrete
 
@@ -291,12 +289,6 @@ def _canon(groups: Sequence[Sequence[int]], state: State) -> State:
         for i, v in zip(g, sorted(out[i] for i in g)):
             out[i] = v
     return tuple(out)
-
-
-def _by_value(groups: Sequence[Sequence[int]], state: State) -> list[list[int]]:
-    """Each identity group's coordinates in ascending order of their values
-    in ``state``, ties in index order."""
-    return [sorted(g, key=state.__getitem__) for g in groups]
 
 
 def _distinct_permutations(groups: Sequence[Sequence[int]], orbit: State) -> Iterator[State]:
@@ -600,24 +592,20 @@ def find_deadlocks(
 
     The deadlocks are decided once per orbit (``_deadlock_orbits``), then
     the candidate orbits are expanded once, through an :class:`OrbitView`
-    whose records pair each state with its orbit's validated path and the
-    ``_by_value`` order of that path's end (None off the deadlock orbits).
-    Each deadlock's witness path is that path, permuted onto it, and is
-    validated.  The search covers the whole folded space, so
-    ``stats.visited`` counts every reachable orbit.
+    whose records pair each state with its orbit's validated path (None off
+    the deadlock orbits).  Each deadlock's witness path is that path,
+    permuted onto it (``ReachabilityIndex._onto``), and is validated.  The
+    search covers the whole folded space, so ``stats.visited`` counts every
+    reachable orbit.
     """
     candidates, paths, index = _deadlock_orbits(program, max_states, bounded=False)
-    groups = program._groups
-    records = {orbit: (size, None) for orbit, (size, _) in candidates.items()}
-    for orbit, path in paths.items():
-        records[orbit] = candidates[orbit][0], (path.states, _by_value(groups, path.end))
-    view = OrbitView(groups, records, lambda *pair: pair, operator.itemgetter(0))
+    records = {orbit: (size, paths.get(orbit)) for orbit, (size, _) in candidates.items()}
+    view = OrbitView(program._groups, records, lambda *pair: pair, operator.itemgetter(0))
     members = tuple(iter(view))  # no length hint: the guards summed the sizes
     deadlocks: list[Deadlock] = []
-    for state, payload in members:
-        if payload is not None:
-            chain, ends = payload
-            witness = index._onto(chain, state, ends)
+    for state, path in members:
+        if path is not None:
+            witness = index._onto(path.states, state)
             assert witness.end == state
             witness.validate(program)
             deadlocks.append(Deadlock(state, witness))

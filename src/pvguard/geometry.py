@@ -68,51 +68,50 @@ class LatticePath:
     def validate(self, program: Program) -> None:
         """Raise unless every state is admissible and every step edge-admissible.
 
-        One pass keeps the point-use totals of the current state.  A unit step
-        changes one coordinate, so only its new value is range-checked and
-        only its two point-use entries move the totals.  A bad state raises at
-        once.  At the first other step, that state and every later one are
-        checked with :func:`state_admissible` before the step raises; else the
-        first bad edge raises after the pass.  So faults are reported as by
-        checking all states, then all steps, then all edges.  Unless the path
-        holds n ints per state, its states are checked first: a unit step does
-        not tell 1.0 or True from 1."""
+        One pass over :meth:`steps` keeps the point-use totals of the current
+        state.  A unit step changes one coordinate, so only its new value is
+        range-checked and only its two point-use entries move the totals.  A
+        bad state raises at once; the first bad edge raises after the pass.
+        When :meth:`steps` raises, every state is checked with
+        :func:`state_admissible` before its error is raised.  So faults are
+        reported as by checking all states, then all steps, then all edges.
+        Unless the path holds tuples of n ints, its states are checked first:
+        a unit step does not tell 1.0 or True from 1."""
         states = self.states
         kappa = program.kappa
         tops = program.tops
         point = program._point_idx
         request = program._request_idx
-        n = program.n
         coords = itertools.chain.from_iterable(states)
-        if operator.countOf(map(type, coords), int) != n * len(states):
+        if operator.countOf(map(type, states), tuple) != len(states) or (
+            operator.countOf(map(type, coords), int) != program.n * len(states)
+        ):
             _check_states(program, states)
+        try:
+            steps = self.steps()
+        except ValueError:
+            _check_states(program, states)
+            raise
         prev = states[0]
         program.check_state(prev)
         totals = program.use_totals(prev)
         if any(t > cap for t, cap in zip(totals, kappa)):
             raise PvError(f"path visits inadmissible state {prev}")
         bad_edge: Optional[tuple[State, int]] = None
-        rest = iter(states[1:])
-        for nxt in rest:
-            diff = list(map(operator.sub, nxt, prev))
-            if len(nxt) == n and diff.count(0) == n - 1 and 1 in diff:
-                c = diff.index(1)
-                x = prev[c]
-                if x >= tops[c]:
-                    program.check_state(nxt)  # raises: coordinate c is past ⊤
-                if bad_edge is None:  # the edge rule of ``Program._steps``, inlined
-                    r = request[c][x]
-                    if r is not None and totals[r] >= kappa[r]:
-                        bad_edge = (prev, c)
-                for r in point[c][x]:
-                    totals[r] -= 1
-                for r in point[c][x + 1]:
-                    totals[r] += 1
-                    if totals[r] > kappa[r]:
-                        raise PvError(f"path visits inadmissible state {nxt}")
-            else:
-                _check_states(program, (nxt, *rest))
-                raise ValueError("not a unit lattice step")
+        for c, nxt in zip(steps, states[1:]):
+            x = prev[c]
+            if x >= tops[c]:
+                program.check_state(nxt)  # raises: coordinate c is past ⊤
+            if bad_edge is None:  # the edge rule of ``Program._steps``, inlined
+                r = request[c][x]
+                if r is not None and totals[r] >= kappa[r]:
+                    bad_edge = (prev, c)
+            for r in point[c][x]:
+                totals[r] -= 1
+            for r in point[c][x + 1]:
+                totals[r] += 1
+                if totals[r] > kappa[r]:
+                    raise PvError(f"path visits inadmissible state {nxt}")
             prev = nxt
         if bad_edge is not None:
             state, coord = bad_edge

@@ -483,20 +483,28 @@ def orbit_members(program: Program, orbits) -> list[State]:
 def index_parents(index: ReachabilityIndex) -> dict[State, tuple[State, int]]:
     """The orbits ``index`` stored, in discovery order, each mapped to its
     parent and the coordinate its step is taken by (⊥ maps to (⊥, -1)),
-    decoded from the mixed-radix codes of ``index._links``."""
+    decoded from the mixed-radix codes of ``index._links`` (each radix a
+    coordinate of the ceiling plus one) and the step entries (group, x, y)
+    they name: the step is taken by the parent's first copy of the group
+    at x."""
 
     def decode(code: int) -> State:
         out = []
-        for r in reversed(index._radix):
-            code, x = divmod(code, r)
+        for c in reversed(index.ceiling):
+            code, x = divmod(code, c + 1)
             out.append(x)
         return tuple(reversed(out))
 
-    n = index.program.n
+    entries = index._entries
     parents = {}
     for code, link in index._links.items():
-        prev, c = divmod(link, n) if code else (0, -1)
-        parents[decode(code)] = (decode(prev), c)
+        if not code:
+            parents[decode(code)] = (decode(code), -1)
+            continue
+        prev, i = divmod(link, len(entries))
+        parent = decode(prev)
+        g, x, _ = entries[i]
+        parents[decode(code)] = (parent, next(c for c in g if parent[c] == x))
     return parents
 
 

@@ -41,6 +41,8 @@ CLI_TESTS = "tests/test_cli.py::"
 SWEEP_TEST = SEARCH_TESTS + "test_potential_matches_naive_sweep"
 BRUTE_FORCE_TEST = SEARCH_TESTS + "test_sweep_matches_brute_force_over_the_grid"
 VALIDATE_TEST = "tests/test_geometry.py::test_validate_matches_three_pass_oracle"
+NON_TUPLE_TEST = "tests/test_core.py::test_non_tuple_states_are_value_errors"
+DIGEST_TEST = SEARCH_TESTS + "test_witness_paths_match_recorded_digests"
 
 
 @dataclass(frozen=True)
@@ -369,6 +371,22 @@ MUTANTS = (
         "return itertools.chain(*members)",
         (VIEW_TEST,),
     ),
+    # the witness chain: which copy a replayed step moves, and how tied copies
+    # of a state are paired with the chain's end
+    Mutant(
+        "chain-replays-the-last-copy",
+        DEADLOCK,
+        "d = next(i for i in g if q[i] == x)",
+        "d = next(i for i in reversed(g) if q[i] == x)",
+        (DIGEST_TEST,),
+    ),
+    Mutant(
+        "onto-state-ties-reversed",
+        DEADLOCK,
+        "sorted(g, key=state.__getitem__)",
+        "sorted(g[::-1], key=state.__getitem__)",
+        (DIGEST_TEST,),
+    ),
     # the path validator: a step onto a full resource, and a step past ⊤
     Mutant(
         "validate-edge-admits-full-resource",
@@ -384,14 +402,32 @@ MUTANTS = (
         "if x > tops[c]:",
         (VALIDATE_TEST,),
     ),
-    # a later state's coordinates typed only through their differences
+    # a later state's coordinates typed only through their differences, and
+    # a state that is a list of ints
     Mutant(
         "validate-without-the-type-scan",
         GEOMETRY,
-        "        if operator.countOf(map(type, coords), int) != n * len(states):\n"
+        "        if operator.countOf(map(type, states), tuple) != len(states) or (\n"
+        "            operator.countOf(map(type, coords), int) != program.n * len(states)\n"
+        "        ):\n"
         "            _check_states(program, states)\n",
         "",
         (VALIDATE_TEST, "tests/test_core.py::test_non_integer_coordinates_are_value_errors"),
+    ),
+    Mutant(
+        "validate-without-the-tuple-scan",
+        GEOMETRY,
+        "operator.countOf(map(type, states), tuple) != len(states) or (",
+        "(",
+        (NON_TUPLE_TEST,),
+    ),
+    Mutant(
+        "check-state-admits-non-tuples",
+        CORE,
+        "        if not isinstance(state, tuple):\n"
+        '            raise ValueError(f"state of type {type(state).__name__} is not a tuple")\n',
+        "",
+        (NON_TUPLE_TEST,),
     ),
     # the encoder: JSON's spelling of NaN, and keys in sorted order
     Mutant(

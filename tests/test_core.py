@@ -224,17 +224,9 @@ def test_check_state_bounds():
         p.check_state((0,))
 
 
-@pytest.mark.parametrize("value", [1.0, 1.5, True, False, "1", None])
-@pytest.mark.parametrize("coordinate", [0, 1])
-def test_non_integer_coordinates_are_value_errors(value, coordinate):
-    # every public function that takes a state names the bad coordinate;
-    # a bool would silently read as 0 or 1, a float as the int it equals
-    p = Program.power(Thread.from_text("Pa Va"), 2, make_caps(a=1))
-    state = [0, 0]
-    state[coordinate] = value
-    state = tuple(state)
-    message = f"coordinate {coordinate + 1} value {value!r} is not an integer"
-    calls = (
+def _state_calls(p):
+    # every public function that takes a state
+    return (
         p.check_state,
         lambda s: state_admissible(p, s),
         lambda s: successors(p, s),
@@ -245,7 +237,31 @@ def test_non_integer_coordinates_are_value_errors(value, coordinate):
         # or True from 1, nor 0.0 or False from 0
         lambda s: LatticePath((p.bottom, s)).validate(p),
     )
-    for call in calls:
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, True, False, "1", None])
+@pytest.mark.parametrize("coordinate", [0, 1])
+def test_non_integer_coordinates_are_value_errors(value, coordinate):
+    # each call names the bad coordinate; a bool would silently read as 0 or
+    # 1, a float as the int it equals
+    p = Program.power(Thread.from_text("Pa Va"), 2, make_caps(a=1))
+    state = [0, 0]
+    state[coordinate] = value
+    state = tuple(state)
+    message = f"coordinate {coordinate + 1} value {value!r} is not an integer"
+    for call in _state_calls(p):
+        with pytest.raises(ValueError) as e:
+            call(state)
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize("state", [[1, 0], 5, "10", None], ids=["list", "int", "str", "None"])
+def test_non_tuple_states_are_value_errors(state):
+    # a list of two ints would pass every coordinate check; an int or None
+    # has no length
+    p = Program.power(Thread.from_text("Pa Va"), 2, make_caps(a=1))
+    message = f"state of type {type(state).__name__} is not a tuple"
+    for call in _state_calls(p):
         with pytest.raises(ValueError) as e:
             call(state)
         assert str(e.value) == message

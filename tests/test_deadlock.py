@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -551,6 +552,45 @@ def test_witnesses_always_validate():
             assert d.witness.states == pooled(index, d.state)
             found[kind] += 1
     assert all(found[kind] >= 20 for kind in ("power", "mixed", "two-groups")), found
+
+
+def _chain_thread(*names):
+    return Thread.from_text(" ".join(deadlock._chain_actions(names)))
+
+
+# per program: the deadlock count, and the sha256 of
+# repr([(state, witness.states), ...]) over find_deadlocks' report; witness
+# paths are output, so a change of these digests is a change of output
+WITNESS_DIGESTS = {
+    "ladder": (560, "f16cded41585bc4c9465e18d8c1facba9e7356e0d8fd0bfa55cd9eaa6ad68b12"),
+    "two-groups": (324, "5a32bb9990def26c669ebea460eaa198912bfa190245b0b00db8335a45aa7254"),
+    "mixed": (87, "b103fd8fa3283bd6ba6062f6f844d75ef08b53dc7facb798e3fe5be6a0a5702d"),
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_DIGESTS)
+def test_witness_paths_match_recorded_digests(name):
+    # the witness bytes are output: which copy a replayed step moves and how
+    # tied copies are paired onto a state both change them.  Each path is
+    # also the per-state query's, which pairs the state's ties with the
+    # chain's directly, where the report's pairs them with its orbit path's
+    if name == "ladder":
+        caps = make_caps(a=3, b=3, c=2)
+        program = Program.power(deadsharp_witness(caps).thread, 8, caps)
+    elif name == "two-groups":  # T U T U T U
+        program = Program((_chain_thread("a", "b"), _chain_thread("b", "a")) * 3,
+                          make_caps(a=2, b=2))
+    else:  # three copies of one thread and two lone ones
+        t = _chain_thread("a", "b", "c")
+        lone = (_chain_thread("c", "b"), Thread.from_text("Pb Pc Vc Pa Va Vb"))
+        program = Program((t, lone[0], t, lone[1], t), make_caps(a=1, b=2, c=1))
+    count, digest = WITNESS_DIGESTS[name]
+    report = find_deadlocks(program)
+    pairs = [(d.state, d.witness.states) for d in report.deadlocks]
+    assert len(pairs) == count
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+    index = ReachabilityIndex(program)
+    assert all(index.witness(d.state) == d.witness for d in report.deadlocks)
 
 
 def test_reachability_index_agrees_with_plain_search():

@@ -117,6 +117,19 @@ def test_demo_runs(demo):
     assert done.returncode == 0, done.stderr
 
 
+def test_readme_library_example(capsys):
+    # the Library section's code block runs and prints what its comments say:
+    # the deadlock, a path from ⊥ to it, and the family verdict
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## Library\n"):]
+    block = section[section.index("```python\n") + len("```python\n") : section.index("\n```\n")]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "(2, 2)"
+    assert lines[1].startswith("LatticePath(states=((0, 0), ") and lines[1].endswith(", (2, 2)))")
+    assert lines[-1] == "no deadlock-cutoff 2"
+
+
 def takes_front(node) -> bool:
     """``q.popleft()`` or ``q.pop(0)``."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
