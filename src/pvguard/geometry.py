@@ -55,12 +55,22 @@ class LatticePath:
 
     def steps(self) -> tuple[int, ...]:
         """The coordinate moved at each step; raises :class:`ValueError`
-        unless both states of every step have the same length and exactly
-        one coordinate rises, by 1."""
+        unless every state is a tuple of ints, all of one length, and each
+        step raises exactly one coordinate, by 1.  Three C-level scans type
+        the states, so 1.0, True or a list is no lattice point."""
+        states = self.states
+        n = len(states[0]) if isinstance(states[0], tuple) else -1
+        coords = itertools.chain.from_iterable(states)
+        if (
+            operator.countOf(map(isinstance, states, itertools.repeat(tuple)), True) != len(states)
+            or operator.countOf(map(len, states), n) != len(states)
+            or operator.countOf(map(type, coords), int) != n * len(states)
+        ):
+            raise ValueError("not a unit lattice step")
         out = []
-        for prev, nxt in zip(self.states, self.states[1:]):
+        for prev, nxt in zip(states, states[1:]):
             diff = list(map(operator.sub, nxt, prev))
-            if len(nxt) != len(prev) or diff.count(0) != len(prev) - 1 or 1 not in diff:
+            if diff.count(0) != n - 1 or 1 not in diff:
                 raise ValueError("not a unit lattice step")
             out.append(diff.index(1))
         return tuple(out)
@@ -72,21 +82,15 @@ class LatticePath:
         state.  A unit step changes one coordinate, so only its new value is
         range-checked and only its two point-use entries move the totals.  A
         bad state raises at once; the first bad edge raises after the pass.
-        When :meth:`steps` raises, every state is checked with
-        :func:`state_admissible` before its error is raised.  So faults are
-        reported as by checking all states, then all steps, then all edges.
-        Unless the path holds tuples of n ints, its states are checked first:
-        a unit step does not tell 1.0 or True from 1."""
+        When :meth:`steps` raises, on a malformed state or a non-unit step,
+        every state is checked with :func:`state_admissible` before its error
+        is raised.  So faults are reported as by checking all states, then
+        all steps, then all edges."""
         states = self.states
         kappa = program.kappa
         tops = program.tops
         point = program._point_idx
         request = program._request_idx
-        coords = itertools.chain.from_iterable(states)
-        if operator.countOf(map(type, states), tuple) != len(states) or (
-            operator.countOf(map(type, coords), int) != program.n * len(states)
-        ):
-            _check_states(program, states)
         try:
             steps = self.steps()
         except ValueError:

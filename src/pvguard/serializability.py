@@ -52,31 +52,17 @@ from .geometry import (
 def serial_order(path: LatticePath) -> Optional[tuple[int, ...]]:
     """The completion order of a serial path, or None.
 
-    Serial means the step sequence factors into consecutive blocks, each
-    running one thread from its start to its end while the others sit at
-    their start or end.
+    Serial means the path starts at ⊥ and its steps fall into n runs, one
+    per thread, each running its thread from 0 to its end.  A thread's
+    first run then ends at its end, so no thread can run twice.
     """
-    start = path.start
+    if any(path.start):
+        return None
     end = path.end
-    if any(v != 0 for v in start):
+    runs = [(c, len(list(run))) for c, run in itertools.groupby(path.steps())]
+    if len(runs) != len(end) or any(k != end[c] for c, k in runs):
         return None
-    order: list[int] = []
-    coords = list(path.steps())
-    i = 0
-    while i < len(coords):
-        c = coords[i]
-        if c in order:
-            return None
-        run = 0
-        while i < len(coords) and coords[i] == c:
-            run += 1
-            i += 1
-        if run != end[c]:
-            return None
-        order.append(c)
-    if len(order) != len(start):
-        return None
-    return tuple(order)
+    return tuple(c for c, _ in runs)
 
 
 def is_serial(path: LatticePath) -> bool:

@@ -402,24 +402,37 @@ MUTANTS = (
         "if x > tops[c]:",
         (VALIDATE_TEST,),
     ),
-    # a later state's coordinates typed only through their differences, and
-    # a state that is a list of ints
+    # the scans of steps(), which validate reads: a later state's coordinates
+    # typed only through their differences, a state that is a list of ints,
+    # and a longer state padded with a non-int
     Mutant(
         "validate-without-the-type-scan",
         GEOMETRY,
-        "        if operator.countOf(map(type, states), tuple) != len(states) or (\n"
-        "            operator.countOf(map(type, coords), int) != program.n * len(states)\n"
-        "        ):\n"
-        "            _check_states(program, states)\n",
+        "            or operator.countOf(map(type, coords), int) != n * len(states)\n",
         "",
         (VALIDATE_TEST, "tests/test_core.py::test_non_integer_coordinates_are_value_errors"),
     ),
     Mutant(
         "validate-without-the-tuple-scan",
         GEOMETRY,
-        "operator.countOf(map(type, states), tuple) != len(states) or (",
-        "(",
+        "operator.countOf(map(isinstance, states, itertools.repeat(tuple)), True) != len(states)\n"
+        "            or ",
+        "",
         (NON_TUPLE_TEST,),
+    ),
+    Mutant(
+        "steps-admits-ragged-states",
+        GEOMETRY,
+        "            or operator.countOf(map(len, states), n) != len(states)\n",
+        "",
+        (CLASS_TESTS + "test_steps_refuse_states_of_different_lengths",),
+    ),
+    Mutant(
+        "serial-order-ignores-start",
+        SERIALIZABILITY,
+        "    if any(path.start):\n        return None\n",
+        "",
+        (CLASS_TESTS + "test_serial_order_needs_a_start_at_bottom_and_every_thread_run",),
     ),
     Mutant(
         "check-state-admits-non-tuples",

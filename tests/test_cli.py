@@ -354,6 +354,32 @@ def test_family_needs_thread_name_when_ambiguous(capsys, ex3):
     assert "thread" in err
 
 
+OK = "resource a cap 1\nthread T = Pa Va\nprogram main = T ^ 2\n"
+
+
+@pytest.mark.parametrize(
+    "source, argv, message",
+    [
+        (OK, ("deadlocks", "nosuch"), "pvguard: no program named 'nosuch' (defined: main)"),
+        (
+            "resource a cap 1\nthread T = Pa Va\n",
+            ("deadlocks",),
+            "pvguard: source defines no program; add a 'program NAME = ...' line",
+        ),
+        (OK, ("family", "deadlock", "--thread", "U"), "pvguard: no thread named 'U' (defined: T)"),
+    ],
+    ids=["unknown-program", "no-program", "unknown-thread"],
+)
+def test_names_the_source_does_not_define_are_input_errors(capsys, tmp_path, source, argv, message):
+    f = tmp_path / "ok.pv"
+    f.write_text(source)
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(f), *rest)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == message
+
+
 def test_classes_serializable(capsys, tmp_path):
     f = tmp_path / "pv3.pv"
     f.write_text("resource a cap 1\nthread T = Pa Va\nprogram m = T^3\n")

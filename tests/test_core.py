@@ -36,6 +36,15 @@ def test_parse_actions_forms():
     assert fused[2].mnemonic == "Vb"
 
 
+def test_action_and_program_reject_malformed_parts():
+    with pytest.raises(ValueError, match="^action kind must be P or V, got 'X'$"):
+        Action("X", "a")
+    with pytest.raises(ValueError, match="^action resource name must be nonempty$"):
+        Action("P", "")
+    with pytest.raises(ValueError, match="^a program needs at least one thread$"):
+        Program((), make_caps(a=1))
+
+
 def test_parse_actions_rejects_garbage():
     with pytest.raises(ValueError):
         parse_actions("Qa")

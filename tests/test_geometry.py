@@ -179,6 +179,13 @@ def test_lattice_path_validate_messages():
         LatticePath(edge).validate(prog)
 
 
+def test_validate_checks_the_start_state():
+    # a one-state path has no step, so only the start-state check sees (2, 2)
+    p = Program.power(T1, 2, make_caps(a=1, b=1))
+    with pytest.raises(PvError, match=r"^path visits inadmissible state \(2, 2\)$"):
+        LatticePath(((2, 2),)).validate(p)
+
+
 def nested_hold_thread(rng: random.Random, resources: list[str]) -> Thread:
     """A thread whose holds nest: each block acquires a resource not held
     around it, runs zero or more inner blocks, and releases it."""

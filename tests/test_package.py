@@ -1,6 +1,7 @@
 """Package surface: the public names, the shipped demos, and the one search."""
 
 import ast
+import hashlib
 import itertools
 import os
 import subprocess
@@ -107,14 +108,25 @@ def test_demos_are_present():
     assert len(DEMOS) == 4
 
 
+# sha256 of each demo's stdout: the demos print verdicts, witnesses and
+# classes, so a change to any of them shows here
+DEMO_DIGESTS = {
+    "01_deadlocks.py": "e5830800afb07035029455b53e190a129789d89aec5800e03ec6d8b4e0955cf8",
+    "02_family_cutoffs.py": "48c8330c643c63cd175bc5c9cbcc1edac54e862376acb6414da7215d442f6dc7",
+    "03_execution_classes.py": "8bbb75f99e5eb73b6d0f5f413ab79884df19c8029b34d1b984dc5733e9c09d85",
+    "04_choice_points.py": "1c67243d04c20227cac193c87f5084218d9edaf9eca2dffccc7234f9e915cacf",
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, timeout=120,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_DIGESTS[demo.name]
 
 
 def test_readme_library_example(capsys):

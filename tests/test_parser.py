@@ -175,6 +175,17 @@ def test_bad_power_suffix():
     assert e.line == 3
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("T | T ;", "line 3, column 21: unexpected text ';' in program expression"),
+        ("T | ^ 2", "line 3, column 20: expected a thread name, got '^'"),
+    ],
+)
+def test_program_expression_errors_are_located(expr, message):
+    assert str(err(f"resource a cap 1\nthread T = Pa Va\nprogram main = {expr}\n")) == message
+
+
 def test_empty_program_expression():
     e = err("resource a cap 1\nthread T = Pa Va\nprogram m =\n")
     assert e.line == 3

@@ -1,4 +1,5 @@
-"""``report.dumps`` against the standard library encoder it replaces."""
+"""``report.dumps`` against the standard library encoder it replaces, and the
+grid picture's thread count."""
 import decimal
 import json
 import math
@@ -198,3 +199,9 @@ def envelopes():
 @pytest.mark.parametrize("shape", SHAPES)
 def test_dumps_matches_json_on_every_report_shape(envelopes, shape):
     assert report.dumps(envelopes[shape]) == reference(envelopes[shape])
+
+
+def test_render_grid_needs_two_threads():
+    three = Program.power(Thread.from_text("Pa Va"), 3, CapacityMap((("a", 1),)))
+    with pytest.raises(ValueError, match="^grid rendering needs exactly 2 threads$"):
+        report.render_grid(three)

@@ -95,7 +95,33 @@ def test_steps_refuse_states_of_different_lengths():
     for bad in (((0, 0), (1, 0), (1, 0)), ((0, 0), (2, 0)), ((0, 0), (1, 1)), ((1, 0), (0, 0))):
         with pytest.raises(ValueError, match="not a unit lattice step"):
             LatticePath(bad).steps()
+    # a state that is not a tuple of ints is no lattice point: 1.0 and True
+    # compare equal to 1, and a list subtracts like a tuple
+    for bad in (
+        ((0, 0), (1, 0, None)),  # as many int coordinates as two pairs
+        ((0, 0), 5),
+        ((0, 0), (1, "a")),
+        ((0, 0), [1, 0]),
+        ((0, 0), (1.0, 0)),
+        ((0, 0), (True, 0)),
+    ):
+        with pytest.raises(ValueError, match="^not a unit lattice step$"):
+            LatticePath(bad).steps()
     assert LatticePath(((0, 0), (1, 0), (1, 1))).steps() == (0, 1)
+    point = collections.namedtuple("point", "x y")  # a tuple, as check_state takes it
+    assert LatticePath((point(0, 0), point(0, 1))).steps() == (1,)
+
+
+def test_serial_order_needs_a_start_at_bottom_and_every_thread_run():
+    from pvguard import path_from_steps
+
+    # each thread runs once from its start to its end, but not from ⊥
+    assert serial_order(LatticePath(((1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3)))) is None
+    # thread 2 never moves, so the path is no serial run of both threads
+    assert serial_order(LatticePath(((0, 0), (1, 0), (2, 0), (3, 0)))) is None
+    # runs of one step each reach the ends 1, 1 and 5 of a path from a
+    # start below ⊥; only the start says it is not serial
+    assert serial_order(path_from_steps((-1, 0, 5), (0, 1, 0))) is None
 
 
 def test_serial_paths_always_valid():
