@@ -24,6 +24,7 @@ from .core import (
     SearchLimitExceeded,
     _NAME_RE,
     _count_text,
+    _decimal,
 )
 from .deadlock import (
     _guard_paths,
@@ -272,7 +273,7 @@ def _parse_caps(tokens: Sequence[str]) -> CapacityMap:
         m = _CAP_TOKEN.match(tok)
         if m is None:
             raise ValueError(f"capacity {tok!r} not of the form name:count")
-        entries.append((m.group(1), int(m.group(2))))
+        entries.append((m.group(1), _decimal(m.group(2))))
     return CapacityMap(tuple(entries))
 
 
@@ -308,17 +309,19 @@ def _default_max_states() -> int:
 def _positive_int(text: str) -> int:
     """argparse type of the search bounds: an integer of at least 1."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _decimal(text) if text.isdecimal() else int(text)
+    except ValueError as exc:
+        why = str(exc) if text.isdecimal() else f"invalid int value: {text!r}"
+        raise argparse.ArgumentTypeError(why) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its command parsers by command word, built on
+    first use and shared by later calls."""
     top = argparse.ArgumentParser(
         prog="pvguard",
         description="Static deadlock and serializability analysis for PV "
@@ -379,11 +382,21 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine output")
     p.set_defaults(func=_cmd_witness)
 
-    return top
+    for word, p in sub.choices.items():
+        p.set_defaults(command=word)
+    return top, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    top, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # one parse: a command word goes straight to its own parser; anything
+    # else, and any words that parser leaves over, to the top parser, so
+    # usage lines, errors and exit codes stay the top parser's
+    command = commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
+    if command is None or rest:
+        args = top.parse_args(argv)
     # the parser is shared by every call, so the environment is read here
     if getattr(args, "max_states", 0) is None:
         args.max_states = _default_max_states()

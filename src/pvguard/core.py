@@ -68,6 +68,15 @@ def _count_text(count: int) -> str:
         return f"about 10^{log10(count):.0f}"
 
 
+def _decimal(text: str) -> int:
+    """The value of the decimal digits ``text``; past the interpreter's limit
+    on the digits of an int read from a string, a ValueError that counts them."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"number {text[:8]}... has {len(text)} digits") from None
+
+
 def _bound(limit: int, count: int, what: str) -> None:
     """Raise :class:`SearchLimitExceeded` when ``count`` of ``what`` exceeds
     ``limit``; the one check, and message, of every counted cap."""

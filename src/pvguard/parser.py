@@ -24,6 +24,7 @@ from .core import (
     Thread,
     _MAX_THREADS,
     _NAME_RE,
+    _decimal,
     _scan_actions,
     thread_violations,
 )
@@ -50,7 +51,7 @@ def _parse_resource_line(body: str, lineno: int, offset: int) -> tuple[str, int]
         raise ParseError("expected 'resource <name> cap <int>'", lineno, offset + 1)
     name, cap_text = m.group(1), m.group(2)
     col = offset + m.start(2) + 1
-    cap = _decimal(cap_text, lineno, col) if cap_text.isdecimal() else 0
+    cap = _number(cap_text, lineno, col) if cap_text.isdecimal() else 0
     if cap < 1:
         raise ParseError(
             f"capacity of {name!r} must be an integer >= 1, got {cap_text!r}", lineno, col
@@ -58,13 +59,12 @@ def _parse_resource_line(body: str, lineno: int, offset: int) -> tuple[str, int]
     return name, cap
 
 
-def _decimal(text: str, lineno: int, col: int) -> int:
-    """The value of the decimal digits ``text``; a ParseError past the
-    interpreter's limit on the digits of an int read from a string."""
+def _number(text: str, lineno: int, col: int) -> int:
+    """The value of the decimal digits ``text``, its error located."""
     try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"number {text[:8]}... has {len(text)} digits", lineno, col) from None
+        return _decimal(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno, col) from None
 
 
 def _parse_thread_actions(
@@ -122,7 +122,7 @@ def _parse_program_expr(
                 if not m3 or not m3.group(1).isdecimal():
                     raise ParseError("expected an integer after '^'", lineno, offset + pos + 1)
                 col = offset + m3.start(1) + 1
-                count = _decimal(m3.group(1), lineno, col)
+                count = _number(m3.group(1), lineno, col)
                 if count < 1:
                     raise ParseError("copy count must be >= 1", lineno, col)
                 pos = m3.end()

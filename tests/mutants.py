@@ -590,6 +590,23 @@ MUTANTS = (
         "except (OSError, PvError) as exc:",
         (CLI_TESTS + "test_family_needs_thread_name_when_ambiguous",),
     ),
+    # the one parse per call: words the command's parser leaves over must
+    # reach the top parser's error, and a first word that names no command
+    # (an option, a typo) the top parser itself
+    Mutant(
+        "cli-dispatch-ignores-leftover-words",
+        CLI,
+        "if command is None or rest:",
+        "if command is None:",
+        (CLI_TESTS + "test_each_argv_shape_keeps_its_exit_code_and_output",),
+    ),
+    Mutant(
+        "cli-dispatch-skips-the-top-parser",
+        CLI,
+        "command = commands.get(argv[0]) if argv else None",
+        'command = commands.get(argv[0], commands.get("check")) if argv else None',
+        (CLI_TESTS + "test_each_argv_shape_keeps_its_exit_code_and_output",),
+    ),
 )
 
 

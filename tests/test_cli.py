@@ -835,6 +835,110 @@ def test_calls_share_no_state(capsys, ex3):
     assert shared == fresh
 
 
+# argv, exit code, the first line of stdout and a line or part of a line of
+# stderr ("" when empty, the timing line dropped), recorded when every call
+# went through the top parser; ``ex3.pv`` holds EX3
+ARGV_SHAPES = [
+    ((), 2, "", "pvguard: error: the following arguments are required: COMMAND"),
+    (("-h",), 0, "usage: pvguard [-h] [--version] COMMAND ...", ""),
+    (("--version",), 0, "pvguard 0.1.0", ""),
+    (("--", "check", "ex3.pv"), 2, "", "argument COMMAND: invalid choice: '--'"),
+    (("--json", "check", "ex3.pv"), 2, "", "pvguard: error: unrecognized arguments: --json"),
+    (("chec", "ex3.pv"), 2, "", "argument COMMAND: invalid choice: 'chec'"),
+    (("nonsense",), 2, "", "argument COMMAND: invalid choice: 'nonsense'"),
+    (("check",), 2, "", "pvguard check: error: the following arguments are required: file"),
+    (("check", "-h"), 0, "usage: pvguard check [-h] [--json] [--max-states MAX_STATES] file", ""),
+    (("check", "ex3.pv"), 0, "ok: 2 resource(s), 2 thread(s), 1 program(s)", ""),
+    (("check", "ex3.pv", "--version"), 2, "", "pvguard: error: unrecognized arguments: --version"),
+    (("check", "ex3.pv", "extra"), 2, "", "pvguard: error: unrecognized arguments: extra"),
+    (("check", "ex3.pv", "--js"), 0, "{", ""),
+    (("check", "--", "ex3.pv"), 0, "ok: 2 resource(s), 2 thread(s), 1 program(s)", ""),
+    (("classes", "ex3.pv", "--limit", "2"), 2, "",
+     "pvguard: error: unrecognized arguments: --limit 2"),
+    (("classes", "ex3.pv", "--max", "1"), 3, "",
+     "pvguard: instance exceeds the configured bound of 1 grid states"),
+    (("deadlocks", "ex3.pv", "main", "more"), 2, "", "pvguard: error: unrecognized arguments: more"),
+    (("deadlocks", "ex3.pv", "--pot"), 1, "program main: 1 potential deadlock(s)", ""),
+    (("deadlocks", "ex3.pv", "--max-states", "0"), 2, "",
+     "pvguard deadlocks: error: argument --max-states: must be at least 1, got 0"),
+    (("deadlocks", "ex3.pv", "--max-states", "many"), 2, "",
+     "pvguard deadlocks: error: argument --max-states: invalid int value: 'many'"),
+    (("deadlocks", "ex3.pv", "nosuch"), 2, "", "pvguard: no program named 'nosuch' (defined: main)"),
+    (("family", "ex3.pv", "nonsense"), 2, "", "argument property: invalid choice: 'nonsense'"),
+    (("family", "ex3.pv"), 2, "",
+     "pvguard family: error: the following arguments are required: property"),
+    (("family", "ex3.pv", "deadlock", "--thread", "T1"), 0,
+     "thread T1, deadlock-freedom for all copy counts: yes", ""),
+    (("lcp", "ex3.pv", "--json"), 1, "{", ""),
+    (("lcp", "ex3.pv", "-x"), 2, "", "pvguard: error: unrecognized arguments: -x"),
+    (("witness", "deadlock"), 2, "",
+     "pvguard witness: error: the following arguments are required: NAME:CAP"),
+    (("witness", "lcp", "a:2", "b:2", "--json"), 0, "{", ""),
+    (("witness", "deadlock", "a:1", "b:1", "--max-states", "3"), 2, "",
+     "pvguard: error: unrecognized arguments: --max-states 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", ARGV_SHAPES, ids=[" ".join(row[0]) or "none" for row in ARGV_SHAPES]
+)
+def test_each_argv_shape_keeps_its_exit_code_and_output(
+    capsys, tmp_path, monkeypatch, argv, code, out, err
+):
+    # a command word goes straight to its own parser; every other shape, and
+    # every call that parser leaves words over from, must answer as the top
+    # parser alone answers it, byte for byte
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal's width
+    (tmp_path / "ex3.pv").write_text(EX3)
+    got = call(capsys, argv)
+    top, _ = cli._parser()
+    monkeypatch.setattr(cli, "_parser", lambda: (top, {}))
+    assert got == call(capsys, argv)
+    assert got[0] == code
+    assert got[1].partition("\n")[0] == out
+    if err:
+        assert err in "\n".join(got[2])
+    else:
+        assert got[2] == []
+
+
+def test_a_command_call_runs_one_parse(capsys, corpus, monkeypatch):
+    parses = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in corpus:
+        parses.clear()
+        call(capsys, argv)
+        assert parses == [f"pvguard {argv[0]}"]
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("witness", "deadlock", "a:" + "1" * 5000, "b:1"), "pvguard: "),
+        (("deadlocks", "ex3.pv", "--max-states", "1" * 5000),
+         "pvguard deadlocks: error: argument --max-states: "),
+    ],
+    ids=["capacity", "max-states"],
+)
+def test_numbers_past_the_digit_limit_count_their_digits(capsys, tmp_path, monkeypatch, argv, prefix):
+    # int() past the interpreter's 4,300-digit limit raised "Exceeds the limit
+    # (4300 digits) for integer string conversion", which the capacity printed
+    # and --max-states reported as "invalid int value" with every digit echoed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ex3.pv").write_text(EX3)
+    code, out, err = call(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err[-1] == prefix + "number 11111111... has 5000 digits"
+    assert len("\n".join(err)) < 500
+
+
 def _raising(*args, **kwargs):
     raise AssertionError("rendering of the format not printed")
 
