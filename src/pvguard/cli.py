@@ -301,20 +301,27 @@ def _default_max_states() -> int:
         return DEFAULT_MAX_STATES
     try:
         return _positive_int(raw)
-    except argparse.ArgumentTypeError:
-        print(f"pvguard: ignoring invalid PVGUARD_MAX_STATES={raw!r}", file=sys.stderr)
+    except argparse.ArgumentTypeError as exc:
+        shown = f"={raw!r}" if len(raw) <= 32 else f": {exc}"  # a long one, bounded
+        print(f"pvguard: ignoring invalid PVGUARD_MAX_STATES{shown}", file=sys.stderr)
         return DEFAULT_MAX_STATES
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the search bounds: an integer of at least 1."""
+    """argparse type of the search bounds: an integer of at least 1.  An
+    error names a value of more than 32 characters by its first eight and
+    its length, in ``_decimal``'s digit count where the value is a number."""
     try:
         value = _decimal(text) if text.isdecimal() else int(text)
     except ValueError as exc:
-        why = str(exc) if text.isdecimal() else f"invalid int value: {text!r}"
+        shown = repr(text) if len(text) <= 32 else f"{text[:8]!r}... has {len(text)} characters"
+        why = str(exc) if text.isdecimal() else f"invalid int value: {shown}"
         raise argparse.ArgumentTypeError(why) from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        shown = str(value)
+        if len(shown) > 32:
+            shown = f"number {shown[:8]}... has {len(shown) - 1} digits"
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {shown}")
     return value
 
 

@@ -50,11 +50,11 @@ class ReachabilityIndex:
     orbit, i.e. a multiset of positions per group, which the search keeps as
     the group's count vector over positions (the counter abstraction: German
     and Sistla, "Reasoning about systems with many processes", JACM 1992).
-    Each reached orbit stores its parent and the step that reached it, which
-    a witness chain replays from ⊥.  Membership queries and witness paths
-    for arbitrary concrete states are recovered by permuting within groups;
-    the transition relation is invariant under such permutations, so the
-    folding is exact.
+    Each reached orbit is keyed by a code of its count vectors and stores its
+    parent and the step that reached it, which a witness chain replays from
+    ⊥.  Membership queries and witness paths for arbitrary concrete states
+    are recovered by permuting within groups; the transition relation is
+    invariant under such permutations, so the folding is exact.
 
     Without ``targets`` the search covers the whole folded space and decides
     every state.  ``targets``, the states the caller will query, select the
@@ -86,11 +86,7 @@ class ReachabilityIndex:
                 orbits.append(_canon(self._groups, state))
             self.ceiling = tuple(map(max, zip(program.bottom, *orbits)))
         self._reduced = targets is not None
-        # states at or below the ceiling as mixed-radix codes, radix the
-        # ceiling plus one, the last coordinate least significant; ⊥ is code 0
-        self._weight = tuple(
-            itertools.accumulate((c + 1 for c in self.ceiling[:0:-1]), operator.mul, initial=1)
-        )[::-1]
+        self._rows: dict[int, list[int]] = {}  # per coordinate: the code of one copy, by position
         self._entries: list = []  # per count-vector index: its step (group, x, y); None at ⊤
         # per reached code, in discovery order: parent code * len(entries)
         # + the entry of its step (-1 for ⊥)
@@ -103,23 +99,24 @@ class ReachabilityIndex:
 
         The copies of a group are ranked by position, rank r standing at
         coordinate ``g[r]`` of the group ``g``, so an orbit's group-sorted
-        state and its codes are read off the counts.  The copies at one
-        position form a run; a step moves one copy of a run from x to the
-        step's end y, which raises the run's last coordinate, so the code
-        grows by that coordinate's weight times y - x.  A state's new
-        successors are stored in ascending order of their runs' first
-        coordinates, the coordinate a step in ascending order reaches the
-        orbit by first, each with its parent and its step's entry (group, x,
-        y), which moves the group's first copy at x.  The runs
-        come in that order group by group; where groups interleave, the new
-        successors are sorted.  Distinct runs reach distinct orbits, so which
-        successors are new does not depend on the order the runs are tried
-        in.  Reached states are admissible (⊥ is, and an admissible edge ends
-        in one), so a step is blocked exactly when the resource it acquires
-        is full.  A successor is kept only at or below the ceiling (⊤ without
-        targets): the ceiling ascends within a group, so a run steps iff its
-        last copy's ceiling is at least y.  Every parent of a state below the
-        ceiling is below it too, so the ceiling cuts no path to such a state.
+        state is read off the counts, and its code is the sum of its copies'
+        group rows (``_row``) at their positions.  The copies at one position
+        form a run; a step moves one copy of a run from x to the step's end
+        y, which raises the run's last coordinate and moves the code by
+        ``row[y] - row[x]``, whichever copy moves.  A state's new successors
+        are stored in ascending order of their runs' first coordinates, the
+        coordinate a step in ascending order reaches the orbit by first, each
+        with its parent and its step's entry (group, x, y), which moves the
+        group's first copy at x.  The runs come in that order group by group;
+        where groups interleave, the new successors are sorted.  Distinct
+        runs reach distinct orbits, so which successors are new does not
+        depend on the order the runs are tried in.  Reached states are
+        admissible (⊥ is, and an admissible edge ends in one), so a step is
+        blocked exactly when the resource it acquires is full.  A successor
+        is kept only at or below the ceiling (⊤ without targets): the ceiling
+        ascends within a group, so a run steps iff its last copy's ceiling is
+        at least y.  Every parent of a state below the ceiling is below it
+        too, so the ceiling cuts no path to such a state.
 
         Each queued state carries its free slots, per resource its capacity
         less its point-use total, packed into one int with a field per
@@ -143,10 +140,11 @@ class ReachabilityIndex:
         field = [1 << s for s in shift]
         # the count vector holds every group's counts over positions 0..⊤ in
         # a row; per group, the indices of its positions below ⊤; per such
-        # index: the group's coordinates, the code move by rank, the field a
-        # step there must find above 0 (0 when it requests nothing), the
-        # step's change to the free slots, the first rank whose ceiling lies
-        # at or above the step's end y, and y - x
+        # index: the group's coordinates, the code move, the field a step
+        # there must find above 0 (0 when it requests nothing), the step's
+        # change to the free slots, the first rank whose ceiling lies at or
+        # above the step's end y, and y - x
+        weight = 1  # of the next group's first digit
         counts: list[int] = []
         blocks = []
         table: list = []
@@ -155,21 +153,19 @@ class ReachabilityIndex:
             top = program.tops[g[0]]
             held = program._point_idx[g[0]]
             request = program._request_idx[g[0]]
-            weights = [self._weight[c] for c in g]
             lows = [self.ceiling[c] for c in g]
+            row, weight = _row(len(g), lows[-1], top, weight)
+            self._rows.update(dict.fromkeys(g, row))
             blocks.append(range(len(counts), len(counts) + top))
             counts += [len(g)] + [0] * top
             ends = list(range(1, top + 1))
             for x in range(top - 2, -1, -1):
                 if reduced and request[x + 1] is None:  # on through a release
                     ends[x] = ends[x + 1]
-            moves = {1: weights}  # code moves by rank, per distance stepped
             for x, (r, y) in enumerate(zip(request, ends)):
-                if y - x not in moves:
-                    moves[y - x] = [w * (y - x) for w in weights]
                 gate = 0 if r is None else field[r + 1] - field[r]  # r's field, all ones
                 change = sum(field[r] for r in held[x]) - sum(field[r] for r in held[y])
-                table.append((g, moves[y - x], gate, change, bisect.bisect_left(lows, y), y - x))
+                table.append((g, row[y] - row[x], gate, change, bisect.bisect_left(lows, y), y - x))
                 entries.append((g, x, y))
             table.append(None)  # ⊤ never steps
             entries.append(None)
@@ -196,9 +192,9 @@ class ReachabilityIndex:
                 for i in block:
                     if counts[i]:
                         hi = lo + counts[i]
-                        g, moves, gate, change, above, jump = table[i]
+                        g, move, gate, change, above, jump = table[i]
                         if hi > above and (not gate or free & gate):
-                            key = code + moves[hi - 1]
+                            key = code + move
                             if key not in links:
                                 fresh.append((g[lo], key, i, change, jump))
                         lo = hi
@@ -216,27 +212,21 @@ class ReachabilityIndex:
         return len(self._links)
 
     def _code(self, state: State) -> int:
-        """The code of the group-sorted ``state``; raises unless it is a
-        state of the program at or below the ceiling and, with targets, every
-        coordinate stands at an acquire or at ⊤: the states the search
-        decides."""
+        """The code of the orbit of ``state``, the sum of its coordinates'
+        rows at their positions, which no permutation within a group changes;
+        raises unless it is a state of the program at or below the ceiling
+        and, with targets, every coordinate stands at an acquire or at ⊤: the
+        states the search decides."""
         self.program.check_state(state)
-        target = _canon(self._groups, state)
-        if any(map(operator.gt, target, self.ceiling)):
+        if any(map(operator.gt, _canon(self._groups, state), self.ceiling)):
+            raise ValueError(f"state {state} lies outside the search ceiling {self.ceiling}")
+        tops, request = self.program.tops, self.program._request_idx
+        if self._reduced and any(x != t and r[x] is None for x, t, r in zip(state, tops, request)):
             raise ValueError(
-                f"state {state} lies outside the search ceiling {self.ceiling}"
+                f"state {state} has a coordinate at neither an acquire nor ⊤, "
+                "which the reduced search does not decide"
             )
-        if self._reduced:
-            request = self.program._request_idx
-            tops = self.program.tops
-            if any(
-                x != top and req[x] is None for x, top, req in zip(state, tops, request)
-            ):
-                raise ValueError(
-                    f"state {state} has a coordinate at neither an acquire nor ⊤, "
-                    "which the reduced search does not decide"
-                )
-        return sum(map(operator.mul, target, self._weight))
+        return sum(self._rows[c][x] for c, x in enumerate(state))
 
     def is_reachable(self, state: State) -> bool:
         return self._code(state) in self._links
@@ -280,6 +270,21 @@ class ReachabilityIndex:
             for q[d] in range(x + 1, y + 1):
                 concrete.append(tuple(q))
         return concrete
+
+
+def _row(n: int, c: int, top: int, weight: int) -> tuple[list[int], int]:
+    """The code of one of a group's ``n`` copies at each position 0..``top``
+    from digit ``weight`` on, and the next group's first weight.  The copies
+    sum to the shorter of two injective codes of a count vector over 0..c:
+    its counts at 1..c, digits of radix n + 1, or its power sums of degree
+    k = 1..n, digits of radix n * c**k + 1 (Newton's identities invert them)."""
+    last = weight * (n + 1) ** c
+    sums = [weight]  # the power sums' weights, while they stay the shorter
+    while len(sums) <= n and sums[-1] < last:
+        sums.append(sums[-1] * (n * c ** len(sums) + 1))
+    if sums[-1] < last:
+        return [sum(w * p**k for k, w in enumerate(sums[:-1], 1)) for p in range(top + 1)], sums[-1]
+    return [0, *itertools.accumulate([n + 1] * (top - 1), operator.mul, initial=weight)], last
 
 
 def _canon(groups: Sequence[Sequence[int]], state: State) -> State:

@@ -231,6 +231,9 @@ def _encode(obj, newline: str, add) -> None:
     add(newline + brackets[1])
 
 
+_GRID_PICTURE_STATES = 10_000  # the most states a grid picture draws
+
+
 def render_grid(
     program: Program,
     marked: Sequence[State] = (),
@@ -239,12 +242,19 @@ def render_grid(
     """ASCII picture of a 2-thread program: thread 1 along x, thread 2 along
     y.  `#` inadmissible state, `X` marked state, `*` path state, `.` other.
     Display only; the open forbidden boxes are drawn via the states they
-    exclude, so capacity-1 single-step holds may not show as blocks."""
+    exclude, so capacity-1 single-step holds may not show as blocks.  A
+    grid of more than ``_GRID_PICTURE_STATES`` states is not drawn: one line
+    names its size instead."""
     if program.n != 2:
         raise ValueError("grid rendering needs exactly 2 threads")
+    top1, top2 = program.tops
+    if (top1 + 1) * (top2 + 1) > _GRID_PICTURE_STATES:
+        return (
+            f"grid of {top1 + 1} x {top2 + 1} states not drawn: "
+            f"a picture shows at most {_GRID_PICTURE_STATES}"
+        )
     marked_set = set(marked)
     on_path = set(path.states) if path is not None else set()
-    top1, top2 = program.tops
     rows = []
     for y in range(top2, -1, -1):
         cells = []

@@ -483,28 +483,29 @@ def orbit_members(program: Program, orbits) -> list[State]:
 def index_parents(index: ReachabilityIndex) -> dict[State, tuple[State, int]]:
     """The orbits ``index`` stored, in discovery order, each mapped to its
     parent and the coordinate its step is taken by (⊥ maps to (⊥, -1)),
-    decoded from the mixed-radix codes of ``index._links`` (each radix a
-    coordinate of the ceiling plus one) and the step entries (group, x, y)
-    they name: the step is taken by the parent's first copy of the group
-    at x."""
-
-    def decode(code: int) -> State:
-        out = []
-        for c in reversed(index.ceiling):
-            code, x = divmod(code, c + 1)
-            out.append(x)
-        return tuple(reversed(out))
-
+    read off ``index._links``: each code names its parent's code and a step
+    entry (group, x, y), whose step is taken by the parent's first copy of
+    the group at x.  Each orbit is its parent with that step applied, group
+    sorted, and the code it is stored under must be the sum of its
+    coordinates' group rows (``index._rows``) at their positions, so each
+    stored code is checked against the rows rather than decoded."""
+    program = index.program
     entries = index._entries
+    orbits = {}
     parents = {}
     for code, link in index._links.items():
-        if not code:
-            parents[decode(code)] = (decode(code), -1)
+        if link < 0:
+            orbits[code] = program.bottom
+            parents[program.bottom] = (program.bottom, -1)
             continue
         prev, i = divmod(link, len(entries))
-        parent = decode(prev)
-        g, x, _ = entries[i]
-        parents[decode(code)] = (parent, next(c for c in g if parent[c] == x))
+        parent = orbits[prev]
+        g, x, y = entries[i]
+        coord = next(c for c in g if parent[c] == x)
+        orbit = sort_groups(program, parent[:coord] + (y,) + parent[coord + 1 :])
+        assert sum(index._rows[c][x] for c, x in enumerate(orbit)) == code, (orbit, code)
+        orbits[code] = orbit
+        parents[orbit] = (parent, coord)
     return parents
 
 

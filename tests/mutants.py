@@ -133,6 +133,39 @@ MUTANTS = (
         "bisect.bisect_right(lows, y)",
         (SEARCH_TESTS + "test_reduced_search_matches_full_search",),
     ),
+    # the orbit codes: a digit's radix one too small, in either row, lets
+    # two count vectors of one group share a code, a weight not carried on
+    # to the next group lets two groups' digits share one; either merges
+    # distinct orbits.  A group kept to its counts gives long threads codes
+    # with a digit per position
+    Mutant(
+        "search-code-radix-too-small",
+        DEADLOCK,
+        "accumulate([n + 1] * (top - 1)",
+        "accumulate([n] * (top - 1)",
+        (DIGEST_TEST,),
+    ),
+    Mutant(
+        "search-code-power-radix-too-small",
+        DEADLOCK,
+        "(n * c ** len(sums) + 1)",
+        "(n * c ** len(sums))",
+        (DIGEST_TEST,),
+    ),
+    Mutant(
+        "search-code-weight-not-carried",
+        DEADLOCK,
+        "_row(len(g), lows[-1], top, weight)",
+        "_row(len(g), lows[-1], top, 1)",
+        (DIGEST_TEST,),
+    ),
+    Mutant(
+        "search-code-counts-only",
+        DEADLOCK,
+        "if sums[-1] < last:",
+        "if False:",
+        (SEARCH_TESTS + "test_stored_codes_of_long_threads_with_few_copies",),
+    ),
     # a step out of an acquire that goes through one release only, so a
     # copy may stop at the next one
     Mutant(

@@ -11,6 +11,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,18 @@ def test_deadlocks_text_report_and_grid(capsys, ex3):
     # two-thread programs come with the ascii grid
     assert "X marked" in out
     assert "thread 1 ->" in out
+
+
+def test_deadlocks_text_names_a_grid_too_large_to_draw(capsys, tmp_path):
+    # the picture of a two-thread grid has a size limit; past it one line
+    # names the grid's size, and the text call costs about what --json does
+    f = tmp_path / "wide.pv"
+    f.write_text("resource a cap 1\nthread T = " + " ".join(["Pa Va"] * 1000) + "\nprogram main = T | T\n")
+    started = time.process_time()
+    code, out, _ = run(capsys, "deadlocks", str(f))
+    assert time.process_time() - started < 3  # the picture took about 7 s
+    assert code == 0
+    assert out.splitlines()[-1] == "grid of 2002 x 2002 states not drawn: a picture shows at most 10000"
 
 
 def test_deadlocks_json_payload(capsys, ex3):
@@ -735,6 +748,31 @@ def test_max_states_env(capsys, ex3, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == expected
         assert "PVGUARD_MAX_STATES" not in err
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("1" * 5000, ": number 11111111... has 5000 digits"),
+        ("0" * 50, ": must be at least 1, got 0"),
+        ("x" * 5000, ": invalid int value: 'xxxxxxxx'... has 5000 characters"),
+        ("-" + "1" * 5000, ": invalid int value: '-1111111'... has 5001 characters"),
+        ("-" + "1" * 4000, ": must be at least 1, got number -1111111... has 4000 digits"),
+    ],
+    ids=["past-the-digit-limit", "zeros", "letters", "negative", "negative-number"],
+)
+def test_max_states_echo_is_bounded(capsys, ex3, monkeypatch, value, shown):
+    # an invalid value is named by its first characters and its length, in
+    # the digit-count wording of the parser where it is a number: ignored
+    # with one line when it comes from the environment, refused as a flag
+    monkeypatch.setenv("PVGUARD_MAX_STATES", value)
+    code, _, err = run(capsys, "deadlocks", ex3)
+    assert code == 1
+    assert err.splitlines()[0] == "pvguard: ignoring invalid PVGUARD_MAX_STATES" + shown
+    monkeypatch.delenv("PVGUARD_MAX_STATES")
+    code, out, err = call(capsys, ("deadlocks", ex3, "--max-states=" + value))
+    assert (code, out) == (2, "")
+    assert err[-1] == "pvguard deadlocks: error: argument --max-states" + shown
 
 
 def test_timing_goes_to_stderr_not_stdout(capsys, ex3):

@@ -867,6 +867,39 @@ def test_release_first_search_to_the_ladder_deadlock(total, stored):
     assert (path.start, path.end) == (program.bottom, plan.expected_state)
 
 
+def test_stored_codes_grow_with_the_count_vectors():
+    # a large group's code holds its counts at positions 1..⊤ as digits of
+    # radix len(g) + 1, so its bit length follows the positions and the
+    # group sizes' bit lengths, not the number of copies: 35 bits here,
+    # where a mixed-radix code over the 64 coordinates took 143
+    caps = ladder_caps(64)
+    program = Program.power(deadsharp_witness(caps).thread, 64, caps)
+    hits = deadlock._hit_orbits(program, deadlock._admissible, 0, 10**18)
+    index = ReachabilityIndex(program, 10**18, targets=[h for h, (_, ok) in hits.items() if ok])
+    bound = sum(program.tops[g[0]] * (len(g) + 1).bit_length() for g in program._groups)
+    assert max(index._links).bit_length() <= bound
+
+
+@pytest.mark.parametrize("copies", ["distinct", "same"])
+def test_stored_codes_of_long_threads_with_few_copies(copies):
+    # a group of one or two copies codes its power sums, where digits per
+    # position would take a bit or more each (over 200 bits here): one
+    # copy's code is its position times its weight, so distinct threads
+    # code as the mixed radix of their positions, and two copies of a
+    # thread as p + p**2 summed, each a digit of its own
+    pairs = " ".join(["Pa Va"] * 50)
+    t = Thread.from_text(pairs + " Pb Pc Vc Vb Pc Pb Vb Vc")
+    u = Thread.from_text(pairs + " Pc Pb Vb Vc") if copies == "distinct" else t
+    program = Program((t, u), CapacityMap((("a", 1), ("b", 1), ("c", 1))))
+    index = ReachabilityIndex(program)
+    assert [len(g) for g in program._groups] == ([1, 1] if copies == "distinct" else [2])
+    if copies == "distinct":
+        assert max(index._links) < (t.top + 1) * (u.top + 1)
+    else:
+        assert max(index._links) < (2 * t.top + 1) * (2 * t.top**2 + 1)
+    assert find_deadlocks(program).deadlocks
+
+
 def test_family_deadlock_verdict_at_capacity_sum_32():
     caps = ladder_caps(32)
     assert caps.total() == 32 and [caps[r] for r in "abc"] == [11, 11, 10]

@@ -1,5 +1,5 @@
 """``report.dumps`` against the standard library encoder it replaces, and the
-grid picture's thread count."""
+grid picture's thread count and size limit."""
 import decimal
 import json
 import math
@@ -205,3 +205,15 @@ def test_render_grid_needs_two_threads():
     three = Program.power(Thread.from_text("Pa Va"), 3, CapacityMap((("a", 1),)))
     with pytest.raises(ValueError, match="^grid rendering needs exactly 2 threads$"):
         report.render_grid(three)
+
+
+def test_render_grid_draws_up_to_its_size_limit():
+    # k pairs make a thread of 2k + 2 positions: 100 x 100 states are drawn,
+    # 102 x 102 only named
+    caps = CapacityMap((("a", 1),))
+    for k, drawn in ((49, True), (50, False)):
+        t = Thread.from_text(" ".join(["Pa Va"] * k))
+        grid = report.render_grid(Program((t, t), caps))
+        assert ("X marked" in grid) is drawn
+        assert grid.count("\n") == (2 * k + 3 if drawn else 0)
+    assert grid == "grid of 102 x 102 states not drawn: a picture shows at most 10000"
