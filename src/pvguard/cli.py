@@ -100,9 +100,28 @@ def _emit(args, command: str, source: bytes, result, text) -> None:
                 print(line)
         sys.stdout.flush()
     except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
+
+
+def _to_devnull(stream) -> None:
+    """Point a stream whose reader has gone at ``os.devnull``, so that later
+    writes and the flush at interpreter exit have nowhere to fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _note(line: str) -> None:
+    """Print one line to stderr.  A stderr that was never open (``2>&-``,
+    where ``sys.stderr`` is None and ``print`` would write to stdout) or
+    that fails (a reader that closed it) drops the line, and the command
+    keeps its exit code."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
 
 
 def _cmd_check(args) -> int:
@@ -303,7 +322,7 @@ def _default_max_states() -> int:
         return _positive_int(raw)
     except argparse.ArgumentTypeError as exc:
         shown = f"={raw!r}" if len(raw) <= 32 else f": {exc}"  # a long one, bounded
-        print(f"pvguard: ignoring invalid PVGUARD_MAX_STATES{shown}", file=sys.stderr)
+        _note(f"pvguard: ignoring invalid PVGUARD_MAX_STATES{shown}")
         return DEFAULT_MAX_STATES
 
 
@@ -325,11 +344,87 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that keeps the actions its ``add_argument`` calls
+    return (in ``declared``), from which ``_reader`` makes a reader table."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        vars(self).setdefault("declared", []).append(action)
+        return action
+
+
+def _reader(word: str, parser: _Parser) -> tuple:
+    """The reader table of command ``word``, from its parser's declared
+    actions: its positionals in order, its options by spelling, and the
+    namespace of a call that gives no option.  Help (default ``SUPPRESS``)
+    is left out, so ``-h`` is left to argparse."""
+    declared = [a for a in parser.declared if a.default != argparse.SUPPRESS]
+    options = {spelling: a for a in declared for spelling in a.option_strings}
+    namespace = {a.dest: a.default for a in declared}
+    namespace.update(func=parser.get_default("func"), command=word)
+    return [a for a in declared if not a.option_strings], options, namespace
+
+
+def _value(action: argparse.Action, word: str):
+    """``word`` as ``action``'s value: through its ``type``, then checked
+    against its ``choices``; raises where argparse's own check fails."""
+    value = action.type(word) if action.type else word
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(word)
+    return value
+
+
+def _read(reader: tuple, words: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives a command's ``words``, read from its
+    reader table without an argparse pass; None, printing nothing, when the
+    table does not decide every word.  It decides a call whose positionals
+    (nargs None, ``?``, or a last ``+``) all come before its options, whose
+    options are each spelled exactly and given at most once, whose store
+    options' values do not start with ``-`` and pass their ``type`` and
+    ``choices``, and which leaves no word over.  Every other call (help,
+    abbreviations, ``--opt=value``, ``--``, errors) is argparse's to answer."""
+    positionals, options, namespace = reader
+    values, free, given = dict(namespace), [], set()
+    words = iter(words)
+    try:
+        for word in words:
+            action = options.get(word)
+            if action is None:
+                if word[:1] == "-" and word != "-" or given:
+                    return None  # an option not spelled exactly, or a positional after one
+                free.append(word)
+            elif action.dest in given:
+                return None
+            else:
+                given.add(action.dest)
+                if action.nargs == 0:
+                    values[action.dest] = action.const
+                    continue
+                value = next(words, "-")  # a missing value reads as an option word
+                if value[:1] == "-":
+                    return None
+                values[action.dest] = _value(action, value)
+        for action in positionals:
+            if not free:
+                if action.nargs != "?":
+                    return None
+            elif action.nargs == "+":
+                values[action.dest], free = [_value(action, w) for w in free], []
+            else:
+                values[action.dest] = _value(action, free.pop(0))
+        if free:
+            return None
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
+
+
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and its command parsers by command word, built on
-    first use and shared by later calls."""
-    top = argparse.ArgumentParser(
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The argument parser and the reader table of each command by command
+    word, built on first use and shared by later calls."""
+    top = _Parser(
         prog="pvguard",
         description="Static deadlock and serializability analysis for PV "
         "(semaphore) programs.",
@@ -389,20 +484,18 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p.add_argument("--json", action="store_true", help="machine output")
     p.set_defaults(func=_cmd_witness)
 
-    for word, p in sub.choices.items():
-        p.set_defaults(command=word)
-    return top, sub.choices
+    return top, {word: _reader(word, p) for word, p in sub.choices.items()}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    top, commands = _parser()
+    top, readers = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # one parse: a command word goes straight to its own parser; anything
-    # else, and any words that parser leaves over, to the top parser, so
-    # usage lines, errors and exit codes stay the top parser's
-    command = commands.get(argv[0]) if argv else None
-    args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
-    if command is None or rest:
+    # a call its command's reader table decides runs no argparse pass; any
+    # other call goes to the top parser alone, so usage lines, errors and
+    # exit codes stay argparse's
+    reader = readers.get(argv[0]) if argv else None
+    args = _read(reader, argv[1:]) if reader else None
+    if args is None:
         args = top.parse_args(argv)
     # the parser is shared by every call, so the environment is read here
     if getattr(args, "max_states", 0) is None:
@@ -411,17 +504,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except SearchLimitExceeded as exc:
-        print(f"pvguard: {exc}", file=sys.stderr)
+        _note(f"pvguard: {exc}")
         return EXIT_OVERFLOW
     except (ParseError, InvalidThreadError) as exc:
-        print(f"pvguard: {getattr(args, 'file', '')}: {exc}", file=sys.stderr)
+        _note(f"pvguard: {getattr(args, 'file', '')}: {exc}")
         return EXIT_INPUT
     except (OSError, ValueError, PvError) as exc:
-        print(f"pvguard: {exc}", file=sys.stderr)
+        _note(f"pvguard: {exc}")
         return EXIT_INPUT
     finally:
         elapsed = (time.perf_counter() - started) * 1000.0
-        print(f"pvguard: {args.command} finished in {elapsed:.1f} ms", file=sys.stderr)
+        _note(f"pvguard: {args.command} finished in {elapsed:.1f} ms")
 
 
 if __name__ == "__main__":

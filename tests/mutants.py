@@ -623,21 +623,69 @@ MUTANTS = (
         "except (OSError, PvError) as exc:",
         (CLI_TESTS + "test_family_needs_thread_name_when_ambiguous",),
     ),
-    # the one parse per call: words the command's parser leaves over must
-    # reach the top parser's error, and a first word that names no command
-    # (an option, a typo) the top parser itself
+    # the reader tables: a call they decide runs no argparse pass, so each
+    # rule the reader keeps must match argparse's (the argv shapes, each
+    # against the top parser alone) or leave the call to argparse (the
+    # random differential): a value's type and choices, help, a positional
+    # after an option, words left over, and a first word naming no command
+    # a stderr line that cannot be written is dropped, never sent to stdout
     Mutant(
-        "cli-dispatch-ignores-leftover-words",
+        "cli-stderr-failure-escapes",
         CLI,
-        "if command is None or rest:",
-        "if command is None:",
+        "    except OSError:\n        _to_devnull(sys.stderr)\n",
+        "    except OSError:\n        raise\n",
+        (CLI_TESTS + "test_closed_stderr_keeps_the_exit_code[reader-gone]",),
+    ),
+    Mutant(
+        "cli-stderr-none-prints-to-stdout",
+        CLI,
+        "    if sys.stderr is None:\n        return\n",
+        "",
+        (CLI_TESTS + "test_closed_stderr_keeps_the_exit_code[closed]",),
+    ),
+    Mutant(
+        "cli-reader-skips-type",
+        CLI,
+        "    value = action.type(word) if action.type else word\n",
+        "    value = word\n",
         (CLI_TESTS + "test_each_argv_shape_keeps_its_exit_code_and_output",),
     ),
     Mutant(
-        "cli-dispatch-skips-the-top-parser",
+        "cli-reader-skips-choices",
         CLI,
-        "command = commands.get(argv[0]) if argv else None",
-        'command = commands.get(argv[0], commands.get("check")) if argv else None',
+        "if action.choices is not None and value not in action.choices:",
+        "if False:",
+        (CLI_TESTS + "test_each_argv_shape_keeps_its_exit_code_and_output",),
+    ),
+    Mutant(
+        "cli-reader-reads-help",
+        CLI,
+        "if a.default != argparse.SUPPRESS]",
+        "]",
+        (
+            CLI_TESTS + "test_each_argv_shape_keeps_its_exit_code_and_output",
+            CLI_TESTS + "test_reader_gives_argparse_namespace_or_leaves_the_call",
+        ),
+    ),
+    Mutant(
+        "cli-reader-takes-a-positional-after-an-option",
+        CLI,
+        'if word[:1] == "-" and word != "-" or given:',
+        'if word[:1] == "-" and word != "-":',
+        (CLI_TESTS + "test_reader_gives_argparse_namespace_or_leaves_the_call",),
+    ),
+    Mutant(
+        "cli-reader-ignores-leftover-words",
+        CLI,
+        "        if free:\n            return None\n",
+        "",
+        (CLI_TESTS + "test_each_argv_shape_keeps_its_exit_code_and_output",),
+    ),
+    Mutant(
+        "cli-reader-skips-the-top-parser",
+        CLI,
+        "reader = readers.get(argv[0]) if argv else None",
+        'reader = readers.get(argv[0], readers["check"]) if argv else None',
         (CLI_TESTS + "test_each_argv_shape_keeps_its_exit_code_and_output",),
     ),
 )

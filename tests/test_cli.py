@@ -1,6 +1,7 @@
 import argparse
 import codecs
 import collections
+import contextlib
 import hashlib
 import io
 import itertools
@@ -887,6 +888,8 @@ ARGV_SHAPES = [
     (("check",), 2, "", "pvguard check: error: the following arguments are required: file"),
     (("check", "-h"), 0, "usage: pvguard check [-h] [--json] [--max-states MAX_STATES] file", ""),
     (("check", "ex3.pv"), 0, "ok: 2 resource(s), 2 thread(s), 1 program(s)", ""),
+    (("check", "ex3.pv", "-h"), 0,
+     "usage: pvguard check [-h] [--json] [--max-states MAX_STATES] file", ""),
     (("check", "ex3.pv", "--version"), 2, "", "pvguard: error: unrecognized arguments: --version"),
     (("check", "ex3.pv", "extra"), 2, "", "pvguard: error: unrecognized arguments: extra"),
     (("check", "ex3.pv", "--js"), 0, "{", ""),
@@ -923,9 +926,9 @@ ARGV_SHAPES = [
 def test_each_argv_shape_keeps_its_exit_code_and_output(
     capsys, tmp_path, monkeypatch, argv, code, out, err
 ):
-    # a command word goes straight to its own parser; every other shape, and
-    # every call that parser leaves words over from, must answer as the top
-    # parser alone answers it, byte for byte
+    # a call its command's reader table decides runs no argparse pass; every
+    # shape must answer as the top parser alone (no reader tables) answers
+    # it, byte for byte
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal's width
     (tmp_path / "ex3.pv").write_text(EX3)
@@ -941,7 +944,7 @@ def test_each_argv_shape_keeps_its_exit_code_and_output(
         assert got[2] == []
 
 
-def test_a_command_call_runs_one_parse(capsys, corpus, monkeypatch):
+def test_a_well_formed_corpus_call_runs_no_parse_known_args(capsys, corpus, monkeypatch):
     parses = []
     parse = argparse.ArgumentParser.parse_known_args
 
@@ -950,10 +953,51 @@ def test_a_command_call_runs_one_parse(capsys, corpus, monkeypatch):
         return parse(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-    for argv in corpus:
+    for argv in [*corpus, *([*a, "--json"] for a in corpus), [*corpus[1], "--max-states", "9"]]:
         parses.clear()
         call(capsys, argv)
-        assert parses == [f"pvguard {argv[0]}"]
+        assert parses == [], argv
+    # a call the reader does not decide (an abbreviation) is the top parser's
+    call(capsys, [*corpus[0], "--js"])
+    assert parses == ["pvguard", "pvguard check"]
+
+
+# words a random call is drawn from: files, names, choices and capacities,
+# every option spelled exactly, abbreviated and as --opt=value, help,
+# negative numbers, an unknown option, the top parser's --version, "--" and
+# the empty word; a draw may repeat a word and put options first
+READER_VOCABULARY = (
+    "ex3.pv", "-", "main", "T1", "deadlock", "serializability", "lcp", "nonsense",
+    "a:1", "b:2", "3", "0", "", "--json", "--max-states", "--potential", "--thread",
+    "--js", "--max", "--pot", "--max-states=3", "--thread=T1", "--", "-h", "-1", "-x",
+    "--version",
+)
+
+
+def test_reader_gives_argparse_namespace_or_leaves_the_call():
+    # the reader table either returns exactly the namespace argparse gives
+    # the call (the top parser hands the words to the command's parser), with
+    # no word left over, or returns None, so main asks argparse
+    top, readers = cli._parser()
+    rng = random.Random(11)
+    commands = sorted(readers)
+    taken = dict.fromkeys(commands, 0)
+    for _ in range(60000):
+        word = rng.choice(commands)
+        words = [rng.choice(READER_VOCABULARY) for _ in range(rng.randrange(7))]
+        if rng.random() < 0.5:  # positionals first, the shape the reader decides
+            words.sort(key=lambda w: w[:1] == "-" and w != "-")
+        got = cli._read(readers[word], words)
+        if got is None:
+            continue
+        taken[word] += 1
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = top.parse_known_args([word, *words])
+            except SystemExit:
+                expected = None
+        assert expected == (got, []), (word, words)
+    assert all(count >= 50 for count in taken.values()), taken
 
 
 @pytest.mark.parametrize(
@@ -1066,6 +1110,41 @@ def test_closed_stdout_ends_quietly(capsys, tmp_path, flags, command, expected):
     assert "Broken pipe" not in done.stderr
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
     assert " finished in " in done.stderr
+
+
+@pytest.mark.parametrize("stderr", ["reader-gone", "closed"])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, stderr):
+    # stderr a pipe whose reader has gone, or never open (`2>&-`): the timing
+    # and `pvguard: ...` lines raised OSError, so every run exited 1, and with
+    # `2>&-` (sys.stderr None) print wrote the timing line to stdout
+    same, ex3, zero = tmp_path / "same.pv", tmp_path / "ex3.pv", tmp_path / "zero.pv"
+    same.write_text(SAME)
+    ex3.write_text(EX3)
+    zero.write_text("resource a cap 0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, code in (
+        (("family", same, "deadlock"), 0),
+        (("deadlocks", same, "--json"), 0),
+        (("deadlocks", ex3, "--json"), 1),
+        (("check", zero), 2),
+        (("classes", same, "--max-states", "1"), 3),
+    ):
+        command = [sys.executable, "-m", "pvguard.cli", *map(str, argv)]
+        plain = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert plain.returncode == code, plain.stderr
+        if stderr == "closed":
+            done = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *command], env=env,
+                                  stdout=subprocess.PIPE, text=True, timeout=60)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                done = subprocess.run(command, env=env, stdout=subprocess.PIPE, stderr=write,
+                                      text=True, timeout=60)
+            finally:
+                os.close(write)
+        assert (done.returncode, done.stdout) == (code, plain.stdout), argv
 
 
 # -- fuzzed sources: every fault is a located input error ---------------------
