@@ -12,6 +12,7 @@ import os
 import re
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from typing import Optional, Sequence
 
 from . import __version__
@@ -89,39 +90,33 @@ def _emit(args, command: str, source: bytes, result, text) -> None:
     """Print one rendering: ``result`` (the JSON result) and ``text`` (the
     text lines) are zero-argument callables, and only the printed one runs.
     A reader that closed stdout (``pvguard ... | head``) ends the printing
-    quietly, and the command keeps its exit code: stdout is pointed at
-    ``os.devnull``, so the flush at interpreter exit has nowhere to fail."""
-    try:
-        if args.json:
-            env = report.envelope(command, source, result(), __version__)
-            sys.stdout.write(report.dumps(env))
-        else:
-            for line in text():
-                print(line)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _to_devnull(sys.stdout)
-
-
-def _to_devnull(stream) -> None:
-    """Point a stream whose reader has gone at ``os.devnull``, so that later
-    writes and the flush at interpreter exit have nowhere to fail."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
-    os.close(devnull)
+    quietly, and the command keeps its exit code."""
+    if args.json:
+        pieces = (report.dumps(report.envelope(command, source, result(), __version__)),)
+    else:
+        pieces = (f"{line}\n" for line in text())
+    _write(sys.stdout, pieces, BrokenPipeError)
 
 
 def _note(line: str) -> None:
-    """Print one line to stderr.  A stderr that was never open (``2>&-``,
-    where ``sys.stderr`` is None and ``print`` would write to stdout) or
-    that fails (a reader that closed it) drops the line, and the command
-    keeps its exit code."""
-    if sys.stderr is None:
-        return
+    """Print one line to stderr.  A stderr that fails (a reader that closed
+    it) drops the line, and the command keeps its exit code."""
+    _write(sys.stderr, (f"{line}\n",), OSError)
+
+
+def _write(stream, pieces, dropped) -> None:
+    """Write ``pieces`` to ``stream`` and flush it.  A failure of type
+    ``dropped`` drops the rest and points the stream at ``os.devnull``, so
+    that later writes and the flush at interpreter exit have nowhere to fail;
+    any other failure (a full disk) is the caller's."""
     try:
-        print(line, file=sys.stderr)
-    except OSError:
-        _to_devnull(sys.stderr)
+        for piece in pieces:
+            stream.write(piece)
+        stream.flush()
+    except dropped:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def _cmd_check(args) -> int:
@@ -488,6 +483,17 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if None in (sys.stdout, sys.stderr):
+        # a stream that was never open (`>&-`, `2>&-`) is a sink for this
+        # call, so nothing meant for it (the rendering, the `pvguard:` lines,
+        # argparse's usage, help and version text) lands on the other one
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            with redirect_stdout(sys.stdout or sink), redirect_stderr(sys.stderr or sink):
+                return _main(argv)
+    return _main(argv)
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     top, readers = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     # a call its command's reader table decides runs no argparse pass; any

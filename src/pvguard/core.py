@@ -238,18 +238,19 @@ def thread_violations(
 
 @dataclass(frozen=True)
 class Thread:
-    """A valid PV thread.  Construct via :meth:`from_actions` or
-    :meth:`from_text`, which enforce the use discipline."""
+    """A valid PV thread.  Every constructor checks the use discipline
+    (:func:`thread_violations`) and raises :class:`InvalidThreadError`."""
 
     actions: tuple[Action, ...]
 
-    @classmethod
-    def from_actions(cls, actions: Iterable[Action]) -> "Thread":
-        acts = tuple(actions)
-        bad = thread_violations(acts)
+    def __post_init__(self) -> None:
+        bad = thread_violations(self.actions)
         if bad:
             raise InvalidThreadError(bad)
-        return cls(acts)
+
+    @classmethod
+    def from_actions(cls, actions: Iterable[Action]) -> "Thread":
+        return cls(tuple(actions))
 
     @classmethod
     def from_text(cls, text: str) -> "Thread":

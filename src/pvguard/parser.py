@@ -19,6 +19,7 @@ from .core import (
     Action,
     ActionSyntaxError,
     CapacityMap,
+    InvalidThreadError,
     ParseError,
     Program,
     Thread,
@@ -26,7 +27,6 @@ from .core import (
     _NAME_RE,
     _decimal,
     _scan_actions,
-    thread_violations,
 )
 
 _NAME = _NAME_RE.pattern
@@ -176,12 +176,12 @@ def parse_source(text: str) -> SourceModel:
             if name in model.threads:
                 raise ParseError(f"duplicate thread name {name!r}", lineno, 1)
             actions, columns = _parse_thread_actions(body, caps, lineno, offset, built)
-            bad = thread_violations(actions)  # unknown resources raised above
-            if bad:
-                first = bad[0]
+            try:
+                model.threads[name] = Thread(tuple(actions))
+            except InvalidThreadError as exc:  # unknown resources raised above
+                first = exc.violations[0]
                 col = columns[first.position - 1] if first.position <= len(actions) else offset + 1
-                raise ParseError(f"invalid thread {name!r}: {first}", lineno, col)
-            model.threads[name] = Thread(tuple(actions))
+                raise ParseError(f"invalid thread {name!r}: {first}", lineno, col) from None
         else:
             if name in model.programs:
                 raise ParseError(f"duplicate program name {name!r}", lineno, 1)

@@ -596,6 +596,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "thread-unchecked",
+        CORE,
+        "        bad = thread_violations(self.actions)\n        if bad:\n",
+        "        bad = thread_violations(self.actions)\n        if False:\n",
+        ("tests/test_core.py::test_thread_checks_its_use_discipline_when_built",),
+    ),
+    Mutant(
         "power-admits-bools",
         CORE,
         "if type(n) is not int:",
@@ -628,20 +635,39 @@ MUTANTS = (
     # against the top parser alone) or leave the call to argparse (the
     # random differential): a value's type and choices, help, a positional
     # after an option, words left over, and a first word naming no command
-    # a stderr line that cannot be written is dropped, never sent to stdout
+    # the output streams: a stderr line that cannot be written is dropped,
+    # stdout drops only a reader gone, and a stream never open is a sink, so
+    # nothing meant for it lands on the other
     Mutant(
         "cli-stderr-failure-escapes",
         CLI,
-        "    except OSError:\n        _to_devnull(sys.stderr)\n",
-        "    except OSError:\n        raise\n",
+        r'_write(sys.stderr, (f"{line}\n",), OSError)',
+        r'_write(sys.stderr, (f"{line}\n",), ())',
         (CLI_TESTS + "test_closed_stderr_keeps_the_exit_code[reader-gone]",),
     ),
     Mutant(
         "cli-stderr-none-prints-to-stdout",
         CLI,
-        "    if sys.stderr is None:\n        return\n",
-        "",
+        "redirect_stderr(sys.stderr or sink)",
+        "redirect_stderr(sys.stderr)",
         (CLI_TESTS + "test_closed_stderr_keeps_the_exit_code[closed]",),
+    ),
+    Mutant(
+        "cli-stdout-drops-every-oserror",
+        CLI,
+        "_write(sys.stdout, pieces, BrokenPipeError)",
+        "_write(sys.stdout, pieces, OSError)",
+        (CLI_TESTS + "test_full_stdout_is_reported_with_exit_2",),
+    ),
+    Mutant(
+        "cli-no-sink-for-a-never-open-stream",
+        CLI,
+        "if None in (sys.stdout, sys.stderr):",
+        "if False:",
+        (
+            CLI_TESTS + "test_never_open_stdout_ends_quietly",
+            CLI_TESTS + "test_closed_stderr_keeps_the_exit_code[closed]",
+        ),
     ),
     Mutant(
         "cli-reader-skips-type",

@@ -1112,11 +1112,59 @@ def test_closed_stdout_ends_quietly(capsys, tmp_path, flags, command, expected):
     assert " finished in " in done.stderr
 
 
+@pytest.mark.parametrize(
+    "words, expected",
+    [(("family", "F", "deadlock"), 1), (("family", "F", "deadlock", "--json"), 1),
+     (("check", "F", "-h"), 0), (("--version",), 0)],
+    ids=["text", "json", "help", "version"],
+)
+def test_never_open_stdout_ends_quietly(capsys, tmp_path, words, expected):
+    # `>&-` with the interpreter started directly, so sys.stdout is None: the
+    # rendering raised AttributeError (a traceback and exit 1), and argparse
+    # wrote its help and version text to stderr instead
+    code, source, _ = call(capsys, ["witness", "deadlock", "a:2", "b:2", "c:1"])
+    assert code == 0
+    f = tmp_path / "w221.pv"
+    f.write_text(source)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "pvguard.cli", *(str(f) if w == "F" else w for w in words)]
+    plain = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert plain.returncode == expected, plain.stderr
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == expected, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    if expected == 0:
+        assert done.stderr == ""
+    else:
+        assert " finished in " in done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_full_stdout_is_reported_with_exit_2(tmp_path, flags):
+    # only a reader gone drops stdout quietly: a write that fails otherwise
+    # (a full disk) is reported, and the run exits 2
+    f = tmp_path / "ex3.pv"
+    f.write_text(EX3)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "pvguard.cli", "deadlocks", str(f), *flags],
+            env=dict(os.environ, PYTHONPATH=src), stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert done.returncode == 2, done.stderr
+    assert "pvguard: [Errno 28]" in done.stderr
+
+
 @pytest.mark.parametrize("stderr", ["reader-gone", "closed"])
 def test_closed_stderr_keeps_the_exit_code(tmp_path, stderr):
     # stderr a pipe whose reader has gone, or never open (`2>&-`): the timing
     # and `pvguard: ...` lines raised OSError, so every run exited 1, and with
-    # `2>&-` (sys.stderr None) print wrote the timing line to stdout
+    # `2>&-` (sys.stderr None) print wrote the timing line, and argparse a
+    # usage error's usage line, to stdout
     same, ex3, zero = tmp_path / "same.pv", tmp_path / "ex3.pv", tmp_path / "zero.pv"
     same.write_text(SAME)
     ex3.write_text(EX3)
@@ -1129,10 +1177,14 @@ def test_closed_stderr_keeps_the_exit_code(tmp_path, stderr):
         (("deadlocks", ex3, "--json"), 1),
         (("check", zero), 2),
         (("classes", same, "--max-states", "1"), 3),
+        (("nonsense",), 2),
+        (("check",), 2),
+        (("check", same, "--max-states", "0"), 2),
     ):
         command = [sys.executable, "-m", "pvguard.cli", *map(str, argv)]
         plain = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
         assert plain.returncode == code, plain.stderr
+        assert code != 2 or plain.stdout == "", argv
         if stderr == "closed":
             done = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *command], env=env,
                                   stdout=subprocess.PIPE, text=True, timeout=60)

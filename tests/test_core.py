@@ -309,6 +309,17 @@ def test_concat_rejects_overlap_only_when_invalid():
         Thread.from_actions(parse_actions("Pa") * 2)
 
 
+@pytest.mark.parametrize("actions", [(Action("P", "a"),), (Action("V", "a"),)],
+                         ids=["never-released", "released-unheld"])
+def test_thread_checks_its_use_discipline_when_built(actions):
+    # built unchecked, the first got the family verdict "yes" (rule
+    # single-access), and find_deadlocks on two copies of the second ended
+    # in a bare ValueError from the program's index tables
+    with pytest.raises(InvalidThreadError) as built:
+        Thread(actions)
+    assert list(built.value.violations) == thread_violations(actions)
+
+
 # -- property tests ----------------------------------------------------------
 
 resource_names = st.sampled_from(["a", "b", "c"])
