@@ -53,6 +53,8 @@ EXIT_INCONCLUSIVE = 4
 
 def _read_source(path: str) -> bytes:
     if path == "-":
+        if sys.stdin is None:  # `<&-` with the interpreter started directly
+            raise OSError("standard input is not open")
         return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
         return fh.read()

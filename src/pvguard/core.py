@@ -16,9 +16,8 @@ from __future__ import annotations
 import re
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb, log10
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 ACQUIRE = "P"
 RELEASE = "V"
@@ -28,6 +27,25 @@ TOP_LABEL = "⊤"  # ⊤
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")  # resource, thread and program names
 _MAX_THREADS = 10_000  # threads of one program: no input can ask for unbounded memory
+
+
+class _cached_property:
+    """``functools.cached_property`` without the lock that Python 3.10 and
+    3.11 take on every first read: the first read runs the getter and stores
+    its value in the instance ``__dict__``, where later reads find it first."""
+
+    def __init__(self, func: Callable):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class PvError(Exception):
@@ -140,7 +158,7 @@ class CapacityMap:
                 raise ValueError(f"capacity of {name!r} must be an integer >= 1")
             seen.add(name)
 
-    @cached_property
+    @_cached_property
     def _table(self) -> dict[str, int]:
         return dict(self.entries)
 
@@ -182,32 +200,57 @@ class ActionSyntaxError(ValueError):
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _scan_actions(text: str, built: dict[str, Action]) -> Iterator[tuple[Action, int]]:
-    """Yield each action of a whitespace-separated action string with the
-    offset of its first token.  Both the fused form ``Pa`` and the spaced
-    form ``P a`` are accepted; a malformed token raises
-    :class:`ActionSyntaxError` when the scan reaches it.  ``built`` maps
+def _scan_actions(
+    text: str, built: dict[str, Action], known: Optional[Container[str]] = None
+) -> list[Action]:
+    """The actions of a whitespace-separated action string.  Both the fused
+    form ``Pa`` and the spaced form ``P a`` are accepted.  ``built`` maps
     each action's mnemonic to the action, so a caller that scans several
-    strings builds each distinct action once."""
-    tokens = _TOKEN_RE.finditer(text)
-    for m in tokens:
-        tok, at = m.group(), m.start()
-        if tok[0] not in (ACQUIRE, RELEASE):
-            raise ActionSyntaxError(f"action token must start with P or V: {tok!r}", at)
-        if len(tok) == 1:
-            res = next(tokens, None)
-            if res is None:
-                raise ActionSyntaxError(f"dangling {tok!r} without a resource name", at)
-            tok += res.group()
-        action = built.get(tok)
-        if action is None:
-            action = built[tok] = Action(tok[0], tok[1:])
-        yield action, at
+    strings builds, and checks, each distinct action once.  A malformed
+    token, or with ``known`` a resource outside it, raises
+    :class:`ActionSyntaxError` at the first word of its action."""
+    actions: list[Action] = []
+    words = iter(text.split())
+    try:
+        for word in words:
+            action = built.get(word)
+            if action is None:
+                if word[0] not in (ACQUIRE, RELEASE):
+                    raise ValueError(f"action token must start with P or V: {word!r}")
+                if len(word) == 1:
+                    resource = next(words, None)
+                    if resource is None:
+                        raise ValueError(f"dangling {word!r} without a resource name")
+                    word += resource
+                    action = built.get(word)
+            if action is None:
+                if known is not None and word[1:] not in known:
+                    raise ValueError(f"unknown resource {word[1:]!r}")
+                action = built[word] = Action(word[0], word[1:])
+            actions.append(action)
+    except ValueError as exc:  # located on the error path alone
+        raise ActionSyntaxError(str(exc), _action_offset(text, len(actions))) from None
+    return actions
+
+
+def _action_offset(text: str, k: int) -> int:
+    """The offset of the first word of action ``k`` (0-based) of an action
+    string whose earlier actions are well formed: a lone ``P`` or ``V`` takes
+    the next word as its resource.  Past the last action, 0 (the string's
+    start).  Only an error is located this way."""
+    words = _TOKEN_RE.finditer(text)
+    for m in words:
+        if k == 0:
+            return m.start()
+        k -= 1
+        if len(m.group()) == 1:
+            next(words, None)
+    return 0
 
 
 def parse_actions(text: str) -> tuple[Action, ...]:
     """Parse an action string such as ``"Pa Pb Vb Va"`` or ``"P a V a"``."""
-    return tuple(action for action, _ in _scan_actions(text, {}))
+    return tuple(_scan_actions(text, {}))
 
 
 def thread_violations(
@@ -221,14 +264,15 @@ def thread_violations(
     """
     out: list[Violation] = []
     use: dict[str, int] = {}
+    known = None if caps is None else caps._table
     for pos, act in enumerate(actions, start=1):
-        if caps is not None and act.resource not in caps:
-            out.append(Violation(act.resource, pos, "unknown-resource", 0))
+        res = act.resource
+        if known is not None and res not in known:
+            out.append(Violation(res, pos, "unknown-resource", 0))
             continue
-        delta = 1 if act.kind == ACQUIRE else -1
-        use[act.resource] = use.get(act.resource, 0) + delta
-        if use[act.resource] not in (0, 1):
-            out.append(Violation(act.resource, pos, "use-out-of-range", use[act.resource]))
+        count = use[res] = use.get(res, 0) + (1 if act.kind == ACQUIRE else -1)
+        if count not in (0, 1):
+            out.append(Violation(res, pos, "use-out-of-range", count))
     end = len(actions) + 1
     for res in sorted(use):
         if use[res] != 0:
@@ -265,7 +309,7 @@ class Thread:
         """Position index of the finished state (length + 1)."""
         return len(self.actions) + 1
 
-    @cached_property
+    @_cached_property
     def hold_intervals(self) -> dict[str, tuple[tuple[int, int], ...]]:
         """Per resource, the (acquire, release) position pairs, in order."""
         opened: dict[str, int] = {}
@@ -277,7 +321,7 @@ class Thread:
                 spans.setdefault(act.resource, []).append((opened.pop(act.resource), pos))
         return {res: tuple(pairs) for res, pairs in spans.items()}
 
-    @cached_property
+    @_cached_property
     def resources_used(self) -> frozenset[str]:
         return frozenset(a.resource for a in self.actions)
 
@@ -336,7 +380,7 @@ class Program:
     def n(self) -> int:
         return len(self.threads)
 
-    @cached_property
+    @_cached_property
     def tops(self) -> tuple[int, ...]:
         return tuple(t.top for t in self.threads)
 
@@ -354,7 +398,7 @@ class Program:
             size *= t + 1
         return size
 
-    @cached_property
+    @_cached_property
     def _groups(self) -> tuple[tuple[int, ...], ...]:
         """Coordinates running identical threads, in ascending order, one
         group per distinct thread in order of first appearance.  Copies of
@@ -378,15 +422,15 @@ class Program:
             size *= comb(self.tops[g[0]] + len(g), len(g))
         return size
 
-    @cached_property
+    @_cached_property
     def resource_names(self) -> tuple[str, ...]:
         return self.caps.names
 
-    @cached_property
+    @_cached_property
     def kappa(self) -> tuple[int, ...]:
         return tuple(self.caps[name] for name in self.resource_names)
 
-    @cached_property
+    @_cached_property
     def _index_tables(self) -> tuple[tuple, tuple]:
         """``_point_idx`` and ``_request_idx``, built in one sweep over the
         actions of each identity group's thread and shared by its copies."""
@@ -411,12 +455,12 @@ class Program:
                 point[i], request[i] = tables
         return tuple(point), tuple(request)
 
-    @cached_property
+    @_cached_property
     def _point_idx(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per thread, per position: indices of the resources held there, ascending."""
         return self._index_tables[0]
 
-    @cached_property
+    @_cached_property
     def _request_idx(self) -> tuple[tuple[Optional[int], ...], ...]:
         """Per thread, per position: index of the resource the acquire there
         requests, or None (⊥, ⊤ and releases).  The segment out of a position

@@ -18,7 +18,6 @@ import operator
 from collections import deque
 from collections.abc import Collection, KeysView, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -31,6 +30,7 @@ from .core import (
     Thread,
     _MAX_THREADS,
     _bound,
+    _cached_property,
     _check_declared,
     single_access,
 )
@@ -470,7 +470,7 @@ class OrbitView(Collection):
         self._record = record
         self._key = key
 
-    @cached_property
+    @_cached_property
     def _len(self) -> int:
         return sum(size for size, _ in self._orbits.values())
 

@@ -25,12 +25,17 @@ from .core import (
     Thread,
     _MAX_THREADS,
     _NAME_RE,
+    _action_offset,
     _decimal,
     _scan_actions,
 )
 
 _NAME = _NAME_RE.pattern
-_PROGRAM_TOKEN_RE = re.compile(rf"\s*({_NAME}|\^|\||\d+)")
+# one group per token kind, numbered as the kinds below, and a catch-all
+# that stops the scan at text no token starts
+_PROGRAM_TOKEN_RE = re.compile(rf"\s*(?:({_NAME})|(\^)|(\|)|(\d+)|(?=\S))")
+_THREAD, _CARET, _BAR, _COUNT = 1, 2, 3, 4
+_NAMED = 0  # a thread name read, its copy count not yet
 _RESOURCE_RE = re.compile(r"\s*resource\b")
 _RESOURCE_BODY_RE = re.compile(rf"\s*({_NAME})\s+cap\s+(\S+)\s*$")
 _DECLARATION_RE = re.compile(rf"\s*(thread|program)\s+({_NAME})\s*=\s*")
@@ -69,73 +74,77 @@ def _number(text: str, lineno: int, col: int) -> int:
 
 def _parse_thread_actions(
     body: str, caps: CapacityMap, lineno: int, offset: int, built: dict[str, Action]
-) -> tuple[list[Action], list[int]]:
-    """The actions of a thread body plus the column of each; ``built`` holds
-    the actions the source has built so far (``_scan_actions``)."""
-    actions: list[Action] = []
-    columns: list[int] = []
+) -> list[Action]:
+    """The actions of a thread body; ``built`` holds the actions the source
+    has built so far, each checked against the declared resources once
+    (``_scan_actions``)."""
     try:
-        for action, at in _scan_actions(body, built):
-            col = offset + at + 1
-            if action.resource not in caps:
-                raise ParseError(f"unknown resource {action.resource!r}", lineno, col)
-            actions.append(action)
-            columns.append(col)
+        actions = _scan_actions(body, built, caps._table)
     except ActionSyntaxError as exc:
         raise ParseError(str(exc), lineno, offset + exc.offset + 1) from None
     if not actions:
         raise ParseError("thread needs at least one action after '='", lineno, offset + 1)
-    return actions, columns
+    return actions
+
+
+def _add_copies(threads: list[Thread], thread: Thread, count: int, lineno: int, col: int) -> None:
+    """Append ``count`` copies of ``thread``, checking the thread bound first."""
+    if len(threads) + count > _MAX_THREADS:
+        raise ParseError(f"a program has at most {_MAX_THREADS} threads", lineno, col)
+    threads.extend([thread] * count)
 
 
 def _parse_program_expr(
     body: str, model: SourceModel, lineno: int, offset: int
 ) -> tuple[Thread, ...]:
-    pos = 0
+    """The threads of a program expression, read in one pass over its
+    tokens; ``expect`` is the token kind the reader waits for: a thread
+    name, ``^`` or ``|`` after a name (``_NAMED``), a count, or ``|``."""
     threads: list[Thread] = []
-    expect_name = True
-    while True:
-        m = _PROGRAM_TOKEN_RE.match(body, pos)
-        if not m:
-            if body[pos:].strip():
-                raise ParseError(
-                    f"unexpected text {body[pos:].strip()!r} in program expression",
-                    lineno,
-                    offset + pos + 1,
-                )
-            break
-        tok = m.group(1)
-        col = offset + m.start(1) + 1
-        pos = m.end()
-        if expect_name:
-            if not _NAME_RE.fullmatch(tok):
-                raise ParseError(f"expected a thread name, got {tok!r}", lineno, col)
-            if tok not in model.threads:
-                raise ParseError(f"unknown thread name {tok!r}", lineno, col)
-            current = model.threads[tok]
-            # optional ^<count>
-            m2 = _PROGRAM_TOKEN_RE.match(body, pos)
-            count = 1
-            if m2 and m2.group(1) == "^":
-                pos = m2.end()
-                m3 = _PROGRAM_TOKEN_RE.match(body, pos)
-                if not m3 or not m3.group(1).isdecimal():
-                    raise ParseError("expected an integer after '^'", lineno, offset + pos + 1)
-                col = offset + m3.start(1) + 1
-                count = _number(m3.group(1), lineno, col)
-                if count < 1:
-                    raise ParseError("copy count must be >= 1", lineno, col)
-                pos = m3.end()
-            if len(threads) + count > _MAX_THREADS:
-                raise ParseError(f"a program has at most {_MAX_THREADS} threads", lineno, col)
-            threads.extend([current] * count)
-            expect_name = False
-        else:
-            if tok != "|":
+    expect = _THREAD
+    for m in _PROGRAM_TOKEN_RE.finditer(body):
+        kind = m.lastindex  # None: text no token starts, a catch-all match
+        if expect == _NAMED:
+            if kind == _CARET:
+                expect = _COUNT
+                continue
+            _add_copies(threads, named, 1, lineno, named_col)
+            expect = _BAR
+        if expect == _COUNT:
+            if kind != _COUNT:
+                raise ParseError("expected an integer after '^'", lineno, offset + m.start() + 1)
+            col = offset + m.start(kind) + 1
+            count = _number(m.group(kind), lineno, col)
+            if count < 1:
+                raise ParseError("copy count must be >= 1", lineno, col)
+            _add_copies(threads, named, count, lineno, col)
+            expect = _BAR
+            continue
+        if kind is None:
+            raise ParseError(
+                f"unexpected text {body[m.start() :].strip()!r} in program expression",
+                lineno,
+                offset + m.start() + 1,
+            )
+        tok, col = m.group(kind), offset + m.start(kind) + 1
+        if expect == _BAR:
+            if kind != _BAR:
                 raise ParseError(f"expected '|' between threads, got {tok!r}", lineno, col)
-            expect_name = True
-    if expect_name or not threads:
-        raise ParseError("program expression ended early", lineno, offset + pos + 1)
+            expect = _THREAD
+        elif kind != _THREAD:
+            raise ParseError(f"expected a thread name, got {tok!r}", lineno, col)
+        elif tok not in model.threads:
+            raise ParseError(f"unknown thread name {tok!r}", lineno, col)
+        else:
+            named, named_col = model.threads[tok], col
+            expect = _NAMED
+    if expect == _NAMED:
+        _add_copies(threads, named, 1, lineno, named_col)
+    elif expect != _BAR:  # located just past the last token
+        end = offset + len(body.rstrip()) + 1
+        if expect == _COUNT:
+            raise ParseError("expected an integer after '^'", lineno, end)
+        raise ParseError("program expression ended early", lineno, end)
     return tuple(threads)
 
 
@@ -175,12 +184,12 @@ def parse_source(text: str) -> SourceModel:
         if keyword == "thread":
             if name in model.threads:
                 raise ParseError(f"duplicate thread name {name!r}", lineno, 1)
-            actions, columns = _parse_thread_actions(body, caps, lineno, offset, built)
+            actions = _parse_thread_actions(body, caps, lineno, offset, built)
             try:
                 model.threads[name] = Thread(tuple(actions))
             except InvalidThreadError as exc:  # unknown resources raised above
                 first = exc.violations[0]
-                col = columns[first.position - 1] if first.position <= len(actions) else offset + 1
+                col = offset + _action_offset(body, first.position - 1) + 1
                 raise ParseError(f"invalid thread {name!r}: {first}", lineno, col) from None
         else:
             if name in model.programs:

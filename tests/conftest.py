@@ -7,6 +7,7 @@ agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import faulthandler
 import functools
@@ -14,13 +15,15 @@ import itertools
 import operator
 import os
 import random
+import re
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import pytest
 from hypothesis import Phase, settings
+from hypothesis import strategies as st
 
 from pvguard import (
     CapacityMap,
@@ -47,13 +50,30 @@ from pvguard import (
     state_admissible,
     successors,
 )
-from pvguard.core import RELEASE
+from pvguard import deadsharp_witness, report
+from pvguard.core import (
+    ACQUIRE,
+    RELEASE,
+    Action,
+    ActionSyntaxError,
+    InvalidThreadError,
+    ParseError,
+    _MAX_THREADS,
+    _NAME_RE,
+)
 from pvguard.deadlock import (
     _deadlock_orbits,
     _deadlock_states,
     _scatter_state,
 )
 from pvguard.geometry import DEFAULT_MAX_STATES, guard_grid
+from pvguard.parser import (
+    _DECLARATION_RE,
+    _RESOURCE_RE,
+    SourceModel,
+    _number,
+    _parse_resource_line,
+)
 from pvguard.serializability import _classes
 
 
@@ -155,6 +175,188 @@ def two_group_program(
     rng.shuffle(threads)
     return Program(tuple(threads), caps)
 
+
+
+# ---------------------------------------------------------------------------
+# sources: fuzzed source text, and the parser as a token walker (the
+# parser's earlier form: per-token offsets, each action checked against the
+# declared resources, and look-ahead matches for ``^``)
+
+FUZZ_CHARS = "0123456789\u00b2^|#= \x0b\nPVabT\u00e9\u00df\u03bb\u0416"
+
+
+def program_source(program: Program) -> str:
+    """A source declaring ``program`` as ``main``, one term per distinct
+    thread."""
+    names: dict = {}
+    for t in program.threads:
+        names.setdefault(t, f"T{len(names)}")
+    counts = collections.Counter(program.threads)
+    return "\n".join(
+        [f"resource {r} cap {program.caps[r]}" for r in program.caps.names]
+        + [f"thread {nm} = {t}" for t, nm in names.items()]
+        + ["program main = " + " | ".join(f"{names[t]} ^ {k}" for t, k in counts.items())]
+    ) + "\n"
+
+
+@st.composite
+def mutated_sources(draw) -> str:
+    """A witness source or a random program's source with a few characters
+    inserted, replaced or deleted; copy counts stay at a few digits."""
+    kappa = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    caps = make_caps(**dict(zip("abc", kappa)))
+    if draw(st.booleans()):
+        text = report.witness_source(deadsharp_witness(caps))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        n = rng.randint(1, 4)
+        text = program_source(random_program(rng, list(caps.names), caps, n, 3, rng.random() < 0.5))
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(chars)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            chars.insert(at, draw(st.sampled_from(FUZZ_CHARS)))
+        elif at < len(chars):
+            chars[at : at + 1] = [draw(st.sampled_from(FUZZ_CHARS))] if edit == "replace" else []
+    return "".join(chars)
+
+
+_TOKEN_RE = re.compile(r"\S+")
+_PROGRAM_TOKEN_RE = re.compile(rf"\s*({_NAME_RE.pattern}|\^|\||\d+)")
+
+
+def _walk_actions(text: str, built: dict[str, Action]) -> Iterator[tuple[Action, int]]:
+    """Each action of an action string with the offset of its first token."""
+    tokens = _TOKEN_RE.finditer(text)
+    for m in tokens:
+        tok, at = m.group(), m.start()
+        if tok[0] not in (ACQUIRE, RELEASE):
+            raise ActionSyntaxError(f"action token must start with P or V: {tok!r}", at)
+        if len(tok) == 1:
+            res = next(tokens, None)
+            if res is None:
+                raise ActionSyntaxError(f"dangling {tok!r} without a resource name", at)
+            tok += res.group()
+        action = built.get(tok)
+        if action is None:
+            action = built[tok] = Action(tok[0], tok[1:])
+        yield action, at
+
+
+def _walk_thread_actions(
+    body: str, caps: CapacityMap, lineno: int, offset: int, built: dict[str, Action]
+) -> tuple[list[Action], list[int]]:
+    actions: list[Action] = []
+    columns: list[int] = []
+    try:
+        for action, at in _walk_actions(body, built):
+            col = offset + at + 1
+            if action.resource not in caps:
+                raise ParseError(f"unknown resource {action.resource!r}", lineno, col)
+            actions.append(action)
+            columns.append(col)
+    except ActionSyntaxError as exc:
+        raise ParseError(str(exc), lineno, offset + exc.offset + 1) from None
+    if not actions:
+        raise ParseError("thread needs at least one action after '='", lineno, offset + 1)
+    return actions, columns
+
+
+def _walk_program_expr(
+    body: str, threads_by_name: dict[str, Thread], lineno: int, offset: int
+) -> tuple[Thread, ...]:
+    pos = 0
+    threads: list[Thread] = []
+    expect_name = True
+    while True:
+        m = _PROGRAM_TOKEN_RE.match(body, pos)
+        if not m:
+            if body[pos:].strip():
+                raise ParseError(
+                    f"unexpected text {body[pos:].strip()!r} in program expression",
+                    lineno,
+                    offset + pos + 1,
+                )
+            break
+        tok = m.group(1)
+        col = offset + m.start(1) + 1
+        pos = m.end()
+        if expect_name:
+            if not _NAME_RE.fullmatch(tok):
+                raise ParseError(f"expected a thread name, got {tok!r}", lineno, col)
+            if tok not in threads_by_name:
+                raise ParseError(f"unknown thread name {tok!r}", lineno, col)
+            current = threads_by_name[tok]
+            m2 = _PROGRAM_TOKEN_RE.match(body, pos)
+            count = 1
+            if m2 and m2.group(1) == "^":
+                pos = m2.end()
+                m3 = _PROGRAM_TOKEN_RE.match(body, pos)
+                if not m3 or not m3.group(1).isdecimal():
+                    raise ParseError("expected an integer after '^'", lineno, offset + pos + 1)
+                col = offset + m3.start(1) + 1
+                count = _number(m3.group(1), lineno, col)
+                if count < 1:
+                    raise ParseError("copy count must be >= 1", lineno, col)
+                pos = m3.end()
+            if len(threads) + count > _MAX_THREADS:
+                raise ParseError(f"a program has at most {_MAX_THREADS} threads", lineno, col)
+            threads.extend([current] * count)
+            expect_name = False
+        else:
+            if tok != "|":
+                raise ParseError(f"expected '|' between threads, got {tok!r}", lineno, col)
+            expect_name = True
+    if expect_name or not threads:
+        raise ParseError("program expression ended early", lineno, offset + pos + 1)
+    return tuple(threads)
+
+
+def token_walk_parse_source(text: str) -> SourceModel:
+    """``parse_source`` as a token walker; resource lines are read by the
+    parser's ``_parse_resource_line``."""
+    entries: list[tuple[str, int]] = []
+    declared: set[str] = set()
+    declarations: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        if not line or line.isspace():
+            continue
+        m = _RESOURCE_RE.match(line)
+        if not m:
+            declarations.append((lineno, line))
+            continue
+        name, cap = _parse_resource_line(line[m.end() :], lineno, m.end())
+        if name in declared:
+            raise ParseError(f"duplicate resource declaration {name!r}", lineno, 1)
+        declared.add(name)
+        entries.append((name, cap))
+    model = SourceModel(caps=CapacityMap(tuple(entries)))
+    built: dict[str, Action] = {}
+    for lineno, line in declarations:
+        m = _DECLARATION_RE.match(line)
+        if not m:
+            word = line.split()[0]
+            raise ParseError(f"unknown declaration {word!r}", lineno, line.index(word) + 1)
+        keyword, name = m.group(1), m.group(2)
+        body, offset = line[m.end() :], m.end()
+        if keyword == "thread":
+            if name in model.threads:
+                raise ParseError(f"duplicate thread name {name!r}", lineno, 1)
+            actions, columns = _walk_thread_actions(body, model.caps, lineno, offset, built)
+            try:
+                model.threads[name] = Thread(tuple(actions))
+            except InvalidThreadError as exc:
+                first = exc.violations[0]
+                col = columns[first.position - 1] if first.position <= len(actions) else offset + 1
+                raise ParseError(f"invalid thread {name!r}: {first}", lineno, col) from None
+        else:
+            if name in model.programs:
+                raise ParseError(f"duplicate program name {name!r}", lineno, 1)
+            threads = _walk_program_expr(body, model.threads, lineno, offset)
+            model.programs[name] = Program(threads, model.caps)
+    return model
 
 # ---------------------------------------------------------------------------
 # definitions from the hold intervals: point use, segment use and rectangle

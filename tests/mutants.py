@@ -305,9 +305,49 @@ MUTANTS = (
     Mutant(
         "parser-action-built-per-token",
         CORE,
-        "action = built[tok] = Action(tok[0], tok[1:])",
-        "action = Action(tok[0], tok[1:])",
+        "action = built[word] = Action(word[0], word[1:])",
+        "action = Action(word[0], word[1:])",
         ("tests/test_parser.py::test_each_distinct_action_is_built_once_per_source",),
+    ),
+    # the one-pass parser: the declared-resource check on a new action, the
+    # error offset of an action after a spaced one, the program reader's stop
+    # at text no token starts, and a cached property's value kept
+    Mutant(
+        "parser-scan-skips-known",
+        CORE,
+        "if known is not None and word[1:] not in known:",
+        "if False:",
+        (
+            "tests/test_parser.py::test_unknown_resource_in_thread",
+            "tests/test_parser.py::test_parser_matches_the_token_walker",
+        ),
+    ),
+    Mutant(
+        "parser-offset-counts-the-spaced-resource-word",
+        CORE,
+        "        if len(m.group()) == 1:\n            next(words, None)\n",
+        "",
+        (
+            "tests/test_parser.py::test_action_token_errors",
+            "tests/test_parser.py::test_parser_matches_the_token_walker",
+        ),
+    ),
+    Mutant(
+        "parser-program-skips-junk",
+        PARSER,
+        r"|(\d+)|(?=\S))",
+        r"|(\d+))",
+        (
+            "tests/test_parser.py::test_program_expression_errors_are_located",
+            "tests/test_parser.py::test_parser_matches_the_token_walker",
+        ),
+    ),
+    Mutant(
+        "cached-property-not-kept",
+        CORE,
+        "value = instance.__dict__[self.name] = self.func(instance)",
+        "value = self.func(instance)",
+        ("tests/test_core.py::test_each_cached_property_runs_once_per_instance",),
     ),
     # the choice-point leaf: one requester of the short resource is no choice
     Mutant(
@@ -651,6 +691,13 @@ MUTANTS = (
         "redirect_stderr(sys.stderr or sink)",
         "redirect_stderr(sys.stderr)",
         (CLI_TESTS + "test_closed_stderr_keeps_the_exit_code[closed]",),
+    ),
+    Mutant(
+        "cli-stdin-none-unchecked",
+        CLI,
+        "if sys.stdin is None:",
+        "if False:",
+        (CLI_TESTS + "test_never_open_stdin_is_an_input_error",),
     ),
     Mutant(
         "cli-stdout-drops-every-oserror",

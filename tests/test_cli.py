@@ -1,6 +1,5 @@
 import argparse
 import codecs
-import collections
 import contextlib
 import hashlib
 import io
@@ -19,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_caps, random_program
-from pvguard import ParseError, Program, cli, deadlock, deadsharp_witness, parse_source, report
+from conftest import mutated_sources
+from pvguard import ParseError, Program, cli, deadlock, parse_source, report
 from pvguard.cli import main
 
 EX3 = """\
@@ -1141,6 +1140,23 @@ def test_never_open_stdout_ends_quietly(capsys, tmp_path, words, expected):
         assert " finished in " in done.stderr
 
 
+def test_never_open_stdin_is_an_input_error(capsys, monkeypatch):
+    # `<&-` with the interpreter started directly, so sys.stdin is None:
+    # reading the source raised AttributeError (a traceback and exit 1)
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main(["check", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pvguard: standard input is not open\n"), err
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "pvguard.cli", "check", "-"]
+    done = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", *command], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("pvguard: standard input is not open\n"), done.stderr
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
 def test_full_stdout_is_reported_with_exit_2(tmp_path, flags):
@@ -1200,46 +1216,6 @@ def test_closed_stderr_keeps_the_exit_code(tmp_path, stderr):
 
 
 # -- fuzzed sources: every fault is a located input error ---------------------
-
-FUZZ_CHARS = "0123456789\u00b2^|#= \x0b\nPVabT\u00e9\u00df\u03bb\u0416"
-
-
-def program_source(program: Program) -> str:
-    """A source declaring ``program`` as ``main``, one term per distinct
-    thread."""
-    names: dict = {}
-    for t in program.threads:
-        names.setdefault(t, f"T{len(names)}")
-    counts = collections.Counter(program.threads)
-    return "\n".join(
-        [f"resource {r} cap {program.caps[r]}" for r in program.caps.names]
-        + [f"thread {nm} = {t}" for t, nm in names.items()]
-        + ["program main = " + " | ".join(f"{names[t]} ^ {k}" for t, k in counts.items())]
-    ) + "\n"
-
-
-@st.composite
-def mutated_sources(draw) -> str:
-    """A witness source or a random program's source with a few characters
-    inserted, replaced or deleted; copy counts stay at a few digits."""
-    kappa = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
-    caps = make_caps(**dict(zip("abc", kappa)))
-    if draw(st.booleans()):
-        text = report.witness_source(deadsharp_witness(caps))
-    else:
-        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-        n = rng.randint(1, 4)
-        text = program_source(random_program(rng, list(caps.names), caps, n, 3, rng.random() < 0.5))
-    chars = list(text)
-    for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.integers(0, len(chars)))
-        edit = draw(st.sampled_from(("insert", "replace", "delete")))
-        if edit == "insert":
-            chars.insert(at, draw(st.sampled_from(FUZZ_CHARS)))
-        elif at < len(chars):
-            chars[at : at + 1] = [draw(st.sampled_from(FUZZ_CHARS))] if edit == "replace" else []
-    return "".join(chars)
-
 
 def test_every_source_fault_is_a_located_input_error(capsys, monkeypatch):
     @given(st.one_of(mutated_sources(), st.text()))

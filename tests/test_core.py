@@ -23,7 +23,7 @@ from pvguard import (
     successors,
     thread_violations,
 )
-from pvguard import core
+from pvguard import core, deadlock
 
 from conftest import identity_groups, make_caps, point_use, random_valid_actions, segment_use
 
@@ -472,3 +472,34 @@ def test_power_hashes_each_action_once_and_checks_one_thread(monkeypatch):
     assert len(program._point_idx) == len(program._request_idx) == 10_000
     assert len(hashes) <= len(t.actions)
     assert checked == [t]
+
+
+def test_each_cached_property_runs_once_per_instance(monkeypatch):
+    # every cached property of the package's classes: its getter runs on the
+    # first read alone, and the value lands in the instance ``__dict__``
+    caps = make_caps(a=1, b=1)
+    program = Program.power(Thread.from_text("Pa Pb Vb Va"), 2, caps)
+    instances = {
+        CapacityMap: caps,
+        Thread: program.threads[0],
+        Program: program,
+        deadlock.OrbitView: deadlock.OrbitView(program._groups, {(1, 1): (1, None)}),
+    }
+    cached = sorted(
+        (cls.__name__, name, cls)
+        for module in (core, deadlock)
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        for name, attr in vars(cls).items()
+        if isinstance(attr, core._cached_property)
+    )
+    assert {cls for _, _, cls in cached} == instances.keys()
+    for _, name, cls in cached:
+        getter, runs = vars(cls)[name].func, []
+        monkeypatch.setattr(vars(cls)[name], "func",
+                            lambda obj, getter=getter, runs=runs: runs.append(obj) or getter(obj))
+        obj = instances[cls]
+        vars(obj).pop(name, None)  # read while the instance was built
+        value = getattr(obj, name)
+        assert getattr(obj, name) is value and vars(obj)[name] is value
+        assert runs == [obj], name

@@ -14,6 +14,8 @@ from pvguard import (
 )
 from pvguard import core
 
+from conftest import mutated_sources, token_walk_parse_source
+
 GOOD = """\
 # two crossing lock orders
 resource a cap 1
@@ -59,12 +61,18 @@ def test_each_distinct_action_is_built_once_per_source(monkeypatch):
     # a source's threads share one action per mnemonic, fused or spaced,
     # so the dataclass's checks run at most twice per resource; a second
     # parse builds its own actions, so nothing is kept between calls
-    built = []
+    # the declared-resource check runs once per distinct action too, on the
+    # declared names, not through ``CapacityMap`` once per action
+    built, asked = [], []
     post_init = core.Action.__post_init__
     monkeypatch.setattr(core.Action, "__post_init__",
                         lambda action: built.append(action) or post_init(action))
+    contains = core.CapacityMap.__contains__
+    monkeypatch.setattr(core.CapacityMap, "__contains__",
+                        lambda caps, name: asked.append(name) or contains(caps, name))
     first = parse_source(GOOD + "thread T3 = P a V a P b V b\n")
     assert sorted(map(str, built)) == ["Pa", "Pb", "Va", "Vb"]
+    assert asked == []
     t1, t2, t3 = (first.threads[name].actions for name in ("T1", "T2", "T3"))
     assert t1[0] is t2[1] is t3[0] and t1[3] is t2[2] is t3[1]
     second = parse_source(GOOD)
@@ -269,3 +277,42 @@ def test_witness_sources_of_every_capacity_map_parse_back(entries):
         model = parse_source(report.witness_source(plan))
         assert model.caps == caps
         assert model.programs["main"] == Program.power(plan.thread, plan.instance_n, caps)
+
+
+def _located(text: str, parse) -> tuple:
+    """``parse(text)``'s model, or its ``ParseError``'s reason and place."""
+    try:
+        return ("model", parse(text))
+    except ParseError as exc:
+        return ("error", exc.reason, exc.line, exc.column)
+
+
+HEADER = "resource a cap 1\nresource b cap 2\nthread T = Pa Va\nthread U = P b V b\n"
+
+
+@given(
+    st.one_of(
+        mutated_sources(),
+        st.text(),
+        st.builds(
+            f"{HEADER}thread X = {{}}\nprogram m = {{}}\n".format,
+            st.text(alphabet="PVabz \t", max_size=10),
+            st.text(alphabet="TUX^|012 $\t", max_size=10),
+        ),
+    )
+)
+@example(POWER + "T ^ $\n")
+@example(POWER + "T ^ $ 2\n")
+@example(POWER + "T ^\n")
+@example("resource a cap 1\nthread T = Pa Va P\n")
+@example("resource a cap 1\nthread T = P a V a\nthread U = P a V a P z V z\n")
+@example("resource a cap 1\nthread T = P a V a V a\n")
+@example(POWER + "T ^ " + "9" * 5000 + "\n")
+@example(POWER + "T ^ 10001\n")
+@example(POWER + " | ".join(["T"] * 10001) + "\n")
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_parser_matches_the_token_walker(text):
+    # the one-pass parser against its earlier form (conftest): equal models
+    # (capacities, each thread's actions, each program's threads), or equal
+    # errors with equal lines and columns
+    assert _located(text, parse_source) == _located(text, token_walk_parse_source)
