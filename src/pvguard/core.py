@@ -13,10 +13,11 @@ finished state (printed as ``⊤``).
 """
 from __future__ import annotations
 
+import operator
 import re
 from bisect import insort
 from dataclasses import dataclass
-from math import comb, log10
+from math import comb, log10, prod
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 ACQUIRE = "P"
@@ -27,6 +28,7 @@ TOP_LABEL = "⊤"  # ⊤
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")  # resource, thread and program names
 _MAX_THREADS = 10_000  # threads of one program: no input can ask for unbounded memory
+_ACTION_FIELDS = operator.attrgetter("__class__", "kind", "resource")  # what Action's == compares
 
 
 class _cached_property:
@@ -393,22 +395,20 @@ class Program:
         return self.tops
 
     def grid_states(self) -> int:
-        size = 1
-        for t in self.tops:
-            size *= t + 1
-        return size
+        return prod(t + 1 for t in self.tops)
 
     @_cached_property
     def _groups(self) -> tuple[tuple[int, ...], ...]:
         """Coordinates running identical threads, in ascending order, one
         group per distinct thread in order of first appearance.  Copies of
         one object are grouped by identity, so only distinct objects compare
-        their actions."""
-        groups: dict[tuple[Action, ...], list[int]] = {}
+        their actions, each by its class, kind and resource: the fields of
+        ``Action``'s equality, hashed in C, so no action is hashed."""
+        groups: dict[tuple, list[int]] = {}
         by_object: dict[int, list[int]] = {}
         for i, t in enumerate(self.threads):
             if (g := by_object.get(id(t))) is None:
-                g = by_object[id(t)] = groups.setdefault(t.actions, [])
+                g = by_object[id(t)] = groups.setdefault(tuple(map(_ACTION_FIELDS, t.actions)), [])
             g.append(i)
         return tuple(tuple(g) for g in groups.values())
 
@@ -417,10 +417,7 @@ class Program:
         per group of g copies with top position m, the C(m + g, g)
         non-decreasing value sequences.  Equals :meth:`grid_states` when the
         threads are pairwise distinct."""
-        size = 1
-        for g in self._groups:
-            size *= comb(self.tops[g[0]] + len(g), len(g))
-        return size
+        return prod(comb(self.tops[g[0]] + len(g), len(g)) for g in self._groups)
 
     @_cached_property
     def resource_names(self) -> tuple[str, ...]:
@@ -466,6 +463,20 @@ class Program:
         requests, or None (⊥, ⊤ and releases).  The segment out of a position
         holds what the point holds plus this resource."""
         return self._index_tables[1]
+
+    @_cached_property
+    def _silent_idx(self) -> tuple[tuple[bool, ...], ...]:
+        """Per thread, per position: whether the step out of it is silent: it
+        requests nothing (⊥ or a release) and keeps the point use, so it ends at
+        an acquire or ⊤, whose step is not.  One tuple per group, for its copies."""
+        silent: list = [None] * self.n
+        for g in self._groups:
+            points, requests = self._point_idx[g[0]], self._request_idx[g[0]]
+            steps = zip(requests, points, points[1:])
+            table = (*(r is None and p == q for r, p, q in steps), False)
+            for i in g:
+                silent[i] = table
+        return tuple(silent)
 
     def check_state(self, state: State) -> None:
         if not isinstance(state, tuple):

@@ -128,7 +128,7 @@ def dihomotopy_classes(
     count, covered, links = _classes(program, limit)
     n = program.n
     _bound(limit, count * (sum(program.tops) + 1), "representative path states")
-    silent = _silent(program)
+    silent = program._silent_idx
     first = sum(1 << c for c in range(n) if silent[c][0])
     representatives = []
     for k in range(count):
@@ -159,19 +159,7 @@ def dihomotopy_classes(
     )
 
 
-def _silent(program: Program) -> list[list[bool]]:
-    """Per thread and position, whether the step out of it is silent: it
-    requests nothing and keeps the point use (⊥ or a release before an
-    acquire or ⊤).  ⊤ has no step.  A silent step ends at an acquire or at
-    ⊤, whose step is not silent, so a run of silent steps has at most two
-    positions."""
-    return [
-        [r is None and p == q for r, p, q in zip(requests, points, points[1:])] + [False]
-        for points, requests in zip(program._point_idx, program._request_idx)
-    ]
-
-
-def _full_pairs(full: list[int], tabs: list[tuple], silent: list[list[bool]]) -> None:
+def _full_pairs(full: list[int], tabs: list[tuple], silent: tuple[tuple[bool, ...], ...]) -> None:
     """Add to ``full[m]`` the (class, step) pairs of level m of the DP over
     all states that the classes ``tabs`` of one run-end level stand for.
 
@@ -221,7 +209,7 @@ def _classes(program: Program, limit: int) -> tuple[int, int, list[array]]:
     tops = program.tops
     point = program._point_idx
     request = program._request_idx
-    silent = _silent(program)
+    silent = program._silent_idx
     # end states as mixed-radix codes, the last coordinate least significant
     weight = tuple(
         itertools.accumulate((t + 1 for t in tops[:0:-1]), operator.mul, initial=1)

@@ -377,6 +377,19 @@ def point_use(thread: Thread, position: int) -> frozenset[str]:
     )
 
 
+def silent_steps(program: Program) -> list[list[bool]]:
+    """Per thread and position, whether the step out of it is silent: it
+    requests nothing (it leaves ⊥ or a release) and keeps the point use, by
+    :func:`point_use`.  ⊤ has no step."""
+    return [
+        [
+            (x == 0 or t.action_at(x).kind == RELEASE) and point_use(t, x) == point_use(t, x + 1)
+            for x in range(t.top)
+        ] + [False]
+        for t in program.threads
+    ]
+
+
 def segment_use(thread: Thread, position: int) -> frozenset[str]:
     """Resources held while traversing the edge position -> position+1: the
     edge p -> p+1 holds r iff i <= p < j for a hold interval (i, j) of r, so

@@ -80,12 +80,16 @@ MUTANTS = (
     ),
     # the run ends: a release before a release is not silent, since it
     # changes the point use that other threads' steps and squares read
+    # (``Program._silent_idx``, the class DP's table of silent steps)
     Mutant(
         "class-silent-without-point-check",
-        SERIALIZABILITY,
+        CORE,
         "r is None and p == q for",
         "r is None and True for",
-        (CLASS_TESTS + "test_classes_match_level_dp_oracle",),
+        (
+            CLASS_TESTS + "test_classes_match_level_dp_oracle",
+            "tests/test_core.py::test_index_tables_match_point_use_and_action_at",
+        ),
     ),
     # the cheap pair bound without its per-class factor 2 ** n: it then
     # rules out limits that a level of the DP over all states exceeds
@@ -553,8 +557,17 @@ MUTANTS = (
     Mutant(
         "groups-by-object-only",
         CORE,
-        "groups.setdefault(t.actions, [])",
+        "groups.setdefault(tuple(map(_ACTION_FIELDS, t.actions)), [])",
         "groups.setdefault(id(t), [])",
+        ("tests/test_core.py::test_groups_and_tables_of_equal_distinct_threads",),
+    ),
+    # the group key as a multiset of actions: ``Pa Pb Vb Va`` and
+    # ``Pb Pa Va Vb`` then share a group
+    Mutant(
+        "groups-key-order-free",
+        CORE,
+        "groups.setdefault(tuple(map(_ACTION_FIELDS, t.actions)), [])",
+        "groups.setdefault(tuple(sorted(map(_ACTION_FIELDS, t.actions))), [])",
         ("tests/test_core.py::test_groups_and_tables_of_equal_distinct_threads",),
     ),
     Mutant(
@@ -562,6 +575,13 @@ MUTANTS = (
         CORE,
         "for i in g:\n                point[i], request[i] = tables",
         "for i in g[:1]:\n                point[i], request[i] = tables",
+        ("tests/test_core.py::test_index_tables_match_point_use_and_action_at",),
+    ),
+    Mutant(
+        "silent-table-to-the-first-coordinate-only",
+        CORE,
+        "for i in g:\n                silent[i] = table",
+        "for i in g[:1]:\n                silent[i] = table",
         ("tests/test_core.py::test_index_tables_match_point_use_and_action_at",),
     ),
     # a state's coordinates are ints: a bool passes ``isinstance(x, int)``

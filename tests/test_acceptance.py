@@ -12,14 +12,18 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvguard import (
+    Action,
     CapacityMap,
     Program,
     Thread,
     deadsharp_witness,
     dihomotopy_classes,
     family_deadlock_verdict,
+    family_serializability_verdict,
     find_deadlocks,
     kappa1_pair_serializable,
     local_choice_points,
@@ -39,6 +43,7 @@ from conftest import (
     quotient_deadlock_empty,
     random_program,
     random_thread,
+    two_group_program,
 )
 
 EX3 = """\
@@ -329,3 +334,111 @@ def test_criterion_10_byte_identical_reruns(capsys, tmp_path):
         assert len(codes) == 1
         json.loads(next(iter(outputs)))
     report(10, f"{len(invocations)} command lines, 10 reruns each, identical bytes")
+
+
+def _random_caps(rng):
+    """Capacities 1..3 over a, b, c: all 1, all at least 2, or mixed, so each
+    family route is drawn."""
+    low, high = rng.choice([(1, 1), (2, 3), (1, 3)])
+    return CapacityMap(tuple((r, rng.randint(low, high)) for r in "abc"))
+
+
+def test_criterion_11_thread_permutation_symmetry():
+    # permuting a program's threads permutes its deadlocks, potential
+    # deadlocks and choice points, contenders included; every witness path
+    # validates on the permuted program
+    seen = set()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def check(seed):
+        rng = random.Random(seed)
+        caps = _random_caps(rng)
+        kind = rng.choice(["mixed", "power", "two-group"])
+        if kind == "two-group":
+            program = two_group_program(rng, list("abc"), caps, (rng.randint(1, 2), 2), 3)
+        else:
+            program = random_program(
+                rng, list("abc"), caps, rng.randint(2, 4), 3, identical=kind == "power"
+            )
+        order = list(range(program.n))
+        rng.shuffle(order)
+        permuted = Program(tuple(program.threads[i] for i in order), program.caps)
+        inverse = {c: j for j, c in enumerate(order)}
+
+        def move(state):
+            return tuple(state[i] for i in order)
+
+        found, moved = find_deadlocks(program), find_deadlocks(permuted)
+        for d in moved.deadlocks:
+            assert d.witness.end == d.state
+            d.witness.validate(permuted)
+        assert {move(d.state) for d in found.deadlocks} == {d.state for d in moved.deadlocks}
+        assert set(map(move, found.potential_deadlocks)) == set(moved.potential_deadlocks)
+        assert {
+            (move(cp.state), cp.resource, tuple(sorted(inverse[c] for c in cp.contenders)),
+             cp.reachable)
+            for cp in local_choice_points(program)
+        } == {
+            (cp.state, cp.resource, cp.contenders, cp.reachable)
+            for cp in local_choice_points(permuted)
+        }
+        seen.add(kind)
+        if found.deadlocks:
+            seen.add("deadlock")
+        if any(cp.reachable for cp in local_choice_points(program)):
+            seen.add("reachable choice point")
+
+    started = time.perf_counter()
+    check()
+    elapsed = time.perf_counter() - started
+    assert seen == {"mixed", "power", "two-group", "deadlock", "reachable choice point"}
+    report(11, f"200 thread permutations keep deadlocks and choice points, {elapsed:.2f}s")
+
+
+def test_criterion_12_resource_renaming_symmetry():
+    # renaming the resources, reordering their declarations and declaring an
+    # unused one change no family verdict, rule, cut-off or witness state,
+    # up to the renaming
+    seen = set()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def check(seed):
+        rng = random.Random(seed)
+        caps = _random_caps(rng)
+        t = random_thread(rng, list("abc"), 4)
+        names = ["x", "y", "z", "a", "b", "c"]
+        rng.shuffle(names)
+        rename = dict(zip("abc", names))
+        entries = [(rename[r], k) for r, k in caps.items()] + [(names[3], rng.randint(1, 3))]
+        rng.shuffle(entries)
+        caps2 = CapacityMap(tuple(entries))
+        t2 = Thread.from_actions(Action(a.kind, rename[a.resource]) for a in t.actions)
+
+        def facts(v):
+            return v.verdict, v.rule, v.cutoff, v.manifests_at_n, v.detail, sorted(v.witnesses)
+
+        ok, renamed = family_deadlock_verdict(t, caps), family_deadlock_verdict(t2, caps2)
+        assert facts(ok) == facts(renamed)
+        seen.add(("deadlock", ok.verdict))
+        ok, renamed = (
+            family_serializability_verdict(t, caps), family_serializability_verdict(t2, caps2)
+        )
+        assert facts(ok) == facts(renamed)
+        assert sorted(
+            (cp.state, rename[cp.resource], cp.contenders, cp.reachable)
+            for cp in ok.choice_points
+        ) == sorted(
+            (cp.state, cp.resource, cp.contenders, cp.reachable) for cp in renamed.choice_points
+        )
+        seen.add(ok.rule)
+        if ok.choice_points:
+            seen.add("choice points")
+
+    started = time.perf_counter()
+    check()
+    elapsed = time.perf_counter() - started
+    assert {"pairwise-serializability", "choice-point-cutoff", "mixed-capacities"} <= seen
+    assert {("deadlock", "no"), ("deadlock", "yes"), "choice points"} <= seen
+    report(12, f"300 resource renamings keep both family verdicts, {elapsed:.2f}s")

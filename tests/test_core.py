@@ -25,7 +25,16 @@ from pvguard import (
 )
 from pvguard import core, deadlock
 
-from conftest import identity_groups, make_caps, point_use, random_valid_actions, segment_use
+from conftest import (
+    identity_groups,
+    make_caps,
+    point_use,
+    random_program,
+    random_valid_actions,
+    segment_use,
+    silent_steps,
+    two_group_program,
+)
 
 
 def test_parse_actions_forms():
@@ -411,13 +420,17 @@ def assert_groups_and_tables(program):
     groups = program._groups
     assert groups == tuple(map(tuple, identity_groups(program)))
     assert len(program._point_idx) == len(program._request_idx) == program.n
+    assert len(program._silent_idx) == program.n
+    silent = silent_steps(program)
     for g in groups:
         for i in g:
             expected = tables_by_oracle(program, program.threads[i])
             assert (program._point_idx[i], program._request_idx[i]) == expected
+            assert list(program._silent_idx[i]) == silent[i]
             # every coordinate of a group shares its group's tables
             assert program._point_idx[i] is program._point_idx[g[0]]
             assert program._request_idx[i] is program._request_idx[g[0]]
+            assert program._silent_idx[i] is program._silent_idx[g[0]]
 
 
 def test_groups_and_tables_of_equal_distinct_threads():
@@ -431,6 +444,23 @@ def test_groups_and_tables_of_equal_distinct_threads():
     program = m.programs["main"]
     assert m.threads["T"] is not m.threads["U"] and m.threads["T"] == m.threads["U"]
     assert program._groups == ((0, 1, 3, 4, 7), (2, 5, 6))
+    assert_groups_and_tables(program)
+    # the same actions in another order are another thread
+    caps = make_caps(a=1, b=1)
+    t, u = Thread.from_text("Pa Pb Vb Va"), Thread.from_text("Pb Pa Va Vb")
+    program = Program((t, u, Thread.from_text("Pa Pb Vb Va"), u), caps)
+    assert program._groups == ((0, 2), (1, 3))
+    assert_groups_and_tables(program)
+
+    # an Action subclass with the same fields is not equal to an Action, as
+    # dataclass equality says, so its thread forms its own group
+    class Marked(Action):
+        pass
+
+    marked = Thread.from_actions(Marked(a.kind, a.resource) for a in t.actions)
+    assert marked != t and [str(a) for a in marked.actions] == [str(a) for a in t.actions]
+    program = Program((t, marked, Thread.from_text("Pa Pb Vb Va"), marked), caps)
+    assert program._groups == ((0, 2), (1, 3))
     assert_groups_and_tables(program)
 
 
@@ -453,11 +483,21 @@ def test_index_tables_match_point_use_and_action_at():
 
     check()
     assert seen == {"shared object", "equal distinct objects", "interleaved"}
+    # seeded power and two-group programs over a, b, c
+    rng = random.Random(4207)
+    caps = make_caps(a=1, b=2, c=3)
+    for _ in range(30):
+        assert_groups_and_tables(
+            random_program(rng, ["a", "b", "c"], caps, rng.randint(1, 5), 4, identical=True)
+        )
+        copies = (rng.randint(1, 3), rng.randint(1, 3))
+        assert_groups_and_tables(two_group_program(rng, ["a", "b", "c"], caps, copies, 4))
 
 
 def test_power_hashes_each_action_once_and_checks_one_thread(monkeypatch):
-    # 10,000 copies of one object: the groups hash that object's actions
-    # once, the tables are built once, and its resources are checked once
+    # 10,000 copies of one object: the groups key that object's actions
+    # once, by their fields, so no action is hashed at all; the tables are
+    # built once, and its resources are checked once
     t = Thread.from_text("Pa Pb Va Pc Vb Pa Vc Va")
     hashes = []
     action_hash = Action.__hash__
@@ -470,7 +510,7 @@ def test_power_hashes_each_action_once_and_checks_one_thread(monkeypatch):
     program = Program.power(t, 10_000, make_caps(a=2, b=1, c=1))
     assert program._groups == (tuple(range(10_000)),)
     assert len(program._point_idx) == len(program._request_idx) == 10_000
-    assert len(hashes) <= len(t.actions)
+    assert hashes == []
     assert checked == [t]
 
 

@@ -267,6 +267,8 @@ def test_class_dp_reads_per_state_tables(monkeypatch):
         monkeypatch.setattr(module, "successors", forbidden, raising=False)
     monkeypatch.setattr(itertools, "permutations", forbidden)
     assert not hasattr(serializability, "_Unions")
+    # the silent steps are Program's per-group table, not rebuilt per call
+    assert not hasattr(serializability, "_silent")
     pv = pvguard.Thread.from_text("Pa Va")
     report = pvguard.dihomotopy_classes(
         Program.power(pv, 4, pvguard.CapacityMap((("a", 1),)))
