@@ -13,7 +13,6 @@ finished state (printed as ``⊤``).
 """
 from __future__ import annotations
 
-import operator
 import re
 from bisect import insort
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ TOP_LABEL = "⊤"  # ⊤
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")  # resource, thread and program names
 _MAX_THREADS = 10_000  # threads of one program: no input can ask for unbounded memory
-_ACTION_FIELDS = operator.attrgetter("__class__", "kind", "resource")  # what Action's == compares
 
 
 class _cached_property:
@@ -75,7 +73,7 @@ class InvalidThreadError(PvError):
 class SearchLimitExceeded(PvError):
     """A search or enumeration would exceed the configured bound."""
 
-    def __init__(self, limit: int, what: str = "grid states"):
+    def __init__(self, limit: int, what: str):
         super().__init__(f"instance exceeds the configured bound of {limit} {what}")
         self.limit = limit
         self.what = what
@@ -402,13 +400,12 @@ class Program:
         """Coordinates running identical threads, in ascending order, one
         group per distinct thread in order of first appearance.  Copies of
         one object are grouped by identity, so only distinct objects compare
-        their actions, each by its class, kind and resource: the fields of
-        ``Action``'s equality, hashed in C, so no action is hashed."""
+        their ``actions`` tuples, by ``Action``'s own equality."""
         groups: dict[tuple, list[int]] = {}
         by_object: dict[int, list[int]] = {}
         for i, t in enumerate(self.threads):
             if (g := by_object.get(id(t))) is None:
-                g = by_object[id(t)] = groups.setdefault(tuple(map(_ACTION_FIELDS, t.actions)), [])
+                g = by_object[id(t)] = groups.setdefault(t.actions, [])
             g.append(i)
         return tuple(tuple(g) for g in groups.values())
 

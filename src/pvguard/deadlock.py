@@ -905,7 +905,7 @@ def deadsharp_witness(caps: CapacityMap) -> WitnessPlan:
     names = caps.names
     k = len(names)
     thread = Thread.from_text(" ".join(_chain_actions(names)))
-    cutoff = caps.total()
+    cutoff = deadlock_cutoff(caps)
     if cutoff > _MAX_THREADS:
         raise ValueError(f"the witness needs {cutoff} threads; a program has at most {_MAX_THREADS}")
     # Block vector: κ(r_k) copies stand at the second P of r_1 (position 2k),

@@ -180,9 +180,7 @@ def successors(program: Program, state: State) -> list[tuple[int, State]]:
 
 
 def guard_grid(program: Program, max_states: int) -> None:
-    size = program.grid_states()
-    if size > max_states:
-        raise SearchLimitExceeded(max_states)
+    _bound(max_states, program.grid_states(), "grid states")
 
 
 def guard_orbits(program: Program, max_states: int) -> None:
@@ -192,7 +190,7 @@ def guard_orbits(program: Program, max_states: int) -> None:
 
 
 def enumerate_dipaths(
-    program: Program, limit: Optional[int] = None
+    program: Program, limit: int = DEFAULT_MAX_STATES
 ) -> Iterator[LatticePath]:
     """Yield every complete execution (⊥ to ⊤) in lexicographic step order,
     lazily: one stack holds an iterator of :func:`successors` per state on
@@ -212,7 +210,7 @@ def enumerate_dipaths(
             trail.pop()
         elif step[1] == top:
             count += 1
-            if limit is not None and count > limit:
+            if count > limit:
                 raise SearchLimitExceeded(limit, "enumerated paths")
             yield LatticePath((*trail, top))
         else:

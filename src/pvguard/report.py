@@ -148,7 +148,6 @@ def envelope(command: str, source: bytes, result: dict, version: str) -> dict:
 
 
 _encode_str = json.encoder.encode_basestring  # the C encoder when available
-_INFINITY = float("inf")
 
 
 def dumps(obj) -> str:
@@ -183,15 +182,7 @@ def _scalar(value) -> str:
         except ValueError:  # past the int-to-str digit limit, which decimal does not apply
             from decimal import Decimal
             return str(Decimal(int(value)))
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return json.dumps(value)  # floats, which no report holds, and json's TypeError
 
 
 def _encode(obj, newline: str, add) -> None:

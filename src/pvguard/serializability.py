@@ -33,6 +33,7 @@ from .deadlock import (
     OrbitView,
     ReachabilityIndex,
     WitnessPlan,
+    _admissible,
     _guard_members,
     _hit_orbits,
     deadsharp_witness,
@@ -371,7 +372,7 @@ def _one_short(kappa: Sequence[int], totals: list[int], asks: list[int]) -> Opti
     holder short with at least two requesters; every other requested
     resource is full.
     """
-    if any(map(operator.gt, totals, kappa)):
+    if not _admissible(kappa, totals, asks):
         return None
     short = [r for r, ask in enumerate(asks) if ask and totals[r] != kappa[r]]
     if len(short) == 1 and totals[short[0]] == kappa[short[0]] - 1 and asks[short[0]] >= 2:

@@ -896,7 +896,7 @@ ARGV_SHAPES = [
     (("classes", "ex3.pv", "--limit", "2"), 2, "",
      "pvguard: error: unrecognized arguments: --limit 2"),
     (("classes", "ex3.pv", "--max", "1"), 3, "",
-     "pvguard: instance exceeds the configured bound of 1 grid states"),
+     "pvguard: instance exceeds the configured bound of 1 grid states (36 needed)"),
     (("deadlocks", "ex3.pv", "main", "more"), 2, "", "pvguard: error: unrecognized arguments: more"),
     (("deadlocks", "ex3.pv", "--pot"), 1, "program main: 1 potential deadlock(s)", ""),
     (("deadlocks", "ex3.pv", "--max-states", "0"), 2, "",

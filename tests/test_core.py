@@ -495,9 +495,8 @@ def test_index_tables_match_point_use_and_action_at():
 
 
 def test_power_hashes_each_action_once_and_checks_one_thread(monkeypatch):
-    # 10,000 copies of one object: the groups key that object's actions
-    # once, by their fields, so no action is hashed at all; the tables are
-    # built once, and its resources are checked once
+    # 10,000 copies of one object: the groups hash that object's actions
+    # once, the tables are built once, and its resources are checked once
     t = Thread.from_text("Pa Pb Va Pc Vb Pa Vc Va")
     hashes = []
     action_hash = Action.__hash__
@@ -510,7 +509,7 @@ def test_power_hashes_each_action_once_and_checks_one_thread(monkeypatch):
     program = Program.power(t, 10_000, make_caps(a=2, b=1, c=1))
     assert program._groups == (tuple(range(10_000)),)
     assert len(program._point_idx) == len(program._request_idx) == 10_000
-    assert hashes == []
+    assert len(hashes) <= len(t.actions)
     assert checked == [t]
 
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from collections import Counter
@@ -312,6 +313,9 @@ def test_enumerate_dipaths_limit_and_laziness(monkeypatch):
         with pytest.raises(SearchLimitExceeded, match="enumerated paths"):
             next(paths)
     assert list(enumerate_dipaths(EX3, limit=84)) == everything
+    # with no limit given, the enumeration has the package's default bound
+    default = inspect.signature(enumerate_dipaths).parameters["limit"].default
+    assert default == geometry.DEFAULT_MAX_STATES
     # the first path asks for the successors of its own states only
     calls = []
     monkeypatch.setattr(geometry, "successors",

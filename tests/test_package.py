@@ -177,25 +177,33 @@ def test_one_breadth_first_search():
 def test_one_counted_cap_check():
     # a cap message that says how many were needed is built in core._bound,
     # the one comparison of a counted cap; the caps that print no count
-    # (grid states, enumerated paths, execution class pairs) raise directly
-    builders = set()
+    # (enumerated paths, execution class pairs) raise directly, and they
+    # are the only other builders of the error
+    builders, bare = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for call in ast.walk(fn):
-                if (
+                if not (
                     isinstance(call, ast.Call)
                     and isinstance(call.func, ast.Name)
                     and call.func.id == "SearchLimitExceeded"
-                    and any(
-                        isinstance(text, ast.Constant) and "needed" in str(text.value)
-                        for arg in call.args for text in ast.walk(arg)
-                    )
+                ):
+                    continue
+                if any(
+                    isinstance(text, ast.Constant) and "needed" in str(text.value)
+                    for arg in call.args for text in ast.walk(arg)
                 ):
                     builders.add(f"{path.stem}.{fn.name}")
+                else:
+                    bare.add(ast.unparse(call))
     assert sorted(builders) == ["core._bound"]
+    assert sorted(bare) == [
+        "SearchLimitExceeded(limit, 'enumerated paths')",
+        "SearchLimitExceeded(limit, 'execution class pairs')",
+    ]
 
 
 def calls_itself(fn) -> bool:

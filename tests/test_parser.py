@@ -79,13 +79,9 @@ def test_each_distinct_action_is_built_once_per_source(monkeypatch):
     assert len(built) == 8
     assert second.threads == {name: first.threads[name] for name in ("T1", "T2")}
     assert second.threads["T1"].actions[0] is not t1[0]
-    # nor is any action hashed: the programs group threads by the actions'
-    # fields, not by the actions
-    def unhashed(action):
-        raise AssertionError(f"{action} hashed while parsing")
-
-    monkeypatch.setattr(core.Action, "__hash__", unhashed)
+    # a program groups its copies of one thread, and no other thread with them
     third = parse_source(GOOD + "thread T3 = P a V a P b V b\nprogram p3 = T3 ^ 2 | T1 | T3\n")
+    assert len(built) == 12
     assert third.programs["p3"]._groups == ((0, 1, 3), (2,))
 
 

@@ -152,10 +152,12 @@ def test_dumps_non_string_keys(value):
     {"a": {1, 2}}, b"raw", {"a": [decimal.Decimal("1")]},
 ], ids=repr)
 def test_dumps_unknown_types_raise_type_error(value):
-    with pytest.raises(TypeError):
+    # json's own error, with its text
+    with pytest.raises(TypeError) as expected:
         reference(value)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as got:
         report.dumps(value)
+    assert str(got.value) == str(expected.value)
 
 
 K = CapacityMap((("a", 1), ("b", 1), ("c", 1)))

@@ -480,6 +480,31 @@ def test_class_pair_bound_is_exact(program):
     )
 
 
+@pytest.mark.parametrize(
+    "program",
+    [
+        Program((Thread.from_text("Pa Pb Vb Va"), Thread.from_text("Pb Pa Va Vb")), K11),
+        Program.power(PV, 3, make_caps(a=3)),
+    ],
+    ids=["PaPbVbVa|PbPaVaVb", "PaVa^3@3"],
+)
+def test_class_grid_bound_is_exact(monkeypatch, program):
+    # the largest level holds fewer pairs than the grid has states, so the
+    # grid cap binds: one below the grid raises, counting the grid, and the
+    # grid itself answers
+    grid = program.grid_states()
+    with monkeypatch.context() as m:
+        for module in (serializability, conftest):
+            m.setattr(module, "guard_grid", lambda program, limit: None)
+        assert largest_level_pairs(program) < grid
+    with pytest.raises(SearchLimitExceeded) as exc:
+        dihomotopy_classes(program, grid - 1)
+    assert str(exc.value) == (
+        f"instance exceeds the configured bound of {grid - 1} grid states ({grid} needed)"
+    )
+    assert dihomotopy_classes(program, grid) == level_dp_classes(program)
+
+
 def test_class_pair_bound_is_exact_over_run_ends(monkeypatch):
     # the DP runs on run ends but bounds the pairs of the DP over all
     # states, per level: T ^ 3 and three random threads at κ ∈ {1, 2},
@@ -1048,6 +1073,8 @@ def test_family_search_limit():
 def test_family_unit_capacities_search_limit():
     v = family_serializability_verdict(PV, make_caps(a=1), max_states=1)
     assert (v.verdict, v.rule, v.cutoff) == ("inconclusive", "search-limit", 2)
+    # the pair's grid cap refuses it, counting the pair's 16 grid states
+    assert v.detail == "instance exceeds the configured bound of 1 grid states (16 needed)"
 
 
 # -- choice points one copy up ---------------------------------------------------
