@@ -65,6 +65,14 @@ class ReachabilityIndex:
     it decides only the states at or below the ceiling where every
     coordinate stands at an acquire or at ⊤.  A query about any other state,
     or a malformed one, raises :class:`ValueError`.
+
+    The search runs on demand.  The constructor builds its step table and
+    its queue; ``is_reachable`` and ``witness`` run it only until the asked
+    orbit is stored or the queue runs out, and ``visited`` runs it to the
+    end.  Each orbit is stored with its parent when it is found, and the
+    queue resumes in first-in-first-out order, so every answer, witness path
+    and ``visited`` count is that of the whole search, whatever was asked
+    before.
     """
 
     def __init__(
@@ -90,48 +98,32 @@ class ReachabilityIndex:
         self._entries: list = []  # per count-vector index: its step (group, x, y); None at ⊤
         # per reached code, in discovery order: parent code * len(entries)
         # + the entry of its step (-1 for ⊥)
-        self._links: dict[int, int] = {}
-        self._search()
+        self._links: dict[int, int] = {0: -1}
+        self._start()
 
-    def _search(self) -> None:
-        """Breadth-first search over orbits, each identity group keyed by its
-        count vector: how many of its copies stand at each position.
+    def _start(self) -> None:
+        """The step table of the search and its queue, holding ⊥.
 
-        The copies of a group are ranked by position, rank r standing at
-        coordinate ``g[r]`` of the group ``g``, so an orbit's group-sorted
-        state is read off the counts, and its code is the sum of its copies'
-        group rows (``_row``) at their positions.  The copies at one position
-        form a run; a step moves one copy of a run from x to the step's end
-        y, which raises the run's last coordinate and moves the code by
-        ``row[y] - row[x]``, whichever copy moves.  A state's new successors
-        are stored in ascending order of their runs' first coordinates, the
-        coordinate a step in ascending order reaches the orbit by first, each
-        with its parent and its step's entry (group, x, y), which moves the
-        group's first copy at x.  The runs come in that order group by group;
-        where groups interleave, the new successors are sorted.  Distinct
-        runs reach distinct orbits, so which successors are new does not
-        depend on the order the runs are tried in.  Reached states are
-        admissible (⊥ is, and an admissible edge ends in one), so a step is
-        blocked exactly when the resource it acquires is full.  A successor
-        is kept only at or below the ceiling (⊤ without targets): the ceiling
-        ascends within a group, so a run steps iff its last copy's ceiling is
-        at least y.  Every parent of a state below the ceiling is below it
-        too, so the ceiling cuts no path to such a state.
+        Each identity group is kept as its count vector: how many of its
+        copies stand at each position.  The copies of a group are ranked by
+        position, rank r standing at coordinate ``g[r]`` of the group ``g``,
+        so an orbit's group-sorted state is read off the counts, and its
+        code is the sum of its copies' group rows (``_row``) at their
+        positions.  The copies at one position form a run; a step moves one
+        copy of a run from x to the step's end y, which raises the run's
+        last coordinate and moves the code by ``row[y] - row[x]``, whichever
+        copy moves.  A successor is kept only at or below the ceiling (⊤
+        without targets): the ceiling ascends within a group, so a run steps
+        iff its last copy's ceiling is at least y.  Every parent of a state
+        below the ceiling is below it too, so the ceiling cuts no path to
+        such a state.
 
         Each queued state carries its free slots, per resource its capacity
         less its point-use total, packed into one int with a field per
         resource; a step adds the change from x to y, and is blocked when the
-        field of the resource it acquires is 0.
-
-        Without targets y = x + 1.  With targets a step out of an acquire
-        goes on through the releases after it to the next acquire or ⊤, and
-        while some group has a copy at ⊥ that may step, only the first such
-        group's ⊥ run steps.  A release or ⊥ step is always enabled, disables
-        no step, commutes with every step and is taken on every path to a
-        state where every coordinate stands at an acquire or at ⊤; taking it
-        at once only lowers point-use totals on the way, so each such state
-        at or below the ceiling stays reachable (persistent sets: Godefroid,
-        LNCS 1032, 1996), and no stored state has a coordinate at a release.
+        field of the resource it acquires is 0.  Without targets y = x + 1;
+        with targets a step out of an acquire goes on through the releases
+        after it to the next acquire or ⊤ (see ``_search``).
         """
         program = self.program
         kappa = program.kappa
@@ -170,13 +162,49 @@ class ReachabilityIndex:
             table.append(None)  # ⊤ never steps
             entries.append(None)
         order = [c for g in self._groups for c in g]
-        merge = order != sorted(order)  # groups interleave
-        bottoms = [block.start for block in blocks] if reduced else []
-        links = self._links
-        links[0] = -1
-        width = len(entries)
+        self._table = table
+        self._blocks = blocks
+        self._merge = order != sorted(order)  # groups interleave
+        self._bottoms = [block.start for block in blocks] if reduced else []
         free = sum(k << s for k, s in zip(kappa, shift))
-        queue: deque[tuple[list[int], int, int]] = deque(((counts, 0, free),))
+        self._queue: deque[tuple[list[int], int, int]] = deque(((counts, 0, free),))
+
+    def _search(self, goal: int = -1) -> bool:
+        """Breadth-first search over orbits, on demand: it goes on from
+        where its last call stopped until the orbit coded ``goal`` is
+        stored (-1, which codes none, runs it to the end) or the queue runs
+        out, and says whether ``goal`` is stored.  It stops only between two
+        states' expansions, so the orbits, their order and their parents are
+        those of one uninterrupted search, however the calls split it.
+
+        A state's new successors are stored in ascending order of their
+        runs' first coordinates, the coordinate a step in ascending order
+        reaches the orbit by first, each with its parent and its step's
+        entry (group, x, y), which moves the group's first copy at x.  The
+        runs come in that order group by group; where groups interleave, the
+        new successors are sorted.  Distinct runs reach distinct orbits, so
+        which successors are new does not depend on the order the runs are
+        tried in.  Reached states are admissible (⊥ is, and an admissible
+        edge ends in one), so a step is blocked exactly when the resource it
+        acquires is full.
+
+        With targets, a step out of an acquire goes on through the releases
+        after it (``_start``), and while some group has a copy at ⊥ that may
+        step, only the first such group's ⊥ run steps.  A release or ⊥ step
+        is always enabled, disables no step, commutes with every step and is
+        taken on every path to a state where every coordinate stands at an
+        acquire or at ⊤; taking it at once only lowers point-use totals on
+        the way, so each such state at or below the ceiling stays reachable
+        (persistent sets: Godefroid, LNCS 1032, 1996), and no stored state
+        has a coordinate at a release.
+        """
+        table = self._table
+        blocks = self._blocks
+        bottoms = self._bottoms
+        merge = self._merge
+        links = self._links
+        queue = self._queue
+        width = len(self._entries)
         while queue:
             counts, code, free = queue.popleft()
             scan = blocks
@@ -206,9 +234,15 @@ class ReachabilityIndex:
                 moved[i] -= 1
                 moved[i + jump] += 1
                 queue.append((moved, key, free + change))
+            if goal in links:
+                return True
+        return goal in links
 
     @property
     def visited(self) -> int:
+        """The orbits the search reaches, every one: reading it finishes the
+        search."""
+        self._search()
         return len(self._links)
 
     def _code(self, state: State) -> int:
@@ -229,12 +263,13 @@ class ReachabilityIndex:
         return sum(self._rows[c][x] for c, x in enumerate(state))
 
     def is_reachable(self, state: State) -> bool:
-        return self._code(state) in self._links
+        code = self._code(state)
+        return code in self._links or self._search(code)
 
     def witness(self, state: State) -> Optional[LatticePath]:
         """A concrete admissible path ⊥ -> ``state``, or None."""
         code = self._code(state)
-        if code not in self._links:
+        if not (code in self._links or self._search(code)):
             return None
         return self._onto(self._chain(code), state)
 
@@ -585,9 +620,25 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class DeadlockReport:
+    """The deadlocks, each with its witness path, the potential deadlocks
+    and the search's counts.  A report of :func:`find_deadlocks` builds
+    ``stats`` on its first read, which finishes the search to count
+    ``visited``: until then the report keeps the search, after it only the
+    counts."""
+
     deadlocks: tuple[Deadlock, ...]
     potential_deadlocks: tuple[State, ...]
     stats: SearchStats
+
+    def __getattr__(self, name: str) -> SearchStats:
+        # reached only for an unset attribute: ``stats`` while ``_count``,
+        # the function that builds it, is kept in its place
+        state = vars(self)
+        if name != "stats" or "_count" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        stats = state["stats"] = state["_count"]()
+        del state["_count"]
+        return stats
 
 
 def find_deadlocks(
@@ -600,8 +651,11 @@ def find_deadlocks(
     whose records pair each state with its orbit's validated path (None off
     the deadlock orbits).  Each deadlock's witness path is that path,
     permuted onto it (``ReachabilityIndex._onto``), and is validated.  The
-    search covers the whole folded space, so ``stats.visited`` counts every
-    reachable orbit.
+    search runs until its last deadlock orbit is stored (or over the whole
+    folded space, when an admissible candidate is unreachable), in the order
+    of a whole search, so the witness paths are those of a whole search.
+    ``stats.visited`` counts every reachable orbit: the report keeps the
+    search until ``stats`` is first read, which finishes it.
     """
     candidates, paths, index = _deadlock_orbits(program, max_states, bounded=False)
     records = {orbit: (size, paths.get(orbit)) for orbit, (size, _) in candidates.items()}
@@ -614,14 +668,18 @@ def find_deadlocks(
             assert witness.end == state
             witness.validate(program)
             deadlocks.append(Deadlock(state, witness))
-    stats = SearchStats(
-        threads=program.n,
-        grid_states=program.grid_states(),
-        candidates=len(members),
-        visited=index.visited if index is not None else 0,
-        max_states=max_states,
+    sizes = (program.n, program.grid_states(), len(members))  # threads, grid states, candidates
+
+    def count() -> SearchStats:
+        return SearchStats(*sizes, index.visited if index is not None else 0, max_states)
+
+    report = DeadlockReport.__new__(DeadlockReport)
+    vars(report).update(
+        deadlocks=tuple(deadlocks),
+        potential_deadlocks=tuple(state for state, _ in members),
+        _count=count,
     )
-    return DeadlockReport(tuple(deadlocks), tuple(state for state, _ in members), stats)
+    return report
 
 
 def _deadlock_orbits(

@@ -698,12 +698,15 @@ def orbit_members(program: Program, orbits) -> list[State]:
 def index_parents(index: ReachabilityIndex) -> dict[State, tuple[State, int]]:
     """The orbits ``index`` stored, in discovery order, each mapped to its
     parent and the coordinate its step is taken by (⊥ maps to (⊥, -1)),
-    read off ``index._links``: each code names its parent's code and a step
-    entry (group, x, y), whose step is taken by the parent's first copy of
-    the group at x.  Each orbit is its parent with that step applied, group
-    sorted, and the code it is stored under must be the sum of its
-    coordinates' group rows (``index._rows``) at their positions, so each
-    stored code is checked against the rows rather than decoded."""
+    read off ``index._links`` once the search has finished (reading
+    ``visited`` finishes it, since it runs on demand): each code names its
+    parent's code and a step entry (group, x, y), whose step is taken by the
+    parent's first copy of the group at x.  Each orbit is its parent with
+    that step applied, group sorted, and the code it is stored under must be
+    the sum of its coordinates' group rows (``index._rows``) at their
+    positions, so each stored code is checked against the rows rather than
+    decoded."""
+    index.visited
     program = index.program
     entries = index._entries
     orbits = {}

@@ -183,8 +183,8 @@ MUTANTS = (
     Mutant(
         "search-bottom-rule-dropped",
         DEADLOCK,
-        "bottoms = [block.start for block in blocks] if reduced else []",
-        "bottoms = []",
+        "self._bottoms = [block.start for block in blocks] if reduced else []",
+        "self._bottoms = []",
         (SEARCH_TESTS + "test_release_first_search_stored_orbits",),
     ),
     # a step that acquires a full resource
@@ -194,6 +194,22 @@ MUTANTS = (
         "if hi > above and (not gate or free & gate):",
         "if hi > above:",
         (SEARCH_TESTS + "test_orbit_search_matches_sorting_oracle",),
+    ),
+    # the search on demand: a query's run that returns before the asked
+    # orbit is stored, and a ``visited`` that leaves the search unfinished
+    Mutant(
+        "search-returns-before-the-goal",
+        DEADLOCK,
+        "            if goal in links:\n",
+        "            if goal >= 0:\n",
+        (SEARCH_TESTS + "test_search_on_demand_matches_a_finished_search",),
+    ),
+    Mutant(
+        "search-visited-unfinished",
+        DEADLOCK,
+        "        self._search()\n        return len(self._links)\n",
+        "        return len(self._links)\n",
+        (SEARCH_TESTS + "test_find_deadlocks_stops_at_its_last_deadlock",),
     ),
     # the sub-program enumerator taking each group's last indices first
     Mutant(

@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import itertools
 import json
@@ -6,6 +7,7 @@ import math
 import operator
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -672,6 +674,40 @@ def test_reduced_search_matches_full_search(prog, seed):
                 reduced.witness(state)
 
 
+@given(folding_programs(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_search_on_demand_matches_a_finished_search(prog, targeted, seed):
+    # queries in any order, with visited read at any point or never, give
+    # the answers, witness paths and stored parents of a finished search
+    rng = random.Random(seed)
+    grid = list(itertools.product(*(range(t + 1) for t in prog.tops)))
+    targets = rng.sample(grid, rng.randint(1, 3)) if targeted else None
+    finished = ReachabilityIndex(prog, targets=targets)
+    parents = index_parents(finished)
+    stops = [acquires_and_top(t) for t in prog.threads]
+    decided = [
+        s for s in grid
+        if not targeted
+        or (
+            all(map(operator.le, sort_groups(prog, s), finished.ceiling))
+            and all(map(operator.contains, stops, s))
+        )
+    ]
+    rng.shuffle(decided)
+    read_at = rng.choice([None, *range(len(decided) + 1)])
+    lazy = ReachabilityIndex(prog, targets=targets)
+    for i, state in enumerate(decided + [None]):
+        if i == read_at:
+            assert lazy.visited == finished.visited
+        if state is None:
+            break
+        if rng.random() < 0.5:
+            assert lazy.is_reachable(state) == finished.is_reachable(state)
+        else:
+            assert lazy.witness(state) == finished.witness(state)
+    assert list(index_parents(lazy).items()) == list(parents.items())
+
+
 @st.composite
 def long_run_programs(draw):
     """``T ^ 5``–``T ^ 6`` of a one- or two-pair thread, whose copies stand
@@ -837,6 +873,33 @@ def test_full_search_visits_every_reachable_orbit():
     assert verdict.witnesses == tuple(d.state for d in report.deadlocks)
 
 
+def test_find_deadlocks_stops_at_its_last_deadlock(monkeypatch):
+    # the one deadlock orbit of the (3,3,2) witness at 8 copies is stored
+    # 4,187th of 13,408; reading stats finishes the search, and the report
+    # then keeps the counts, not the search
+    built = []
+
+    class Spy(ReachabilityIndex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(deadlock, "ReachabilityIndex", Spy)
+    caps = make_caps(a=3, b=3, c=2)
+    program = Program.power(deadsharp_witness(caps).thread, 8, caps)
+    report = find_deadlocks(program)
+    (index,) = built
+    assert len(index._links) == 4187
+    assert len(report.deadlocks) == 560
+    assert report.stats.visited == len(index._links) == 13408
+    ref = weakref.ref(index)
+    del index, built[:]
+    gc.collect()
+    assert ref() is None
+    fresh = find_deadlocks(program)
+    assert repr(fresh) == repr(report) and fresh == report
+
+
 def ladder_caps(total):
     """Three resources whose capacities sum to ``total``, as even as
     possible, larger first (24 gives 8, 8, 8)."""
@@ -877,6 +940,7 @@ def test_stored_codes_grow_with_the_count_vectors():
     hits = deadlock._hit_orbits(program, deadlock._admissible, 0, 10**18)
     index = ReachabilityIndex(program, 10**18, targets=[h for h, (_, ok) in hits.items() if ok])
     bound = sum(program.tops[g[0]] * (len(g) + 1).bit_length() for g in program._groups)
+    index.visited  # the search runs on demand: this stores every code
     assert max(index._links).bit_length() <= bound
 
 
@@ -893,6 +957,7 @@ def test_stored_codes_of_long_threads_with_few_copies(copies):
     program = Program((t, u), CapacityMap((("a", 1), ("b", 1), ("c", 1))))
     index = ReachabilityIndex(program)
     assert [len(g) for g in program._groups] == ([1, 1] if copies == "distinct" else [2])
+    index.visited  # the search runs on demand: this stores every code
     if copies == "distinct":
         assert max(index._links) < (t.top + 1) * (u.top + 1)
     else:
